@@ -13,19 +13,15 @@ from .exact_arith import (
     cmp_power,
     const_interval,
     cyclotomic,
-    eval_poly,
     factorial,
     nth_root_floor,
 )
 from .partitions import (
     HookData,
     Partition,
-    contains,
-    conjugate,
     degree,
     enumerate_gamma,
     hooks,
-    is_self_conjugate,
     parse_partition,
     partitions_of,
 )
@@ -45,6 +41,7 @@ from .lie_type import (
     Family,
     GapReport,
     GroupSpec,
+    InvalidSpec,
     SweepRecord,
     beta_degree,
     check_min_ratio,

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import alternating, degree_data, lie_type, structure_bounds
-from .exact_arith import cyclotomic, eval_poly
+from .exact_arith import cyclotomic
 from .lie_type import Exclusion, Family
 from .partitions import degree as partition_degree, enumerate_gamma, hooks, parse_partition
 
@@ -156,7 +156,7 @@ def _cmd_cyclotomic(args) -> CommandResult:
         "text": str(poly),
     }
     if args.q is not None:
-        payload["value"] = str(eval_poly(poly, args.q))
+        payload["value"] = str(poly(args.q))
     return CommandResult("pass", payload)
 
 
@@ -265,9 +265,7 @@ _CSV_FIELDS = (
 
 def _cmd_sweep(args) -> CommandResult:
     families = _parse_families(args.families)
-    entries = lie_type.sweep(
-        families, rank_max=args.rank_max, q_max=args.q_max, parallel=args.parallel
-    )
+    entries = lie_type.sweep(families, rank_max=args.rank_max, q_max=args.q_max)
     dicts = [_sweep_entry_dict(e) for e in entries]
     oks = [d for d in dicts if d["status"] == "ok"]
     all_passed = all(d["passed_pow14"] and d["passed_ratio165"] for d in oks)
@@ -476,7 +474,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--families", default="all", help="all, classical, exceptional, or a comma list")
     p.add_argument("--rank-max", type=int, default=20)
     p.add_argument("--q-max", type=int, default=32)
-    p.add_argument("--parallel", type=int, default=0, help="number of worker processes")
     p.add_argument("--jsonl", action="store_true")
     p.add_argument("--csv", action="store_true")
 

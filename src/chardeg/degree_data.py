@@ -11,12 +11,11 @@ The on-disk format is TSV, one group per line:
     name <TAB> order <TAB> degrees <TAB> out <TAB> alpha,beta <TAB> fitting
 
 with '#' comment lines, empty optional fields, comma-separated degrees, and
-all integers in plain decimal.  A JSON mirror uses the same field names.
+all integers in plain decimal.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -28,8 +27,6 @@ __all__ = [
     "parse_tables",
     "serialize_table",
     "serialize_tables",
-    "table_to_json",
-    "table_from_json",
     "load_dir",
     "rat",
     "check_extendible_pair",
@@ -138,35 +135,6 @@ def serialize_table(table: DegreeTable) -> str:
 
 def serialize_tables(tables) -> str:
     return "\n".join(serialize_table(t) for t in tables) + "\n"
-
-
-def table_to_json(table: DegreeTable) -> str:
-    doc = {
-        "name": table.name,
-        "order": None if table.order is None else str(table.order),
-        "degrees": [str(d) for d in table.degrees],
-        "out_order": table.out_order,
-        "extendible_pair": None
-        if table.extendible_pair is None
-        else [str(table.extendible_pair[0]), str(table.extendible_pair[1])],
-        "fitting_index": None if table.fitting_index is None else str(table.fitting_index),
-    }
-    return json.dumps(doc)
-
-
-def table_from_json(text: str) -> DegreeTable:
-    doc = json.loads(text)
-    pair = doc.get("extendible_pair")
-    return DegreeTable(
-        name=doc["name"],
-        degrees=tuple(int(d) for d in doc["degrees"]),
-        order=None if doc.get("order") is None else int(doc["order"]),
-        out_order=doc.get("out_order"),
-        extendible_pair=None if pair is None else (int(pair[0]), int(pair[1])),
-        fitting_index=None
-        if doc.get("fitting_index") is None
-        else int(doc["fitting_index"]),
-    )
 
 
 def load_dir(path: str | Path) -> list[DegreeTable]:

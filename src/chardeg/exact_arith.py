@@ -29,7 +29,6 @@ __all__ = [
     "is_prime",
     "IntPolynomial",
     "cyclotomic",
-    "eval_poly",
     "RationalInterval",
     "const_interval",
 ]
@@ -98,11 +97,17 @@ def nth_root_floor(x: int, k: int) -> int:
     return r
 
 
-_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# With the first 13 primes as bases, Miller-Rabin has no false positive below
+# psi_13 (Sorenson and Webster, Math. Comp. 2017).
+_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_LIMIT = 3317044064679887385961981  # psi_13
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin; exact for every n below 3.3e24."""
+    """Deterministic Miller-Rabin; exact for every n below psi_13 ~ 3.3e24,
+    and a ValueError at or above it rather than an unproven answer."""
+    if n >= _MR_LIMIT:
+        raise ValueError(f"is_prime is exact only below {_MR_LIMIT}")
     if n < 2:
         return False
     for p in _MR_WITNESSES:
@@ -241,11 +246,6 @@ def cyclotomic(k: int) -> IntPolynomial:
             poly = poly.div_exact(cyclotomic(d))
     _CYCLOTOMIC_CACHE[k] = poly
     return poly
-
-
-def eval_poly(p: IntPolynomial, q: int) -> int:
-    """Exact integer evaluation of p at q."""
-    return p(q)
 
 
 # ---------------------------------------------------------------------------

@@ -6,8 +6,10 @@ degree-ratio inequalities
     5 * alpha >= 16 * beta            (minimum-ratio check)
 
 where alpha is the Steinberg degree q**N (the p-part of |S|) and beta the
-companion degree.  All divisions in the degree and order formulas are
-asserted exact, so a transcription error cannot pass silently.
+companion degree.  Each family is one row of the formula table _FAMILIES
+(Carter, Finite Groups of Lie Type, 1985).  All divisions in the degree and
+order formulas are asserted exact, so a transcription error cannot pass
+silently.
 """
 
 from __future__ import annotations
@@ -16,15 +18,16 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from math import gcd, isqrt
-from typing import Iterable, Sequence
+from typing import Callable, Iterable
 
-from .exact_arith import Ordering, cmp_power, cyclotomic, eval_poly, is_prime
+from .exact_arith import Ordering, cmp_power, cyclotomic, is_prime, nth_root_floor
 
 __all__ = [
     "Family",
     "CLASSICAL_FAMILIES",
     "EXCEPTIONAL_FAMILIES",
     "GroupSpec",
+    "InvalidSpec",
     "CharPair",
     "GapReport",
     "SweepRecord",
@@ -72,28 +75,33 @@ CLASSICAL_FAMILIES = frozenset(
 )
 EXCEPTIONAL_FAMILIES = frozenset(Family) - CLASSICAL_FAMILIES
 
-_RANK_MIN = {
-    Family.LINEAR: 3,
-    Family.UNITARY: 3,
-    Family.SYMPLECTIC: 2,
-    Family.ORTH_ODD: 2,
-    Family.ORTH_PLUS: 4,
-    Family.ORTH_MINUS: 4,
-}
 
-_FAMILY_ORDER = list(Family)
+class InvalidSpec(ValueError):
+    """A parameter point outside the registry; reason is the text validate
+    returned for it."""
+
+    def __init__(self, reason: str):
+        self.reason = reason
+        super().__init__(f"invalid group spec ({reason})")
 
 
 @dataclass(frozen=True)
 class GroupSpec:
     """One parameter point: family, rank parameter (None for the fixed-rank
-    exceptional families), and q = p**e."""
+    exceptional families), and q = p**e.  Construction validates the point
+    and raises InvalidSpec when it is not covered, so every GroupSpec names
+    a simple group of the registry."""
 
     family: Family
     rank: int | None
     q: int
     p: int
     e: int
+
+    def __post_init__(self) -> None:
+        reason = validate(self.family, self.rank, self.q, self.p, self.e)
+        if reason is not None:
+            raise InvalidSpec(reason)
 
 
 @dataclass(frozen=True)
@@ -126,79 +134,6 @@ class Exclusion:
     reason: str
 
 
-def _factor_prime_power(q: int) -> tuple[int, int]:
-    if q < 2:
-        raise ValueError("q must be at least 2")
-    p = q
-    for cand in range(2, q + 1):
-        if cand * cand > q:
-            break
-        if q % cand == 0:
-            p = cand
-            break
-    e = 0
-    rest = q
-    while rest % p == 0:
-        rest //= p
-        e += 1
-    if rest != 1:
-        raise ValueError(f"q = {q} is not a prime power")
-    return p, e
-
-
-def make_spec(family: Family, q: int, rank: int | None = None) -> GroupSpec:
-    family = Family(family)
-    p, e = _factor_prime_power(q)
-    if family in CLASSICAL_FAMILIES and rank is None:
-        raise ValueError(f"family {family.value} requires a rank parameter")
-    if family in EXCEPTIONAL_FAMILIES:
-        rank = None
-    return GroupSpec(family, rank, q, p, e)
-
-
-def validate(spec: GroupSpec) -> str | None:
-    """None when spec names a simple group this registry covers, otherwise
-    the exclusion reason that fired."""
-    fam, n, q = spec.family, spec.rank, spec.q
-    if spec.p ** spec.e != q or not is_prime(spec.p):
-        return "q is not a prime power"
-    if fam in CLASSICAL_FAMILIES:
-        if n is None:
-            return "missing rank"
-        if fam in (Family.LINEAR, Family.UNITARY) and n == 2:
-            return "PSL_2"
-        if fam in (Family.SYMPLECTIC, Family.ORTH_ODD) and n == 1:
-            return "PSL_2"
-        if n < _RANK_MIN[fam]:
-            return f"rank below minimum {_RANK_MIN[fam]} for {fam.value}"
-        if fam is Family.LINEAR and n == 3 and q == 2:
-            return "not simple at this point (isomorphic to PSL_2(7))"
-        if fam is Family.UNITARY and n == 3 and q == 2:
-            return "not simple"
-        if fam is Family.SYMPLECTIC and n == 2 and q == 2:
-            return "not simple"
-        if fam is Family.ORTH_ODD and n == 2 and q == 2:
-            return "not simple (isomorphic to the symplectic point n=2, q=2)"
-        return None
-    if fam is Family.G2 and q == 2:
-        return "not simple (the derived subgroup is proper)"
-    if fam in (Family.SUZUKI_2B2, Family.REE_2F4):
-        if spec.p != 2 or spec.e % 2 == 0 or spec.e < 3:
-            return "q must be 2**(2f+1) with f >= 1"
-        return None
-    if fam is Family.REE_2G2:
-        if spec.p != 3 or spec.e % 2 == 0 or spec.e < 3:
-            return "q must be 3**(2f+1) with f >= 1"
-        return None
-    return None
-
-
-def _require_valid(spec: GroupSpec) -> None:
-    reason = validate(spec)
-    if reason is not None:
-        raise ValueError(f"invalid group spec ({reason})")
-
-
 def _exact_div(a: int, b: int) -> int:
     q, r = divmod(a, b)
     if r:
@@ -213,116 +148,215 @@ def _prod(values: Iterable[int]) -> int:
     return out
 
 
-# Exceptional data: Steinberg exponent, order shape, companion degree shape.
-# The companion degree is  q**mono * prod(Phi_k(q)**mult) / const,
-# with an extra factor 2**f (resp. 3**f) for the Suzuki (resp. small Ree)
-# family, where q = 2**(2f+1) (resp. 3**(2f+1)).
-_EXC_STEINBERG = {
-    Family.SUZUKI_2B2: 2,
-    Family.TRIALITY_3D4: 12,
-    Family.G2: 6,
-    Family.REE_2G2: 3,
-    Family.F4: 24,
-    Family.REE_2F4: 12,
-    Family.E6: 36,
-    Family.TWISTED_E6: 36,
-    Family.E7: 63,
-    Family.E8: 120,
+# ---------------------------------------------------------------------------
+# The formula table
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class _Formulas:
+    """One family's formulas, as functions of the rank n (None for the
+    fixed-rank families) and q:
+
+        |S|   = q**N(n) * prod(q**d - eps for d, eps in factors(n)) / divisor(n, q)
+        beta  = numerator / denominator, with (numerator, denominator) = beta(n, q)
+    """
+
+    rank_min: int | None  # None for the exceptional families
+    steinberg_exp: Callable[[int | None], int]
+    factors: Callable[[int | None], Iterable[tuple[int, int]]]
+    divisor: Callable[[int | None, int], int]  # the centre gcd, and q**4 - 1 for 3D4
+    beta: Callable[[int | None, int], tuple[int, int]]
+    beta_label: str
+
+
+def _exceptional(N, factors, beta, label, divisor=lambda n, q: 1) -> _Formulas:
+    return _Formulas(None, lambda n: N, lambda n: factors, divisor, beta, label)
+
+
+def _q_phis(*ks: int, den: int = 1):
+    """The companion degree q * prod(Phi_k(q) for k in ks) / den."""
+    return lambda n, q: (q * _prod(cyclotomic(k)(q) for k in ks), den)
+
+
+_SYMPLECTIC = _Formulas(
+    2,
+    lambda n: n * n,
+    lambda n: [(2 * i, 1) for i in range(1, n + 1)],
+    lambda n, q: gcd(2, q - 1),
+    lambda n, q: ((q ** n - 1) * (q ** n - q), 2 * (q + 1)),
+    "(0,1,n;-)",
+)
+
+# The even-orthogonal companion degrees use q**(n-1) in their second factor:
+# those products are divisible by q**2 - 1 for every n and match the rank-3
+# singular-point permutation character decompositions exactly; the q**n
+# variants fail integrality for every other parity of n.  For the Suzuki and
+# small Ree families q = r**(2f+1), so isqrt(q // r) = r**f exactly.
+_FAMILIES: dict[Family, _Formulas] = {
+    Family.LINEAR: _Formulas(
+        3,
+        lambda n: n * (n - 1) // 2,
+        lambda n: [(i, 1) for i in range(2, n + 1)],
+        lambda n, q: gcd(n, q - 1),
+        lambda n, q: (q ** n - q, q - 1),
+        "(n-1,1)",
+    ),
+    Family.UNITARY: _Formulas(
+        3,
+        lambda n: n * (n - 1) // 2,
+        lambda n: [(i, (-1) ** i) for i in range(2, n + 1)],
+        lambda n, q: gcd(n, q + 1),
+        lambda n, q: (q ** n + q * (-1) ** n, q + 1),
+        "(n-1,1)",
+    ),
+    Family.SYMPLECTIC: _SYMPLECTIC,
+    Family.ORTH_ODD: _SYMPLECTIC,
+    Family.ORTH_PLUS: _Formulas(
+        4,
+        lambda n: n * (n - 1),
+        lambda n: [(n, 1)] + [(2 * i, 1) for i in range(1, n)],
+        lambda n, q: gcd(4, q ** n - 1),
+        lambda n, q: ((q ** n - 1) * (q ** (n - 1) + q), q ** 2 - 1),
+        "(n-1;1)",
+    ),
+    Family.ORTH_MINUS: _Formulas(
+        4,
+        lambda n: n * (n - 1),
+        lambda n: [(n, -1)] + [(2 * i, 1) for i in range(1, n)],
+        lambda n, q: gcd(4, q ** n + 1),
+        lambda n, q: ((q ** n + 1) * (q ** (n - 1) - q), q ** 2 - 1),
+        "(1,n-1;-)",
+    ),
+    Family.SUZUKI_2B2: _exceptional(
+        2, ((2, -1), (1, 1)), lambda n, q: ((q - 1) * isqrt(q // 2), 1), "2B2[a]"
+    ),
+    # q**8 + q**4 + 1 = (q**12 - 1) / (q**4 - 1); the centre is trivial.
+    Family.TRIALITY_3D4: _exceptional(
+        12, ((12, 1), (6, 1), (2, 1)), _q_phis(12), "phi'_{1,3}", lambda n, q: q ** 4 - 1
+    ),
+    Family.G2: _exceptional(6, ((6, 1), (2, 1)), _q_phis(2, 2, 3, den=6), "phi_{2,1}"),
+    Family.REE_2G2: _exceptional(
+        3, ((3, -1), (1, 1)), lambda n, q: ((q * q - 1) * isqrt(q // 3), 1), "cuspidal"
+    ),
+    Family.F4: _exceptional(
+        24, ((12, 1), (8, 1), (6, 1), (2, 1)), _q_phis(2, 2, 6, 6, 8, den=2), "phi_{4,1}"
+    ),
+    Family.REE_2F4: _exceptional(
+        12, ((6, -1), (4, 1), (3, -1), (1, 1)), _q_phis(6, 12), "epsilon'"
+    ),
+    Family.E6: _exceptional(
+        36,
+        ((12, 1), (9, 1), (8, 1), (6, 1), (5, 1), (2, 1)),
+        _q_phis(8, 9),
+        "phi_{6,1}",
+        lambda n, q: gcd(3, q - 1),
+    ),
+    Family.TWISTED_E6: _exceptional(
+        36,
+        ((12, 1), (9, -1), (8, 1), (6, 1), (5, -1), (2, 1)),
+        _q_phis(8, 18),
+        "phi'_{2,4}",
+        lambda n, q: gcd(3, q + 1),
+    ),
+    Family.E7: _exceptional(
+        63,
+        ((18, 1), (14, 1), (12, 1), (10, 1), (8, 1), (6, 1), (2, 1)),
+        _q_phis(7, 12, 14),
+        "phi_{7,1}",
+        lambda n, q: gcd(2, q - 1),
+    ),
+    Family.E8: _exceptional(
+        120,
+        ((30, 1), (24, 1), (20, 1), (18, 1), (14, 1), (12, 1), (8, 1), (2, 1)),
+        _q_phis(4, 4, 8, 12, 20, 24),
+        "phi_{8,1}",
+    ),
 }
 
-_EXC_BETA = {
-    # family: (monomial power of q, ((k, mult), ...), constant divisor,
-    #          sqrt factor base or None, label)
-    Family.SUZUKI_2B2: (0, ((1, 1),), 1, 2, "2B2[a]"),
-    Family.TRIALITY_3D4: (1, ((12, 1),), 1, None, "phi'_{1,3}"),
-    Family.G2: (1, ((2, 2), (3, 1)), 6, None, "phi_{2,1}"),
-    Family.REE_2G2: (0, ((1, 1), (2, 1)), 1, 3, "cuspidal"),
-    Family.F4: (1, ((2, 2), (6, 2), (8, 1)), 2, None, "phi_{4,1}"),
-    Family.REE_2F4: (1, ((6, 1), (12, 1)), 1, None, "epsilon'"),
-    Family.E6: (1, ((8, 1), (9, 1)), 1, None, "phi_{6,1}"),
-    Family.TWISTED_E6: (1, ((8, 1), (18, 1)), 1, None, "phi'_{2,4}"),
-    Family.E7: (1, ((7, 1), (12, 1), (14, 1)), 1, None, "phi_{7,1}"),
-    Family.E8: (1, ((4, 2), (8, 1), (12, 1), (20, 1), (24, 1)), 1, None, "phi_{8,1}"),
-}
+
+# ---------------------------------------------------------------------------
+# Parameter points
+# ---------------------------------------------------------------------------
+
+
+def _factor_prime_power(q: int) -> tuple[int, int]:
+    """(p, e) with q = p**e and p prime, from exact integer e-th roots."""
+    if q < 2:
+        raise ValueError("q must be at least 2")
+    for e in range(q.bit_length(), 0, -1):
+        p = nth_root_floor(q, e)
+        if p ** e == q and is_prime(p):
+            return p, e
+    raise ValueError(f"q = {q} is not a prime power")
+
+
+def make_spec(family: Family, q: int, rank: int | None = None) -> GroupSpec:
+    family = Family(family)
+    p, e = _factor_prime_power(q)
+    if family in CLASSICAL_FAMILIES and rank is None:
+        raise ValueError(f"family {family.value} requires a rank parameter")
+    if family in EXCEPTIONAL_FAMILIES:
+        rank = None
+    return GroupSpec(family, rank, q, p, e)
+
+
+def validate(fam: Family, n: int | None, q: int, p: int, e: int) -> str | None:
+    """None when the point names a simple group this registry covers,
+    otherwise the exclusion reason that fired.  GroupSpec calls this once,
+    when it is built."""
+    if p ** e != q or not is_prime(p):
+        return "q is not a prime power"
+    if fam in CLASSICAL_FAMILIES:
+        if n is None:
+            return "missing rank"
+        if fam in (Family.LINEAR, Family.UNITARY) and n == 2:
+            return "PSL_2"
+        if fam in (Family.SYMPLECTIC, Family.ORTH_ODD) and n == 1:
+            return "PSL_2"
+        rank_min = _FAMILIES[fam].rank_min
+        if n < rank_min:
+            return f"rank below minimum {rank_min} for {fam.value}"
+        if fam is Family.LINEAR and n == 3 and q == 2:
+            return "not simple at this point (isomorphic to PSL_2(7))"
+        if fam is Family.UNITARY and n == 3 and q == 2:
+            return "not simple"
+        if fam is Family.SYMPLECTIC and n == 2 and q == 2:
+            return "not simple"
+        if fam is Family.ORTH_ODD and n == 2 and q == 2:
+            return "not simple (isomorphic to the symplectic point n=2, q=2)"
+        return None
+    if fam is Family.G2 and q == 2:
+        return "not simple (the derived subgroup is proper)"
+    if fam in (Family.SUZUKI_2B2, Family.REE_2F4):
+        if p != 2 or e % 2 == 0 or e < 3:
+            return "q must be 2**(2f+1) with f >= 1"
+        return None
+    if fam is Family.REE_2G2:
+        if p != 3 or e % 2 == 0 or e < 3:
+            return "q must be 3**(2f+1) with f >= 1"
+        return None
+    return None
+
+
+# ---------------------------------------------------------------------------
+# Orders, degrees and the two checks
+# ---------------------------------------------------------------------------
 
 
 def order(spec: GroupSpec) -> int:
-    """Exact group order from the standard product formulas, including the
+    """Exact group order from the family's product formula, including the
     centre gcd factor for the projective families."""
-    _require_valid(spec)
-    fam, n, q = spec.family, spec.rank, spec.q
-    if fam is Family.LINEAR:
-        raw = q ** (n * (n - 1) // 2) * _prod(q ** i - 1 for i in range(2, n + 1))
-        return _exact_div(raw, gcd(n, q - 1))
-    if fam is Family.UNITARY:
-        raw = q ** (n * (n - 1) // 2) * _prod(
-            q ** i - (-1) ** i for i in range(2, n + 1)
-        )
-        return _exact_div(raw, gcd(n, q + 1))
-    if fam in (Family.SYMPLECTIC, Family.ORTH_ODD):
-        raw = q ** (n * n) * _prod(q ** (2 * i) - 1 for i in range(1, n + 1))
-        return _exact_div(raw, gcd(2, q - 1))
-    if fam is Family.ORTH_PLUS:
-        raw = (
-            q ** (n * (n - 1))
-            * (q ** n - 1)
-            * _prod(q ** (2 * i) - 1 for i in range(1, n))
-        )
-        return _exact_div(raw, gcd(4, q ** n - 1))
-    if fam is Family.ORTH_MINUS:
-        raw = (
-            q ** (n * (n - 1))
-            * (q ** n + 1)
-            * _prod(q ** (2 * i) - 1 for i in range(1, n))
-        )
-        return _exact_div(raw, gcd(4, q ** n + 1))
-    if fam is Family.SUZUKI_2B2:
-        return q ** 2 * (q ** 2 + 1) * (q - 1)
-    if fam is Family.TRIALITY_3D4:
-        return q ** 12 * (q ** 8 + q ** 4 + 1) * (q ** 6 - 1) * (q ** 2 - 1)
-    if fam is Family.G2:
-        return q ** 6 * (q ** 6 - 1) * (q ** 2 - 1)
-    if fam is Family.REE_2G2:
-        return q ** 3 * (q ** 3 + 1) * (q - 1)
-    if fam is Family.F4:
-        return q ** 24 * _prod(q ** i - 1 for i in (12, 8, 6, 2))
-    if fam is Family.REE_2F4:
-        return q ** 12 * (q ** 6 + 1) * (q ** 4 - 1) * (q ** 3 + 1) * (q - 1)
-    if fam is Family.E6:
-        raw = q ** 36 * _prod(q ** i - 1 for i in (12, 9, 8, 6, 5, 2))
-        return _exact_div(raw, gcd(3, q - 1))
-    if fam is Family.TWISTED_E6:
-        raw = (
-            q ** 36
-            * (q ** 12 - 1)
-            * (q ** 9 + 1)
-            * (q ** 8 - 1)
-            * (q ** 6 - 1)
-            * (q ** 5 + 1)
-            * (q ** 2 - 1)
-        )
-        return _exact_div(raw, gcd(3, q + 1))
-    if fam is Family.E7:
-        raw = q ** 63 * _prod(q ** i - 1 for i in (18, 14, 12, 10, 8, 6, 2))
-        return _exact_div(raw, gcd(2, q - 1))
-    if fam is Family.E8:
-        return q ** 120 * _prod(q ** i - 1 for i in (30, 24, 20, 18, 14, 12, 8, 2))
-    raise AssertionError(f"unhandled family {fam}")
+    f, n, q = _FAMILIES[spec.family], spec.rank, spec.q
+    raw = q ** f.steinberg_exp(n) * _prod(q ** d - eps for d, eps in f.factors(n))
+    return _exact_div(raw, f.divisor(n, q))
 
 
 def steinberg_degree(spec: GroupSpec) -> int:
-    """The p-part of the group order: q**(n(n-1)/2) for linear/unitary,
-    q**(n*n) for symplectic/odd-orthogonal, q**(n(n-1)) for even orthogonal,
-    and the fixed exponents of the exceptional families."""
-    _require_valid(spec)
-    fam, n, q = spec.family, spec.rank, spec.q
-    if fam in (Family.LINEAR, Family.UNITARY):
-        return q ** (n * (n - 1) // 2)
-    if fam in (Family.SYMPLECTIC, Family.ORTH_ODD):
-        return q ** (n * n)
-    if fam in (Family.ORTH_PLUS, Family.ORTH_MINUS):
-        return q ** (n * (n - 1))
-    return q ** _EXC_STEINBERG[fam]
+    """The p-part q**N of the group order: N = n(n-1)/2 for linear/unitary,
+    n*n for symplectic/odd-orthogonal, n(n-1) for even orthogonal, and the
+    fixed exponents of the exceptional families."""
+    return spec.q ** _FAMILIES[spec.family].steinberg_exp(spec.rank)
 
 
 def beta_degree(spec: GroupSpec) -> CharPair:
@@ -336,66 +370,43 @@ def beta_degree(spec: GroupSpec) -> CharPair:
       plus  orthogonal  (q**n - 1)(q**(n-1) + q) / (q**2 - 1)  label (n-1;1)
       minus orthogonal  (q**n + 1)(q**(n-1) - q) / (q**2 - 1)  label (1,n-1;-)
 
-    The even-orthogonal second factors use q**(n-1): those products are
-    divisible by q**2 - 1 for every n and match the rank-3 singular-point
-    permutation character decompositions exactly; the q**n variants fail
-    integrality for every other parity of n.  Exceptional families evaluate
-    their cyclotomic products on demand; every constant division is checked.
+    Exceptional families evaluate cyclotomic products; every division is
+    checked.
     """
-    _require_valid(spec)
-    fam, n, q = spec.family, spec.rank, spec.q
-    alpha = steinberg_degree(spec)
-    if fam is Family.LINEAR:
-        beta = _exact_div(q ** n - q, q - 1)
-        return CharPair(alpha, beta, "(n-1,1)")
-    if fam is Family.UNITARY:
-        beta = _exact_div(q ** n + q * (-1) ** n, q + 1)
-        return CharPair(alpha, beta, "(n-1,1)")
-    if fam in (Family.SYMPLECTIC, Family.ORTH_ODD):
-        beta = _exact_div((q ** n - 1) * (q ** n - q), 2 * (q + 1))
-        return CharPair(alpha, beta, "(0,1,n;-)")
-    if fam is Family.ORTH_PLUS:
-        beta = _exact_div((q ** n - 1) * (q ** (n - 1) + q), q ** 2 - 1)
-        return CharPair(alpha, beta, "(n-1;1)")
-    if fam is Family.ORTH_MINUS:
-        beta = _exact_div((q ** n + 1) * (q ** (n - 1) - q), q ** 2 - 1)
-        return CharPair(alpha, beta, "(1,n-1;-)")
-    mono, phis, const, sqrt_base, label = _EXC_BETA[fam]
-    beta = q ** mono
-    for k, mult in phis:
-        beta *= eval_poly(cyclotomic(k), q) ** mult
-    if sqrt_base is not None:
-        # q = sqrt_base**(2f+1), so sqrt(q / sqrt_base) = sqrt_base**f exactly.
-        f = (spec.e - 1) // 2
-        beta *= sqrt_base ** f
-    beta = _exact_div(beta, const)
-    return CharPair(alpha, beta, label)
+    f = _FAMILIES[spec.family]
+    num, den = f.beta(spec.rank, spec.q)
+    return CharPair(steinberg_degree(spec), _exact_div(num, den), f.beta_label)
+
+
+# For the linear group of rank 3 over GF(3) the standard pair has ratio
+# 27/12 < 16/5; the minimum-ratio check uses the degrees 39 and 12 instead.
+_RATIO_OVERRIDES = {(Family.LINEAR, 3, 3): CharPair(39, 12, "degrees 39 and 12")}
+
+
+def _passes_pow14(pair: CharPair, o: int) -> bool:
+    ratio = Fraction(pair.alpha_degree, pair.beta_degree)
+    return cmp_power(ratio, 14, o, 1) is Ordering.GREATER
+
+
+def _passes_ratio165(pair: CharPair) -> bool:
+    return 5 * pair.alpha_degree >= 16 * pair.beta_degree
 
 
 def _report(spec: GroupSpec, pair: CharPair) -> GapReport:
     o = order(spec)
-    ratio = Fraction(pair.alpha_degree, pair.beta_degree)
-    pow14 = cmp_power(ratio, 14, o, 1) is Ordering.GREATER
-    ratio165 = 5 * pair.alpha_degree >= 16 * pair.beta_degree
-    return GapReport(spec, pair, o, pow14, ratio165)
+    return GapReport(spec, pair, o, _passes_pow14(pair, o), _passes_ratio165(pair))
 
 
 def check_steinberg_gap(spec: GroupSpec) -> GapReport:
     """Exact verdict on alpha**14 > beta**14 * |S| for the standard pair."""
-    _require_valid(spec)
     return _report(spec, beta_degree(spec))
 
 
 def check_min_ratio(spec: GroupSpec) -> GapReport:
-    """Exact verdict on 5*alpha >= 16*beta.
-
-    For the linear group of rank 3 over GF(3) the standard pair has ratio
-    27/12 < 16/5; the degrees 39 and 12 are used for that point instead.
-    """
-    _require_valid(spec)
-    if spec.family is Family.LINEAR and spec.rank == 3 and spec.q == 3:
-        return _report(spec, CharPair(39, 12, "degrees 39 and 12"))
-    return _report(spec, beta_degree(spec))
+    """Exact verdict on 5*alpha >= 16*beta, with the per-point override
+    pair where one is registered."""
+    override = _RATIO_OVERRIDES.get((spec.family, spec.rank, spec.q))
+    return _report(spec, override or beta_degree(spec))
 
 
 # ---------------------------------------------------------------------------
@@ -424,24 +435,6 @@ def prime_powers(limit: int) -> list[tuple[int, int, int]]:
     return out
 
 
-def _sweep_points(
-    families: Sequence[Family], rank_max: int, q_max: int
-) -> list[GroupSpec]:
-    pps = prime_powers(q_max)
-    points = []
-    for fam in _FAMILY_ORDER:
-        if fam not in families:
-            continue
-        if fam in CLASSICAL_FAMILIES:
-            for rank in range(_RANK_MIN[fam], rank_max + 1):
-                for q, p, e in pps:
-                    points.append(GroupSpec(fam, rank, q, p, e))
-        else:
-            for q, p, e in pps:
-                points.append(GroupSpec(fam, None, q, p, e))
-    return points
-
-
 @dataclass(frozen=True)
 class SweepRecord:
     """Both checks at one parameter point.  gap_pair is always the Steinberg
@@ -455,19 +448,18 @@ class SweepRecord:
     passed_ratio165: bool
 
 
-def _sweep_one(spec: GroupSpec) -> SweepRecord | Exclusion:
-    reason = validate(spec)
-    if reason is not None:
-        return Exclusion(spec.family, spec.rank, spec.q, reason)
-    report = check_steinberg_gap(spec)
-    ratio_report = check_min_ratio(spec)
+def _sweep_point(
+    fam: Family, rank: int | None, q: int, p: int, e: int
+) -> SweepRecord | Exclusion:
+    try:
+        spec = GroupSpec(fam, rank, q, p, e)
+    except InvalidSpec as exc:
+        return Exclusion(fam, rank, q, exc.reason)
+    o = order(spec)
+    pair = beta_degree(spec)
+    ratio_pair = _RATIO_OVERRIDES.get((fam, rank, q), pair)
     return SweepRecord(
-        spec,
-        report.order,
-        report.pair,
-        report.passed_pow14,
-        ratio_report.pair,
-        ratio_report.passed_ratio165,
+        spec, o, pair, _passes_pow14(pair, o), ratio_pair, _passes_ratio165(ratio_pair)
     )
 
 
@@ -475,21 +467,22 @@ def sweep(
     families: Iterable[Family] | None = None,
     rank_max: int = 20,
     q_max: int = 32,
-    parallel: int = 0,
 ) -> list[SweepRecord | Exclusion]:
     """Evaluate both ratio checks on every parameter point of the requested
     families with rank <= rank_max and prime-power q <= q_max.
 
-    Excluded points are reported as Exclusion entries.  The output order is
-    deterministic: family declaration order, then rank, then q.  parallel=N
-    distributes the pointwise work over N processes; the merged order is
-    identical to the sequential one.
+    Excluded points are reported as Exclusion entries with the reason their
+    validation gave.  The output order is deterministic: family declaration
+    order, then rank, then q.
     """
-    fams = tuple(Family(f) for f in families) if families is not None else tuple(Family)
-    points = _sweep_points(fams, rank_max, q_max)
-    if parallel and parallel > 1:
-        from multiprocessing import Pool
-
-        with Pool(parallel) as pool:
-            return pool.map(_sweep_one, points, chunksize=64)
-    return [_sweep_one(sp) for sp in points]
+    fams = set(Family) if families is None else {Family(f) for f in families}
+    pps = prime_powers(q_max)
+    out = []
+    for fam in Family:
+        if fam not in fams:
+            continue
+        rank_min = _FAMILIES[fam].rank_min
+        ranks = (None,) if rank_min is None else range(rank_min, rank_max + 1)
+        for rank in ranks:
+            out.extend(_sweep_point(fam, rank, q, p, e) for q, p, e in pps)
+    return out

@@ -16,11 +16,8 @@ __all__ = [
     "Partition",
     "HookData",
     "parse_partition",
-    "conjugate",
-    "is_self_conjugate",
     "hooks",
     "degree",
-    "contains",
     "enumerate_gamma",
     "partitions_of",
 ]
@@ -132,22 +129,6 @@ def degree(lam: Partition) -> int:
     if r:
         raise ArithmeticError(f"hook product {h} does not divide {lam.n}!")
     return q
-
-
-def conjugate(lam: Partition) -> Partition:
-    return lam.conjugate()
-
-
-def is_self_conjugate(lam: Partition) -> bool:
-    return lam.is_self_conjugate()
-
-
-def contains(lam: Partition, mu: Partition) -> bool:
-    """True iff the diagram of mu fits inside the diagram of lam
-    (mu_i <= lam_i for every i, missing parts counting as 0)."""
-    if len(mu) > len(lam):
-        return False
-    return all(m <= l for l, m in zip(lam.parts, mu.parts))
 
 
 def enumerate_gamma(m: int) -> Iterator[Partition]:

@@ -15,8 +15,6 @@ from chardeg.degree_data import (
     rat,
     serialize_table,
     serialize_tables,
-    table_from_json,
-    table_to_json,
 )
 
 M11_LINE = "M11\t7920\t1,10,10,10,11,16,16,44,45,55\t1\t55,10\t"
@@ -59,10 +57,6 @@ class TestParsing:
         t = parse_table(M11_LINE)
         assert parse_table(serialize_table(t)) == t
         assert parse_tables(serialize_tables([t])) == [t]
-
-    def test_json_mirror(self):
-        t = parse_table(M11_LINE)
-        assert table_from_json(table_to_json(t)) == t
 
 
 class TestRat:

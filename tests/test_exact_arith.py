@@ -12,7 +12,6 @@ from chardeg.exact_arith import (
     cmp_power,
     const_interval,
     cyclotomic,
-    eval_poly,
     factorial,
     is_prime,
     nth_root_floor,
@@ -92,6 +91,20 @@ def test_is_prime_small():
     assert not is_prime(561)  # Carmichael number
 
 
+def test_is_prime_strong_pseudoprimes():
+    # psi_12 passes Miller-Rabin to every prime base up to 37; base 41 catches it
+    psi_12 = 318665857834031151167461
+    assert psi_12 == 399165290221 * 798330580441
+    assert not is_prime(psi_12)
+    # psi_13 passes all 13 bases up to 41: no answer is given at or above it
+    psi_13 = 3317044064679887385961981
+    assert psi_13 == 1287836182261 * 2575672364521
+    with pytest.raises(ValueError):
+        is_prime(psi_13)
+    with pytest.raises(ValueError):
+        is_prime(2 ** 127 - 1)
+
+
 class TestCyclotomic:
     def test_small(self):
         assert cyclotomic(1).coeffs == (-1, 1)
@@ -118,9 +131,9 @@ class TestCyclotomic:
             assert cyclotomic(n).degree == phi(n)
 
     def test_eval_examples(self):
-        assert eval_poly(cyclotomic(6), 2) == 3   # 4 - 2 + 1
-        assert eval_poly(cyclotomic(12), 2) == 13  # 16 - 4 + 1
-        assert eval_poly(cyclotomic(1), 1) == 0
+        assert cyclotomic(6)(2) == 3   # 4 - 2 + 1
+        assert cyclotomic(12)(2) == 13  # 16 - 4 + 1
+        assert cyclotomic(1)(1) == 0
 
     def test_coefficient_bound_below_105(self):
         for n in range(1, 105):
@@ -129,7 +142,7 @@ class TestCyclotomic:
         for n in (3, 12, 24, 60, 104):
             poly = cyclotomic(n)
             for q in (1, 2, 5, 9):
-                assert eval_poly(poly, q) <= (poly.degree + 1) * q ** poly.degree
+                assert poly(q) <= (poly.degree + 1) * q ** poly.degree
 
     def test_first_exception_is_105(self):
         assert any(c not in (-1, 0, 1) for c in cyclotomic(105).coeffs)

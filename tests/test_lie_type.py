@@ -1,4 +1,5 @@
 import math
+import time
 from fractions import Fraction
 
 import pytest
@@ -8,6 +9,8 @@ from chardeg.lie_type import (
     EXCEPTIONAL_FAMILIES,
     Exclusion,
     Family,
+    GroupSpec,
+    InvalidSpec,
     SweepRecord,
     beta_degree,
     check_min_ratio,
@@ -17,8 +20,9 @@ from chardeg.lie_type import (
     prime_powers,
     steinberg_degree,
     sweep,
-    validate,
 )
+
+PSI_12 = 318665857834031151167461  # composite; passes Miller-Rabin to bases 2..37
 
 # Independently known orders (standard small-group values).
 KNOWN_ORDERS = [
@@ -48,42 +52,91 @@ KNOWN_ORDERS = [
     (Family.F4, None, 2, 3311126603366400),
     (Family.E6, None, 2, 214841575522005575270400),
     (Family.TWISTED_E6, None, 2, 76532479683774853939200),
+    (Family.E7, None, 2,
+     2**63 * 3**11 * 5**2 * 7**3 * 11 * 13 * 17 * 19 * 31 * 43 * 73 * 127),
+    (Family.E8, None, 2,
+     2**120 * 3**13 * 5**5 * 7**4 * 11**2 * 13**2 * 17**2 * 19 * 31**2 * 41 * 43
+     * 73 * 127 * 151 * 241 * 331),
+    (Family.REE_2F4, None, 8, 2**36 * 3**5 * 5**2 * 7**2 * 13**2 * 19 * 37 * 109),
 ]
+
+
+def reason(family, q, rank=None):
+    """The exclusion reason make_spec rejects the point with."""
+    with pytest.raises(InvalidSpec) as info:
+        make_spec(family, q, rank=rank)
+    return info.value.reason
+
+
+def valid_specs(families, ranks, q_max):
+    """Every covered point of the grid, skipping the ones GroupSpec rejects."""
+    specs = []
+    for fam in families:
+        for rank in ranks if fam in CLASSICAL_FAMILIES else (None,):
+            for q, _, _ in prime_powers(q_max):
+                try:
+                    specs.append(make_spec(fam, q, rank=rank))
+                except InvalidSpec:
+                    pass
+    return specs
 
 
 class TestValidate:
     def test_psl2_exclusion(self):
-        assert validate(make_spec(Family.LINEAR, 5, rank=2)) == "PSL_2"
-        assert validate(make_spec(Family.UNITARY, 7, rank=2)) == "PSL_2"
-        assert validate(make_spec(Family.SYMPLECTIC, 9, rank=1)) == "PSL_2"
+        assert reason(Family.LINEAR, 5, rank=2) == "PSL_2"
+        assert reason(Family.UNITARY, 7, rank=2) == "PSL_2"
+        assert reason(Family.SYMPLECTIC, 9, rank=1) == "PSL_2"
 
     def test_non_simple_points(self):
-        assert validate(make_spec(Family.UNITARY, 2, rank=3)) == "not simple"
-        assert validate(make_spec(Family.LINEAR, 2, rank=3)).startswith("not simple")
-        assert validate(make_spec(Family.SYMPLECTIC, 2, rank=2)) == "not simple"
-        assert validate(make_spec(Family.ORTH_ODD, 2, rank=2)).startswith("not simple")
-        assert validate(make_spec(Family.G2, 2)).startswith("not simple")
+        assert reason(Family.UNITARY, 2, rank=3) == "not simple"
+        assert reason(Family.LINEAR, 2, rank=3).startswith("not simple")
+        assert reason(Family.SYMPLECTIC, 2, rank=2) == "not simple"
+        assert reason(Family.ORTH_ODD, 2, rank=2).startswith("not simple")
+        assert reason(Family.G2, 2).startswith("not simple")
 
     def test_twisted_power_constraints(self):
-        assert validate(make_spec(Family.SUZUKI_2B2, 8)) is None
-        assert validate(make_spec(Family.SUZUKI_2B2, 2)) is not None
-        assert validate(make_spec(Family.SUZUKI_2B2, 4)) is not None
-        assert validate(make_spec(Family.REE_2F4, 2)) is not None  # Tits: data, not here
-        assert validate(make_spec(Family.REE_2F4, 8)) is None
-        assert validate(make_spec(Family.REE_2G2, 3)) is not None
-        assert validate(make_spec(Family.REE_2G2, 27)) is None
+        make_spec(Family.SUZUKI_2B2, 8)
+        assert reason(Family.SUZUKI_2B2, 2) == "q must be 2**(2f+1) with f >= 1"
+        assert reason(Family.SUZUKI_2B2, 4) == "q must be 2**(2f+1) with f >= 1"
+        assert reason(Family.REE_2F4, 2) is not None  # Tits: data, not here
+        make_spec(Family.REE_2F4, 8)
+        assert reason(Family.REE_2G2, 3) == "q must be 3**(2f+1) with f >= 1"
+        make_spec(Family.REE_2G2, 27)
 
     def test_rank_minimums(self):
-        assert validate(make_spec(Family.ORTH_PLUS, 2, rank=3)) is not None
-        assert validate(make_spec(Family.ORTH_MINUS, 2, rank=3)) is not None
-        assert validate(make_spec(Family.LINEAR, 2, rank=3)) is not None
-        assert validate(make_spec(Family.LINEAR, 3, rank=3)) is None
+        assert reason(Family.ORTH_PLUS, 2, rank=3) == "rank below minimum 4 for orth_plus"
+        assert reason(Family.ORTH_MINUS, 2, rank=3) == "rank below minimum 4 for orth_minus"
+        assert reason(Family.LINEAR, 2, rank=3) is not None
+        make_spec(Family.LINEAR, 3, rank=3)
 
     def test_non_prime_power_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="is not a prime power"):
             make_spec(Family.LINEAR, 6, rank=3)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="q must be at least 2"):
             make_spec(Family.LINEAR, 1, rank=3)
+
+    def test_invalid_spec_message(self):
+        with pytest.raises(ValueError, match=r"^invalid group spec \(PSL_2\)$"):
+            make_spec(Family.LINEAR, 5, rank=2)
+
+    def test_hand_built_spec_validated(self):
+        with pytest.raises(ValueError):
+            GroupSpec(Family.LINEAR, 2, 5, 5, 1)
+        with pytest.raises(InvalidSpec) as info:
+            GroupSpec(Family.LINEAR, 3, PSI_12, PSI_12, 1)
+        assert info.value.reason == "q is not a prime power"
+        with pytest.raises(InvalidSpec):
+            GroupSpec(Family.LINEAR, 3, 8, 2, 2)  # q != p**e
+
+    def test_large_prime_q_rejected_quickly(self):
+        # q = 2**61 - 1 is prime, so make_spec must not trial-divide up to sqrt(q)
+        t0 = time.perf_counter()
+        assert reason(Family.SUZUKI_2B2, 2 ** 61 - 1) == "q must be 2**(2f+1) with f >= 1"
+        assert time.perf_counter() - t0 < 1.0
+
+    def test_prime_power_of_a_large_prime(self):
+        spec = make_spec(Family.LINEAR, (2 ** 61 - 1) ** 2, rank=3)
+        assert (spec.p, spec.e) == (2 ** 61 - 1, 2)
 
 
 class TestOrders:
@@ -97,19 +150,10 @@ class TestOrders:
 
     def test_steinberg_is_p_part(self):
         # |S| / St(S) must be an integer coprime to p
-        pps = prime_powers(32)
-        specs = []
-        for fam in CLASSICAL_FAMILIES:
-            for rank in range(2, 11):
-                for q, _, _ in pps:
-                    specs.append(make_spec(fam, q, rank=rank))
-        for fam in EXCEPTIONAL_FAMILIES:
-            for q, _, _ in pps:
-                specs.append(make_spec(fam, q))
+        specs = valid_specs(CLASSICAL_FAMILIES, range(2, 11), 32)
+        specs += valid_specs(EXCEPTIONAL_FAMILIES, (), 32)
         checked = 0
         for spec in specs:
-            if validate(spec) is not None:
-                continue
             o, st_deg = order(spec), steinberg_degree(spec)
             quo, rem = divmod(o, st_deg)
             assert rem == 0, spec
@@ -141,19 +185,11 @@ class TestBeta:
     def test_integrality_across_grid(self):
         # every constant division inside the degree formulas must be exact;
         # beta_degree raises ArithmeticError otherwise
-        for fam in CLASSICAL_FAMILIES:
-            for rank in range(2, 9):
-                for q, _, _ in prime_powers(16):
-                    spec = make_spec(fam, q, rank=rank)
-                    if validate(spec) is None:
-                        pair = beta_degree(spec)
-                        assert 2 <= pair.beta_degree <= pair.alpha_degree, spec
-        for fam in EXCEPTIONAL_FAMILIES:
-            for q, _, _ in prime_powers(32):
-                spec = make_spec(fam, q)
-                if validate(spec) is None:
-                    pair = beta_degree(spec)
-                    assert 2 <= pair.beta_degree <= pair.alpha_degree, spec
+        specs = valid_specs(CLASSICAL_FAMILIES, range(2, 9), 16)
+        specs += valid_specs(EXCEPTIONAL_FAMILIES, (), 32)
+        for spec in specs:
+            pair = beta_degree(spec)
+            assert 2 <= pair.beta_degree <= pair.alpha_degree, spec
 
     def test_exceptional_spot_values(self):
         assert beta_degree(make_spec(Family.REE_2G2, 27)).beta_degree == 2184
@@ -219,12 +255,10 @@ class TestSweep:
         oks = [e for e in entries if isinstance(e, SweepRecord)]
         assert oks and all(e.passed_pow14 for e in oks)
 
-    def test_deterministic_and_parallel_equivalent(self):
+    def test_deterministic(self):
         a = sweep([Family.LINEAR, Family.G2], rank_max=4, q_max=8)
         b = sweep([Family.LINEAR, Family.G2], rank_max=4, q_max=8)
         assert a == b
-        c = sweep([Family.LINEAR, Family.G2], rank_max=4, q_max=8, parallel=2)
-        assert a == c
 
     def test_exclusions_recorded(self):
         entries = sweep([Family.LINEAR], rank_max=3, q_max=3)

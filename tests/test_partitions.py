@@ -5,12 +5,9 @@ from hypothesis import strategies as st
 from chardeg.exact_arith import factorial
 from chardeg.partitions import (
     Partition,
-    contains,
-    conjugate,
     degree,
     enumerate_gamma,
     hooks,
-    is_self_conjugate,
     parse_partition,
     partition_count,
     partitions_of,
@@ -66,25 +63,25 @@ class TestPartitionBasics:
 
 class TestConjugate:
     def test_examples(self):
-        assert conjugate(Partition((5,))) == Partition((1,) * 5)
-        assert conjugate(Partition((3, 2, 2))) == Partition((3, 3, 1))
-        assert conjugate(Partition((2, 2))) == Partition((2, 2))
+        assert Partition((5,)).conjugate() == Partition((1,) * 5)
+        assert Partition((3, 2, 2)).conjugate() == Partition((3, 3, 1))
+        assert Partition((2, 2)).conjugate() == Partition((2, 2))
 
     def test_self_conjugate_examples(self):
-        assert is_self_conjugate(Partition((2, 2)))
+        assert Partition((2, 2)).is_self_conjugate()
         for n in range(4, 12):
-            assert not is_self_conjugate(Partition((n - 1, 1)))
+            assert not Partition((n - 1, 1)).is_self_conjugate()
         for m in range(1, 7):
-            assert is_self_conjugate(Partition((m,) * m))
+            assert Partition((m,) * m).is_self_conjugate()
 
     @given(partitions())
     def test_involution(self, lam):
-        assert conjugate(conjugate(lam)) == lam
+        assert lam.conjugate().conjugate() == lam
 
     @given(partitions())
     def test_conjugate_preserves_hooks_and_degree(self, lam):
-        assert hooks(lam).product == hooks(conjugate(lam)).product
-        assert degree(lam) == degree(conjugate(lam))
+        assert hooks(lam).product == hooks(lam.conjugate()).product
+        assert degree(lam) == degree(lam.conjugate())
 
 
 class TestHooks:
@@ -126,17 +123,6 @@ class TestDegree:
             assert sum(degree(lam) ** 2 for lam in partitions_of(n)) == factorial(n)
 
 
-class TestContains:
-    def test_examples(self):
-        m = 3
-        assert contains(Partition(((m + 2),) * m), Partition((m,) * m))
-        assert contains(Partition((4, 2, 2)), Partition((3, 2, 2)))
-        assert not contains(Partition((5, 1)), Partition((2, 2)))
-
-    def test_shorter_big_partition(self):
-        assert not contains(Partition((6,)), Partition((1, 1)))
-
-
 class TestGamma:
     def test_m1(self):
         assert [str(p) for p in enumerate_gamma(1)] == ["1", "2", "3"]
@@ -154,18 +140,17 @@ class TestGamma:
         assert sizes == sorted(sizes)
 
     def test_bounding_rectangles(self):
+        # every member fits between the m x m and m x (m+2) rectangles
         for m in range(1, 9):
-            lo = Partition((m,) * m)
-            hi = Partition((m + 2,) * m)
             members = list(enumerate_gamma(m))
             assert len(set(members)) == len(members)
             for lam in members:
-                assert contains(hi, lam)
-                assert contains(lam, lo)
+                assert len(lam) == m
+                assert all(m <= part <= m + 2 for part in lam.parts)
 
     def test_only_self_conjugate_member_is_square(self):
         for m in range(1, 9):
-            selfconj = [lam for lam in enumerate_gamma(m) if is_self_conjugate(lam)]
+            selfconj = [lam for lam in enumerate_gamma(m) if lam.is_self_conjugate()]
             assert selfconj == [Partition((m,) * m)]
 
     def test_rejects_zero(self):
