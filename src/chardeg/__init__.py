@@ -62,8 +62,6 @@ from .degree_data import (
     parse_table,
     parse_tables,
     rat,
-    serialize_table,
-    serialize_tables,
 )
 from .structure_bounds import (
     ChiefFactorDescriptor,

@@ -5,10 +5,11 @@ For every n >= 7 there is a non-self-conjugate partition lam of n with
     (n!)**13 > (H_lam * (n-1))**14,
 
 equivalently chi_lam(1) > (n!)**(1/14) * (n-1).  The search is exact: the
-verdict for a candidate is a single big-integer comparison.  The supporting
-analytic bounds (which involve e) are checked separately with outward-rounded
-rational intervals and are advisory; they can return None (inconclusive)
-without affecting any witness certificate.
+verdict for a candidate is a single big-integer comparison, and the margin
+evidence fingerprints the same two integers.  The supporting analytic bounds
+(which involve e and pi) are decided by cmp_power on the endpoints of
+outward-rounded rational intervals and are advisory; they can return None
+(inconclusive) without affecting any witness certificate.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterator
 
 from .exact_arith import (
@@ -104,24 +104,12 @@ def square_fix(m: int) -> Partition:
     return Partition((m + 1,) + (m,) * (m - 2) + (m - 1,))
 
 
-def _passes(fact: int, n: int, hook_product: int) -> bool:
-    return cmp_power(fact, 13, hook_product * (n - 1), 14) is Ordering.GREATER
-
-
 def _gamma_candidates(n: int) -> Iterator[Partition]:
     m = gamma_index(n)
-    excess = n - m * m
-    for a in range(min(m, excess // 2), max(0, excess - m) - 1, -1):
-        b = excess - 2 * a
-        c = m - a - b
-        if b < 0 or c < 0:
-            continue
-        lam = Partition((m + 2,) * a + (m + 1,) * b + (m,) * c)
-        if lam.is_self_conjugate():
-            # Only (m**m) at n = m*m; substitute the fixed square witness.
-            yield square_fix(m)
-        else:
-            yield lam
+    for lam in enumerate_gamma(m, size=n):
+        # Only (m**m) at n = m*m is self-conjugate; substitute the fixed
+        # square witness.
+        yield square_fix(m) if lam.is_self_conjugate() else lam
 
 
 def _exhaustive_candidates(n: int) -> Iterator[Partition]:
@@ -138,9 +126,7 @@ def _sha256_int(x: int) -> str:
     return hashlib.sha256(x.to_bytes((x.bit_length() + 7) // 8 or 1, "big")).hexdigest()
 
 
-def _evidence(fact: int, n: int, hook_product: int) -> MarginEvidence:
-    lhs = fact ** 13
-    rhs = (hook_product * (n - 1)) ** 14
+def _evidence(lhs: int, rhs: int) -> MarginEvidence:
     return MarginEvidence(
         lhs_bits=lhs.bit_length(),
         rhs_bits=rhs.bit_length(),
@@ -160,39 +146,42 @@ def check_witness(n: int, best: bool = False) -> WitnessReport:
     """
     if n < 7:
         raise ValueError("check_witness requires n >= 7")
-    fact = factorial(n)
+    # The verdict (n!)**13 > (H*(n-1))**14 and its margin evidence are both
+    # taken from these integers: lhs once per n, rhs once per candidate.
+    lhs = factorial(n) ** 13
 
     def scan(cands: Iterator[Partition]):
-        best_pair = None
+        # Each found entry is (lam, H, rhs).
+        best_found = None
         smallest_fail = None
         count = 0
         for lam in cands:
             count += 1
             h = hooks(lam).product
-            if _passes(fact, n, h):
+            rhs = (h * (n - 1)) ** 14
+            if lhs > rhs:
                 if not best:
-                    return lam, h, count, None
-                if best_pair is None or h < best_pair[1]:
-                    best_pair = (lam, h)
+                    return (lam, h, rhs), count, None
+                if best_found is None or h < best_found[1]:
+                    best_found = (lam, h, rhs)
             elif smallest_fail is None or h < smallest_fail[1]:
-                smallest_fail = (lam, h)
-        if best_pair is not None:
-            return best_pair[0], best_pair[1], count, None
-        return None, None, count, smallest_fail
+                smallest_fail = (lam, h, rhs)
+        return best_found, count, smallest_fail
 
     if n <= EXHAUSTIVE_MAX:
-        lam, h, tried, fail = scan(_exhaustive_candidates(n))
+        found, tried, fail = scan(_exhaustive_candidates(n))
     else:
-        lam, h, tried, fail = scan(_gamma_candidates(n))
-        if lam is None:
-            lam, h, tried2, fail = scan(_exhaustive_candidates(n))
+        found, tried, fail = scan(_gamma_candidates(n))
+        if found is None:
+            found, tried2, fail = scan(_exhaustive_candidates(n))
             tried += tried2
 
-    if lam is not None:
-        return WitnessReport(n, lam, h, True, _evidence(fact, n, h), tried)
+    if found is not None:
+        lam, h, rhs = found
+        return WitnessReport(n, lam, h, True, _evidence(lhs, rhs), tried)
     # No passer anywhere: report the best (smallest-H) failing candidate.
-    flam, fh = fail
-    return WitnessReport(n, flam, fh, False, _evidence(fact, n, fh), tried)
+    lam, h, rhs = fail
+    return WitnessReport(n, lam, h, False, _evidence(lhs, rhs), tried)
 
 
 # ---------------------------------------------------------------------------
@@ -219,13 +208,13 @@ def check_factorial_lower(n: int, digits: int = DEFAULT_DIGITS) -> bool | None:
     """
     if n < 15:
         raise ValueError("check_factorial_lower requires n >= 15")
-    base = Fraction(factorial(n)) ** 26 * Fraction(20) ** 28
-    rhs = Fraction(27) ** 28 * Fraction(n) ** (25 * n) * Fraction(n - 1) ** 28
+    fact = factorial(n)
+    rhs = ((27, 28), (n, 25 * n), (n - 1, 28))
     for d in _digit_ladder(digits):
         e = const_interval("e", d)
-        if base * e.lo ** (25 * n) > rhs:
+        if cmp_power(((fact, 26), (e.lo, 25 * n), (20, 28)), rhs) is Ordering.GREATER:
             return True
-        if base * e.hi ** (25 * n) <= rhs:
+        if cmp_power(((fact, 26), (e.hi, 25 * n), (20, 28)), rhs) is not Ordering.GREATER:
             return False
     return None
 
@@ -235,8 +224,11 @@ def check_hook_upper(m: int) -> bool:
     product strictly below (m+1)**((m+1)**2); exact."""
     if m < 1:
         raise ValueError("check_hook_upper requires m >= 1")
-    bound = (m + 1) ** ((m + 1) ** 2)
-    return all(hooks(lam).product < bound for lam in enumerate_gamma(m))
+    bound = ((m + 1, (m + 1) ** 2),)
+    return all(
+        cmp_power(((hooks(lam).product, 1),), bound) is Ordering.LESS
+        for lam in enumerate_gamma(m)
+    )
 
 
 def check_growth(n: int, digits: int = DEFAULT_DIGITS) -> bool | None:
@@ -247,26 +239,24 @@ def check_growth(n: int, digits: int = DEFAULT_DIGITS) -> bool | None:
     """
     if n < 1:
         raise ValueError("check_growth requires n >= 1")
-    rhs = Fraction(64) ** 567 * Fraction(n) ** 233
-    lhs_const = Fraction(81) ** 567
+    rhs = ((64, 567), (n, 233))
     for d in _digit_ladder(digits):
         e = const_interval("e", d)
-        if e.hi ** 800 * lhs_const <= rhs:
+        if cmp_power(((e.hi, 800), (81, 567)), rhs) is not Ordering.GREATER:
             return True
-        if e.lo ** 800 * lhs_const > rhs:
+        if cmp_power(((e.lo, 800), (81, 567)), rhs) is Ordering.GREATER:
             return False
     return None
 
 
 def check_constant(digits: int = DEFAULT_DIGITS) -> bool | None:
     """Decide  ((2*pi)**13 / e**15)**(1/28) > 1.35, i.e.
-    (2*pi)**13 > (27/20)**28 * e**15, with intervals for both constants."""
-    threshold = Fraction(27, 20) ** 28
+    (2*pi)**13 * 20**28 > 27**28 * e**15, with intervals for both constants."""
     for d in _digit_ladder(digits):
         tp = const_interval("two_pi", d)
         e = const_interval("e", d)
-        if tp.lo ** 13 > threshold * e.hi ** 15:
+        if cmp_power(((tp.lo, 13), (20, 28)), ((27, 28), (e.hi, 15))) is Ordering.GREATER:
             return True
-        if tp.hi ** 13 <= threshold * e.lo ** 15:
+        if cmp_power(((tp.hi, 13), (20, 28)), ((27, 28), (e.lo, 15))) is not Ordering.GREATER:
             return False
     return None

@@ -90,11 +90,7 @@ def _cmd_conjugate(args) -> CommandResult:
 
 
 def _cmd_gamma(args) -> CommandResult:
-    members = [
-        lam
-        for lam in enumerate_gamma(args.m)
-        if args.size is None or lam.n == args.size
-    ]
+    members = list(enumerate_gamma(args.m, size=args.size))
     return CommandResult(
         "pass",
         {"m": args.m, "count": len(members), "partitions": [str(p) for p in members]},

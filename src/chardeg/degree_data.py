@@ -20,13 +20,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
+from .exact_arith import Ordering, cmp_power
+
 __all__ = [
     "DegreeTable",
     "TableError",
     "parse_table",
     "parse_tables",
-    "serialize_table",
-    "serialize_tables",
     "load_dir",
     "rat",
     "check_extendible_pair",
@@ -60,6 +60,14 @@ class DegreeTable:
         if 1 not in self.degrees:
             raise TableError(f"{self.name}: degree 1 missing")
         object.__setattr__(self, "degrees", tuple(sorted(self.degrees)))
+        if self.order is not None:
+            if self.order < 1:
+                raise TableError(f"{self.name}: order must be positive")
+            bad = next((d for d in self.degrees if self.order % d), None)
+            if bad is not None:
+                raise TableError(
+                    f"{self.name}: degree {bad} does not divide the order {self.order}"
+                )
         if self.extendible_pair is not None:
             a, b = self.extendible_pair
             if a not in self.degrees or b not in self.degrees:
@@ -121,22 +129,6 @@ def parse_tables(text: str) -> list[DegreeTable]:
     return out
 
 
-def serialize_table(table: DegreeTable) -> str:
-    cols = [
-        table.name,
-        "" if table.order is None else str(table.order),
-        ",".join(str(d) for d in table.degrees),
-        "" if table.out_order is None else str(table.out_order),
-        "" if table.extendible_pair is None else f"{table.extendible_pair[0]},{table.extendible_pair[1]}",
-        "" if table.fitting_index is None else str(table.fitting_index),
-    ]
-    return "\t".join(cols)
-
-
-def serialize_tables(tables) -> str:
-    return "\n".join(serialize_table(t) for t in tables) + "\n"
-
-
 def load_dir(path: str | Path) -> list[DegreeTable]:
     """All tables from the *.tsv files of a data directory, in filename
     order; raises FileNotFoundError when the directory does not exist."""
@@ -191,7 +183,7 @@ def check_extendible_pair(table: DegreeTable) -> PairCheck:
     alpha, beta = table.extendible_pair
     if beta < 2 or alpha < 2:
         raise TableError(f"{table.name}: pair degrees must be nonlinear (>= 2)")
-    passed = alpha ** 14 > beta ** 14 * table.order
+    passed = cmp_power(((alpha, 14),), ((beta, 14), (table.order, 1))) is Ordering.GREATER
     return PairCheck(table.name, "checked", passed, alpha, beta, table.order)
 
 
@@ -201,4 +193,4 @@ def check_exponent_bound(x: int, y: int, num: int, den: int) -> bool:
         raise ValueError("check_exponent_bound requires den >= 1")
     if x < 0 or y < 0 or num < 0:
         raise ValueError("check_exponent_bound requires nonnegative arguments")
-    return x ** den <= y ** num
+    return cmp_power(((x, den),), ((y, num),)) is not Ordering.GREATER

@@ -1,8 +1,9 @@
 """Exact arithmetic kernel.
 
-Comparison of mixed rational powers, integer k-th roots, integer polynomials
-with a cyclotomic constructor, and rational intervals with outward rounding
-for the few checks that involve the constants e and pi.
+One comparison primitive, cmp_power, which orders two products of rational
+powers by a single integer cross-multiplication; integer k-th roots; integer
+polynomials with a cyclotomic constructor; and rational intervals, endpoint
+pairs with outward rounding for the constants e and pi.
 
 Every verdict produced by this module reduces to a comparison of Python
 integers; floats never participate.  Magnitudes like 2000!**14 are routine.
@@ -15,6 +16,7 @@ import sys
 from dataclasses import dataclass
 from enum import IntEnum
 from fractions import Fraction
+from typing import Sequence
 
 # Decimal serialization of values like 2000!**14 is part of the interface;
 # lift the interpreter's int-to-str conversion guard accordingly.
@@ -54,24 +56,35 @@ class Ordering(IntEnum):
         return Ordering.EQUAL
 
 
-def cmp_power(a: RationalLike, p: int, b: RationalLike, s: int) -> Ordering:
-    """Order a**p against b**s by exact integer cross-multiplication.
+def _side(factors: Sequence[tuple[RationalLike, int]]) -> tuple[int, int]:
+    # Numerator and denominator of prod(a**p for a, p in factors).  ints and
+    # Fractions both carry numerator/denominator, so no Fraction is built.
+    num = den = 1
+    for base, exp in factors:
+        if base < 0:
+            raise ValueError("cmp_power requires nonnegative bases")
+        if exp < 0:
+            raise ValueError("cmp_power requires nonnegative exponents")
+        num *= base.numerator ** exp
+        den *= base.denominator ** exp
+    return num, den
 
-    a and b must be nonnegative rationals; p and s are nonnegative integers,
-    not both zero.  With a = an/ad and b = bn/bd the comparison performed is
-    an**p * bd**s  vs  bn**s * ad**p, so no division ever happens.
+
+def cmp_power(
+    lhs: Sequence[tuple[RationalLike, int]], rhs: Sequence[tuple[RationalLike, int]]
+) -> Ordering:
+    """Order prod(a**p for a, p in lhs) against prod(b**s for b, s in rhs).
+
+    Bases are nonnegative ints or Fractions, exponents nonnegative ints, not
+    all zero; an empty side is the empty product 1.  Each side is reduced to
+    one numerator and one denominator and the two are compared by a single
+    cross-multiplication, ln * rd  vs  rn * ld, so no division ever happens.
     """
-    a = Fraction(a)
-    b = Fraction(b)
-    if a < 0 or b < 0:
-        raise ValueError("cmp_power requires nonnegative bases")
-    if p < 0 or s < 0:
-        raise ValueError("cmp_power requires nonnegative exponents")
-    if p == 0 and s == 0:
-        raise ValueError("cmp_power: p and s must not both be zero")
-    lhs = a.numerator ** p * b.denominator ** s
-    rhs = b.numerator ** s * a.denominator ** p
-    return Ordering.of(lhs, rhs)
+    if not any(exp for _, exp in lhs) and not any(exp for _, exp in rhs):
+        raise ValueError("cmp_power: the exponents must not all be zero")
+    ln, ld = _side(lhs)
+    rn, rd = _side(rhs)
+    return Ordering.of(ln * rd, rn * ld)
 
 
 def nth_root_floor(x: int, k: int) -> int:
@@ -255,10 +268,11 @@ def cyclotomic(k: int) -> IntPolynomial:
 
 @dataclass(frozen=True)
 class RationalInterval:
-    """Closed interval with Fraction endpoints.
+    """Closed interval with Fraction endpoints: an enclosure of e or pi.
 
-    Endpoints are exact, so arithmetic never rounds: the result interval
-    contains the product/power/sum of any members of the operands.
+    Endpoints are exact, so the difference and scaling that build the pi
+    enclosure never round.  Checks pass lo and hi to cmp_power; there is no
+    interval arithmetic beyond that.
     """
 
     lo: Fraction
@@ -268,61 +282,20 @@ class RationalInterval:
         if self.lo > self.hi:
             raise ValueError("interval endpoints out of order")
 
-    @classmethod
-    def point(cls, x: RationalLike) -> "RationalInterval":
-        x = Fraction(x)
-        return cls(x, x)
-
     def width(self) -> Fraction:
         return self.hi - self.lo
 
     def contains(self, x: RationalLike) -> bool:
         return self.lo <= Fraction(x) <= self.hi
 
-    def __add__(self, other: "RationalInterval") -> "RationalInterval":
-        return RationalInterval(self.lo + other.lo, self.hi + other.hi)
-
     def __sub__(self, other: "RationalInterval") -> "RationalInterval":
         return RationalInterval(self.lo - other.hi, self.hi - other.lo)
-
-    def __mul__(self, other: "RationalInterval") -> "RationalInterval":
-        prods = (
-            self.lo * other.lo,
-            self.lo * other.hi,
-            self.hi * other.lo,
-            self.hi * other.hi,
-        )
-        return RationalInterval(min(prods), max(prods))
 
     def scale(self, c: RationalLike) -> "RationalInterval":
         c = Fraction(c)
         if c >= 0:
             return RationalInterval(self.lo * c, self.hi * c)
         return RationalInterval(self.hi * c, self.lo * c)
-
-    def __pow__(self, k: int) -> "RationalInterval":
-        if k < 0:
-            raise ValueError("interval powers require k >= 0")
-        if k == 0:
-            return RationalInterval.point(1)
-        a, b = self.lo ** k, self.hi ** k
-        if k % 2 == 1:
-            return RationalInterval(a, b)
-        if self.lo <= 0 <= self.hi:
-            return RationalInterval(Fraction(0), max(a, b))
-        return RationalInterval(min(a, b), max(a, b))
-
-    def compare(self, threshold: RationalLike) -> Ordering | None:
-        """GREATER/LESS if the whole interval is on one side of threshold,
-        EQUAL for a degenerate match, None when the interval straddles it."""
-        t = Fraction(threshold)
-        if self.lo > t:
-            return Ordering.GREATER
-        if self.hi < t:
-            return Ordering.LESS
-        if self.lo == t == self.hi:
-            return Ordering.EQUAL
-        return None
 
 
 def _e_interval(digits: int) -> RationalInterval:

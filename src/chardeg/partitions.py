@@ -131,15 +131,19 @@ def degree(lam: Partition) -> int:
     return q
 
 
-def enumerate_gamma(m: int) -> Iterator[Partition]:
-    """All partitions with exactly m parts, each part in [m, m+2].
+def enumerate_gamma(m: int, size: int | None = None) -> Iterator[Partition]:
+    """All partitions with exactly m parts, each part in [m, m+2], or only
+    those of the given size (none when size is outside [m*m, m*m + 2m]).
 
     Yields groups of constant size |lam| in increasing order of size; within
     one size, partitions with more parts equal to m+2 come first.
     """
     if m < 1:
         raise ValueError("enumerate_gamma requires m >= 1")
-    for excess in range(0, 2 * m + 1):  # |lam| = m*m + excess
+    excesses = range(0, 2 * m + 1)  # |lam| = m*m + excess
+    if size is not None:
+        excesses = [size - m * m] if size - m * m in excesses else []
+    for excess in excesses:
         for a in range(min(m, excess // 2), max(0, excess - m) - 1, -1):
             b = excess - 2 * a
             c = m - a - b

@@ -89,7 +89,8 @@ def quotient_power_check(rat_g: Fraction, rat_gn: Fraction, order_n: int) -> boo
         raise ValueError("degree ratios are at least 1")
     if order_n < 1:
         raise ValueError("order_n must be positive")
-    return cmp_power(rat_g / rat_gn, 14, order_n, 1) is not Ordering.LESS
+    lhs = ((rat_g, 14),)
+    return cmp_power(lhs, ((rat_gn, 14), (order_n, 1))) is not Ordering.LESS
 
 
 def maroti_bound(n: int, d: int) -> int:
@@ -119,7 +120,7 @@ def radical_index_check(rat_g: Fraction, index: int) -> bool:
         raise ValueError("degree ratios are at least 1")
     if index < 1:
         raise ValueError("index must be positive")
-    return cmp_power(rat_g, 21, index, 1) is not Ordering.LESS
+    return cmp_power(((rat_g, 21),), ((index, 1),)) is not Ordering.LESS
 
 
 def frobenius_example(p: int, m: int) -> DegreeTable:

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 
 from chardeg.alternating import (
@@ -9,7 +11,7 @@ from chardeg.alternating import (
     gamma_index,
     square_fix,
 )
-from chardeg.exact_arith import factorial
+from chardeg.exact_arith import const_interval, factorial
 from chardeg.partitions import Partition, degree, hooks, partitions_of
 
 
@@ -117,6 +119,38 @@ class TestIntervalChecks:
         assert check_factorial_lower(64) is True
         with pytest.raises(ValueError):
             check_factorial_lower(14)
+
+    def test_matches_fraction_reference(self):
+        # Reference: the same inequalities decided with Fraction powers of
+        # the interval endpoints, independently of cmp_power.
+        def factorial_lower_ref(n, digits):
+            base = Fraction(factorial(n)) ** 26 * Fraction(20) ** 28
+            rhs = Fraction(27) ** 28 * Fraction(n) ** (25 * n) * Fraction(n - 1) ** 28
+            e = const_interval("e", digits)
+            if base * e.lo ** (25 * n) > rhs:
+                return True
+            if base * e.hi ** (25 * n) <= rhs:
+                return False
+            return None
+
+        def growth_ref(n, digits):
+            rhs = Fraction(64) ** 567 * Fraction(n) ** 233
+            e = const_interval("e", digits)
+            if e.hi ** 800 * Fraction(81) ** 567 <= rhs:
+                return True
+            if e.lo ** 800 * Fraction(81) ** 567 > rhs:
+                return False
+            return None
+
+        for n in (15, 16, 100):
+            assert factorial_lower_ref(n, 50) is True
+            assert check_factorial_lower(n) is True
+        # At digits=1 these n climb the precision ladder 1 -> 2 -> 4; the
+        # verdict must be the first decided one at those precisions.
+        for n in (54, 55, 56):
+            ladder = [growth_ref(n, d) for d in (1, 2, 4, 8)]
+            expected = next((v for v in ladder if v is not None), None)
+            assert check_growth(n, digits=1) == expected
 
     def test_hook_upper(self):
         assert check_hook_upper(2) is True

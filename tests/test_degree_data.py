@@ -13,8 +13,6 @@ from chardeg.degree_data import (
     parse_table,
     parse_tables,
     rat,
-    serialize_table,
-    serialize_tables,
 )
 
 M11_LINE = "M11\t7920\t1,10,10,10,11,16,16,44,45,55\t1\t55,10\t"
@@ -53,10 +51,22 @@ class TestParsing:
         tables = parse_tables("# header\n\n" + M11_LINE + "\n")
         assert len(tables) == 1
 
-    def test_round_trip(self):
+    def test_parse_matches_constructed_table(self):
         t = parse_table(M11_LINE)
-        assert parse_table(serialize_table(t)) == t
-        assert parse_tables(serialize_tables([t])) == [t]
+        assert t == DegreeTable(
+            "M11", (1, 10, 10, 10, 11, 16, 16, 44, 45, 55), 7920, 1, (55, 10), None
+        )
+        assert parse_tables(M11_LINE + "\n") == [t]
+
+    def test_degree_must_divide_order(self):
+        with pytest.raises(TableError) as err:
+            parse_table("X\t10\t1,2,3\t\t\t", line_number=4)
+        assert "line 4" in str(err.value)
+        assert "X: degree 3 does not divide the order 10" in str(err.value)
+        # every degree divides 0, so a nonpositive order is rejected first
+        for order in (0, -6):
+            with pytest.raises(TableError):
+                parse_table(f"X\t{order}\t1,2,3\t\t3,2\t")
 
 
 class TestRat:
@@ -98,7 +108,8 @@ class TestPairCheck:
         result = check_extendible_pair(table)
         assert result.status == "checked"
         assert result.passed is False
-        table = DegreeTable("edge", (1, 2, 4), order=2 ** 14 - 1, extendible_pair=(4, 2))
+        # the largest order below the boundary that every degree divides
+        table = DegreeTable("edge", (1, 2, 4), order=2 ** 14 - 4, extendible_pair=(4, 2))
         assert check_extendible_pair(table).passed is True
 
     def test_degenerate_beta_rejected(self):

@@ -153,6 +153,13 @@ class TestGamma:
             selfconj = [lam for lam in enumerate_gamma(m) if lam.is_self_conjugate()]
             assert selfconj == [Partition((m,) * m)]
 
+    def test_size_matches_filtered_family(self):
+        for m in range(1, 9):
+            members = list(enumerate_gamma(m))
+            for size in range(m * m - 1, m * m + 2 * m + 2):
+                expected = [lam for lam in members if lam.n == size]
+                assert list(enumerate_gamma(m, size=size)) == expected
+
     def test_rejects_zero(self):
         with pytest.raises(ValueError):
             list(enumerate_gamma(0))
