@@ -6,10 +6,14 @@ For every n >= 7 there is a non-self-conjugate partition lam of n with
 
 equivalently chi_lam(1) > (n!)**(1/14) * (n-1).  The search is exact: the
 verdict for a candidate is a single big-integer comparison, and the margin
-evidence fingerprints the same two integers.  The supporting analytic bounds
-(which involve e and pi) are decided by cmp_power on the endpoints of
-outward-rounded rational intervals and are advisory; they can return None
-(inconclusive) without affecting any witness certificate.
+evidence fingerprints the same two integers.  The left side (n!)**13 is
+carried from one call to the next: a call for n right after one for n-1
+multiplies the carried power by n**13 instead of raising n! afresh.  Every
+path yields the same integer, so a report does not depend on the order of
+calls.  The supporting analytic bounds (which involve e and pi) are decided by
+cmp_power on the endpoints of outward-rounded rational intervals and are
+advisory; they can return None (inconclusive) without affecting any witness
+certificate.
 """
 
 from __future__ import annotations
@@ -135,6 +139,22 @@ def _evidence(lhs: int, rhs: int) -> MarginEvidence:
     )
 
 
+# (n, (n!)**13) of the last witness search, read and written as one tuple so
+# that an n is never paired with another n's power.
+_lhs_carry: tuple[int, int] = (0, 1)
+
+
+def _factorial_pow13(n: int) -> int:
+    """(n!)**13, from the carry when the previous call was for n or n-1."""
+    global _lhs_carry
+    k, power = _lhs_carry
+    if k == n:
+        return power
+    power = power * n**13 if k == n - 1 else factorial(n) ** 13
+    _lhs_carry = (n, power)
+    return power
+
+
 def check_witness(n: int, best: bool = False) -> WitnessReport:
     """Search for a passing witness of size n.
 
@@ -143,12 +163,16 @@ def check_witness(n: int, best: bool = False) -> WitnessReport:
     family of index floor(sqrt(n)) and falls back to the exhaustive scan if
     that ever failed.  With best=True the passer with the smallest hook
     product is reported instead of the first one found.
+
+    (n!)**13 comes from a one-entry carry, so consecutive n cost one small
+    multiplication each; the value is exact whatever the call order, and so
+    is the report.
     """
     if n < 7:
         raise ValueError("check_witness requires n >= 7")
     # The verdict (n!)**13 > (H*(n-1))**14 and its margin evidence are both
     # taken from these integers: lhs once per n, rhs once per candidate.
-    lhs = factorial(n) ** 13
+    lhs = _factorial_pow13(n)
 
     def scan(cands: Iterator[Partition]):
         # Each found entry is (lam, H, rhs).

@@ -104,6 +104,9 @@ def _cmd_prop42(args) -> CommandResult:
         if args.start is None or args.end is None:
             raise ValueError("prop42 requires --n or both --from and --to")
         lo, hi = args.start, args.end
+        if lo > hi:
+            # An empty range would certify nothing yet report "pass".
+            raise ValueError(f"prop42 requires --from <= --to, got {lo} > {hi}")
     records = [alternating.check_witness(n, best=args.best) for n in range(lo, hi + 1)]
     all_passed = all(r.passed for r in records)
     dicts = [r.to_json_dict() for r in records]

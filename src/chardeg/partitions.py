@@ -6,6 +6,7 @@ n!/H of the corresponding irreducible character of the symmetric group.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from typing import Iterator
@@ -46,13 +47,17 @@ class Partition:
         return len(self.parts)
 
     def conjugate(self) -> "Partition":
-        """Transpose of the Young diagram (column lengths)."""
-        if not self.parts:
-            return Partition(())
-        cols = [0] * self.parts[0]
-        for p in self.parts:
-            for j in range(p):
-                cols[j] += 1
+        """Transpose of the Young diagram (column lengths).
+
+        Column j has one node per part greater than j; walking j upward, the
+        count only drops, so the parts are each passed once: O(lam_1 + len)."""
+        parts = self.parts
+        count = len(parts)
+        cols = []
+        for j in range(parts[0] if parts else 0):
+            while parts[count - 1] <= j:
+                count -= 1
+            cols.append(count)
         return Partition(tuple(cols))
 
     def is_self_conjugate(self) -> bool:
@@ -109,16 +114,11 @@ def hooks(lam: Partition) -> HookData:
     """Hook grid via column counts of the conjugate: for the node (i, j),
     h = (arm) + (leg) + 1 = (lam_i - j) + (lam'_j - i) - 1 in 0-based terms."""
     conj = lam.conjugate().parts
-    rows = []
-    product = 1
-    for i, part in enumerate(lam.parts):
-        row = []
-        for j in range(part):
-            h = (part - j) + (conj[j] - i) - 1
-            row.append(h)
-            product *= h
-        rows.append(tuple(row))
-    return HookData(tuple(rows), product)
+    rows = tuple(
+        tuple((part - j) + (conj[j] - i) - 1 for j in range(part))
+        for i, part in enumerate(lam.parts)
+    )
+    return HookData(rows, math.prod(map(math.prod, rows)))
 
 
 def degree(lam: Partition) -> int:

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from chardeg import alternating
 from chardeg.alternating import (
     check_constant,
     check_factorial_lower,
@@ -99,6 +100,27 @@ class TestCheckWitness:
     def test_rejects_small_n(self):
         with pytest.raises(ValueError):
             check_witness(6)
+
+    @pytest.mark.parametrize(
+        "calls",
+        [
+            [(n, False) for n in range(7, 13)],
+            [(n, False) for n in range(12, 6, -1)],
+            [(20, False), (20, False), (21, False), (21, False)],
+            [(30, False), (31, False), (40, False), (41, False)],
+            [(60, False), (61, False), (61, False), (59, False), (100, False),
+             (101, False), (7, False), (30, True), (31, False)],
+        ],
+        ids=["ascending", "descending", "repeated", "gap", "interleaved-best"],
+    )
+    def test_report_independent_of_call_order(self, calls, monkeypatch):
+        chained = []
+        for n, best in calls:
+            chained.append(check_witness(n, best=best).to_json_dict())
+            assert alternating._lhs_carry == (n, factorial(n) ** 13)
+        for (n, best), doc in zip(calls, chained):
+            monkeypatch.setattr(alternating, "_lhs_carry", (0, 1))
+            assert check_witness(n, best=best).to_json_dict() == doc
 
     def test_whole_window_family_passes_for_large_index(self):
         # for window index >= 8 every candidate (with the square replaced)

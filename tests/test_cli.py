@@ -144,6 +144,12 @@ class TestContract:
         code, doc = _run_json(capsys, ["order", "--family", "linear", "--rank", "2", "--q", "5"])
         assert code == 2 and doc["status"] == "error"
 
+    def test_prop42_rejects_empty_range(self, capsys):
+        code, doc = _run_json(capsys, ["prop42", "--from", "20", "--to", "10"])
+        assert code == 2 and doc["status"] == "error"
+        assert "--from <= --to" in doc["error"]
+        assert "records" not in doc
+
     def test_unknown_subcommand_exits_2(self):
         with pytest.raises(SystemExit) as err:
             main(["no-such-command"])

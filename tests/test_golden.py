@@ -1,5 +1,6 @@
 """Every fixed CLI query of the benchmark, run in-process, must reproduce the
-exit code and stdout SHA-256 digest recorded in perfbench/golden.json."""
+exit code and stdout SHA-256 digest recorded in perfbench/golden.json, and so
+must the witness range, run in chunks."""
 
 import contextlib
 import hashlib
@@ -25,16 +26,37 @@ def _load_workloads():
 
 
 WORKLOADS = _load_workloads()
-GOLDEN = json.loads(WORKLOADS.GOLDEN_PATH.read_text())["commands"]
+GOLDEN_DOC = json.loads(WORKLOADS.GOLDEN_PATH.read_text())
+GOLDEN = GOLDEN_DOC["commands"]
 VARIANTS = WORKLOADS.all_query_variants()
+
+
+def _run(argv) -> tuple[int, str]:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        rc = cli.main(list(argv))
+    return rc, out.getvalue()
 
 
 @pytest.mark.parametrize("argv", VARIANTS, ids=[" ".join(a)[:60] for a in VARIANTS])
 def test_query_matches_golden(argv, monkeypatch):
     monkeypatch.chdir(REPO_ROOT)  # relative --data paths
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
-        rc = cli.main(list(argv))
+    rc, out = _run(argv)
     expected = GOLDEN[" ".join(argv)]
     assert rc == expected["rc"]
-    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == expected["sha256"]
+    assert hashlib.sha256(out.encode()).hexdigest() == expected["sha256"]
+
+
+@pytest.mark.parametrize("order", ["in-order", "reversed"])
+def test_witness_range_chunks_match_golden(order):
+    # In order, each chunk continues the (n!)**13 carry of the one before;
+    # reversed, every chunk starts where the carry cannot help.
+    lo, hi, k = WORKLOADS.WITNESS_FROM, WORKLOADS.WITNESS_TO, 8
+    cuts = [lo + i * (hi + 1 - lo) // k for i in range(k + 1)]
+    chunks = list(zip(cuts, cuts[1:]))
+    outputs = {}
+    for start, stop in chunks if order == "in-order" else reversed(chunks):
+        rc, outputs[start] = _run(["prop42", "--from", str(start), "--to", str(stop - 1), "--jsonl"])
+        assert rc == 0
+    joined = "".join(outputs[start] for start, _ in chunks)
+    assert hashlib.sha256(joined.encode()).hexdigest() == GOLDEN_DOC["witness_range_sha256"]

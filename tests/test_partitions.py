@@ -67,6 +67,12 @@ class TestConjugate:
         assert Partition((3, 2, 2)).conjugate() == Partition((3, 3, 1))
         assert Partition((2, 2)).conjugate() == Partition((2, 2))
 
+    @given(partitions(max_n=60))
+    def test_conjugate_matches_column_count(self, lam):
+        parts = lam.parts
+        expected = [sum(p > j for p in parts) for j in range(parts[0])] if parts else []
+        assert lam.conjugate().parts == tuple(expected)
+
     def test_self_conjugate_examples(self):
         assert Partition((2, 2)).is_self_conjugate()
         for n in range(4, 12):
