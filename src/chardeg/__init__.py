@@ -39,13 +39,11 @@ from .lie_type import (
     CharPair,
     Exclusion,
     Family,
-    GapReport,
     GroupSpec,
     InvalidSpec,
     SweepRecord,
     beta_degree,
-    check_min_ratio,
-    check_steinberg_gap,
+    check_point,
     make_spec,
     order,
     steinberg_degree,

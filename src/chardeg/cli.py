@@ -1,18 +1,17 @@
 """Command-line front end.
 
-Every verifier and calculator is exposed as a subcommand with JSON output on
-stdout (JSON-lines for streamed sweeps with --jsonl, CSV with --csv).  Big
-integers are serialized as decimal strings.  Exit codes: 0 pass, 1 fail,
-2 error, 3 inconclusive.  The CHARDEG_PRECISION environment variable sets
-the interval precision in digits (default 50) for the checks involving e
-and pi.
+Every verifier and calculator is one row of the subcommand table in
+build_parser, with JSON output on stdout (JSON-lines for streamed sweeps with
+--jsonl, CSV with --csv).  Big integers are serialized as decimal strings.
+Exit codes: 0 pass, 1 fail, 2 error (conflicting flags included),
+3 inconclusive.  --digits (default 50) sets the starting interval precision
+for the checks involving e and pi.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -37,15 +36,9 @@ class CommandResult:
 
 
 def _precision(args) -> int:
-    if getattr(args, "digits", None):
-        return args.digits
-    env = os.environ.get("CHARDEG_PRECISION")
-    if env:
-        digits = int(env)
-        if digits < 1:
-            raise ValueError("CHARDEG_PRECISION must be a positive integer")
-        return digits
-    return alternating.DEFAULT_DIGITS
+    if args.digits < 1:
+        raise ValueError(f"--digits must be a positive integer, got {args.digits}")
+    return args.digits
 
 
 def _verdict_status(verdict: bool | None) -> str:
@@ -99,6 +92,8 @@ def _cmd_gamma(args) -> CommandResult:
 
 def _cmd_prop42(args) -> CommandResult:
     if args.n is not None:
+        if args.start is not None or args.end is not None:
+            raise ValueError("prop42 takes --n or --from/--to, not both")
         lo = hi = args.n
     else:
         if args.start is None or args.end is None:
@@ -112,7 +107,7 @@ def _cmd_prop42(args) -> CommandResult:
     dicts = [r.to_json_dict() for r in records]
     lines = [json.dumps(d) for d in dicts] if args.jsonl else None
     return CommandResult(
-        "pass" if all_passed else "fail",
+        _verdict_status(all_passed),
         {"from": lo, "to": hi, "all_passed": all_passed, "records": dicts},
         lines=lines,
     )
@@ -182,32 +177,33 @@ def _cmd_beta(args) -> CommandResult:
     )
 
 
-def _gap_payload(report: lie_type.GapReport, which: str) -> dict:
-    spec = report.spec
-    passed = report.passed_pow14 if which == "pow14" else report.passed_ratio165
+def _gap_payload(record: lie_type.SweepRecord, pair: lie_type.CharPair, passed: bool) -> dict:
+    spec = record.spec
     return {
         "family": spec.family.value,
         "rank": spec.rank,
         "q": spec.q,
-        "alpha": str(report.pair.alpha_degree),
-        "beta": str(report.pair.beta_degree),
-        "beta_label": report.pair.beta_label,
-        "ratio": f"{report.pair.alpha_degree}/{report.pair.beta_degree}",
-        "order": str(report.order),
+        "alpha": str(pair.alpha_degree),
+        "beta": str(pair.beta_degree),
+        "beta_label": pair.beta_label,
+        "ratio": f"{pair.alpha_degree}/{pair.beta_degree}",
+        "order": str(record.order),
         "passed": passed,
     }
 
 
 def _cmd_thm21(args) -> CommandResult:
-    report = lie_type.check_steinberg_gap(_spec_from_args(args))
-    payload = _gap_payload(report, "pow14")
-    return CommandResult("pass" if report.passed_pow14 else "fail", payload)
+    r = lie_type.check_point(_spec_from_args(args))
+    return CommandResult(
+        _verdict_status(r.passed_pow14), _gap_payload(r, r.gap_pair, r.passed_pow14)
+    )
 
 
 def _cmd_lemma61(args) -> CommandResult:
-    report = lie_type.check_min_ratio(_spec_from_args(args))
-    payload = _gap_payload(report, "ratio165")
-    return CommandResult("pass" if report.passed_ratio165 else "fail", payload)
+    r = lie_type.check_point(_spec_from_args(args))
+    return CommandResult(
+        _verdict_status(r.passed_ratio165), _gap_payload(r, r.ratio_pair, r.passed_ratio165)
+    )
 
 
 def _parse_families(text: str) -> list[Family]:
@@ -267,6 +263,9 @@ def _cmd_sweep(args) -> CommandResult:
     entries = lie_type.sweep(families, rank_max=args.rank_max, q_max=args.q_max)
     dicts = [_sweep_entry_dict(e) for e in entries]
     oks = [d for d in dicts if d["status"] == "ok"]
+    if not oks:
+        # Nothing checked would certify nothing yet report "pass".
+        raise ValueError(f"sweep checked no parameter point ({len(dicts)} excluded)")
     all_passed = all(d["passed_pow14"] and d["passed_ratio165"] for d in oks)
     lines = None
     if args.csv:
@@ -286,7 +285,7 @@ def _cmd_sweep(args) -> CommandResult:
         "all_passed": all_passed,
         "entries": dicts,
     }
-    return CommandResult("pass" if all_passed else "fail", payload, lines=lines)
+    return CommandResult(_verdict_status(all_passed), payload, lines=lines)
 
 
 def _cmd_rat(args) -> CommandResult:
@@ -310,7 +309,7 @@ def _cmd_sporadic_check(args) -> CommandResult:
     checked = [c for c in checks if c.status == "checked"]
     failures = [c.name for c in checked if not c.passed]
     return CommandResult(
-        "pass" if checked and not failures else "fail",
+        _verdict_status(bool(checked) and not failures),
         {
             "tables": len(tables),
             "checked": len(checked),
@@ -324,7 +323,7 @@ def _cmd_sporadic_check(args) -> CommandResult:
 def _cmd_out_bound(args) -> CommandResult:
     holds = degree_data.check_exponent_bound(args.x, args.y, args.num, args.den)
     return CommandResult(
-        "pass" if holds else "fail",
+        _verdict_status(holds),
         {"x": str(args.x), "y": str(args.y), "num": args.num, "den": args.den, "holds": holds},
     )
 
@@ -352,7 +351,7 @@ def _cmd_prop23(args) -> CommandResult:
     holds = structure_bounds.quotient_power_check(
         Fraction(args.rat_g), Fraction(args.rat_gn), args.order_n
     )
-    return CommandResult("pass" if holds else "fail", {"holds": holds})
+    return CommandResult(_verdict_status(holds), {"holds": holds})
 
 
 def _cmd_maroti(args) -> CommandResult:
@@ -369,7 +368,7 @@ def _cmd_prop32(args) -> CommandResult:
 
 def _cmd_thmb(args) -> CommandResult:
     holds = structure_bounds.radical_index_check(Fraction(args.rat), args.index)
-    return CommandResult("pass" if holds else "fail", {"holds": holds})
+    return CommandResult(_verdict_status(holds), {"holds": holds})
 
 
 def _table_payload(table: degree_data.DegreeTable) -> dict:
@@ -395,9 +394,6 @@ def _cmd_example_extraspecial(args) -> CommandResult:
 
 def _cmd_validate_data(args) -> CommandResult:
     tables = degree_data.load_dir(args.data)
-    names = [t.name for t in tables]
-    if len(set(names)) != len(names):
-        raise degree_data.TableError("duplicate table names in data directory")
     return CommandResult(
         "pass",
         {"tables": len(tables), "with_pair": sum(1 for t in tables if t.extendible_pair)},
@@ -409,116 +405,83 @@ def _cmd_validate_data(args) -> CommandResult:
 # ---------------------------------------------------------------------------
 
 
+_REQ_INT = {"type": int, "required": True}
+_OPT_INT = {"type": int}
+_REQ_STR = {"required": True}
+_FLAG = {"action": "store_true"}
+
+
 def build_parser() -> argparse.ArgumentParser:
+    """One subparser per row (name, handler, help, arguments, mutually
+    exclusive groups) of the command table.  The table is built here, not at
+    import, so each row takes the module-level _cmd_* handler bound now."""
+    partition = [("--partition", _REQ_STR)]
+    lie = [("--family", _REQ_STR), ("--rank", _OPT_INT), ("--q", _REQ_INT)]
+    data = [("--data", {"default": "data"})]
+    digits = ("--digits", {"type": int, "default": alternating.DEFAULT_DIGITS})
+    jsonl = ("--jsonl", _FLAG)
+    commands = [
+        ("hook", _cmd_hook, "hook lengths, hook product and degree of a partition", partition, ()),
+        ("degree", _cmd_degree, "exact degree n!/H of a partition", partition, ()),
+        ("conjugate", _cmd_conjugate, "conjugate partition", partition, ()),
+        ("gamma", _cmd_gamma, "window family: m parts, each in [m, m+2]",
+         [("--m", _REQ_INT), ("--size", _OPT_INT)], ()),
+        ("prop42", _cmd_prop42, "witness search for the degree-gap inequality",
+         [("--n", _OPT_INT), ("--from", {**_OPT_INT, "dest": "start"}),
+          ("--to", {**_OPT_INT, "dest": "end"}),
+          ("--best", {**_FLAG, "help": "report the minimal-H witness"}), jsonl], ()),
+        ("lemma43", _cmd_lemma43, "interval check of the factorial lower bound", [digits],
+         [[("--n", _OPT_INT),
+           ("--constant", {**_FLAG, "help": "check ((2pi)^13/e^15)^(1/28) > 1.35"})]]),
+        ("lemma45", _cmd_lemma45, "exact hook-product upper bound over a window family",
+         [("--m", _REQ_INT)], ()),
+        ("lemma46", _cmd_lemma46, "interval check of the growth bound",
+         [("--n", _REQ_INT), digits], ()),
+        ("cyclotomic", _cmd_cyclotomic, "k-th cyclotomic polynomial (optionally evaluated)",
+         [("--k", _REQ_INT), ("--q", _OPT_INT)], ()),
+        ("order", _cmd_order, "exact group order", lie, ()),
+        ("steinberg", _cmd_steinberg, "Steinberg degree (the p-part of the order)", lie, ()),
+        ("beta", _cmd_beta, "companion unipotent degree", lie, ()),
+        ("thm21", _cmd_thm21, "exact check alpha^14 > beta^14 * |S|", lie, ()),
+        ("lemma61", _cmd_lemma61, "exact check 5*alpha >= 16*beta", lie, ()),
+        ("sweep", _cmd_sweep, "run both ratio checks over a parameter grid",
+         [("--families",
+           {"default": "all", "help": "all, classical, exceptional, or a comma list"}),
+          ("--rank-max", {"type": int, "default": 20}), ("--q-max", {"type": int, "default": 32})],
+         [[jsonl, ("--csv", _FLAG)]]),
+        ("rat", _cmd_rat, "b/c from an explicit degree list", [("--degrees", _REQ_STR)], ()),
+        ("sporadic-check", _cmd_sporadic_check, "pair inequality over a data directory", data, ()),
+        ("out-bound", _cmd_out_bound, "exact check x <= y^(num/den)",
+         [(f, _REQ_INT) for f in ("--x", "--y", "--num", "--den")], ()),
+        ("chiefseries-bound", _cmd_chiefseries_bound, "product bound from a chief series (JSON)",
+         [], [[("--json", {}), ("--file", {})]]),
+        ("prop23", _cmd_prop23, "exact check rat_g^14 >= rat_gn^14 * |N|",
+         [("--rat-g", _REQ_STR), ("--rat-gn", _REQ_STR), ("--order-n", _REQ_INT)], ()),
+        ("maroti", _cmd_maroti, "floor of d!^((n-1)/(d-1))",
+         [("--n", _REQ_INT), ("--d", _REQ_INT)], ()),
+        ("prop32", _cmd_prop32, "floor of |N|^1.43", [("--order", _REQ_INT)], ()),
+        ("thmB", _cmd_thmb, "exact check index <= rat^21",
+         [("--rat", _REQ_STR), ("--index", _REQ_INT)], ()),
+        ("example-frobenius", _cmd_example_frobenius, "two-degree family with rat = 1",
+         [("--p", _REQ_INT), ("--m", _REQ_INT)], ()),
+        ("example-extraspecial", _cmd_example_extraspecial, "three-degree family with rat -> 1",
+         [("--p", _REQ_INT), ("--i", _REQ_INT)], ()),
+        ("validate-data", _cmd_validate_data, "parse and validate a data directory", data, ()),
+    ]
     parser = argparse.ArgumentParser(
         prog="chardeg",
         description="Exact character-degree computations and inequality certification.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, handler, help_text):
+    for name, handler, help_text, arguments, exclusive in commands:
         p = sub.add_parser(name, help=help_text)
         p.set_defaults(handler=handler)
-        return p
-
-    p = add("hook", _cmd_hook, "hook lengths, hook product and degree of a partition")
-    p.add_argument("--partition", required=True)
-
-    p = add("degree", _cmd_degree, "exact degree n!/H of a partition")
-    p.add_argument("--partition", required=True)
-
-    p = add("conjugate", _cmd_conjugate, "conjugate partition")
-    p.add_argument("--partition", required=True)
-
-    p = add("gamma", _cmd_gamma, "window family: m parts, each in [m, m+2]")
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--size", type=int, default=None)
-
-    p = add("prop42", _cmd_prop42, "witness search for the degree-gap inequality")
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--from", dest="start", type=int, default=None)
-    p.add_argument("--to", dest="end", type=int, default=None)
-    p.add_argument("--best", action="store_true", help="report the minimal-H witness")
-    p.add_argument("--jsonl", action="store_true")
-
-    p = add("lemma43", _cmd_lemma43, "interval check of the factorial lower bound")
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--digits", type=int, default=None)
-    p.add_argument("--constant", action="store_true", help="check ((2pi)^13/e^15)^(1/28) > 1.35")
-
-    p = add("lemma45", _cmd_lemma45, "exact hook-product upper bound over a window family")
-    p.add_argument("--m", type=int, required=True)
-
-    p = add("lemma46", _cmd_lemma46, "interval check of the growth bound")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--digits", type=int, default=None)
-
-    p = add("cyclotomic", _cmd_cyclotomic, "k-th cyclotomic polynomial (optionally evaluated)")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--q", type=int, default=None)
-
-    for name, handler, help_text in (
-        ("order", _cmd_order, "exact group order"),
-        ("steinberg", _cmd_steinberg, "Steinberg degree (the p-part of the order)"),
-        ("beta", _cmd_beta, "companion unipotent degree"),
-        ("thm21", _cmd_thm21, "exact check alpha^14 > beta^14 * |S|"),
-        ("lemma61", _cmd_lemma61, "exact check 5*alpha >= 16*beta"),
-    ):
-        p = add(name, handler, help_text)
-        p.add_argument("--family", required=True)
-        p.add_argument("--rank", type=int, default=None)
-        p.add_argument("--q", type=int, required=True)
-
-    p = add("sweep", _cmd_sweep, "run both ratio checks over a parameter grid")
-    p.add_argument("--families", default="all", help="all, classical, exceptional, or a comma list")
-    p.add_argument("--rank-max", type=int, default=20)
-    p.add_argument("--q-max", type=int, default=32)
-    p.add_argument("--jsonl", action="store_true")
-    p.add_argument("--csv", action="store_true")
-
-    p = add("rat", _cmd_rat, "b/c from an explicit degree list")
-    p.add_argument("--degrees", required=True)
-
-    p = add("sporadic-check", _cmd_sporadic_check, "pair inequality over a data directory")
-    p.add_argument("--data", default="data")
-
-    p = add("out-bound", _cmd_out_bound, "exact check x <= y^(num/den)")
-    p.add_argument("--x", type=int, required=True)
-    p.add_argument("--y", type=int, required=True)
-    p.add_argument("--num", type=int, required=True)
-    p.add_argument("--den", type=int, required=True)
-
-    p = add("chiefseries-bound", _cmd_chiefseries_bound, "product bound from a chief series (JSON)")
-    p.add_argument("--json", default=None)
-    p.add_argument("--file", default=None)
-
-    p = add("prop23", _cmd_prop23, "exact check rat_g^14 >= rat_gn^14 * |N|")
-    p.add_argument("--rat-g", required=True)
-    p.add_argument("--rat-gn", required=True)
-    p.add_argument("--order-n", type=int, required=True)
-
-    p = add("maroti", _cmd_maroti, "floor of d!^((n-1)/(d-1))")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--d", type=int, required=True)
-
-    p = add("prop32", _cmd_prop32, "floor of |N|^1.43")
-    p.add_argument("--order", type=int, required=True)
-
-    p = add("thmB", _cmd_thmb, "exact check index <= rat^21")
-    p.add_argument("--rat", required=True)
-    p.add_argument("--index", type=int, required=True)
-
-    p = add("example-frobenius", _cmd_example_frobenius, "two-degree family with rat = 1")
-    p.add_argument("--p", type=int, required=True)
-    p.add_argument("--m", type=int, required=True)
-
-    p = add("example-extraspecial", _cmd_example_extraspecial, "three-degree family with rat -> 1")
-    p.add_argument("--p", type=int, required=True)
-    p.add_argument("--i", type=int, required=True)
-
-    p = add("validate-data", _cmd_validate_data, "parse and validate a data directory")
-    p.add_argument("--data", default="data")
-
+        for flag, kw in arguments:
+            p.add_argument(flag, **kw)
+        for group in exclusive:
+            g = p.add_mutually_exclusive_group()
+            for flag, kw in group:
+                g.add_argument(flag, **kw)
     return parser
 
 

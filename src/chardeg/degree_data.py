@@ -131,13 +131,17 @@ def parse_tables(text: str) -> list[DegreeTable]:
 
 def load_dir(path: str | Path) -> list[DegreeTable]:
     """All tables from the *.tsv files of a data directory, in filename
-    order; raises FileNotFoundError when the directory does not exist."""
+    order; raises FileNotFoundError when the directory does not exist and
+    TableError when two tables share a name."""
     p = Path(path)
     if not p.is_dir():
         raise FileNotFoundError(f"data directory {p} not found")
     tables = []
     for f in sorted(p.glob("*.tsv")):
         tables.extend(parse_tables(f.read_text()))
+    names = [t.name for t in tables]
+    if len(set(names)) != len(names):
+        raise TableError(f"duplicate table names in data directory {p}")
     return tables
 
 

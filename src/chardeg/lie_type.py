@@ -28,7 +28,6 @@ __all__ = [
     "GroupSpec",
     "InvalidSpec",
     "CharPair",
-    "GapReport",
     "SweepRecord",
     "Exclusion",
     "make_spec",
@@ -36,8 +35,7 @@ __all__ = [
     "order",
     "steinberg_degree",
     "beta_degree",
-    "check_steinberg_gap",
-    "check_min_ratio",
+    "check_point",
     "sweep",
     "prime_powers",
 ]
@@ -110,15 +108,6 @@ class CharPair:
     alpha_degree: int
     beta_degree: int
     beta_label: str
-
-
-@dataclass(frozen=True)
-class GapReport:
-    spec: GroupSpec
-    pair: CharPair
-    order: int
-    passed_pow14: bool
-    passed_ratio165: bool
 
 
 @dataclass(frozen=True)
@@ -371,30 +360,30 @@ def beta_degree(spec: GroupSpec) -> CharPair:
 _RATIO_OVERRIDES = {(Family.LINEAR, 3, 3): CharPair(39, 12, "degrees 39 and 12")}
 
 
-def _passes_pow14(pair: CharPair, o: int) -> bool:
-    lhs = ((pair.alpha_degree, 14),)
-    return cmp_power(lhs, ((pair.beta_degree, 14), (o, 1))) is Ordering.GREATER
+@dataclass(frozen=True)
+class SweepRecord:
+    """Both checks at one parameter point, as check_point decides them.
+    gap_pair is always the Steinberg pair; ratio_pair may be the per-point
+    override."""
+
+    spec: GroupSpec
+    order: int
+    gap_pair: CharPair
+    passed_pow14: bool
+    ratio_pair: CharPair
+    passed_ratio165: bool
 
 
-def _passes_ratio165(pair: CharPair) -> bool:
-    return 5 * pair.alpha_degree >= 16 * pair.beta_degree
-
-
-def _report(spec: GroupSpec, pair: CharPair) -> GapReport:
+def check_point(spec: GroupSpec) -> SweepRecord:
+    """Exact verdicts on alpha**14 > beta**14 * |S| for the standard pair and
+    on 5*alpha >= 16*beta for the ratio pair (the per-point override where
+    one is registered), from one order and one companion degree."""
     o = order(spec)
-    return GapReport(spec, pair, o, _passes_pow14(pair, o), _passes_ratio165(pair))
-
-
-def check_steinberg_gap(spec: GroupSpec) -> GapReport:
-    """Exact verdict on alpha**14 > beta**14 * |S| for the standard pair."""
-    return _report(spec, beta_degree(spec))
-
-
-def check_min_ratio(spec: GroupSpec) -> GapReport:
-    """Exact verdict on 5*alpha >= 16*beta, with the per-point override
-    pair where one is registered."""
-    override = _RATIO_OVERRIDES.get((spec.family, spec.rank, spec.q))
-    return _report(spec, override or beta_degree(spec))
+    pair = beta_degree(spec)
+    ratio_pair = _RATIO_OVERRIDES.get((spec.family, spec.rank, spec.q), pair)
+    pow14 = cmp_power(((pair.alpha_degree, 14),), ((pair.beta_degree, 14), (o, 1)))
+    ratio165 = 5 * ratio_pair.alpha_degree >= 16 * ratio_pair.beta_degree
+    return SweepRecord(spec, o, pair, pow14 is Ordering.GREATER, ratio_pair, ratio165)
 
 
 # ---------------------------------------------------------------------------
@@ -423,19 +412,6 @@ def prime_powers(limit: int) -> list[tuple[int, int, int]]:
     return out
 
 
-@dataclass(frozen=True)
-class SweepRecord:
-    """Both checks at one parameter point.  gap_pair is always the Steinberg
-    pair; ratio_pair may be the per-point override."""
-
-    spec: GroupSpec
-    order: int
-    gap_pair: CharPair
-    passed_pow14: bool
-    ratio_pair: CharPair
-    passed_ratio165: bool
-
-
 def _sweep_point(
     fam: Family, rank: int | None, q: int, p: int, e: int
 ) -> SweepRecord | Exclusion:
@@ -443,12 +419,7 @@ def _sweep_point(
         spec = GroupSpec(fam, rank, q, p, e)
     except InvalidSpec as exc:
         return Exclusion(fam, rank, q, exc.reason)
-    o = order(spec)
-    pair = beta_degree(spec)
-    ratio_pair = _RATIO_OVERRIDES.get((fam, rank, q), pair)
-    return SweepRecord(
-        spec, o, pair, _passes_pow14(pair, o), ratio_pair, _passes_ratio165(ratio_pair)
-    )
+    return check_point(spec)
 
 
 def sweep(

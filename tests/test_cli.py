@@ -167,10 +167,46 @@ class TestContract:
         doc = json.loads(capsys.readouterr().out)
         assert doc["status"] == "pass"
 
-    def test_precision_env(self, capsys, monkeypatch):
-        monkeypatch.setenv("CHARDEG_PRECISION", "12")
-        code, doc = _run_json(capsys, ["lemma46", "--n", "64"])
-        assert code == 0 and doc["digits"] == 12
-        monkeypatch.setenv("CHARDEG_PRECISION", "junk")
-        code, doc = _run_json(capsys, ["lemma46", "--n", "64"])
+    def test_digits_below_one_rejected(self, capsys):
+        for digits in ("0", "-1"):
+            code, doc = _run_json(capsys, ["lemma46", "--n", "64", "--digits", digits])
+            assert code == 2 and doc["status"] == "error"
+            assert "--digits" in doc["error"]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            "prop42 --n 9 --from 20 --to 10",
+            "sweep --jsonl --csv",
+            "lemma43 --constant --n 20",
+            "chiefseries-bound --json {} --file series.json",
+        ],
+    )
+    def test_conflicting_flags_exit_2(self, argv, capsys):
+        try:
+            code = main(argv.split())
+        except SystemExit as exc:  # argparse rejects a mutually exclusive pair
+            code = exc.code
         assert code == 2
+        assert '"status": "pass"' not in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            "sweep --families ,",
+            "sweep --families linear --rank-max 2",
+            "sweep --families G2 --q-max 2",
+        ],
+    )
+    def test_empty_sweep_is_an_error(self, argv, capsys):
+        code, doc = _run_json(capsys, argv.split())
+        assert code == 2 and doc["status"] == "error"
+        assert "entries" not in doc
+
+    @pytest.mark.parametrize("command", ["validate-data", "sporadic-check"])
+    def test_duplicate_table_names_rejected(self, command, capsys, tmp_path):
+        line = "M11\t7920\t1,10,10,10,11,16,16,44,45,55\t1\t55,10\t\n"
+        (tmp_path / "a.tsv").write_text(line)
+        (tmp_path / "b.tsv").write_text(line)
+        code, doc = _run_json(capsys, [command, "--data", str(tmp_path)])
+        assert code == 2 and "duplicate table names" in doc["error"]

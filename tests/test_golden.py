@@ -2,6 +2,7 @@
 exit code and stdout SHA-256 digest recorded in perfbench/golden.json, and so
 must the witness range, run in chunks."""
 
+import argparse
 import contextlib
 import hashlib
 import importlib.util
@@ -36,6 +37,11 @@ def _run(argv) -> tuple[int, str]:
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
         rc = cli.main(list(argv))
     return rc, out.getvalue()
+
+
+def test_every_subcommand_has_a_golden_query():
+    (sub,) = [a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    assert set(sub.choices) == {argv[0] for argv in VARIANTS}
 
 
 @pytest.mark.parametrize("argv", VARIANTS, ids=[" ".join(a)[:60] for a in VARIANTS])

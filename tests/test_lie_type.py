@@ -13,8 +13,7 @@ from chardeg.lie_type import (
     InvalidSpec,
     SweepRecord,
     beta_degree,
-    check_min_ratio,
-    check_steinberg_gap,
+    check_point,
     make_spec,
     order,
     prime_powers,
@@ -204,39 +203,39 @@ class TestBeta:
 
 class TestChecks:
     def test_power_gap_examples(self):
-        r = check_steinberg_gap(make_spec(Family.LINEAR, 2, rank=4))
-        assert (r.pair.alpha_degree, r.pair.beta_degree, r.order) == (64, 14, 20160)
+        r = check_point(make_spec(Family.LINEAR, 2, rank=4))
+        assert (r.gap_pair.alpha_degree, r.gap_pair.beta_degree, r.order) == (64, 14, 20160)
         assert r.passed_pow14
         assert 64 ** 14 > 14 ** 14 * 20160  # direct big-integer oracle
 
-        r = check_steinberg_gap(make_spec(Family.REE_2G2, 27))
+        r = check_point(make_spec(Family.REE_2G2, 27))
         assert r.order == 19683 * 19684 * 26
         assert r.passed_pow14
 
-        r = check_steinberg_gap(make_spec(Family.SYMPLECTIC, 3, rank=2))
-        assert (r.pair.alpha_degree, r.pair.beta_degree) == (81, 6)
+        r = check_point(make_spec(Family.SYMPLECTIC, 3, rank=2))
+        assert (r.gap_pair.alpha_degree, r.gap_pair.beta_degree) == (81, 6)
         assert r.order == 25920
         assert r.passed_pow14
 
     def test_min_ratio_override(self):
-        r = check_min_ratio(make_spec(Family.LINEAR, 3, rank=3))
-        assert (r.pair.alpha_degree, r.pair.beta_degree) == (39, 12)
+        r = check_point(make_spec(Family.LINEAR, 3, rank=3))
+        assert (r.ratio_pair.alpha_degree, r.ratio_pair.beta_degree) == (39, 12)
         assert r.passed_ratio165
         assert 5 * 39 >= 16 * 12
         # the standard pair at that point genuinely needs the override
-        std = check_steinberg_gap(make_spec(Family.LINEAR, 3, rank=3))
-        assert not std.passed_ratio165
+        assert (r.gap_pair.alpha_degree, r.gap_pair.beta_degree) == (27, 12)
+        assert not 5 * r.gap_pair.alpha_degree >= 16 * r.gap_pair.beta_degree
 
     def test_min_ratio_examples(self):
-        r = check_min_ratio(make_spec(Family.UNITARY, 3, rank=3))
-        assert r.pair.beta_degree == 6  # q(q-1) at q=3
+        r = check_point(make_spec(Family.UNITARY, 3, rank=3))
+        assert r.ratio_pair.beta_degree == 6  # q(q-1) at q=3
         assert r.passed_ratio165
-        r = check_min_ratio(make_spec(Family.ORTH_PLUS, 2, rank=4))
+        r = check_point(make_spec(Family.ORTH_PLUS, 2, rank=4))
         assert r.passed_ratio165
 
     def test_psl34_hits_bound_exactly(self):
-        r = check_min_ratio(make_spec(Family.LINEAR, 4, rank=3))
-        assert (r.pair.alpha_degree, r.pair.beta_degree) == (64, 20)
+        r = check_point(make_spec(Family.LINEAR, 4, rank=3))
+        assert (r.ratio_pair.alpha_degree, r.ratio_pair.beta_degree) == (64, 20)
         assert Fraction(64, 20) == Fraction(16, 5)
         assert r.passed_ratio165  # equality passes the >= check
 
