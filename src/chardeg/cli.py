@@ -3,9 +3,10 @@
 Every verifier and calculator is one row of the subcommand table in
 build_parser, with JSON output on stdout (JSON-lines for streamed sweeps with
 --jsonl, CSV with --csv).  Big integers are serialized as decimal strings.
-Exit codes: 0 pass, 1 fail, 2 error (conflicting flags included),
-3 inconclusive.  --digits (default 50) sets the starting interval precision
-for the checks involving e and pi.
+Exit codes: 0 pass, 1 fail, 2 error (usage errors such as conflicting flags
+included, with the same JSON error document), 3 inconclusive.  --digits
+(default 50) sets the starting interval precision for the checks involving
+e and pi.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import json
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NoReturn
 
 from . import alternating, degree_data, lie_type, structure_bounds
 from .exact_arith import cyclotomic
@@ -405,6 +407,16 @@ def _cmd_validate_data(args) -> CommandResult:
 # ---------------------------------------------------------------------------
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Raises a usage error as ValueError, so that run reports it as the same
+    JSON error document (exit 2) as a handler error; the usage line still
+    goes to stderr.  Subparsers inherit the class; --help still exits 0."""
+
+    def error(self, message: str) -> NoReturn:
+        self.print_usage(sys.stderr)
+        raise ValueError(f"{self.prog}: {message}")
+
+
 _REQ_INT = {"type": int, "required": True}
 _OPT_INT = {"type": int}
 _REQ_STR = {"required": True}
@@ -468,7 +480,7 @@ def build_parser() -> argparse.ArgumentParser:
          [("--p", _REQ_INT), ("--i", _REQ_INT)], ()),
         ("validate-data", _cmd_validate_data, "parse and validate a data directory", data, ()),
     ]
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="chardeg",
         description="Exact character-degree computations and inequality certification.",
     )
@@ -486,9 +498,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv: list[str] | None = None) -> CommandResult:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.handler(args)
     except (ValueError, ArithmeticError, OSError, KeyError) as exc:
         return CommandResult("error", {"error": str(exc)})

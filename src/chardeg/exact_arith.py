@@ -185,12 +185,6 @@ class IntPolynomial:
                     out[i + j] += c * d
         return IntPolynomial.from_coeffs(out)
 
-    def __sub__(self, other: "IntPolynomial") -> "IntPolynomial":
-        n = max(len(self.coeffs), len(other.coeffs))
-        a = self.coeffs + (0,) * (n - len(self.coeffs))
-        b = other.coeffs + (0,) * (n - len(other.coeffs))
-        return IntPolynomial.from_coeffs(x - y for x, y in zip(a, b))
-
     def div_exact(self, d: "IntPolynomial") -> "IntPolynomial":
         """Exact quotient self / d over the integers; raises if not exact."""
         if d.is_zero():

@@ -7,19 +7,27 @@ degree-ratio inequalities
 
 where alpha is the Steinberg degree q**N (the p-part of |S|) and beta the
 companion degree.  Each family is one row of the formula table _FAMILIES
-(Carter, Finite Groups of Lie Type, 1985).  All divisions in the degree and
-order formulas are asserted exact, so a transcription error cannot pass
-silently.
+(Carter, Finite Groups of Lie Type, 1985), and every order and degree in it
+has one shape, a quotient of binomials q**d - eps:
+
+    q**a * isqrt(q // p)**h * prod(q**d - eps for d, eps in num)
+      / (c * prod(q**d - eps for d, eps in den) * gcd(k, q**j - eps'))
+
+The gcd is the centre of the order (k = 1 where there is none and for every
+companion degree), h is nonzero only for 2B2 and 2G2, and alpha is q**a of
+the order.  Every division is asserted exact, so a transcription error
+cannot pass silently.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import partial
 from math import gcd, isqrt, prod
-from typing import Callable, Iterable
+from typing import Callable, Iterable, NamedTuple
 
-from .exact_arith import Ordering, cmp_power, cyclotomic, is_prime, nth_root_floor
+from .exact_arith import Ordering, cmp_power, is_prime, nth_root_floor
 
 __all__ = [
     "Family",
@@ -129,127 +137,123 @@ def _exact_div(a: int, b: int) -> int:
 # The formula table
 # ---------------------------------------------------------------------------
 
+_Binomials = tuple[tuple[int, int], ...]  # (d, eps) is the factor q**d - eps
 
-@dataclass(frozen=True)
-class _Formulas:
-    """One family's formulas, as functions of the rank n (None for the
-    fixed-rank families) and q:
 
-        |S|   = q**N(n) * prod(q**d - eps for d, eps in factors(n)) / divisor(n, q)
-        beta  = numerator / denominator, with (numerator, denominator) = beta(n, q)
-    """
+class _Value(NamedTuple):
+    """An order or a degree in the row shape of the module docstring; centre
+    is (k, j, eps') for the factor gcd(k, q**j - eps') of the denominator."""
 
+    a: int
+    num: _Binomials
+    den: _Binomials = ()
+    c: int = 1
+    centre: tuple[int, int, int] = (1, 1, 1)
+    h: int = 0
+
+
+def _evaluate(v: _Value, q: int, p: int) -> int:
+    k, j, eps = v.centre
+    top = q ** v.a * isqrt(q // p) ** v.h * prod(q ** d - e for d, e in v.num)
+    bottom = v.c * prod(q ** d - e for d, e in v.den) * gcd(k, q ** j - eps)
+    return _exact_div(top, bottom)
+
+
+class _Family(NamedTuple):
     rank_min: int | None  # None for the exceptional families
-    steinberg_exp: Callable[[int | None], int]
-    factors: Callable[[int | None], Iterable[tuple[int, int]]]
-    divisor: Callable[[int | None, int], int]  # the centre gcd, and q**4 - 1 for 3D4
-    beta: Callable[[int | None, int], tuple[int, int]]
     beta_label: str
+    # (order, beta): a function of the rank n, or for the exceptional
+    # families the constant pair itself
+    rows: Callable[[int], tuple[_Value, _Value]] | tuple[_Value, _Value]
 
 
-def _exceptional(N, factors, beta, label, divisor=lambda n, q: 1) -> _Formulas:
-    return _Formulas(None, lambda n: N, lambda n: factors, divisor, beta, label)
+def _linear(n: int) -> tuple[_Value, _Value]:
+    return (
+        _Value(n * (n - 1) // 2, tuple((i, 1) for i in range(2, n + 1)), centre=(n, 1, 1)),
+        _Value(1, ((n - 1, 1),), ((1, 1),)),
+    )
 
 
-def _q_phis(*ks: int, den: int = 1):
-    """The companion degree q * prod(Phi_k(q) for k in ks) / den."""
-    return lambda n, q: (q * prod(cyclotomic(k)(q) for k in ks), den)
+def _unitary(n: int) -> tuple[_Value, _Value]:
+    return (
+        _Value(
+            n * (n - 1) // 2, tuple((i, (-1) ** i) for i in range(2, n + 1)), centre=(n, 1, -1)
+        ),
+        _Value(1, ((n - 1, (-1) ** (n - 1)),), ((1, -1),)),
+    )
 
 
-_SYMPLECTIC = _Formulas(
-    2,
-    lambda n: n * n,
-    lambda n: [(2 * i, 1) for i in range(1, n + 1)],
-    lambda n, q: gcd(2, q - 1),
-    lambda n, q: ((q ** n - 1) * (q ** n - q), 2 * (q + 1)),
-    "(0,1,n;-)",
-)
+def _symplectic(n: int) -> tuple[_Value, _Value]:
+    return (
+        _Value(n * n, tuple((2 * i, 1) for i in range(1, n + 1)), centre=(2, 1, 1)),
+        _Value(1, ((n, 1), (n - 1, 1)), ((1, -1),), c=2),
+    )
 
-# The even-orthogonal companion degrees use q**(n-1) in their second factor:
-# those products are divisible by q**2 - 1 for every n and match the rank-3
-# singular-point permutation character decompositions exactly; the q**n
-# variants fail integrality for every other parity of n.  For the Suzuki and
-# small Ree families q = r**(2f+1), so isqrt(q // r) = r**f exactly.
-_FAMILIES: dict[Family, _Formulas] = {
-    Family.LINEAR: _Formulas(
-        3,
-        lambda n: n * (n - 1) // 2,
-        lambda n: [(i, 1) for i in range(2, n + 1)],
-        lambda n, q: gcd(n, q - 1),
-        lambda n, q: (q ** n - q, q - 1),
-        "(n-1,1)",
-    ),
-    Family.UNITARY: _Formulas(
-        3,
-        lambda n: n * (n - 1) // 2,
-        lambda n: [(i, (-1) ** i) for i in range(2, n + 1)],
-        lambda n, q: gcd(n, q + 1),
-        lambda n, q: (q ** n + q * (-1) ** n, q + 1),
-        "(n-1,1)",
-    ),
+
+# The even-orthogonal companion degrees carry q**(n-2) + eps as their second
+# factor: the products are divisible by q**2 - 1 for every n and match the
+# rank-3 singular-point permutation character decompositions exactly;
+# q**(n-1) + eps in its place is not an integer at every other n (odd n for
+# the plus type, even n for the minus type).
+def _even_orthogonal(eps: int, n: int) -> tuple[_Value, _Value]:
+    return (
+        _Value(
+            n * (n - 1),
+            ((n, eps),) + tuple((2 * i, 1) for i in range(1, n)),
+            centre=(4, n, eps),
+        ),
+        _Value(1, ((n, eps), (n - 2, -eps)), ((2, 1),)),
+    )
+
+
+_SYMPLECTIC = _Family(2, "(0,1,n;-)", _symplectic)
+
+# For the Suzuki and small Ree families q = p**(2f+1), so h = 1 contributes
+# isqrt(q // p) = p**f exactly.
+_FAMILIES: dict[Family, _Family] = {
+    Family.LINEAR: _Family(3, "(n-1,1)", _linear),
+    Family.UNITARY: _Family(3, "(n-1,1)", _unitary),
     Family.SYMPLECTIC: _SYMPLECTIC,
     Family.ORTH_ODD: _SYMPLECTIC,
-    Family.ORTH_PLUS: _Formulas(
-        4,
-        lambda n: n * (n - 1),
-        lambda n: [(n, 1)] + [(2 * i, 1) for i in range(1, n)],
-        lambda n, q: gcd(4, q ** n - 1),
-        lambda n, q: ((q ** n - 1) * (q ** (n - 1) + q), q ** 2 - 1),
-        "(n-1;1)",
-    ),
-    Family.ORTH_MINUS: _Formulas(
-        4,
-        lambda n: n * (n - 1),
-        lambda n: [(n, -1)] + [(2 * i, 1) for i in range(1, n)],
-        lambda n, q: gcd(4, q ** n + 1),
-        lambda n, q: ((q ** n + 1) * (q ** (n - 1) - q), q ** 2 - 1),
-        "(1,n-1;-)",
-    ),
-    Family.SUZUKI_2B2: _exceptional(
-        2, ((2, -1), (1, 1)), lambda n, q: ((q - 1) * isqrt(q // 2), 1), "2B2[a]"
-    ),
-    # q**8 + q**4 + 1 = (q**12 - 1) / (q**4 - 1); the centre is trivial.
-    Family.TRIALITY_3D4: _exceptional(
-        12, ((12, 1), (6, 1), (2, 1)), _q_phis(12), "phi'_{1,3}", lambda n, q: q ** 4 - 1
-    ),
-    Family.G2: _exceptional(6, ((6, 1), (2, 1)), _q_phis(2, 2, 3, den=6), "phi_{2,1}"),
-    Family.REE_2G2: _exceptional(
-        3, ((3, -1), (1, 1)), lambda n, q: ((q * q - 1) * isqrt(q // 3), 1), "cuspidal"
-    ),
-    Family.F4: _exceptional(
-        24, ((12, 1), (8, 1), (6, 1), (2, 1)), _q_phis(2, 2, 6, 6, 8, den=2), "phi_{4,1}"
-    ),
-    Family.REE_2F4: _exceptional(
-        12, ((6, -1), (4, 1), (3, -1), (1, 1)), _q_phis(6, 12), "epsilon'"
-    ),
-    Family.E6: _exceptional(
-        36,
-        ((12, 1), (9, 1), (8, 1), (6, 1), (5, 1), (2, 1)),
-        _q_phis(8, 9),
-        "phi_{6,1}",
-        lambda n, q: gcd(3, q - 1),
-    ),
-    Family.TWISTED_E6: _exceptional(
-        36,
-        ((12, 1), (9, -1), (8, 1), (6, 1), (5, -1), (2, 1)),
-        _q_phis(8, 18),
-        "phi'_{2,4}",
-        lambda n, q: gcd(3, q + 1),
-    ),
-    Family.E7: _exceptional(
-        63,
-        ((18, 1), (14, 1), (12, 1), (10, 1), (8, 1), (6, 1), (2, 1)),
-        _q_phis(7, 12, 14),
-        "phi_{7,1}",
-        lambda n, q: gcd(2, q - 1),
-    ),
-    Family.E8: _exceptional(
-        120,
-        ((30, 1), (24, 1), (20, 1), (18, 1), (14, 1), (12, 1), (8, 1), (2, 1)),
-        _q_phis(4, 4, 8, 12, 20, 24),
-        "phi_{8,1}",
-    ),
+    Family.ORTH_PLUS: _Family(4, "(n-1;1)", partial(_even_orthogonal, 1)),
+    Family.ORTH_MINUS: _Family(4, "(1,n-1;-)", partial(_even_orthogonal, -1)),
+    Family.SUZUKI_2B2: _Family(None, "2B2[a]", (
+        _Value(2, ((2, -1), (1, 1))),
+        _Value(0, ((1, 1),), h=1))),
+    # q**8 + q**4 + 1 = (q**12 - 1) / (q**4 - 1)
+    Family.TRIALITY_3D4: _Family(None, "phi'_{1,3}", (
+        _Value(12, ((12, 1), (6, 1), (2, 1)), ((4, 1),)),
+        _Value(1, ((6, -1),), ((2, -1),)))),
+    Family.G2: _Family(None, "phi_{2,1}", (
+        _Value(6, ((6, 1), (2, 1))),
+        _Value(1, ((1, -1), (1, -1), (3, 1)), ((1, 1),), c=6))),
+    Family.REE_2G2: _Family(None, "cuspidal", (
+        _Value(3, ((3, -1), (1, 1))),
+        _Value(0, ((2, 1),), h=1))),
+    Family.F4: _Family(None, "phi_{4,1}", (
+        _Value(24, ((12, 1), (8, 1), (6, 1), (2, 1))),
+        _Value(1, ((3, -1), (3, -1), (4, -1)), c=2))),
+    Family.REE_2F4: _Family(None, "epsilon'", (
+        _Value(12, ((6, -1), (4, 1), (3, -1), (1, 1))),
+        _Value(1, ((3, -1), (6, -1)), ((1, -1), (2, -1))))),
+    Family.E6: _Family(None, "phi_{6,1}", (
+        _Value(36, ((12, 1), (9, 1), (8, 1), (6, 1), (5, 1), (2, 1)), centre=(3, 1, 1)),
+        _Value(1, ((4, -1), (9, 1)), ((3, 1),)))),
+    Family.TWISTED_E6: _Family(None, "phi'_{2,4}", (
+        _Value(36, ((12, 1), (9, -1), (8, 1), (6, 1), (5, -1), (2, 1)), centre=(3, 1, -1)),
+        _Value(1, ((4, -1), (9, -1)), ((3, -1),)))),
+    Family.E7: _Family(None, "phi_{7,1}", (
+        _Value(63, ((18, 1), (14, 1), (12, 1), (10, 1), (8, 1), (6, 1), (2, 1)), centre=(2, 1, 1)),
+        _Value(1, ((14, 1), (6, -1)), ((4, 1),)))),
+    Family.E8: _Family(None, "phi_{8,1}", (
+        _Value(120, ((30, 1), (24, 1), (20, 1), (18, 1), (14, 1), (12, 1), (8, 1), (2, 1))),
+        _Value(1, ((6, -1), (10, -1), (12, -1))))),
 }
+
+
+def _rows(spec: GroupSpec) -> tuple[_Value, _Value]:
+    f = _FAMILIES[spec.family]
+    return f.rows if f.rank_min is None else f.rows(spec.rank)
 
 
 # ---------------------------------------------------------------------------
@@ -322,37 +326,23 @@ def validate(fam: Family, n: int | None, q: int, p: int, e: int) -> str | None:
 
 
 def order(spec: GroupSpec) -> int:
-    """Exact group order from the family's product formula, including the
-    centre gcd factor for the projective families."""
-    f, n, q = _FAMILIES[spec.family], spec.rank, spec.q
-    raw = q ** f.steinberg_exp(n) * prod(q ** d - eps for d, eps in f.factors(n))
-    return _exact_div(raw, f.divisor(n, q))
+    """Exact group order, the centre gcd divided out."""
+    return _evaluate(_rows(spec)[0], spec.q, spec.p)
 
 
 def steinberg_degree(spec: GroupSpec) -> int:
-    """The p-part q**N of the group order: N = n(n-1)/2 for linear/unitary,
-    n*n for symplectic/odd-orthogonal, n(n-1) for even orthogonal, and the
-    fixed exponents of the exceptional families."""
-    return spec.q ** _FAMILIES[spec.family].steinberg_exp(spec.rank)
+    """The p-part q**a of the group order."""
+    return spec.q ** _rows(spec)[0].a
 
 
 def beta_degree(spec: GroupSpec) -> CharPair:
-    """The companion unipotent degree used opposite the Steinberg degree.
-
-    Classical families:
-      linear     (q**n - q) / (q - 1)                label (n-1,1)
-      unitary    (q**n + q*(-1)**n) / (q + 1)        label (n-1,1)
-      symplectic/odd orthogonal
-                 (q**n - 1)(q**n - q) / (2(q + 1))   label (0,1,n;-)
-      plus  orthogonal  (q**n - 1)(q**(n-1) + q) / (q**2 - 1)  label (n-1;1)
-      minus orthogonal  (q**n + 1)(q**(n-1) - q) / (q**2 - 1)  label (1,n-1;-)
-
-    Exceptional families evaluate cyclotomic products; every division is
-    checked.
-    """
-    f = _FAMILIES[spec.family]
-    num, den = f.beta(spec.rank, spec.q)
-    return CharPair(steinberg_degree(spec), _exact_div(num, den), f.beta_label)
+    """The companion unipotent degree used opposite the Steinberg degree."""
+    order_row, beta_row = _rows(spec)
+    return CharPair(
+        spec.q ** order_row.a,
+        _evaluate(beta_row, spec.q, spec.p),
+        _FAMILIES[spec.family].beta_label,
+    )
 
 
 # For the linear group of rank 3 over GF(3) the standard pair has ratio

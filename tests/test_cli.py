@@ -1,8 +1,11 @@
 import json
+import re
+import shlex
 
 import pytest
 
-from chardeg.cli import main, run
+from chardeg.cli import build_parser, main, run
+from conftest import REPO_ROOT
 
 
 def _run_json(capsys, argv):
@@ -150,10 +153,16 @@ class TestContract:
         assert "--from <= --to" in doc["error"]
         assert "records" not in doc
 
-    def test_unknown_subcommand_exits_2(self):
+    def test_unknown_subcommand_exits_2(self, capsys):
+        code, doc = _run_json(capsys, ["no-such-command"])
+        assert code == 2 and doc["status"] == "error"
+        assert "no-such-command" in doc["error"]
+
+    def test_help_exits_0(self, capsys):
         with pytest.raises(SystemExit) as err:
-            main(["no-such-command"])
-        assert err.value.code == 2
+            main(["sweep", "--help"])
+        assert err.value.code == 0
+        assert "--rank-max" in capsys.readouterr().out
 
     def test_reruns_byte_identical(self, capsys):
         main(["prop42", "--from", "7", "--to", "12"])
@@ -183,12 +192,8 @@ class TestContract:
         ],
     )
     def test_conflicting_flags_exit_2(self, argv, capsys):
-        try:
-            code = main(argv.split())
-        except SystemExit as exc:  # argparse rejects a mutually exclusive pair
-            code = exc.code
-        assert code == 2
-        assert '"status": "pass"' not in capsys.readouterr().out
+        code, doc = _run_json(capsys, argv.split())
+        assert code == 2 and doc["status"] == "error"
 
     @pytest.mark.parametrize(
         "argv",
@@ -210,3 +215,15 @@ class TestContract:
         (tmp_path / "b.tsv").write_text(line)
         code, doc = _run_json(capsys, [command, "--data", str(tmp_path)])
         assert code == 2 and "duplicate table names" in doc["error"]
+
+
+def test_readme_command_lines_parse():
+    # Every example in the README's command-line block must still be accepted
+    # by the parser; nothing is run.
+    readme = (REPO_ROOT / "README.md").read_text()
+    block = re.search(r"## Command line.*?```sh\n(.*?)```", readme, re.S).group(1)
+    lines = [line for line in block.splitlines() if line.startswith("chardeg ")]
+    assert len(lines) > 20
+    for line in lines:
+        args = build_parser().parse_args(shlex.split(line, comments=True)[1:])
+        assert callable(args.handler), line

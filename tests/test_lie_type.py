@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import pytest
 
+from chardeg.degree_data import load_dir
+from chardeg.exact_arith import cyclotomic
 from chardeg.lie_type import (
     CLASSICAL_FAMILIES,
     EXCEPTIONAL_FAMILIES,
@@ -20,6 +22,7 @@ from chardeg.lie_type import (
     steinberg_degree,
     sweep,
 )
+from chardeg.partitions import degree as partition_degree, partitions_of
 
 PSI_12 = 318665857834031151167461  # composite; passes Miller-Rabin to bases 2..37
 
@@ -58,6 +61,105 @@ KNOWN_ORDERS = [
      * 73 * 127 * 151 * 241 * 331),
     (Family.REE_2F4, None, 8, 2**36 * 3**5 * 5**2 * 7**2 * 13**2 * 19 * 37 * 109),
 ]
+
+
+# A second implementation of the registry, independent of the binomial rows in
+# lie_type: every order as q**N * prod(Phi_k(q)**m_k) / centre (Carter,
+# Finite Groups of Lie Type, 1985) and every companion degree from its closed
+# form, with the cyclotomic polynomials of exact_arith.
+
+# (N, {k: m_k}) for the exceptional orders.
+EXCEPTIONAL_ORDER_PHIS = {
+    Family.SUZUKI_2B2: (2, {1: 1, 4: 1}),
+    Family.TRIALITY_3D4: (12, {1: 2, 2: 2, 3: 2, 6: 2, 12: 1}),
+    Family.G2: (6, {1: 2, 2: 2, 3: 1, 6: 1}),
+    Family.REE_2G2: (3, {1: 1, 2: 1, 6: 1}),
+    Family.F4: (24, {1: 4, 2: 4, 3: 2, 4: 2, 6: 2, 8: 1, 12: 1}),
+    Family.REE_2F4: (12, {1: 2, 2: 2, 4: 2, 6: 1, 12: 1}),
+    Family.E6: (36, {1: 6, 2: 4, 3: 3, 4: 2, 5: 1, 6: 2, 8: 1, 9: 1, 12: 1}),
+    Family.TWISTED_E6: (36, {1: 4, 2: 6, 3: 2, 4: 2, 6: 3, 8: 1, 10: 1, 12: 1, 18: 1}),
+    Family.E7: (63, {1: 7, 2: 7, 3: 3, 4: 2, 5: 1, 6: 3, 7: 1, 8: 1, 9: 1, 10: 1, 12: 1,
+                     14: 1, 18: 1}),
+    Family.E8: (120, {1: 8, 2: 8, 3: 4, 4: 4, 5: 2, 6: 4, 7: 1, 8: 2, 9: 1, 10: 2, 12: 2,
+                      14: 1, 15: 1, 18: 1, 20: 1, 24: 1, 30: 1}),
+}
+
+# (ks, den) for the exceptional companion degrees q * prod(Phi_k(q)) / den.
+EXCEPTIONAL_BETA_PHIS = {
+    Family.TRIALITY_3D4: ((12,), 1),
+    Family.G2: ((2, 2, 3), 6),
+    Family.F4: ((2, 2, 6, 6, 8), 2),
+    Family.REE_2F4: ((6, 12), 1),
+    Family.E6: ((8, 9), 1),
+    Family.TWISTED_E6: ((8, 18), 1),
+    Family.E7: ((7, 12, 14), 1),
+    Family.E8: ((4, 4, 8, 12, 20, 24), 1),
+}
+
+
+def _classical_order_phis(fam, n):
+    """(N, {k: m_k}) for a classical order."""
+    if fam in (Family.LINEAR, Family.UNITARY):
+        # prod(q**i - 1 for i in 2..n); the unitary order is its Ennola dual
+        return n * (n - 1) // 2, {k: n // k - (k == 1) for k in range(1, n + 1)}
+    # prod(q**(2i) - 1 for i in 1..r): Phi_k divides it r // k times for odd
+    # k and 2r // k times for even k
+    r = n if fam in (Family.SYMPLECTIC, Family.ORTH_ODD) else n - 1
+    phis = {k: (r // k if k % 2 else 2 * r // k) for k in range(1, 2 * n + 1)}
+    if fam is Family.ORTH_PLUS:  # times q**n - 1
+        for k in range(1, n + 1):
+            phis[k] += n % k == 0
+    elif fam is Family.ORTH_MINUS:  # times q**n + 1
+        for k in range(1, 2 * n + 1):
+            phis[k] += 2 * n % k == 0 and n % k != 0
+    return n * r, phis
+
+
+def order_oracle(spec):
+    fam, n, q = spec.family, spec.rank, spec.q
+    if fam in CLASSICAL_FAMILIES:
+        big_n, phis = _classical_order_phis(fam, n)
+        centre = {
+            Family.LINEAR: math.gcd(n, q - 1),
+            Family.UNITARY: math.gcd(n, q + 1),
+            Family.SYMPLECTIC: math.gcd(2, q - 1),
+            Family.ORTH_ODD: math.gcd(2, q - 1),
+            Family.ORTH_PLUS: math.gcd(4, q ** n - 1),
+            Family.ORTH_MINUS: math.gcd(4, q ** n + 1),
+        }[fam]
+    else:
+        big_n, phis = EXCEPTIONAL_ORDER_PHIS[fam]
+        centre = {Family.E6: math.gcd(3, q - 1), Family.TWISTED_E6: math.gcd(3, q + 1),
+                  Family.E7: math.gcd(2, q - 1)}.get(fam, 1)
+    x = -q if fam is Family.UNITARY else q
+    raw = q ** big_n * math.prod(abs(cyclotomic(k)(x)) ** m for k, m in phis.items())
+    quo, rem = divmod(raw, centre)
+    assert rem == 0, spec
+    return quo
+
+
+def beta_oracle(spec):
+    fam, n, q = spec.family, spec.rank, spec.q
+    if fam is Family.LINEAR:
+        num, den = q ** n - q, q - 1
+    elif fam is Family.UNITARY:
+        num, den = q ** n + q * (-1) ** n, q + 1
+    elif fam in (Family.SYMPLECTIC, Family.ORTH_ODD):
+        num, den = (q ** n - 1) * (q ** n - q), 2 * (q + 1)
+    elif fam is Family.ORTH_PLUS:
+        num, den = (q ** n - 1) * (q ** (n - 1) + q), q ** 2 - 1
+    elif fam is Family.ORTH_MINUS:
+        num, den = (q ** n + 1) * (q ** (n - 1) - q), q ** 2 - 1
+    elif fam in (Family.SUZUKI_2B2, Family.REE_2G2):
+        # q = p**(2f+1) and sqrt(q/p) = p**f
+        root = spec.p ** (spec.e // 2)
+        num, den = (q - 1 if fam is Family.SUZUKI_2B2 else q * q - 1) * root, 1
+    else:
+        ks, den = EXCEPTIONAL_BETA_PHIS[fam]
+        num = q * math.prod(cyclotomic(k)(q) for k in ks)
+    quo, rem = divmod(num, den)
+    assert rem == 0, spec
+    return quo
 
 
 def reason(family, q, rank=None):
@@ -292,3 +394,40 @@ def test_pair_invariant_across_grids():
     for r in records:
         assert 2 <= r.gap_pair.beta_degree <= r.gap_pair.alpha_degree, r.spec
         assert 2 <= r.ratio_pair.beta_degree <= r.ratio_pair.alpha_degree, r.spec
+
+
+class TestSecondImplementation:
+    SPECS = valid_specs(CLASSICAL_FAMILIES, range(2, 13), 64) + valid_specs(
+        EXCEPTIONAL_FAMILIES, (), 64
+    )
+
+    def test_grid_covers_every_family(self):
+        assert {s.family for s in self.SPECS} == set(Family)
+        assert len(self.SPECS) > 1500
+
+    def test_orders_match_cyclotomic_products(self):
+        for spec in self.SPECS:
+            assert order(spec) == order_oracle(spec), spec
+
+    def test_beta_matches_closed_forms(self):
+        for spec in self.SPECS:
+            assert beta_degree(spec).beta_degree == beta_oracle(spec), spec
+
+
+class TestCrossLayer:
+    def test_psl42_pair_is_a_pair_of_s8_degrees(self):
+        # PSL_4(2) = A_8: its Steinberg pair lies in the hook-formula degree
+        # set of S_8, and its order is 8!/2
+        s8_degrees = {partition_degree(lam) for lam in partitions_of(8)}
+        assert {64, 14} <= s8_degrees
+        r = check_point(make_spec(Family.LINEAR, 2, rank=4))
+        assert (r.gap_pair.alpha_degree, r.gap_pair.beta_degree) == (64, 14)
+        assert r.order == 20160 == math.factorial(8) // 2
+
+    def test_psl34_data_row_matches_registry(self, data_dir):
+        (table,) = [t for t in load_dir(data_dir) if t.name == "PSL3(4)"]
+        spec = make_spec(Family.LINEAR, 4, rank=3)
+        pair = beta_degree(spec)
+        assert table.order == order(spec) == 20160
+        assert (pair.alpha_degree, pair.beta_degree) == (64, 20)
+        assert {64, 20} <= set(table.degrees)
