@@ -13,7 +13,11 @@ path yields the same integer, so a report does not depend on the order of
 calls.  The supporting analytic bounds (which involve e and pi) are decided by
 cmp_power on the endpoints of outward-rounded rational intervals and are
 advisory; they can return None (inconclusive) without affecting any witness
-certificate.
+certificate.  Each rung of their precision ladder is tried first on the
+outward dyadic rounding of its enclosure, whose endpoints are short, and
+only then on the exact endpoints.  Every check is monotone in each constant
+and the rounding contains the exact enclosure, so a verdict the rounding
+reaches is the one the exact rung reaches: only the cost changes.
 """
 
 from __future__ import annotations
@@ -25,6 +29,7 @@ from typing import Iterator
 
 from .exact_arith import (
     Ordering,
+    RationalInterval,
     cmp_power,
     const_interval,
     factorial,
@@ -222,20 +227,37 @@ def _digit_ladder(digits: int) -> Iterator[int]:
         d = min(2 * d, MAX_DIGITS)
 
 
+def _enclosures(
+    digits: int, *constants: tuple[str, int]
+) -> Iterator[tuple[RationalInterval, ...]]:
+    """Enclosures of the named constants, two per rung of the ladder: first
+    each rounded outward to 2**-b, b = E.bit_length() + 8 for the largest
+    exponent E the check puts on it, then the exact ones.
+
+    The rounding moves log(c**E) by at most E * 2**-b / c < 1/256 / c, so
+    it decides whenever the exact rung decides with a wider log margin, on
+    endpoints of about b + 2 bits instead of the rung's full length.
+    """
+    for d in _digit_ladder(digits):
+        exact = tuple(const_interval(name, d) for name, _ in constants)
+        yield tuple(iv.dyadic(exp.bit_length() + 8) for iv, (_, exp) in zip(exact, constants))
+        yield exact
+
+
 def check_factorial_lower(n: int, digits: int = DEFAULT_DIGITS) -> bool | None:
     """Decide  (n!)**(13/14) / (n-1)  >  1.35 * (n/e)**(25n/28)  for n >= 15.
 
     Exponents are cleared by raising both sides to the 28th power, leaving
     (n!)**26 * e**(25n) * 20**28  >  27**28 * n**(25n) * (n-1)**28, which is
-    decided with an outward interval for e.  Returns None if still undecided
-    at the maximum precision.
+    decided with an outward interval for e, at each rung first on its dyadic
+    rounding; the left side increases with e, so the rounding cannot change
+    a verdict.  Returns None if still undecided at the maximum precision.
     """
     if n < 15:
         raise ValueError("check_factorial_lower requires n >= 15")
     fact = factorial(n)
     rhs = ((27, 28), (n, 25 * n), (n - 1, 28))
-    for d in _digit_ladder(digits):
-        e = const_interval("e", d)
+    for (e,) in _enclosures(digits, ("e", 25 * n)):
         if cmp_power(((fact, 26), (e.lo, 25 * n), (20, 28)), rhs) is Ordering.GREATER:
             return True
         if cmp_power(((fact, 26), (e.hi, 25 * n), (20, 28)), rhs) is not Ordering.GREATER:
@@ -259,13 +281,14 @@ def check_growth(n: int, digits: int = DEFAULT_DIGITS) -> bool | None:
     """Decide  (81n/64)**(81n/128) <= (n/e)**(25n/28).
 
     Taking n-th roots and raising to 896 = lcm(128, 28) reduces this to
-    e**800 * 81**567 <= 64**567 * n**233, decided with an interval for e.
+    e**800 * 81**567 <= 64**567 * n**233, decided with an interval for e, at
+    each rung first on its dyadic rounding; the left side increases with e,
+    so the rounding cannot change a verdict.
     """
     if n < 1:
         raise ValueError("check_growth requires n >= 1")
     rhs = ((64, 567), (n, 233))
-    for d in _digit_ladder(digits):
-        e = const_interval("e", d)
+    for (e,) in _enclosures(digits, ("e", 800)):
         if cmp_power(((e.hi, 800), (81, 567)), rhs) is not Ordering.GREATER:
             return True
         if cmp_power(((e.lo, 800), (81, 567)), rhs) is Ordering.GREATER:
@@ -275,10 +298,10 @@ def check_growth(n: int, digits: int = DEFAULT_DIGITS) -> bool | None:
 
 def check_constant(digits: int = DEFAULT_DIGITS) -> bool | None:
     """Decide  ((2*pi)**13 / e**15)**(1/28) > 1.35, i.e.
-    (2*pi)**13 * 20**28 > 27**28 * e**15, with intervals for both constants."""
-    for d in _digit_ladder(digits):
-        tp = const_interval("two_pi", d)
-        e = const_interval("e", d)
+    (2*pi)**13 * 20**28 > 27**28 * e**15, with intervals for both constants,
+    at each rung first on their dyadic roundings; the left side increases
+    with pi and the right with e, so the roundings cannot change a verdict."""
+    for tp, e in _enclosures(digits, ("two_pi", 13), ("e", 15)):
         if cmp_power(((tp.lo, 13), (20, 28)), ((27, 28), (e.hi, 15))) is Ordering.GREATER:
             return True
         if cmp_power(((tp.hi, 13), (20, 28)), ((27, 28), (e.lo, 15))) is not Ordering.GREATER:

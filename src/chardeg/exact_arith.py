@@ -31,6 +31,7 @@ __all__ = [
     "is_prime",
     "IntPolynomial",
     "cyclotomic",
+    "CYCLOTOMIC_MAX_K",
     "RationalInterval",
     "const_interval",
 ]
@@ -234,16 +235,21 @@ class IntPolynomial:
         return " ".join(parts)
 
 
-# Filled on demand; refills write identical immutable values, so concurrent
-# population is idempotent.  Intended range of use is k <= 200.
+# cyclotomic(k) costs about k**2 and caches every divisor's polynomial, so k
+# is capped: k = 1000 takes milliseconds, k = 12000 would take seconds.
+CYCLOTOMIC_MAX_K = 1000
+
+# Filled on demand, so it holds at most CYCLOTOMIC_MAX_K entries; refills
+# write identical immutable values, so concurrent population is idempotent.
 _CYCLOTOMIC_CACHE: dict[int, IntPolynomial] = {}
 
 
 def cyclotomic(k: int) -> IntPolynomial:
     """The k-th cyclotomic polynomial, by exact division of x**k - 1 by the
-    cyclotomic polynomials of the proper divisors of k."""
-    if k < 1:
-        raise ValueError("cyclotomic requires k >= 1")
+    cyclotomic polynomials of the proper divisors of k; 1 <= k <=
+    CYCLOTOMIC_MAX_K."""
+    if not 1 <= k <= CYCLOTOMIC_MAX_K:
+        raise ValueError(f"cyclotomic requires 1 <= k <= {CYCLOTOMIC_MAX_K}, got {k}")
     cached = _CYCLOTOMIC_CACHE.get(k)
     if cached is not None:
         return cached
@@ -265,8 +271,10 @@ class RationalInterval:
     """Closed interval with Fraction endpoints: an enclosure of e or pi.
 
     Endpoints are exact, so the difference and scaling that build the pi
-    enclosure never round.  Checks pass lo and hi to cmp_power; there is no
-    interval arithmetic beyond that.
+    enclosure never round.  Checks pass lo and hi to cmp_power, first those
+    of the outward dyadic rounding dyadic(bits), which contains the interval
+    and has short endpoints, then the exact ones; there is no interval
+    arithmetic beyond that.
     """
 
     lo: Fraction
@@ -281,6 +289,16 @@ class RationalInterval:
 
     def contains(self, x: RationalLike) -> bool:
         return self.lo <= Fraction(x) <= self.hi
+
+    def dyadic(self, bits: int) -> "RationalInterval":
+        """[floor(lo*2**bits), ceil(hi*2**bits)] / 2**bits: contains this
+        interval, is at most 2**(1-bits) wider, and every denominator is a
+        power of two."""
+        if bits < 0:
+            raise ValueError("dyadic requires bits >= 0")
+        lo = (self.lo.numerator << bits) // self.lo.denominator
+        hi = -((-self.hi.numerator << bits) // self.hi.denominator)
+        return RationalInterval(Fraction(lo, 1 << bits), Fraction(hi, 1 << bits))
 
     def __sub__(self, other: "RationalInterval") -> "RationalInterval":
         return RationalInterval(self.lo - other.hi, self.hi - other.lo)

@@ -26,7 +26,12 @@ __all__ = [
     "radical_index_check",
     "frobenius_example",
     "extraspecial_example",
+    "FROBENIUS_MAX_DEGREES",
 ]
+
+# frobenius_example lists every degree, m + (p-1)/m of them; beyond this many
+# it refuses instead of allocating a tuple that grows with p.
+FROBENIUS_MAX_DEGREES = 100_000
 
 
 @dataclass(frozen=True)
@@ -127,6 +132,7 @@ def frobenius_example(p: int, m: int) -> DegreeTable:
     """Index-m subgroup of the affine Frobenius group AGL(1, p) containing
     the translations: degrees are m ones and (p-1)/m copies of m, so the
     degree ratio is 1 while the Fitting index m is unbounded over the family.
+    Raises ValueError when that list would exceed FROBENIUS_MAX_DEGREES.
     """
     if m <= 1:
         raise ValueError("frobenius_example requires m > 1")
@@ -134,6 +140,11 @@ def frobenius_example(p: int, m: int) -> DegreeTable:
         raise ValueError(f"{p} is not prime")
     if (p - 1) % m != 0:
         raise ValueError(f"{m} does not divide p - 1 = {p - 1}")
+    count = m + (p - 1) // m
+    if count > FROBENIUS_MAX_DEGREES:
+        raise ValueError(
+            f"frobenius_example would list {count} degrees, more than {FROBENIUS_MAX_DEGREES}"
+        )
     degrees = (1,) * m + (m,) * ((p - 1) // m)
     return DegreeTable(
         name=f"frobenius(p={p},m={m})",

@@ -12,7 +12,7 @@ from chardeg.alternating import (
     gamma_index,
     square_fix,
 )
-from chardeg.exact_arith import const_interval, factorial
+from chardeg.exact_arith import cmp_power, const_interval, factorial
 from chardeg.partitions import Partition, degree, hooks, partitions_of
 
 
@@ -144,7 +144,17 @@ class TestIntervalChecks:
 
     def test_matches_fraction_reference(self):
         # Reference: the same inequalities decided with Fraction powers of
-        # the interval endpoints, independently of cmp_power.
+        # the exact interval endpoints, independently of cmp_power and of
+        # the dyadic rounding, walked up the precision ladder d, 2d, 4d, ...
+        # (capped at 400 digits); the verdict must be the first decided one.
+        def ladder_ref(ref, digits):
+            d = digits
+            while True:
+                verdict = ref(d)
+                if verdict is not None or d >= 400:
+                    return verdict
+                d = min(2 * d, 400)
+
         def factorial_lower_ref(n, digits):
             base = Fraction(factorial(n)) ** 26 * Fraction(20) ** 28
             rhs = Fraction(27) ** 28 * Fraction(n) ** (25 * n) * Fraction(n - 1) ** 28
@@ -164,15 +174,43 @@ class TestIntervalChecks:
                 return False
             return None
 
-        for n in (15, 16, 100):
-            assert factorial_lower_ref(n, 50) is True
-            assert check_factorial_lower(n) is True
-        # At digits=1 these n climb the precision ladder 1 -> 2 -> 4; the
-        # verdict must be the first decided one at those precisions.
-        for n in (54, 55, 56):
-            ladder = [growth_ref(n, d) for d in (1, 2, 4, 8)]
-            expected = next((v for v in ladder if v is not None), None)
-            assert check_growth(n, digits=1) == expected
+        def constant_ref(digits):
+            tp = const_interval("two_pi", digits)
+            e = const_interval("e", digits)
+            if tp.lo ** 13 * Fraction(20) ** 28 > Fraction(27) ** 28 * e.hi ** 15:
+                return True
+            if tp.hi ** 13 * Fraction(20) ** 28 <= Fraction(27) ** 28 * e.lo ** 15:
+                return False
+            return None
+
+        factorial_cases = [(n, d) for d in (1, 2, 3) for n in range(15, 61)]
+        factorial_cases += [(15, 50), (16, 50), (100, 50), (200, 50), (400, 50)]
+        for n, digits in factorial_cases:
+            expected = ladder_ref(lambda d: factorial_lower_ref(n, d), digits)
+            assert expected is True or digits < 50
+            assert check_factorial_lower(n, digits) == expected, (n, digits)
+        # At digits=1, n = 54, 55, 56 climb the ladder 1 -> 2 -> 4.
+        for n in range(1, 121):
+            expected = ladder_ref(lambda d: growth_ref(n, d), 1)
+            assert check_growth(n, digits=1) == expected, n
+        for digits in (1, 2, 3, 4):
+            assert check_constant(digits) == ladder_ref(constant_ref, digits), digits
+
+    def test_factorial_lower_decides_on_dyadic_endpoints(self, monkeypatch):
+        # At n = 1000 the first rung's dyadic rounding decides: no base of
+        # the 50-digit enclosure (a 159-bit denominator) is ever raised to
+        # the 25000th power.
+        bases = []
+
+        def recording_cmp_power(lhs, rhs):
+            bases.extend(base for base, _ in (*lhs, *rhs))
+            return cmp_power(lhs, rhs)
+
+        monkeypatch.setattr(alternating, "cmp_power", recording_cmp_power)
+        assert check_factorial_lower(1000) is True
+        fractions = [b for b in bases if isinstance(b, Fraction)]
+        assert fractions
+        assert all(b.denominator & (b.denominator - 1) == 0 for b in fractions)
 
     def test_hook_upper(self):
         assert check_hook_upper(2) is True

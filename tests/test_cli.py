@@ -1,6 +1,7 @@
 import json
 import re
 import shlex
+import time
 
 import pytest
 
@@ -82,6 +83,12 @@ class TestVerifierCommands:
     def test_lemma43_constant(self, capsys):
         code, doc = _run_json(capsys, ["lemma43", "--constant"])
         assert code == 0 and doc["constant_holds"] is True
+
+    def test_lemma43_n_1000(self, capsys):
+        assert main(["lemma43", "--n", "1000"]) == 0
+        assert capsys.readouterr().out == (
+            '{"status": "pass", "n": 1000, "holds": true, "digits": 50}\n'
+        )
 
     def test_lemma45(self, capsys):
         code, doc = _run_json(capsys, ["lemma45", "--m", "3"])
@@ -207,6 +214,20 @@ class TestContract:
         code, doc = _run_json(capsys, argv.split())
         assert code == 2 and doc["status"] == "error"
         assert "entries" not in doc
+
+    @pytest.mark.parametrize(
+        "argv, reason",
+        [
+            ("cyclotomic --k 100000", "k <= 1000"),
+            ("example-frobenius --p 1000000007 --m 2", "more than 100000"),
+        ],
+    )
+    def test_unbounded_inputs_rejected_quickly(self, argv, reason, capsys):
+        start = time.perf_counter()
+        code, doc = _run_json(capsys, argv.split())
+        assert time.perf_counter() - start < 1.0
+        assert code == 2 and doc["status"] == "error"
+        assert reason in doc["error"]
 
     @pytest.mark.parametrize("command", ["validate-data", "sporadic-check"])
     def test_duplicate_table_names_rejected(self, command, capsys, tmp_path):

@@ -6,6 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from chardeg.exact_arith import (
+    CYCLOTOMIC_MAX_K,
     IntPolynomial,
     Ordering,
     RationalInterval,
@@ -139,6 +140,11 @@ class TestCyclotomic:
         with pytest.raises(ValueError):
             cyclotomic(0)
 
+    def test_rejects_k_above_cap(self):
+        assert cyclotomic(CYCLOTOMIC_MAX_K).degree == 400  # phi(1000)
+        with pytest.raises(ValueError, match="k <= 1000"):
+            cyclotomic(CYCLOTOMIC_MAX_K + 1)
+
     def test_product_identity_small(self):
         for n in (1, 2, 6, 30, 60):
             prod = IntPolynomial((1,))
@@ -209,6 +215,20 @@ class TestRationalInterval:
         y = i2.lo + tb * (i2.hi - i2.lo)
         assert (i1 - i2).contains(x - y)
         assert i1.scale(k).contains(k * x)
+
+    @given(
+        a=st.fractions(min_value=-8, max_value=8, max_denominator=10 ** 60),
+        b=st.fractions(min_value=-8, max_value=8, max_denominator=10 ** 60),
+        bits=st.integers(min_value=0, max_value=80),
+    )
+    def test_dyadic_rounding(self, a, b, bits):
+        exact = RationalInterval(min(a, b), max(a, b))
+        rounded = exact.dyadic(bits)
+        assert rounded.lo <= exact.lo and exact.hi <= rounded.hi
+        for end in (rounded.lo, rounded.hi):
+            assert end.denominator & (end.denominator - 1) == 0
+            assert end.denominator <= 2 ** bits
+        assert rounded.width() <= exact.width() + Fraction(2, 2 ** bits)
 
 
 class TestConstInterval:

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from chardeg import structure_bounds
 from chardeg.degree_data import rat
 from chardeg.structure_bounds import (
     ChiefFactorDescriptor,
@@ -148,6 +149,17 @@ class TestFrobeniusExample:
             frobenius_example(7, 4)
         with pytest.raises(ValueError):
             frobenius_example(9, 2)  # 9 is not prime
+
+    def test_degree_count_cap(self, monkeypatch):
+        # (1009, 4) lists 4 + 252 = 256 degrees: allowed at a cap of 256,
+        # refused at 255.
+        t = frobenius_example(1009, 4)
+        assert t.degrees == (1,) * 4 + (4,) * 252 and t.order == 4036
+        monkeypatch.setattr(structure_bounds, "FROBENIUS_MAX_DEGREES", 256)
+        assert len(frobenius_example(1009, 4).degrees) == 256
+        monkeypatch.setattr(structure_bounds, "FROBENIUS_MAX_DEGREES", 255)
+        with pytest.raises(ValueError, match="256 degrees, more than 255"):
+            frobenius_example(1009, 4)
 
     def test_degree_multiset_is_consistent(self):
         # m linear degrees and (p-1)/m of degree m: squares sum to the order
