@@ -27,13 +27,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterator
 
-from .exact_arith import (
-    Ordering,
-    RationalInterval,
-    cmp_power,
-    const_interval,
-    factorial,
-)
+from .exact_arith import RationalInterval, cmp_power, const_interval, factorial
 from .partitions import Partition, enumerate_gamma, hooks, partitions_of
 
 __all__ = [
@@ -258,9 +252,9 @@ def check_factorial_lower(n: int, digits: int = DEFAULT_DIGITS) -> bool | None:
     fact = factorial(n)
     rhs = ((27, 28), (n, 25 * n), (n - 1, 28))
     for (e,) in _enclosures(digits, ("e", 25 * n)):
-        if cmp_power(((fact, 26), (e.lo, 25 * n), (20, 28)), rhs) is Ordering.GREATER:
+        if cmp_power(((fact, 26), (e.lo, 25 * n), (20, 28)), rhs) > 0:
             return True
-        if cmp_power(((fact, 26), (e.hi, 25 * n), (20, 28)), rhs) is not Ordering.GREATER:
+        if cmp_power(((fact, 26), (e.hi, 25 * n), (20, 28)), rhs) <= 0:
             return False
     return None
 
@@ -272,7 +266,7 @@ def check_hook_upper(m: int) -> bool:
         raise ValueError("check_hook_upper requires m >= 1")
     bound = ((m + 1, (m + 1) ** 2),)
     return all(
-        cmp_power(((hooks(lam).product, 1),), bound) is Ordering.LESS
+        cmp_power(((hooks(lam).product, 1),), bound) < 0
         for lam in enumerate_gamma(m)
     )
 
@@ -289,9 +283,9 @@ def check_growth(n: int, digits: int = DEFAULT_DIGITS) -> bool | None:
         raise ValueError("check_growth requires n >= 1")
     rhs = ((64, 567), (n, 233))
     for (e,) in _enclosures(digits, ("e", 800)):
-        if cmp_power(((e.hi, 800), (81, 567)), rhs) is not Ordering.GREATER:
+        if cmp_power(((e.hi, 800), (81, 567)), rhs) <= 0:
             return True
-        if cmp_power(((e.lo, 800), (81, 567)), rhs) is Ordering.GREATER:
+        if cmp_power(((e.lo, 800), (81, 567)), rhs) > 0:
             return False
     return None
 
@@ -302,8 +296,8 @@ def check_constant(digits: int = DEFAULT_DIGITS) -> bool | None:
     at each rung first on their dyadic roundings; the left side increases
     with pi and the right with e, so the roundings cannot change a verdict."""
     for tp, e in _enclosures(digits, ("two_pi", 13), ("e", 15)):
-        if cmp_power(((tp.lo, 13), (20, 28)), ((27, 28), (e.hi, 15))) is Ordering.GREATER:
+        if cmp_power(((tp.lo, 13), (20, 28)), ((27, 28), (e.hi, 15))) > 0:
             return True
-        if cmp_power(((tp.hi, 13), (20, 28)), ((27, 28), (e.lo, 15))) is not Ordering.GREATER:
+        if cmp_power(((tp.hi, 13), (20, 28)), ((27, 28), (e.lo, 15))) <= 0:
             return False
     return None

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
-from .exact_arith import Ordering, cmp_power
+from .exact_arith import cmp_power
 
 __all__ = [
     "DegreeTable",
@@ -187,7 +187,7 @@ def check_extendible_pair(table: DegreeTable) -> PairCheck:
     alpha, beta = table.extendible_pair
     if beta < 2 or alpha < 2:
         raise TableError(f"{table.name}: pair degrees must be nonlinear (>= 2)")
-    passed = cmp_power(((alpha, 14),), ((beta, 14), (table.order, 1))) is Ordering.GREATER
+    passed = cmp_power(((alpha, 14),), ((beta, 14), (table.order, 1))) > 0
     return PairCheck(table.name, "checked", passed, alpha, beta, table.order)
 
 
@@ -197,4 +197,4 @@ def check_exponent_bound(x: int, y: int, num: int, den: int) -> bool:
         raise ValueError("check_exponent_bound requires den >= 1")
     if x < 0 or y < 0 or num < 0:
         raise ValueError("check_exponent_bound requires nonnegative arguments")
-    return cmp_power(((x, den),), ((y, num),)) is not Ordering.GREATER
+    return cmp_power(((x, den),), ((y, num),)) <= 0

@@ -1,9 +1,10 @@
 """Exact arithmetic kernel.
 
 One comparison primitive, cmp_power, which orders two products of rational
-powers by a single integer cross-multiplication; integer k-th roots; integer
-polynomials with a cyclotomic constructor; and rational intervals, endpoint
-pairs with outward rounding for the constants e and pi.
+powers by a single integer cross-multiplication and returns the sign -1, 0
+or 1; integer k-th roots; integer polynomials with a cyclotomic
+constructor; and rational intervals, endpoint pairs with outward rounding
+for the constants e and pi.
 
 Every verdict produced by this module reduces to a comparison of Python
 integers; floats never participate.  Magnitudes like 2000!**14 are routine.
@@ -14,7 +15,6 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from enum import IntEnum
 from fractions import Fraction
 from typing import Sequence
 
@@ -24,7 +24,6 @@ if hasattr(sys, "set_int_max_str_digits"):
     sys.set_int_max_str_digits(2_000_000)
 
 __all__ = [
-    "Ordering",
     "cmp_power",
     "nth_root_floor",
     "factorial",
@@ -39,22 +38,6 @@ __all__ = [
 factorial = math.factorial
 
 RationalLike = Fraction | int
-
-
-class Ordering(IntEnum):
-    """Outcome of an exact comparison."""
-
-    LESS = -1
-    EQUAL = 0
-    GREATER = 1
-
-    @staticmethod
-    def of(lhs: int, rhs: int) -> "Ordering":
-        if lhs < rhs:
-            return Ordering.LESS
-        if lhs > rhs:
-            return Ordering.GREATER
-        return Ordering.EQUAL
 
 
 def _side(factors: Sequence[tuple[RationalLike, int]]) -> tuple[int, int]:
@@ -73,8 +56,9 @@ def _side(factors: Sequence[tuple[RationalLike, int]]) -> tuple[int, int]:
 
 def cmp_power(
     lhs: Sequence[tuple[RationalLike, int]], rhs: Sequence[tuple[RationalLike, int]]
-) -> Ordering:
-    """Order prod(a**p for a, p in lhs) against prod(b**s for b, s in rhs).
+) -> int:
+    """The sign -1, 0 or 1 of prod(a**p for a, p in lhs) minus
+    prod(b**s for b, s in rhs); callers compare it with 0.
 
     Bases are nonnegative ints or Fractions, exponents nonnegative ints, not
     all zero; an empty side is the empty product 1.  Each side is reduced to
@@ -85,7 +69,8 @@ def cmp_power(
         raise ValueError("cmp_power: the exponents must not all be zero")
     ln, ld = _side(lhs)
     rn, rd = _side(rhs)
-    return Ordering.of(ln * rd, rn * ld)
+    left, right = ln * rd, rn * ld
+    return (left > right) - (left < right)
 
 
 def nth_root_floor(x: int, k: int) -> int:

@@ -17,6 +17,9 @@ The gcd is the centre of the order (k = 1 where there is none and for every
 companion degree), h is nonzero only for 2B2 and 2G2, and alpha is q**a of
 the order.  Every division is asserted exact, so a transcription error
 cannot pass silently.
+
+The row also holds the exclusions validate reads: the PSL_2 rank, the
+non-simple (rank, q) points, and for Suzuki and Ree the p of q = p**(2f+1).
 """
 
 from __future__ import annotations
@@ -25,9 +28,9 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import partial
 from math import gcd, isqrt, prod
-from typing import Callable, Iterable, NamedTuple
+from typing import Callable, Iterable, Mapping, NamedTuple
 
-from .exact_arith import Ordering, cmp_power, is_prime, nth_root_floor
+from .exact_arith import cmp_power, is_prime, nth_root_floor
 
 __all__ = [
     "Family",
@@ -46,7 +49,14 @@ __all__ = [
     "check_point",
     "sweep",
     "prime_powers",
+    "MAX_RANK",
+    "SWEEP_MAX_Q",
 ]
+
+# Refused rather than run for minutes: an order has about rank**2 * log2(q)
+# bits, and a sweep sieves every q up to its q_max.
+MAX_RANK = 100
+SWEEP_MAX_Q = 2 ** 16
 
 
 class Family(str, Enum):
@@ -66,19 +76,6 @@ class Family(str, Enum):
     TWISTED_E6 = "2E6"
     E7 = "E7"
     E8 = "E8"
-
-
-CLASSICAL_FAMILIES = frozenset(
-    {
-        Family.LINEAR,
-        Family.UNITARY,
-        Family.SYMPLECTIC,
-        Family.ORTH_ODD,
-        Family.ORTH_PLUS,
-        Family.ORTH_MINUS,
-    }
-)
-EXCEPTIONAL_FAMILIES = frozenset(Family) - CLASSICAL_FAMILIES
 
 
 class InvalidSpec(ValueError):
@@ -165,6 +162,9 @@ class _Family(NamedTuple):
     # (order, beta): a function of the rank n, or for the exceptional
     # families the constant pair itself
     rows: Callable[[int], tuple[_Value, _Value]] | tuple[_Value, _Value]
+    psl2_rank: int | None = None  # the rank at which the family is PSL_2
+    not_simple: Mapping[tuple[int | None, int], str] = {}  # (rank, q) -> reason
+    twisted_p: int | None = None  # q must be twisted_p**(2f+1), f >= 1
 
 
 def _linear(n: int) -> tuple[_Value, _Value]:
@@ -206,36 +206,38 @@ def _even_orthogonal(eps: int, n: int) -> tuple[_Value, _Value]:
     )
 
 
-_SYMPLECTIC = _Family(2, "(0,1,n;-)", _symplectic)
-
-# For the Suzuki and small Ree families q = p**(2f+1), so h = 1 contributes
-# isqrt(q // p) = p**f exactly.
+# For the Suzuki and Ree families q = p**(2f+1), so h = 1 contributes
+# isqrt(q // p) = p**f exactly.  f = 0 is excluded: 2B2(2) is solvable,
+# 2G2(3) is PSL_2(8):3 and 2F4(2) is the Tits group extended by 2.
 _FAMILIES: dict[Family, _Family] = {
-    Family.LINEAR: _Family(3, "(n-1,1)", _linear),
-    Family.UNITARY: _Family(3, "(n-1,1)", _unitary),
-    Family.SYMPLECTIC: _SYMPLECTIC,
-    Family.ORTH_ODD: _SYMPLECTIC,
+    Family.LINEAR: _Family(3, "(n-1,1)", _linear, 2, {
+        (3, 2): "not simple at this point (isomorphic to PSL_2(7))"}),
+    Family.UNITARY: _Family(3, "(n-1,1)", _unitary, 2, {(3, 2): "not simple"}),
+    Family.SYMPLECTIC: _Family(2, "(0,1,n;-)", _symplectic, 1, {(2, 2): "not simple"}),
+    Family.ORTH_ODD: _Family(2, "(0,1,n;-)", _symplectic, 1, {
+        (2, 2): "not simple (isomorphic to the symplectic point n=2, q=2)"}),
     Family.ORTH_PLUS: _Family(4, "(n-1;1)", partial(_even_orthogonal, 1)),
     Family.ORTH_MINUS: _Family(4, "(1,n-1;-)", partial(_even_orthogonal, -1)),
     Family.SUZUKI_2B2: _Family(None, "2B2[a]", (
         _Value(2, ((2, -1), (1, 1))),
-        _Value(0, ((1, 1),), h=1))),
+        _Value(0, ((1, 1),), h=1)), twisted_p=2),
     # q**8 + q**4 + 1 = (q**12 - 1) / (q**4 - 1)
     Family.TRIALITY_3D4: _Family(None, "phi'_{1,3}", (
         _Value(12, ((12, 1), (6, 1), (2, 1)), ((4, 1),)),
         _Value(1, ((6, -1),), ((2, -1),)))),
     Family.G2: _Family(None, "phi_{2,1}", (
         _Value(6, ((6, 1), (2, 1))),
-        _Value(1, ((1, -1), (1, -1), (3, 1)), ((1, 1),), c=6))),
+        _Value(1, ((1, -1), (1, -1), (3, 1)), ((1, 1),), c=6)), not_simple={
+        (None, 2): "not simple (the derived subgroup is proper)"}),
     Family.REE_2G2: _Family(None, "cuspidal", (
         _Value(3, ((3, -1), (1, 1))),
-        _Value(0, ((2, 1),), h=1))),
+        _Value(0, ((2, 1),), h=1)), twisted_p=3),
     Family.F4: _Family(None, "phi_{4,1}", (
         _Value(24, ((12, 1), (8, 1), (6, 1), (2, 1))),
         _Value(1, ((3, -1), (3, -1), (4, -1)), c=2))),
     Family.REE_2F4: _Family(None, "epsilon'", (
         _Value(12, ((6, -1), (4, 1), (3, -1), (1, 1))),
-        _Value(1, ((3, -1), (6, -1)), ((1, -1), (2, -1))))),
+        _Value(1, ((3, -1), (6, -1)), ((1, -1), (2, -1)))), twisted_p=2),
     Family.E6: _Family(None, "phi_{6,1}", (
         _Value(36, ((12, 1), (9, 1), (8, 1), (6, 1), (5, 1), (2, 1)), centre=(3, 1, 1)),
         _Value(1, ((4, -1), (9, 1)), ((3, 1),)))),
@@ -249,6 +251,9 @@ _FAMILIES: dict[Family, _Family] = {
         _Value(120, ((30, 1), (24, 1), (20, 1), (18, 1), (14, 1), (12, 1), (8, 1), (2, 1))),
         _Value(1, ((6, -1), (10, -1), (12, -1))))),
 }
+
+CLASSICAL_FAMILIES = frozenset(f for f, row in _FAMILIES.items() if row.rank_min is not None)
+EXCEPTIONAL_FAMILIES = frozenset(Family) - CLASSICAL_FAMILIES
 
 
 def _rows(spec: GroupSpec) -> tuple[_Value, _Value]:
@@ -279,45 +284,30 @@ def make_spec(family: Family, q: int, rank: int | None = None) -> GroupSpec:
         raise ValueError(f"family {family.value} requires a rank parameter")
     if family in EXCEPTIONAL_FAMILIES:
         rank = None
+    elif rank > MAX_RANK:
+        raise ValueError(f"rank {rank} is above the maximum {MAX_RANK}")
     return GroupSpec(family, rank, q, p, e)
 
 
 def validate(fam: Family, n: int | None, q: int, p: int, e: int) -> str | None:
     """None when the point names a simple group this registry covers,
-    otherwise the exclusion reason that fired.  GroupSpec calls this once,
-    when it is built."""
+    otherwise the exclusion reason of the family's row that fired.
+    GroupSpec calls this once, when it is built."""
     if p ** e != q or not is_prime(p):
         return "q is not a prime power"
-    if fam in CLASSICAL_FAMILIES:
-        if n is None:
-            return "missing rank"
-        if fam in (Family.LINEAR, Family.UNITARY) and n == 2:
-            return "PSL_2"
-        if fam in (Family.SYMPLECTIC, Family.ORTH_ODD) and n == 1:
-            return "PSL_2"
-        rank_min = _FAMILIES[fam].rank_min
-        if n < rank_min:
-            return f"rank below minimum {rank_min} for {fam.value}"
-        if fam is Family.LINEAR and n == 3 and q == 2:
-            return "not simple at this point (isomorphic to PSL_2(7))"
-        if fam is Family.UNITARY and n == 3 and q == 2:
-            return "not simple"
-        if fam is Family.SYMPLECTIC and n == 2 and q == 2:
-            return "not simple"
-        if fam is Family.ORTH_ODD and n == 2 and q == 2:
-            return "not simple (isomorphic to the symplectic point n=2, q=2)"
-        return None
-    if fam is Family.G2 and q == 2:
-        return "not simple (the derived subgroup is proper)"
-    if fam in (Family.SUZUKI_2B2, Family.REE_2F4):
-        if p != 2 or e % 2 == 0 or e < 3:
-            return "q must be 2**(2f+1) with f >= 1"
-        return None
-    if fam is Family.REE_2G2:
-        if p != 3 or e % 2 == 0 or e < 3:
-            return "q must be 3**(2f+1) with f >= 1"
-        return None
-    return None
+    row = _FAMILIES[fam]
+    if row.rank_min is None:
+        n = None
+    elif n is None:
+        return "missing rank"
+    elif n == row.psl2_rank:
+        return "PSL_2"
+    elif n < row.rank_min:
+        return f"rank below minimum {row.rank_min} for {fam.value}"
+    t = row.twisted_p
+    if t is not None and (p != t or e % 2 == 0 or e < 3):
+        return f"q must be {t}**(2f+1) with f >= 1"
+    return row.not_simple.get((n, q))
 
 
 # ---------------------------------------------------------------------------
@@ -371,9 +361,9 @@ def check_point(spec: GroupSpec) -> SweepRecord:
     o = order(spec)
     pair = beta_degree(spec)
     ratio_pair = _RATIO_OVERRIDES.get((spec.family, spec.rank, spec.q), pair)
-    pow14 = cmp_power(((pair.alpha_degree, 14),), ((pair.beta_degree, 14), (o, 1)))
+    pow14 = cmp_power(((pair.alpha_degree, 14),), ((pair.beta_degree, 14), (o, 1))) > 0
     ratio165 = 5 * ratio_pair.alpha_degree >= 16 * ratio_pair.beta_degree
-    return SweepRecord(spec, o, pair, pow14 is Ordering.GREATER, ratio_pair, ratio165)
+    return SweepRecord(spec, o, pair, pow14, ratio_pair, ratio165)
 
 
 # ---------------------------------------------------------------------------
@@ -402,16 +392,6 @@ def prime_powers(limit: int) -> list[tuple[int, int, int]]:
     return out
 
 
-def _sweep_point(
-    fam: Family, rank: int | None, q: int, p: int, e: int
-) -> SweepRecord | Exclusion:
-    try:
-        spec = GroupSpec(fam, rank, q, p, e)
-    except InvalidSpec as exc:
-        return Exclusion(fam, rank, q, exc.reason)
-    return check_point(spec)
-
-
 def sweep(
     families: Iterable[Family] | None = None,
     rank_max: int = 20,
@@ -422,8 +402,13 @@ def sweep(
 
     Excluded points are reported as Exclusion entries with the reason their
     validation gave.  The output order is deterministic: family declaration
-    order, then rank, then q.
+    order, then rank, then q.  rank_max is at most MAX_RANK and q_max at
+    most SWEEP_MAX_Q.
     """
+    if rank_max > MAX_RANK:
+        raise ValueError(f"rank_max {rank_max} is above the maximum {MAX_RANK}")
+    if q_max > SWEEP_MAX_Q:
+        raise ValueError(f"q_max {q_max} is above the maximum {SWEEP_MAX_Q}")
     fams = set(Family) if families is None else {Family(f) for f in families}
     pps = prime_powers(q_max)
     out = []
@@ -433,5 +418,11 @@ def sweep(
         rank_min = _FAMILIES[fam].rank_min
         ranks = (None,) if rank_min is None else range(rank_min, rank_max + 1)
         for rank in ranks:
-            out.extend(_sweep_point(fam, rank, q, p, e) for q, p, e in pps)
+            for q, p, e in pps:
+                try:
+                    spec = GroupSpec(fam, rank, q, p, e)
+                except InvalidSpec as exc:
+                    out.append(Exclusion(fam, rank, q, exc.reason))
+                else:
+                    out.append(check_point(spec))
     return out

@@ -12,7 +12,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact_arith import Ordering, cmp_power, factorial, is_prime, nth_root_floor
+from .exact_arith import cmp_power, factorial, is_prime, nth_root_floor
 from .degree_data import DegreeTable
 
 __all__ = [
@@ -27,11 +27,23 @@ __all__ = [
     "frobenius_example",
     "extraspecial_example",
     "FROBENIUS_MAX_DEGREES",
+    "POWER_MAX_BITS",
 ]
 
 # frobenius_example lists every degree, m + (p-1)/m of them; beyond this many
 # it refuses instead of allocating a tuple that grows with p.
 FROBENIUS_MAX_DEGREES = 100_000
+
+# maroti_bound and extraspecial_example refuse, before building it, a power
+# that could exceed this many bits; maroti_bound takes about 0.1 s at the cap.
+POWER_MAX_BITS = 2 ** 17
+
+
+def _check_power_bits(caller: str, bits: int) -> None:
+    if bits > POWER_MAX_BITS:
+        raise ValueError(
+            f"{caller} would build a power of up to {bits} bits, more than {POWER_MAX_BITS}"
+        )
 
 
 @dataclass(frozen=True)
@@ -95,19 +107,22 @@ def quotient_power_check(rat_g: Fraction, rat_gn: Fraction, order_n: int) -> boo
     if order_n < 1:
         raise ValueError("order_n must be positive")
     lhs = ((rat_g, 14),)
-    return cmp_power(lhs, ((rat_gn, 14), (order_n, 1))) is not Ordering.LESS
+    return cmp_power(lhs, ((rat_gn, 14), (order_n, 1))) >= 0
 
 
 def maroti_bound(n: int, d: int) -> int:
     """floor of d!**((n-1)/(d-1)): the largest B with B**(d-1) <= (d!)**(n-1).
 
     This bounds the order of a degree-n permutation group none of whose
-    composition factors is an alternating group of degree above d.
+    composition factors is an alternating group of degree above d.  Raises
+    ValueError when d!**(n-1) could exceed POWER_MAX_BITS bits.
     """
     if d < 4:
         raise ValueError("maroti_bound requires d >= 4")
     if n < 1:
         raise ValueError("maroti_bound requires n >= 1")
+    # d! < d**d has at most d * d.bit_length() bits; n = 1 still builds d!
+    _check_power_bits("maroti_bound", max(n - 1, 1) * d * d.bit_length())
     return nth_root_floor(factorial(d) ** (n - 1), d - 1)
 
 
@@ -125,7 +140,7 @@ def radical_index_check(rat_g: Fraction, index: int) -> bool:
         raise ValueError("degree ratios are at least 1")
     if index < 1:
         raise ValueError("index must be positive")
-    return cmp_power(((rat_g, 21),), ((index, 1),)) is not Ordering.LESS
+    return cmp_power(((rat_g, 21),), ((index, 1),)) >= 0
 
 
 def frobenius_example(p: int, m: int) -> DegreeTable:
@@ -157,11 +172,13 @@ def frobenius_example(p: int, m: int) -> DegreeTable:
 def extraspecial_example(p: int, i: int) -> DegreeTable:
     """Extraspecial-group construction with degree support {1, p**i, p**i+1}
     and Fitting index p**i + 1; multiplicities are not determined by the
-    construction, so only the support is emitted."""
+    construction, so only the support is emitted.  Raises ValueError when
+    p**i could exceed POWER_MAX_BITS bits."""
     if i < 1:
         raise ValueError("extraspecial_example requires i >= 1")
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
+    _check_power_bits("extraspecial_example", i * p.bit_length())
     m = p ** i
     return DegreeTable(
         name=f"extraspecial(p={p},i={i})",

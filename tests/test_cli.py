@@ -220,6 +220,11 @@ class TestContract:
         [
             ("cyclotomic --k 100000", "k <= 1000"),
             ("example-frobenius --p 1000000007 --m 2", "more than 100000"),
+            ("example-extraspecial --p 2 --i 200000", "more than 131072"),
+            ("maroti --n 2000 --d 100", "more than 131072"),
+            ("sweep --families E8 --q-max 300000", "q_max 300000 is above the maximum 65536"),
+            ("sweep --families linear --rank-max 3000", "rank_max 3000 is above the maximum 100"),
+            ("order --family linear --rank 3000 --q 2", "rank 3000 is above the maximum 100"),
         ],
     )
     def test_unbounded_inputs_rejected_quickly(self, argv, reason, capsys):

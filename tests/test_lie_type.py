@@ -7,13 +7,17 @@ import pytest
 from chardeg.degree_data import load_dir
 from chardeg.exact_arith import cyclotomic
 from chardeg.lie_type import (
+    _FAMILIES,
     CLASSICAL_FAMILIES,
     EXCEPTIONAL_FAMILIES,
+    MAX_RANK,
+    SWEEP_MAX_Q,
     Exclusion,
     Family,
     GroupSpec,
     InvalidSpec,
     SweepRecord,
+    _evaluate,
     beta_degree,
     check_point,
     make_spec,
@@ -366,6 +370,16 @@ class TestSweep:
         excluded = [e for e in entries if isinstance(e, Exclusion)]
         assert any(e.q == 2 and e.rank == 3 for e in excluded)
 
+    def test_input_caps(self):
+        assert make_spec(Family.LINEAR, 2, rank=MAX_RANK).rank == MAX_RANK
+        with pytest.raises(ValueError, match=f"rank {MAX_RANK + 1} is above the maximum"):
+            make_spec(Family.LINEAR, 2, rank=MAX_RANK + 1)
+        assert sweep([], rank_max=MAX_RANK, q_max=SWEEP_MAX_Q) == []
+        with pytest.raises(ValueError, match="rank_max"):
+            sweep([], rank_max=MAX_RANK + 1)
+        with pytest.raises(ValueError, match="q_max"):
+            sweep([], q_max=SWEEP_MAX_Q + 1)
+
     def test_linear_ratio_monotone_in_q(self):
         for rank in (4, 5):
             entries = sweep([Family.LINEAR], rank_max=rank, q_max=32)
@@ -431,3 +445,53 @@ class TestCrossLayer:
         assert table.order == order(spec) == 20160
         assert (pair.alpha_degree, pair.beta_degree) == (64, 20)
         assert {64, 20} <= set(table.degrees)
+
+
+def _raw_order(fam, rank, q):
+    """The order row of a family at a point validate may reject, q prime."""
+    row = _FAMILIES[fam]
+    return _evaluate((row.rows if row.rank_min is None else row.rows(rank))[0], q, q)
+
+
+def _psl2_order(q):
+    return q * (q * q - 1) // math.gcd(2, q - 1)
+
+
+class TestExclusionData:
+    """The exclusions of _FAMILIES against the groups they name, by order
+    equality."""
+
+    def test_psl2_ranks(self):
+        # PSL_2(q) = PSU_2(q) = PSp_2(q) = Omega_3(q)
+        ranks = {fam: row.psl2_rank for fam, row in _FAMILIES.items() if row.psl2_rank}
+        assert ranks == {Family.LINEAR: 2, Family.UNITARY: 2,
+                         Family.SYMPLECTIC: 1, Family.ORTH_ODD: 1}
+        for q in (2, 3, 5, 7, 11):
+            for fam, rank in ranks.items():
+                assert _raw_order(fam, rank, q) == _psl2_order(q), (fam, q)
+
+    def test_not_simple_points(self):
+        psu33 = order(make_spec(Family.UNITARY, 3, rank=3))
+        expected = {
+            (Family.LINEAR, 3, 2): _psl2_order(7),          # PSL_3(2) = PSL_2(7)
+            (Family.UNITARY, 3, 2): 9 * 8,                  # 3^2:Q_8, solvable
+            (Family.SYMPLECTIC, 2, 2): math.factorial(6),   # S_6 = A_6.2
+            (Family.ORTH_ODD, 2, 2): math.factorial(6),
+            (Family.G2, None, 2): 2 * psu33,                # G2(2)' = PSU_3(3)
+        }
+        got = {(fam, rank, q) for fam, row in _FAMILIES.items() for rank, q in row.not_simple}
+        assert got == set(expected)
+        for (fam, rank, q), size in expected.items():
+            assert _raw_order(fam, rank, q) == size, fam
+        assert (_psl2_order(7), psu33) == (168, 6048)
+        assert _raw_order(Family.G2, None, 2) == 12096
+
+    def test_twisted_field_primes(self, data_dir):
+        primes = {fam: row.twisted_p for fam, row in _FAMILIES.items() if row.twisted_p}
+        assert primes == {Family.SUZUKI_2B2: 2, Family.REE_2G2: 3, Family.REE_2F4: 2}
+        # f = 0 is excluded: 2B2(2) is solvable of order 20, 2G2(3) is
+        # PSL_2(8):3 and 2F4(2) is the Tits group of the data directory, .2
+        (tits,) = [t for t in load_dir(data_dir) if t.name == "2F4(2)'"]
+        assert _raw_order(Family.SUZUKI_2B2, None, 2) == 20
+        assert _raw_order(Family.REE_2G2, None, 3) == 3 * _psl2_order(8) == 1512
+        assert _raw_order(Family.REE_2F4, None, 2) == 2 * tits.order == 2 * 17971200

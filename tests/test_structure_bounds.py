@@ -96,6 +96,17 @@ class TestMarotiBound:
         with pytest.raises(ValueError):
             maroti_bound(5, 3)
 
+    def test_power_size_cap(self):
+        # d = 8 bounds d! by 8 * 4 bits, so n - 1 = 4096 is exactly at the
+        # 2**17-bit cap and d alone is refused once d * d.bit_length() is over
+        assert structure_bounds.POWER_MAX_BITS == 2 ** 17
+        b = maroti_bound(4097, 8)
+        assert b ** 7 <= 40320 ** 4096 < (b + 1) ** 7
+        with pytest.raises(ValueError, match="131104 bits, more than 131072"):
+            maroti_bound(4098, 8)
+        with pytest.raises(ValueError, match="more than 131072"):
+            maroti_bound(1, 10 ** 6)
+
     def test_monotone_in_n_and_defining_inequality(self):
         import math
 
@@ -198,6 +209,14 @@ class TestExtraspecialExample:
                 assert r < prev_rat
                 assert t.fitting_index > prev_idx
             prev_rat, prev_idx = r, t.fitting_index
+
+    def test_power_size_cap(self):
+        # p**i is bounded by i * p.bit_length() bits, 2 * i for p = 2: i =
+        # 2**16 is at the 2**17-bit cap, one more is over
+        t = extraspecial_example(2, 2 ** 16)
+        assert t.fitting_index == 2 ** 2 ** 16 + 1
+        with pytest.raises(ValueError, match="131074 bits, more than 131072"):
+            extraspecial_example(2, 2 ** 16 + 1)
 
     def test_rejects_bad_args(self):
         with pytest.raises(ValueError):
