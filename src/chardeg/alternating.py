@@ -22,10 +22,8 @@ reaches is the one the exact rung reaches: only the cost changes.
 
 from __future__ import annotations
 
-import hashlib
 import math
-from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .exact_arith import RationalInterval, cmp_power, const_interval, factorial
 from .partitions import Partition, enumerate_gamma, hooks, partitions_of
@@ -58,8 +56,7 @@ PREFERRED_WITNESSES = {
 }
 
 
-@dataclass(frozen=True)
-class MarginEvidence:
+class MarginEvidence(NamedTuple):
     """Fingerprint of the two compared integers (n!)**13 and (H*(n-1))**14."""
 
     lhs_bits: int
@@ -68,8 +65,7 @@ class MarginEvidence:
     rhs_sha256: str
 
 
-@dataclass(frozen=True)
-class WitnessReport:
+class WitnessReport(NamedTuple):
     n: int
     witness: Partition
     hook_product: int
@@ -126,6 +122,8 @@ def _exhaustive_candidates(n: int) -> Iterator[Partition]:
 
 
 def _sha256_int(x: int) -> str:
+    import hashlib  # only the witness path hashes; at the top every command pays for it
+
     return hashlib.sha256(x.to_bytes((x.bit_length() + 7) // 8 or 1, "big")).hexdigest()
 
 

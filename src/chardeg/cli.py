@@ -14,9 +14,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import NoReturn
+from typing import NamedTuple, NoReturn
 
 from . import alternating, degree_data, lie_type, structure_bounds
 from .exact_arith import cyclotomic
@@ -26,8 +25,7 @@ from .partitions import degree as partition_degree, enumerate_gamma, hooks, pars
 EXIT_CODES = {"pass": 0, "fail": 1, "error": 2, "inconclusive": 3}
 
 
-@dataclass
-class CommandResult:
+class CommandResult(NamedTuple):
     status: str
     payload: dict
     lines: list[str] | None = None  # pre-rendered output (jsonl / csv)

@@ -12,13 +12,16 @@ The on-disk format is TSV, one group per line:
 
 with '#' comment lines, empty optional fields, comma-separated degrees, and
 all integers in plain decimal.
+
+DegreeTable and PairCheck are immutable NamedTuples compared by value;
+DegreeTable checks its fields and sorts its degrees in __new__.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
+from typing import NamedTuple
 
 from .exact_arith import cmp_power
 
@@ -43,8 +46,7 @@ class TableError(ValueError):
         super().__init__(message if line is None else f"line {line}: {message}")
 
 
-@dataclass(frozen=True)
-class DegreeTable:
+class _DegreeTableFields(NamedTuple):
     name: str
     degrees: tuple[int, ...]  # sorted ascending, duplicates preserved
     order: int | None = None
@@ -52,14 +54,19 @@ class DegreeTable:
     extendible_pair: tuple[int, int] | None = None  # (alpha, beta)
     fitting_index: int | None = None
 
-    def __post_init__(self) -> None:
+
+class DegreeTable(_DegreeTableFields):
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if not self.degrees:
             raise TableError(f"{self.name}: empty degree list")
         if any(d < 1 for d in self.degrees):
             raise TableError(f"{self.name}: degrees must be positive")
         if 1 not in self.degrees:
             raise TableError(f"{self.name}: degree 1 missing")
-        object.__setattr__(self, "degrees", tuple(sorted(self.degrees)))
+        self = self._replace(degrees=tuple(sorted(self.degrees)))
         if self.order is not None:
             if self.order < 1:
                 raise TableError(f"{self.name}: order must be positive")
@@ -74,6 +81,7 @@ class DegreeTable:
                 raise TableError(
                     f"{self.name}: asserted pair ({a},{b}) not among the degrees"
                 )
+        return self
 
 
 def _parse_int(text: str, what: str, line: int | None) -> int:
@@ -153,8 +161,7 @@ def rat(table: DegreeTable) -> Fraction:
     return Fraction(max(nonlinear), min(nonlinear))
 
 
-@dataclass(frozen=True)
-class PairCheck:
+class PairCheck(NamedTuple):
     name: str
     status: str  # "checked" or "unchecked"
     passed: bool | None

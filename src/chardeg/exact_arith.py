@@ -3,8 +3,11 @@
 One comparison primitive, cmp_power, which orders two products of rational
 powers by a single integer cross-multiplication and returns the sign -1, 0
 or 1; integer k-th roots; integer polynomials with a cyclotomic
-constructor; and rational intervals, endpoint pairs with outward rounding
-for the constants e and pi.
+constructor; rational intervals, endpoint pairs with outward rounding for
+the constants e and pi; and POWER_MAX_BITS with check_power_bits, the size
+cap callers apply before building a large power from their inputs.
+IntPolynomial and RationalInterval are immutable NamedTuples compared by
+value; RationalInterval checks its endpoints in __new__.
 
 Every verdict produced by this module reduces to a comparison of Python
 integers; floats never participate.  Magnitudes like 2000!**14 are routine.
@@ -14,9 +17,8 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 # Decimal serialization of values like 2000!**14 is part of the interface;
 # lift the interpreter's int-to-str conversion guard accordingly.
@@ -28,6 +30,8 @@ __all__ = [
     "nth_root_floor",
     "factorial",
     "is_prime",
+    "POWER_MAX_BITS",
+    "check_power_bits",
     "IntPolynomial",
     "cyclotomic",
     "CYCLOTOMIC_MAX_K",
@@ -38,6 +42,19 @@ __all__ = [
 factorial = math.factorial
 
 RationalLike = Fraction | int
+
+# Callers refuse, before building it, a power that could exceed this many
+# bits: at the cap maroti_bound, or one Lie-type order, takes about 0.1 s.
+POWER_MAX_BITS = 2 ** 17
+
+
+def check_power_bits(caller: str, bits: int) -> None:
+    """Raise ValueError when bits, a bound on the size of an integer the
+    caller is about to build, is above POWER_MAX_BITS."""
+    if bits > POWER_MAX_BITS:
+        raise ValueError(
+            f"{caller} would build an integer of up to {bits} bits, more than {POWER_MAX_BITS}"
+        )
 
 
 def _side(factors: Sequence[tuple[RationalLike, int]]) -> tuple[int, int]:
@@ -134,8 +151,7 @@ def is_prime(n: int) -> bool:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class IntPolynomial:
+class IntPolynomial(NamedTuple):
     """Dense integer polynomial, constant term first, no trailing zeros."""
 
     coeffs: tuple[int, ...]
@@ -251,8 +267,12 @@ def cyclotomic(k: int) -> IntPolynomial:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RationalInterval:
+class _RationalIntervalFields(NamedTuple):
+    lo: Fraction
+    hi: Fraction
+
+
+class RationalInterval(_RationalIntervalFields):
     """Closed interval with Fraction endpoints: an enclosure of e or pi.
 
     Endpoints are exact, so the difference and scaling that build the pi
@@ -262,12 +282,12 @@ class RationalInterval:
     arithmetic beyond that.
     """
 
-    lo: Fraction
-    hi: Fraction
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.lo > self.hi:
+    def __new__(cls, lo: Fraction, hi: Fraction):
+        if lo > hi:
             raise ValueError("interval endpoints out of order")
+        return super().__new__(cls, lo, hi)
 
     def width(self) -> Fraction:
         return self.hi - self.lo

@@ -20,17 +20,21 @@ cannot pass silently.
 
 The row also holds the exclusions validate reads: the PSL_2 rank, the
 non-simple (rank, q) points, and for Suzuki and Ree the p of q = p**(2f+1).
+make_spec reads the q-degree of the order row, and refuses a point whose
+order could exceed POWER_MAX_BITS bits before factoring q.
+
+GroupSpec, CharPair, Exclusion and SweepRecord are immutable NamedTuples
+compared by value; GroupSpec validates its point in __new__.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from functools import partial
 from math import gcd, isqrt, prod
 from typing import Callable, Iterable, Mapping, NamedTuple
 
-from .exact_arith import cmp_power, is_prime, nth_root_floor
+from .exact_arith import check_power_bits, cmp_power, is_prime, nth_root_floor
 
 __all__ = [
     "Family",
@@ -87,27 +91,30 @@ class InvalidSpec(ValueError):
         super().__init__(f"invalid group spec ({reason})")
 
 
-@dataclass(frozen=True)
-class GroupSpec:
-    """One parameter point: family, rank parameter (None for the fixed-rank
-    exceptional families), and q = p**e.  Construction validates the point
-    and raises InvalidSpec when it is not covered, so every GroupSpec names
-    a simple group of the registry."""
-
+class _GroupSpecFields(NamedTuple):
     family: Family
     rank: int | None
     q: int
     p: int
     e: int
 
-    def __post_init__(self) -> None:
-        reason = validate(self.family, self.rank, self.q, self.p, self.e)
+
+class GroupSpec(_GroupSpecFields):
+    """One parameter point: family, rank parameter (None for the fixed-rank
+    exceptional families), and q = p**e.  Construction validates the point
+    and raises InvalidSpec when it is not covered, so every GroupSpec names
+    a simple group of the registry."""
+
+    __slots__ = ()
+
+    def __new__(cls, family: Family, rank: int | None, q: int, p: int, e: int):
+        reason = validate(family, rank, q, p, e)
         if reason is not None:
             raise InvalidSpec(reason)
+        return super().__new__(cls, family, rank, q, p, e)
 
 
-@dataclass(frozen=True)
-class CharPair:
+class CharPair(NamedTuple):
     """A Steinberg degree together with the companion degree and its label."""
 
     alpha_degree: int
@@ -115,8 +122,7 @@ class CharPair:
     beta_label: str
 
 
-@dataclass(frozen=True)
-class Exclusion:
+class Exclusion(NamedTuple):
     family: Family
     rank: int | None
     q: int
@@ -256,9 +262,9 @@ CLASSICAL_FAMILIES = frozenset(f for f, row in _FAMILIES.items() if row.rank_min
 EXCEPTIONAL_FAMILIES = frozenset(Family) - CLASSICAL_FAMILIES
 
 
-def _rows(spec: GroupSpec) -> tuple[_Value, _Value]:
-    f = _FAMILIES[spec.family]
-    return f.rows if f.rank_min is None else f.rows(spec.rank)
+def _rows(family: Family, rank: int | None) -> tuple[_Value, _Value]:
+    f = _FAMILIES[family]
+    return f.rows if f.rank_min is None else f.rows(rank)
 
 
 # ---------------------------------------------------------------------------
@@ -267,25 +273,50 @@ def _rows(spec: GroupSpec) -> tuple[_Value, _Value]:
 
 
 def _factor_prime_power(q: int) -> tuple[int, int]:
-    """(p, e) with q = p**e and p prime, from exact integer e-th roots."""
+    """(p, e) with q = p**e and p prime.
+
+    q is reduced to r**e with r not a perfect power by exact ell-th roots,
+    ell prime and ascending.  A root is taken only when r passes the residue
+    test for a prime m = 1 (mod ell): an ell-th power r has
+    r**((m-1)/ell) = 0 or 1 (mod m), and most other r fail it, so a large q
+    costs about one modular power per prime ell below its bit length."""
     if q < 2:
         raise ValueError("q must be at least 2")
-    for e in range(q.bit_length(), 0, -1):
-        p = nth_root_floor(q, e)
-        if p ** e == q and is_prime(p):
-            return p, e
+    r, e = q, 1
+    for _, ell, k in prime_powers(q.bit_length()):
+        if k > 1:
+            continue
+        if ell >= r.bit_length():
+            break
+        m = 2 * ell + 1
+        while not is_prime(m):
+            m += 2 * ell
+        while pow(r, (m - 1) // ell, m) <= 1:
+            root = nth_root_floor(r, ell)
+            if root ** ell != r:
+                break
+            r, e = root, e * ell
+    if is_prime(r):
+        return r, e
+    is_prime(q)  # a q at or above psi_13 gets is_prime's range error
     raise ValueError(f"q = {q} is not a prime power")
 
 
 def make_spec(family: Family, q: int, rank: int | None = None) -> GroupSpec:
+    """The validated point; raises ValueError before any arithmetic on q when
+    the rank is missing or above MAX_RANK, or when the order, of q-degree
+    a + h + sum(num d) - sum(den d) in its row, could exceed POWER_MAX_BITS."""
     family = Family(family)
-    p, e = _factor_prime_power(q)
-    if family in CLASSICAL_FAMILIES and rank is None:
-        raise ValueError(f"family {family.value} requires a rank parameter")
     if family in EXCEPTIONAL_FAMILIES:
         rank = None
+    elif rank is None:
+        raise ValueError(f"family {family.value} requires a rank parameter")
     elif rank > MAX_RANK:
         raise ValueError(f"rank {rank} is above the maximum {MAX_RANK}")
+    v = _rows(family, rank)[0]
+    degree = v.a + v.h + sum(d for d, _ in v.num) - sum(d for d, _ in v.den)
+    check_power_bits(f"the order of {family.value}", degree * q.bit_length())
+    p, e = _factor_prime_power(q)
     return GroupSpec(family, rank, q, p, e)
 
 
@@ -317,17 +348,17 @@ def validate(fam: Family, n: int | None, q: int, p: int, e: int) -> str | None:
 
 def order(spec: GroupSpec) -> int:
     """Exact group order, the centre gcd divided out."""
-    return _evaluate(_rows(spec)[0], spec.q, spec.p)
+    return _evaluate(_rows(spec.family, spec.rank)[0], spec.q, spec.p)
 
 
 def steinberg_degree(spec: GroupSpec) -> int:
     """The p-part q**a of the group order."""
-    return spec.q ** _rows(spec)[0].a
+    return spec.q ** _rows(spec.family, spec.rank)[0].a
 
 
 def beta_degree(spec: GroupSpec) -> CharPair:
     """The companion unipotent degree used opposite the Steinberg degree."""
-    order_row, beta_row = _rows(spec)
+    order_row, beta_row = _rows(spec.family, spec.rank)
     return CharPair(
         spec.q ** order_row.a,
         _evaluate(beta_row, spec.q, spec.p),
@@ -340,8 +371,7 @@ def beta_degree(spec: GroupSpec) -> CharPair:
 _RATIO_OVERRIDES = {(Family.LINEAR, 3, 3): CharPair(39, 12, "degrees 39 and 12")}
 
 
-@dataclass(frozen=True)
-class SweepRecord:
+class SweepRecord(NamedTuple):
     """Both checks at one parameter point, as check_point decides them.
     gap_pair is always the Steinberg pair; ratio_pair may be the per-point
     override."""

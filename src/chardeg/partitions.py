@@ -2,14 +2,15 @@
 
 A partition carries its hook grid, the hook product H, and the exact degree
 n!/H of the corresponding irreducible character of the symmetric group.
+Partition and HookData are immutable NamedTuples compared by value;
+Partition checks its parts in __new__, so every instance is a partition.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .exact_arith import factorial
 
@@ -24,20 +25,24 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, order=True)
-class Partition:
-    """Weakly decreasing positive parts.  The empty partition is legal."""
-
+class _PartitionFields(NamedTuple):
     parts: tuple[int, ...]
 
-    def __post_init__(self) -> None:
+
+class Partition(_PartitionFields):
+    """Weakly decreasing positive parts.  The empty partition is legal."""
+
+    __slots__ = ()
+
+    def __new__(cls, parts: tuple[int, ...]):
         prev = None
-        for p in self.parts:
+        for p in parts:
             if p < 1:
                 raise ValueError("partition parts must be positive")
             if prev is not None and p > prev:
                 raise ValueError("partition parts must be weakly decreasing")
             prev = p
+        return super().__new__(cls, parts)
 
     @property
     def n(self) -> int:
@@ -102,8 +107,7 @@ def parse_partition(text: str) -> Partition:
     return Partition(tuple(parts))
 
 
-@dataclass(frozen=True)
-class HookData:
+class HookData(NamedTuple):
     """Hook lengths per node, row by row, and their product."""
 
     rows: tuple[tuple[int, ...], ...]

@@ -3,16 +3,18 @@
 These operate on user-supplied structural data (chief-factor descriptors,
 subgroup indices); nothing here computes radicals or Fitting subgroups from
 a group presentation.  The decimal exponents 1.43, 0.259, ... are treated as
-the exact rationals 143/100, 259/1000, ... throughout.
+the exact rationals 143/100, 259/1000, ... throughout.  ChiefFactorDescriptor
+and ChiefSeries are immutable NamedTuples compared by value;
+ChiefFactorDescriptor checks its fields in __new__.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
-from .exact_arith import cmp_power, factorial, is_prime, nth_root_floor
+from .exact_arith import check_power_bits, cmp_power, factorial, is_prime, nth_root_floor
 from .degree_data import DegreeTable
 
 __all__ = [
@@ -27,47 +29,40 @@ __all__ = [
     "frobenius_example",
     "extraspecial_example",
     "FROBENIUS_MAX_DEGREES",
-    "POWER_MAX_BITS",
 ]
 
 # frobenius_example lists every degree, m + (p-1)/m of them; beyond this many
 # it refuses instead of allocating a tuple that grows with p.
 FROBENIUS_MAX_DEGREES = 100_000
 
-# maroti_bound and extraspecial_example refuse, before building it, a power
-# that could exceed this many bits; maroti_bound takes about 0.1 s at the cap.
-POWER_MAX_BITS = 2 ** 17
 
-
-def _check_power_bits(caller: str, bits: int) -> None:
-    if bits > POWER_MAX_BITS:
-        raise ValueError(
-            f"{caller} would build a power of up to {bits} bits, more than {POWER_MAX_BITS}"
-        )
-
-
-@dataclass(frozen=True)
-class ChiefFactorDescriptor:
-    """One chief factor S^k: the simple (or abelian) factor order, the number
-    of copies, and the two flags that exempt a factor from the product bound."""
-
+class _ChiefFactorFields(NamedTuple):
     label: str
     factor_order: int
     multiplicity: int
     is_abelian: bool
     is_psl2: bool
 
-    def __post_init__(self) -> None:
-        if self.factor_order < 2:
+
+class ChiefFactorDescriptor(_ChiefFactorFields):
+    """One chief factor S^k: the simple (or abelian) factor order, the number
+    of copies, and the two flags that exempt a factor from the product bound."""
+
+    __slots__ = ()
+
+    def __new__(
+        cls, label: str, factor_order: int, multiplicity: int, is_abelian: bool, is_psl2: bool
+    ):
+        if factor_order < 2:
             raise ValueError("factor order must be at least 2")
-        if self.multiplicity < 1:
+        if multiplicity < 1:
             raise ValueError("multiplicity must be at least 1")
-        if self.is_abelian and self.is_psl2:
+        if is_abelian and is_psl2:
             raise ValueError("a chief factor cannot be both abelian and PSL_2-type")
+        return super().__new__(cls, label, factor_order, multiplicity, is_abelian, is_psl2)
 
 
-@dataclass(frozen=True)
-class ChiefSeries:
+class ChiefSeries(NamedTuple):
     factors: tuple[ChiefFactorDescriptor, ...]
 
 
@@ -122,7 +117,7 @@ def maroti_bound(n: int, d: int) -> int:
     if n < 1:
         raise ValueError("maroti_bound requires n >= 1")
     # d! < d**d has at most d * d.bit_length() bits; n = 1 still builds d!
-    _check_power_bits("maroti_bound", max(n - 1, 1) * d * d.bit_length())
+    check_power_bits("maroti_bound", max(n - 1, 1) * d * d.bit_length())
     return nth_root_floor(factorial(d) ** (n - 1), d - 1)
 
 
@@ -178,7 +173,7 @@ def extraspecial_example(p: int, i: int) -> DegreeTable:
         raise ValueError("extraspecial_example requires i >= 1")
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
-    _check_power_bits("extraspecial_example", i * p.bit_length())
+    check_power_bits("extraspecial_example", i * p.bit_length())
     m = p ** i
     return DegreeTable(
         name=f"extraspecial(p={p},i={i})",

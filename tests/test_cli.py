@@ -225,6 +225,16 @@ class TestContract:
             ("sweep --families E8 --q-max 300000", "q_max 300000 is above the maximum 65536"),
             ("sweep --families linear --rank-max 3000", "rank_max 3000 is above the maximum 100"),
             ("order --family linear --rank 3000 --q 2", "rank 3000 is above the maximum 100"),
+            pytest.param(
+                f"order --family linear --rank 100 --q {2 ** 256}",
+                "up to 2569743 bits, more than 131072",
+                id="order --family linear --rank 100 --q 2**256",
+            ),
+            pytest.param(
+                f"order --family linear --rank 3 --q {6 ** 4000}",
+                "is_prime is exact only below",
+                id="order --family linear --rank 3 --q 6**4000",
+            ),
         ],
     )
     def test_unbounded_inputs_rejected_quickly(self, argv, reason, capsys):

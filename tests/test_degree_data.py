@@ -58,6 +58,12 @@ class TestParsing:
         )
         assert parse_tables(M11_LINE + "\n") == [t]
 
+    def test_degrees_sorted_on_construction(self):
+        positional = DegreeTable("x", (10, 1, 5, 1), 100)
+        keyword = DegreeTable(degrees=(10, 1, 5, 1), name="x", order=100)
+        assert positional.degrees == keyword.degrees == (1, 1, 5, 10)
+        assert positional == keyword
+
     def test_degree_must_divide_order(self):
         with pytest.raises(TableError) as err:
             parse_table("X\t10\t1,2,3\t\t\t", line_number=4)

@@ -201,6 +201,10 @@ class TestRationalInterval:
     def test_invariant(self):
         with pytest.raises(ValueError):
             RationalInterval(Fraction(1), Fraction(0))
+        with pytest.raises(ValueError):
+            RationalInterval(2, 1)
+        with pytest.raises(ValueError):
+            RationalInterval(lo=Fraction(1), hi=Fraction(0))
 
     @given(
         a=rationals, b=rationals, c=rationals, d=rationals, k=rationals,

@@ -239,6 +239,27 @@ class TestValidate:
         assert reason(Family.SUZUKI_2B2, 2 ** 61 - 1) == "q must be 2**(2f+1) with f >= 1"
         assert time.perf_counter() - t0 < 1.0
 
+    def test_order_size_cap(self):
+        # linear rank 100 has an order of q-degree 9999: a 13-bit q stays
+        # within 2**17 bits, a 14-bit q does not and is refused before factoring
+        assert make_spec(Family.LINEAR, 2 ** 12, rank=100).e == 12
+        with pytest.raises(ValueError, match="up to 139986 bits, more than 131072"):
+            make_spec(Family.LINEAR, 2 ** 13, rank=100)
+        with pytest.raises(ValueError, match="more than 131072"):
+            make_spec(Family.E8, 6 ** 4000)
+
+    def test_large_exponents_factored_quickly(self):
+        t0 = time.perf_counter()
+        for family, p, e in [(Family.SUZUKI_2B2, 2, 26213),  # e prime, q of 26214 bits
+                             (Family.LINEAR, 3, 6930), (Family.LINEAR, 1009, 1000)]:
+            spec = make_spec(family, p ** e, rank=3)
+            assert (spec.p, spec.e) == (p, e)
+        with pytest.raises(ValueError, match="is_prime is exact only below"):
+            make_spec(Family.LINEAR, 6 ** 4000, rank=3)
+        with pytest.raises(ValueError, match="is_prime is exact only below"):
+            make_spec(Family.LINEAR, 3 ** 6930 * 2, rank=3)
+        assert time.perf_counter() - t0 < 1.0
+
     def test_prime_power_of_a_large_prime(self):
         spec = make_spec(Family.LINEAR, (2 ** 61 - 1) ** 2, rank=3)
         assert (spec.p, spec.e) == (2 ** 61 - 1, 2)

@@ -1,9 +1,17 @@
 import importlib
+import json
+import os
 import pkgutil
+import subprocess
+import sys
+from fractions import Fraction
 
 import pytest
 
 import chardeg
+from chardeg import alternating, cli, degree_data, exact_arith, lie_type, partitions
+from chardeg import structure_bounds
+from conftest import REPO_ROOT
 
 MODULES = sorted(m.name for m in pkgutil.iter_modules(chardeg.__path__))
 
@@ -23,3 +31,55 @@ def test_all_names_resolve(name):
     assert len(set(names)) == len(names)
     missing = [n for n in names if not hasattr(module, n)]
     assert not missing, missing
+
+
+def _records():
+    """One instance of every record type, each with one of its fields."""
+    spec = lie_type.make_spec(lie_type.Family.LINEAR, 4, rank=3)
+    factor = structure_bounds.ChiefFactorDescriptor("A5", 60, 1, False, False)
+    table = degree_data.DegreeTable("A5", (1, 3, 3, 4, 5), 60)
+    report = alternating.check_witness(7)
+    return [
+        (partitions.parse_partition("3,2,2"), "parts"),
+        (partitions.hooks(partitions.parse_partition("2,1")), "product"),
+        (exact_arith.cyclotomic(3), "coeffs"),
+        (exact_arith.RationalInterval(Fraction(1), Fraction(2)), "lo"),
+        (report, "passed"),
+        (report.margin, "lhs_bits"),
+        (spec, "q"),
+        (lie_type.beta_degree(spec), "beta_degree"),
+        (lie_type.Exclusion(spec.family, 2, 4, "PSL_2"), "reason"),
+        (lie_type.check_point(spec), "order"),
+        (table, "degrees"),
+        (degree_data.check_extendible_pair(table), "passed"),
+        (factor, "factor_order"),
+        (structure_bounds.ChiefSeries((factor,)), "factors"),
+        (cli.run(["conjugate", "--partition", "2,1"]), "status"),
+    ]
+
+
+RECORDS = _records()
+
+
+@pytest.mark.parametrize(
+    "record, field", RECORDS, ids=[type(record).__name__ for record, _ in RECORDS]
+)
+def test_records_are_immutable(record, field):
+    with pytest.raises(AttributeError):
+        setattr(record, field, getattr(record, field))
+
+
+def test_cli_start_up_imports():
+    # Every command pays for what importing chardeg.cli loads: dataclasses
+    # (with inspect, ast and dis) and hashlib cost about 17 ms a process.
+    code = (
+        "import json, sys; base = set(sys.modules); import chardeg.cli; "
+        "print(json.dumps(sorted(set(sys.modules) - base)))"
+    )
+    env = {**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")}
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    ).stdout
+    loaded = set(json.loads(out))
+    assert "chardeg.cli" in loaded
+    assert not loaded & {"dataclasses", "inspect", "hashlib"}

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from chardeg import structure_bounds
+from chardeg import exact_arith, structure_bounds
 from chardeg.degree_data import rat
 from chardeg.structure_bounds import (
     ChiefFactorDescriptor,
@@ -61,6 +61,12 @@ class TestRat14LowerBound:
             _factor(60, abelian=True, psl2=True)
         with pytest.raises(ValueError):
             _factor(1)
+        with pytest.raises(ValueError):
+            _factor(60, mult=0)
+        with pytest.raises(ValueError, match="at least 2"):
+            ChiefFactorDescriptor(
+                label="x", factor_order=1, multiplicity=1, is_abelian=True, is_psl2=False
+            )
 
     def test_json_ingestion(self):
         series = series_from_json(
@@ -99,7 +105,7 @@ class TestMarotiBound:
     def test_power_size_cap(self):
         # d = 8 bounds d! by 8 * 4 bits, so n - 1 = 4096 is exactly at the
         # 2**17-bit cap and d alone is refused once d * d.bit_length() is over
-        assert structure_bounds.POWER_MAX_BITS == 2 ** 17
+        assert exact_arith.POWER_MAX_BITS == 2 ** 17
         b = maroti_bound(4097, 8)
         assert b ** 7 <= 40320 ** 4096 < (b + 1) ** 7
         with pytest.raises(ValueError, match="131104 bits, more than 131072"):
