@@ -1,8 +1,11 @@
 """Exact arithmetic kernel.
 
 One comparison primitive, cmp_power, which orders two products of rational
-powers by a single integer cross-multiplication and returns the sign -1, 0
-or 1; integer k-th roots; integer polynomials with a cyclotomic
+powers and returns the sign -1, 0 or 1: it decides from the bit lengths of
+the bases when their bounds on the two products do not overlap, and by a
+single integer cross-multiplication otherwise; integer k-th roots by Newton
+from a half-precision root; is_prime, Miller-Rabin with the first k prime
+bases, k read off the table of psi_k; integer polynomials with a cyclotomic
 constructor; rational intervals, endpoint pairs with outward rounding for
 the constants e and pi; and POWER_MAX_BITS with check_power_bits, the size
 cap callers apply before building a large power from their inputs.
@@ -17,6 +20,7 @@ from __future__ import annotations
 
 import math
 import sys
+from bisect import bisect_right
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
@@ -57,15 +61,34 @@ def check_power_bits(caller: str, bits: int) -> None:
         )
 
 
-def _side(factors: Sequence[tuple[RationalLike, int]]) -> tuple[int, int]:
-    # Numerator and denominator of prod(a**p for a, p in factors).  ints and
-    # Fractions both carry numerator/denominator, so no Fraction is built.
-    num = den = 1
+def _bit_bounds(factors: Sequence[tuple[RationalLike, int]]) -> tuple[int, int, int, int] | None:
+    # Validates the factors and bounds the numerator N and the denominator D
+    # of their product without raising anything to a power: an integer x >= 1
+    # of bit length L lies in [2**(L-1), 2**L) and is 2**(L-1) when it is a
+    # power of two, so (lo_n, hi_n, lo_d, hi_d) give 2**lo_n <= N <= 2**hi_n
+    # and 2**lo_d <= D <= 2**hi_d.  None when a zero base has a nonzero
+    # exponent.
+    lo_n = hi_n = lo_d = hi_d = 0
+    zero = False
     for base, exp in factors:
         if base < 0:
             raise ValueError("cmp_power requires nonnegative bases")
         if exp < 0:
             raise ValueError("cmp_power requires nonnegative exponents")
+        num, den = base.numerator, base.denominator
+        zero = zero or (num == 0 and exp > 0)
+        lo_n += (num.bit_length() - 1) * exp
+        hi_n += (num.bit_length() - (num & (num - 1) == 0)) * exp
+        lo_d += (den.bit_length() - 1) * exp
+        hi_d += (den.bit_length() - (den & (den - 1) == 0)) * exp
+    return None if zero else (lo_n, hi_n, lo_d, hi_d)
+
+
+def _side(factors: Sequence[tuple[RationalLike, int]]) -> tuple[int, int]:
+    # Numerator and denominator of prod(a**p for a, p in factors).  ints and
+    # Fractions both carry numerator/denominator, so no Fraction is built.
+    num = den = 1
+    for base, exp in factors:
         num *= base.numerator ** exp
         den *= base.denominator ** exp
     return num, den
@@ -78,12 +101,24 @@ def cmp_power(
     prod(b**s for b, s in rhs); callers compare it with 0.
 
     Bases are nonnegative ints or Fractions, exponents nonnegative ints, not
-    all zero; an empty side is the empty product 1.  Each side is reduced to
-    one numerator and one denominator and the two are compared by a single
-    cross-multiplication, ln * rd  vs  rn * ld, so no division ever happens.
+    all zero; an empty side is the empty product 1.  Each side is one
+    numerator and one denominator, and the sign is that of ln * rd - rn * ld,
+    so no division ever happens.  The bit lengths of the bases bound both
+    cross products first, and when the lower bound of one is above the upper
+    bound of the other the sign is returned without building a power.
+    Otherwise, and whenever a zero base has a nonzero exponent, the two
+    cross products are built and compared exactly.
     """
     if not any(exp for _, exp in lhs) and not any(exp for _, exp in rhs):
         raise ValueError("cmp_power: the exponents must not all be zero")
+    lb, rb = _bit_bounds(lhs), _bit_bounds(rhs)
+    if lb is not None and rb is not None:
+        lo_ln, hi_ln, lo_ld, hi_ld = lb
+        lo_rn, hi_rn, lo_rd, hi_rd = rb
+        if lo_ln + lo_rd > hi_rn + hi_ld:
+            return 1
+        if lo_rn + lo_ld > hi_ln + hi_rd:
+            return -1
     ln, ld = _side(lhs)
     rn, rd = _side(rhs)
     left, right = ln * rd, rn * ld
@@ -98,30 +133,56 @@ def nth_root_floor(x: int, k: int) -> int:
         raise ValueError("nth_root_floor requires x >= 0")
     if k == 1 or x < 2:
         return x
-    # Newton iteration from a power-of-two overestimate; monotonically
-    # decreasing, so the trailing adjustment loops run O(1) times.
-    r = 1 << -(-x.bit_length() // k)
+    if k == 2:
+        return math.isqrt(x)
+    return _root(x, k)
+
+
+def _root(x: int, k: int) -> int:
+    # The root is below 2**bits.  With s half of those bits, the root r0 of
+    # x >> (k*s) gives the overestimate (r0 + 1) << s with relative error at
+    # most 1/r0, so Newton needs a few steps, where from a power of two it
+    # needed up to about k.  From any overestimate integer Newton decreases
+    # strictly and stops exactly at the floor of the root.
+    bits = -(-x.bit_length() // k)
+    if bits == 1:
+        return 1
+    s = bits // 2
+    r = (_root(x >> (k * s), k) + 1) << s
     while True:
         nr = ((k - 1) * r + x // r ** (k - 1)) // k
         if nr >= r:
-            break
+            return r
         r = nr
-    while r ** k > x:
-        r -= 1
-    while (r + 1) ** k <= x:
-        r += 1
-    return r
 
 
-# With the first 13 primes as bases, Miller-Rabin has no false positive below
-# psi_13 (Sorenson and Webster, Math. Comp. 2017).
+# Miller-Rabin with the first k primes as bases has no false positive below
+# psi_k (Jaeschke, Math. Comp. 1993; Sorenson and Webster, Math. Comp. 2017),
+# and psi_k is the least composite that passes all k; psi_13 is _MR_LIMIT.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
-_MR_LIMIT = 3317044064679887385961981  # psi_13
+_MR_PSI = (
+    2047,
+    1373653,
+    25326001,
+    3215031751,
+    2152302898747,
+    3474749660383,
+    341550071728321,
+    341550071728321,
+    3825123056546413051,
+    3825123056546413051,
+    3825123056546413051,
+    318665857834031151167461,
+    3317044064679887385961981,
+)
+_MR_LIMIT = _MR_PSI[-1]
 
 
 def is_prime(n: int) -> bool:
     """Deterministic Miller-Rabin; exact for every n below psi_13 ~ 3.3e24,
-    and a ValueError at or above it rather than an unproven answer."""
+    and a ValueError at or above it rather than an unproven answer.  After
+    trial division by the 13 bases, n uses the first k of them, k the least
+    with n < psi_k."""
     if n >= _MR_LIMIT:
         raise ValueError(f"is_prime is exact only below {_MR_LIMIT}")
     if n < 2:
@@ -129,11 +190,13 @@ def is_prime(n: int) -> bool:
     for p in _MR_WITNESSES:
         if n % p == 0:
             return n == p
+    if n < 43 * 43:
+        return True
     d, r = n - 1, 0
     while d % 2 == 0:
         d //= 2
         r += 1
-    for a in _MR_WITNESSES:
+    for a in _MR_WITNESSES[: bisect_right(_MR_PSI, n) + 1]:
         x = pow(a, d, n)
         if x in (1, n - 1):
             continue

@@ -20,8 +20,9 @@ cannot pass silently.
 
 The row also holds the exclusions validate reads: the PSL_2 rank, the
 non-simple (rank, q) points, and for Suzuki and Ree the p of q = p**(2f+1).
-make_spec reads the q-degree of the order row, and refuses a point whose
-order could exceed POWER_MAX_BITS bits before factoring q.
+make_spec and sweep read the q-degree of the order row, and refuse a point
+or a grid whose order could exceed POWER_MAX_BITS bits before factoring q or
+checking a point.
 
 GroupSpec, CharPair, Exclusion and SweepRecord are immutable NamedTuples
 compared by value; GroupSpec validates its point in __new__.
@@ -302,6 +303,14 @@ def _factor_prime_power(q: int) -> tuple[int, int]:
     raise ValueError(f"q = {q} is not a prime power")
 
 
+def _check_order_bits(family: Family, rank: int | None, q: int) -> None:
+    # The order row has q-degree a + h + sum(num d) - sum(den d), so the
+    # order has at most that many times q.bit_length() bits.
+    v = _rows(family, rank)[0]
+    degree = v.a + v.h + sum(d for d, _ in v.num) - sum(d for d, _ in v.den)
+    check_power_bits(f"the order of {family.value}", degree * q.bit_length())
+
+
 def make_spec(family: Family, q: int, rank: int | None = None) -> GroupSpec:
     """The validated point; raises ValueError before any arithmetic on q when
     the rank is missing or above MAX_RANK, or when the order, of q-degree
@@ -313,9 +322,7 @@ def make_spec(family: Family, q: int, rank: int | None = None) -> GroupSpec:
         raise ValueError(f"family {family.value} requires a rank parameter")
     elif rank > MAX_RANK:
         raise ValueError(f"rank {rank} is above the maximum {MAX_RANK}")
-    v = _rows(family, rank)[0]
-    degree = v.a + v.h + sum(d for d, _ in v.num) - sum(d for d, _ in v.den)
-    check_power_bits(f"the order of {family.value}", degree * q.bit_length())
+    _check_order_bits(family, rank, q)
     p, e = _factor_prime_power(q)
     return GroupSpec(family, rank, q, p, e)
 
@@ -433,20 +440,26 @@ def sweep(
     Excluded points are reported as Exclusion entries with the reason their
     validation gave.  The output order is deterministic: family declaration
     order, then rank, then q.  rank_max is at most MAX_RANK and q_max at
-    most SWEEP_MAX_Q.
+    most SWEEP_MAX_Q, and the grid is refused before any point is checked
+    when the order at its largest rank and q_max could exceed POWER_MAX_BITS.
     """
     if rank_max > MAX_RANK:
         raise ValueError(f"rank_max {rank_max} is above the maximum {MAX_RANK}")
     if q_max > SWEEP_MAX_Q:
         raise ValueError(f"q_max {q_max} is above the maximum {SWEEP_MAX_Q}")
     fams = set(Family) if families is None else {Family(f) for f in families}
-    pps = prime_powers(q_max)
-    out = []
+    grid = []
     for fam in Family:
         if fam not in fams:
             continue
         rank_min = _FAMILIES[fam].rank_min
         ranks = (None,) if rank_min is None else range(rank_min, rank_max + 1)
+        if ranks:
+            _check_order_bits(fam, ranks[-1], q_max)
+        grid.append((fam, ranks))
+    pps = prime_powers(q_max)
+    out = []
+    for fam, ranks in grid:
         for rank in ranks:
             for q, p, e in pps:
                 try:

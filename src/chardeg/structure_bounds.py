@@ -122,9 +122,11 @@ def maroti_bound(n: int, d: int) -> int:
 
 
 def solvable_index_bound(order_n: int) -> int:
-    """floor of order_n**1.43: the largest X with X**100 <= order_n**143."""
+    """floor of order_n**1.43: the largest X with X**100 <= order_n**143.
+    Raises ValueError when order_n**143 could exceed POWER_MAX_BITS bits."""
     if order_n < 1:
         raise ValueError("solvable_index_bound requires a positive order")
+    check_power_bits("solvable_index_bound", 143 * order_n.bit_length())
     return nth_root_floor(order_n ** 143, 100)
 
 

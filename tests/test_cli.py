@@ -235,6 +235,15 @@ class TestContract:
                 "is_prime is exact only below",
                 id="order --family linear --rank 3 --q 6**4000",
             ),
+            (
+                "sweep --families linear --rank-max 100 --q-max 65536",
+                "the order of linear would build an integer of up to 169983 bits",
+            ),
+            pytest.param(
+                f"prop32 --order {10 ** 1000}",
+                "solvable_index_bound would build an integer of up to 475046 bits",
+                id="prop32 --order 10**1000",
+            ),
         ],
     )
     def test_unbounded_inputs_rejected_quickly(self, argv, reason, capsys):

@@ -22,6 +22,9 @@ E_50 = Fraction(27182818284590452353602874713526624977572470936999, 10 ** 49)
 PI_50 = Fraction(31415926535897932384626433832795028841971693993751, 10 ** 49)
 
 powers_base = st.fractions(min_value=0, max_value=40, max_denominator=40)
+big_base = st.integers(0, 2 ** 64) | st.builds(
+    Fraction, st.integers(0, 2 ** 64), st.integers(1, 2 ** 64)
+)
 
 
 class TestCmpPower:
@@ -81,6 +84,49 @@ class TestCmpPower:
         assert cmp_power(lhs, rhs) == (left > right) - (left < right)
 
 
+    @given(
+        lhs=st.lists(st.tuples(big_base, st.integers(0, 60)), max_size=3),
+        rhs=st.lists(st.tuples(big_base, st.integers(0, 60)), max_size=3),
+    )
+    def test_matches_fraction_products_wide_bases(self, lhs, rhs):
+        if not any(e for _, e in lhs + rhs):
+            return
+        left = math.prod((b ** e for b, e in lhs), start=Fraction(1))
+        right = math.prod((b ** e for b, e in rhs), start=Fraction(1))
+        assert cmp_power(lhs, rhs) == (left > right) - (left < right)
+
+    def test_ties_and_equal_bit_lengths(self):
+        # equal products, and products whose bit-length bounds coincide, are
+        # left to the exact comparison
+        assert cmp_power(((2, 100),), ((2, 99), (2, 1))) == 0
+        assert cmp_power(((6, 10),), ((2, 10), (3, 10))) == 0
+        assert cmp_power(((Fraction(9, 4), 3),), ((Fraction(3, 2), 6),)) == 0
+        assert cmp_power(((3, 1),), ((2, 1),)) == 1
+        assert cmp_power(((2 ** 64 - 1, 2),), ((2 ** 128, 1),)) == -1
+        assert cmp_power(((2 ** 64, 2),), ((2 ** 128, 1),)) == 0
+        assert cmp_power(((Fraction(3, 2), 4),), ((5, 1),)) == 1  # 81/16 > 5
+        assert cmp_power(((Fraction(7, 5), 2),), ((2, 1),)) == -1  # 49/25 < 2
+        assert cmp_power(((1, 5),), ()) == 0
+        assert cmp_power((), ((Fraction(1, 3), 2), (9, 1))) == 0
+
+    def test_zero_bases(self):
+        assert cmp_power(((0, 3),), ((5, 1),)) == -1
+        assert cmp_power(((0, 1),), ()) == -1
+        assert cmp_power(((0, 2),), ((0, 5),)) == 0
+        assert cmp_power(((0, 2), (7, 3)), ((0, 1),)) == 0
+        assert cmp_power(((Fraction(0), 1),), ((Fraction(1, 2 ** 70), 9),)) == -1
+        # a zero base with exponent 0 is the factor 1
+        assert cmp_power(((0, 0), (2, 1)), ((2, 1),)) == 0
+        assert cmp_power(((0, 0), (3, 1)), ((2, 1),)) == 1
+
+    def test_rejections_checked_before_any_decision(self):
+        # a side the bit lengths would decide is still validated in full
+        with pytest.raises(ValueError, match="nonnegative bases"):
+            cmp_power(((2 ** 100, 5),), ((1, 1), (-1, 1)))
+        with pytest.raises(ValueError, match="nonnegative exponents"):
+            cmp_power(((2 ** 100, 5),), ((3, 1), (3, -1)))
+
+
 class TestNthRootFloor:
     def test_examples(self):
         assert nth_root_floor(27, 3) == 3
@@ -95,6 +141,16 @@ class TestNthRootFloor:
     def test_defining_inequality(self, x, k):
         r = nth_root_floor(x, k)
         assert r ** k <= x < (r + 1) ** k
+
+    @given(x=st.integers(0, 2 ** 20000), k=st.integers(1, 700))
+    def test_defining_inequality_large(self, x, k):
+        r = nth_root_floor(x, k)
+        assert r ** k <= x < (r + 1) ** k
+
+    @given(data=st.data(), k=st.integers(2, 700), delta=st.sampled_from((-1, 0, 1)))
+    def test_exact_powers_and_neighbours(self, data, k, delta):
+        r = data.draw(st.integers(1, 2 ** max(1, 20000 // k)))
+        assert nth_root_floor(r ** k + delta, k) == (r - 1 if delta < 0 else r)
 
 
 def test_factorial_examples():
@@ -113,6 +169,50 @@ def test_is_prime_small():
         assert is_prime(n) == (n in primes or n in (17, 19, 23, 29))
     assert is_prime(2 ** 61 - 1)
     assert not is_prime(561)  # Carmichael number
+
+
+def test_is_prime_matches_sieve():
+    limit = 10 ** 5
+    sieve = bytearray([1]) * limit
+    sieve[:2] = b"\x00\x00"
+    for i in range(2, math.isqrt(limit) + 1):
+        if sieve[i]:
+            sieve[i * i :: i] = bytes(len(range(i * i, limit, i)))
+    assert [n for n in range(limit) if is_prime(n)] == [n for n in range(limit) if sieve[n]]
+
+
+# psi_k, the least composite that passes Miller-Rabin to the first k prime
+# bases, for k = 1..11, with its factors; psi_7 = psi_8 and psi_9 = psi_10 =
+# psi_11, so the table lists the largest k for each value.
+PSI = {
+    1: (2047, (23, 89)),
+    2: (1373653, (829, 1657)),
+    3: (25326001, (2251, 11251)),
+    4: (3215031751, (151, 751, 28351)),
+    5: (2152302898747, (6763, 10627, 29947)),
+    6: (3474749660383, (1303, 16927, 157543)),
+    8: (341550071728321, (10670053, 32010157)),
+    11: (3825123056546413051, (149491, 747451, 34233211)),
+    12: (318665857834031151167461, (399165290221, 798330580441)),
+}
+PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
+def _strong_probable_prime(n: int, a: int) -> bool:
+    d, r = n - 1, 0
+    while d % 2 == 0:
+        d, r = d // 2, r + 1
+    x = pow(a, d, n)
+    return x in (1, n - 1) or any(pow(x, 2 ** i, n) == n - 1 for i in range(1, r))
+
+
+@pytest.mark.parametrize("k", sorted(PSI))
+def test_psi_k_is_composite(k):
+    psi, factors = PSI[k]
+    assert math.prod(factors) == psi and min(factors) > 1
+    assert all(_strong_probable_prime(psi, a) for a in PRIME_BASES[:k])
+    assert not _strong_probable_prime(psi, PRIME_BASES[k])
+    assert not is_prime(psi)
 
 
 def test_is_prime_strong_pseudoprimes():

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from chardeg import exact_arith
 from chardeg.degree_data import load_dir
 from chardeg.exact_arith import cyclotomic
 from chardeg.lie_type import (
@@ -17,6 +18,7 @@ from chardeg.lie_type import (
     GroupSpec,
     InvalidSpec,
     SweepRecord,
+    _check_order_bits,
     _evaluate,
     beta_degree,
     check_point,
@@ -400,6 +402,36 @@ class TestSweep:
             sweep([], rank_max=MAX_RANK + 1)
         with pytest.raises(ValueError, match="q_max"):
             sweep([], q_max=SWEEP_MAX_Q + 1)
+
+    def test_order_size_cap(self):
+        # linear rank n has an order row of q-degree n**2 - 1: at q_max =
+        # 2**16 (17 bits) rank 87 is under the cap and rank 88 is refused
+        # before any point is checked
+        with pytest.raises(ValueError, match="the order of linear would build .* 169983 bits"):
+            sweep([Family.LINEAR], rank_max=MAX_RANK, q_max=SWEEP_MAX_Q)
+        with pytest.raises(ValueError, match="131631 bits"):
+            sweep([Family.LINEAR], rank_max=88, q_max=SWEEP_MAX_Q)
+        # ranks below the family's minimum are an empty grid, not a refusal
+        assert sweep([Family.ORTH_PLUS], rank_max=3, q_max=SWEEP_MAX_Q) == []
+
+    def test_benchmark_grids_under_the_order_cap(self):
+        for fam in CLASSICAL_FAMILIES:
+            _check_order_bits(fam, 20, 32)
+        for fam in EXCEPTIONAL_FAMILIES:
+            _check_order_bits(fam, None, 8192)
+        _check_order_bits(Family.LINEAR, 87, SWEEP_MAX_Q)
+
+    def test_comparisons_mostly_decided_by_bit_lengths(self, monkeypatch):
+        # On the benchmark grids (classical rank <= 20, q <= 32; exceptional
+        # q <= 8192) at most 2 % of the power-gap comparisons build powers.
+        built = []
+        side = exact_arith._side
+        monkeypatch.setattr(exact_arith, "_side", lambda f: built.append(f) or side(f))
+        entries = sweep(CLASSICAL_FAMILIES, rank_max=20, q_max=32)
+        entries += sweep(EXCEPTIONAL_FAMILIES, q_max=8192)
+        points = sum(isinstance(e, SweepRecord) for e in entries)
+        assert points == 9500
+        assert len(built) // 2 <= points // 50
 
     def test_linear_ratio_monotone_in_q(self):
         for rank in (4, 5):

@@ -131,6 +131,15 @@ class TestSolvableIndexBound:
         assert 348 ** 100 <= 60 ** 143 < 349 ** 100  # direct big-integer oracle
         assert solvable_index_bound(2) == 2  # 2**1.43 ~ 2.69
 
+    def test_power_size_cap(self):
+        # order_n**143 is bounded by 143 bits per bit of order_n: 916 bits is
+        # at most the 2**17-bit cap, 917 bits is over
+        x = 2 ** 916 - 1
+        b = solvable_index_bound(x)
+        assert b ** 100 <= x ** 143 < (b + 1) ** 100
+        with pytest.raises(ValueError, match="131131 bits, more than 131072"):
+            solvable_index_bound(2 ** 916)
+
     def test_defining_inequality_randomized(self):
         rng = random.Random(11)
         for _ in range(40):
