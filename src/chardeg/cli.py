@@ -7,6 +7,10 @@ Exit codes: 0 pass, 1 fail, 2 error (usage errors such as conflicting flags
 included, with the same JSON error document), 3 inconclusive.  --digits
 (default 50) sets the starting interval precision for the checks involving
 e and pi.
+
+A command builds only its own subparser and imports the layer module its
+handler runs, inside that handler, so it pays for neither the other rows nor
+the other layers; fractions is loaded only by what builds a Fraction.
 """
 
 from __future__ import annotations
@@ -14,12 +18,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 from typing import NamedTuple, NoReturn
 
-from . import alternating, degree_data, lie_type, structure_bounds
+# exact_arith, imported here also through partitions, lifts the int-to-str
+# digit limit before argparse converts a long integer argument.
 from .exact_arith import cyclotomic
-from .lie_type import Exclusion, Family
 from .partitions import degree as partition_degree, enumerate_gamma, hooks, parse_partition
 
 EXIT_CODES = {"pass": 0, "fail": 1, "error": 2, "inconclusive": 3}
@@ -36,6 +39,10 @@ class CommandResult(NamedTuple):
 
 
 def _precision(args) -> int:
+    from . import alternating
+
+    if args.digits is None:
+        return alternating.DEFAULT_DIGITS
     if args.digits < 1:
         raise ValueError(f"--digits must be a positive integer, got {args.digits}")
     return args.digits
@@ -48,7 +55,9 @@ def _verdict_status(verdict: bool | None) -> str:
 
 
 def _spec_from_args(args) -> lie_type.GroupSpec:
-    fam = Family(args.family)
+    from . import lie_type
+
+    fam = lie_type.Family(args.family)
     rank = getattr(args, "rank", None)
     return lie_type.make_spec(fam, args.q, rank)
 
@@ -91,6 +100,8 @@ def _cmd_gamma(args) -> CommandResult:
 
 
 def _cmd_prop42(args) -> CommandResult:
+    from . import alternating
+
     if args.n is not None:
         if args.start is not None or args.end is not None:
             raise ValueError("prop42 takes --n or --from/--to, not both")
@@ -114,6 +125,8 @@ def _cmd_prop42(args) -> CommandResult:
 
 
 def _cmd_lemma43(args) -> CommandResult:
+    from . import alternating
+
     digits = _precision(args)
     if args.constant:
         verdict = alternating.check_constant(digits)
@@ -129,11 +142,15 @@ def _cmd_lemma43(args) -> CommandResult:
 
 
 def _cmd_lemma45(args) -> CommandResult:
+    from . import alternating
+
     verdict = alternating.check_hook_upper(args.m)
     return CommandResult(_verdict_status(verdict), {"m": args.m, "holds": verdict})
 
 
 def _cmd_lemma46(args) -> CommandResult:
+    from . import alternating
+
     digits = _precision(args)
     verdict = alternating.check_growth(args.n, digits)
     return CommandResult(
@@ -155,16 +172,22 @@ def _cmd_cyclotomic(args) -> CommandResult:
 
 
 def _cmd_order(args) -> CommandResult:
+    from . import lie_type
+
     spec = _spec_from_args(args)
     return CommandResult("pass", {"order": str(lie_type.order(spec))})
 
 
 def _cmd_steinberg(args) -> CommandResult:
+    from . import lie_type
+
     spec = _spec_from_args(args)
     return CommandResult("pass", {"steinberg": str(lie_type.steinberg_degree(spec))})
 
 
 def _cmd_beta(args) -> CommandResult:
+    from . import lie_type
+
     spec = _spec_from_args(args)
     pair = lie_type.beta_degree(spec)
     return CommandResult(
@@ -193,6 +216,8 @@ def _gap_payload(record: lie_type.SweepRecord, pair: lie_type.CharPair, passed: 
 
 
 def _cmd_thm21(args) -> CommandResult:
+    from . import lie_type
+
     r = lie_type.check_point(_spec_from_args(args))
     return CommandResult(
         _verdict_status(r.passed_pow14), _gap_payload(r, r.gap_pair, r.passed_pow14)
@@ -200,24 +225,30 @@ def _cmd_thm21(args) -> CommandResult:
 
 
 def _cmd_lemma61(args) -> CommandResult:
+    from . import lie_type
+
     r = lie_type.check_point(_spec_from_args(args))
     return CommandResult(
         _verdict_status(r.passed_ratio165), _gap_payload(r, r.ratio_pair, r.passed_ratio165)
     )
 
 
-def _parse_families(text: str) -> list[Family]:
+def _parse_families(text: str) -> list[lie_type.Family]:
+    from . import lie_type
+
     if text == "all":
-        return list(Family)
+        return list(lie_type.Family)
     if text == "classical":
-        return [f for f in Family if f in lie_type.CLASSICAL_FAMILIES]
+        return [f for f in lie_type.Family if f in lie_type.CLASSICAL_FAMILIES]
     if text == "exceptional":
-        return [f for f in Family if f in lie_type.EXCEPTIONAL_FAMILIES]
-    return [Family(part.strip()) for part in text.split(",") if part.strip()]
+        return [f for f in lie_type.Family if f in lie_type.EXCEPTIONAL_FAMILIES]
+    return [lie_type.Family(part.strip()) for part in text.split(",") if part.strip()]
 
 
 def _sweep_entry_dict(entry) -> dict:
-    if isinstance(entry, Exclusion):
+    from . import lie_type
+
+    if isinstance(entry, lie_type.Exclusion):
         return {
             "family": entry.family.value,
             "rank": entry.rank,
@@ -259,6 +290,8 @@ _CSV_FIELDS = (
 
 
 def _cmd_sweep(args) -> CommandResult:
+    from . import lie_type
+
     families = _parse_families(args.families)
     entries = lie_type.sweep(families, rank_max=args.rank_max, q_max=args.q_max)
     dicts = [_sweep_entry_dict(e) for e in entries]
@@ -289,6 +322,8 @@ def _cmd_sweep(args) -> CommandResult:
 
 
 def _cmd_rat(args) -> CommandResult:
+    from . import degree_data
+
     degrees = tuple(int(d) for d in args.degrees.split(","))
     table = degree_data.DegreeTable(name="cli", degrees=degrees)
     value = degree_data.rat(table)
@@ -304,6 +339,8 @@ def _cmd_rat(args) -> CommandResult:
 
 
 def _cmd_sporadic_check(args) -> CommandResult:
+    from . import degree_data
+
     tables = degree_data.load_dir(args.data)
     checks = [degree_data.check_extendible_pair(t) for t in tables]
     checked = [c for c in checks if c.status == "checked"]
@@ -321,6 +358,8 @@ def _cmd_sporadic_check(args) -> CommandResult:
 
 
 def _cmd_out_bound(args) -> CommandResult:
+    from . import degree_data
+
     holds = degree_data.check_exponent_bound(args.x, args.y, args.num, args.den)
     return CommandResult(
         _verdict_status(holds),
@@ -329,6 +368,8 @@ def _cmd_out_bound(args) -> CommandResult:
 
 
 def _read_series(args) -> structure_bounds.ChiefSeries:
+    from . import structure_bounds
+
     if args.json:
         text = args.json
     elif args.file:
@@ -340,6 +381,8 @@ def _read_series(args) -> structure_bounds.ChiefSeries:
 
 
 def _cmd_chiefseries_bound(args) -> CommandResult:
+    from . import structure_bounds
+
     series = _read_series(args)
     bound = structure_bounds.rat14_lower_bound(series)
     return CommandResult(
@@ -348,6 +391,10 @@ def _cmd_chiefseries_bound(args) -> CommandResult:
 
 
 def _cmd_prop23(args) -> CommandResult:
+    from fractions import Fraction
+
+    from . import structure_bounds
+
     holds = structure_bounds.quotient_power_check(
         Fraction(args.rat_g), Fraction(args.rat_gn), args.order_n
     )
@@ -355,23 +402,33 @@ def _cmd_prop23(args) -> CommandResult:
 
 
 def _cmd_maroti(args) -> CommandResult:
+    from . import structure_bounds
+
     return CommandResult(
         "pass", {"bound": str(structure_bounds.maroti_bound(args.n, args.d))}
     )
 
 
 def _cmd_prop32(args) -> CommandResult:
+    from . import structure_bounds
+
     return CommandResult(
         "pass", {"bound": str(structure_bounds.solvable_index_bound(args.order))}
     )
 
 
 def _cmd_thmb(args) -> CommandResult:
+    from fractions import Fraction
+
+    from . import structure_bounds
+
     holds = structure_bounds.radical_index_check(Fraction(args.rat), args.index)
     return CommandResult(_verdict_status(holds), {"holds": holds})
 
 
 def _table_payload(table: degree_data.DegreeTable) -> dict:
+    from . import degree_data
+
     value = degree_data.rat(table)
     return {
         "name": table.name,
@@ -383,16 +440,22 @@ def _table_payload(table: degree_data.DegreeTable) -> dict:
 
 
 def _cmd_example_frobenius(args) -> CommandResult:
+    from . import structure_bounds
+
     table = structure_bounds.frobenius_example(args.p, args.m)
     return CommandResult("pass", _table_payload(table))
 
 
 def _cmd_example_extraspecial(args) -> CommandResult:
+    from . import structure_bounds
+
     table = structure_bounds.extraspecial_example(args.p, args.i)
     return CommandResult("pass", _table_payload(table))
 
 
 def _cmd_validate_data(args) -> CommandResult:
+    from . import degree_data
+
     tables = degree_data.load_dir(args.data)
     return CommandResult(
         "pass",
@@ -421,14 +484,20 @@ _REQ_STR = {"required": True}
 _FLAG = {"action": "store_true"}
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(argv: list[str] | None = None) -> argparse.ArgumentParser:
     """One subparser per row (name, handler, help, arguments, mutually
     exclusive groups) of the command table.  The table is built here, not at
-    import, so each row takes the module-level _cmd_* handler bound now."""
+    import, so each row takes the module-level _cmd_* handler bound now.
+
+    When argv[0] names a row, only that row's subparser is built: parsing
+    argv can reach no other.  Otherwise (no argv, --help, no or an unknown
+    command) every row is.  Usage lines name every command either way, so
+    usage errors read the same."""
     partition = [("--partition", _REQ_STR)]
     lie = [("--family", _REQ_STR), ("--rank", _OPT_INT), ("--q", _REQ_INT)]
     data = [("--data", {"default": "data"})]
-    digits = ("--digits", {"type": int, "default": alternating.DEFAULT_DIGITS})
+    # None stands for alternating.DEFAULT_DIGITS, which _precision reads.
+    digits = ("--digits", {"type": int})
     jsonl = ("--jsonl", _FLAG)
     commands = [
         ("hook", _cmd_hook, "hook lengths, hook product and degree of a partition", partition, ()),
@@ -482,8 +551,13 @@ def build_parser() -> argparse.ArgumentParser:
         prog="chardeg",
         description="Exact character-degree computations and inequality certification.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, handler, help_text, arguments, exclusive in commands:
+    rows = [row for row in commands if argv and row[0] == argv[0]]
+    # A one-row parser lists every command in its usage line, as the full
+    # parser does; the full parser sets no metavar, since its errors would
+    # then name the argument by it instead of "command".
+    metavar = "{" + ",".join(row[0] for row in commands) + "}" if rows else None
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name, handler, help_text, arguments, exclusive in rows or commands:
         p = sub.add_parser(name, help=help_text)
         p.set_defaults(handler=handler)
         for flag, kw in arguments:
@@ -496,8 +570,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv: list[str] | None = None) -> CommandResult:
+    if argv is None:
+        argv = sys.argv[1:]
     try:
-        args = build_parser().parse_args(argv)
+        args = build_parser(argv).parse_args(argv)
         return args.handler(args)
     except (ValueError, ArithmeticError, OSError, KeyError) as exc:
         return CommandResult("error", {"error": str(exc)})

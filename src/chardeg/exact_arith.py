@@ -10,7 +10,9 @@ constructor; rational intervals, endpoint pairs with outward rounding for
 the constants e and pi; and POWER_MAX_BITS with check_power_bits, the size
 cap callers apply before building a large power from their inputs.
 IntPolynomial and RationalInterval are immutable NamedTuples compared by
-value; RationalInterval checks its endpoints in __new__.
+value; RationalInterval checks its endpoints in __new__.  Only the interval
+code builds a Fraction, so fractions is imported there and not when this
+module loads.
 
 Every verdict produced by this module reduces to a comparison of Python
 integers; floats never participate.  Magnitudes like 2000!**14 are routine.
@@ -21,7 +23,6 @@ from __future__ import annotations
 import math
 import sys
 from bisect import bisect_right
-from fractions import Fraction
 from typing import NamedTuple, Sequence
 
 # Decimal serialization of values like 2000!**14 is part of the interface;
@@ -45,7 +46,7 @@ __all__ = [
 
 factorial = math.factorial
 
-RationalLike = Fraction | int
+RationalLike = "Fraction | int"
 
 # Callers refuse, before building it, a power that could exceed this many
 # bits: at the cap maroti_bound, or one Lie-type order, takes about 0.1 s.
@@ -356,12 +357,16 @@ class RationalInterval(_RationalIntervalFields):
         return self.hi - self.lo
 
     def contains(self, x: RationalLike) -> bool:
+        from fractions import Fraction
+
         return self.lo <= Fraction(x) <= self.hi
 
     def dyadic(self, bits: int) -> "RationalInterval":
         """[floor(lo*2**bits), ceil(hi*2**bits)] / 2**bits: contains this
         interval, is at most 2**(1-bits) wider, and every denominator is a
         power of two."""
+        from fractions import Fraction
+
         if bits < 0:
             raise ValueError("dyadic requires bits >= 0")
         lo = (self.lo.numerator << bits) // self.lo.denominator
@@ -372,6 +377,8 @@ class RationalInterval(_RationalIntervalFields):
         return RationalInterval(self.lo - other.hi, self.hi - other.lo)
 
     def scale(self, c: RationalLike) -> "RationalInterval":
+        from fractions import Fraction
+
         c = Fraction(c)
         if c >= 0:
             return RationalInterval(self.lo * c, self.hi * c)
@@ -380,6 +387,8 @@ class RationalInterval(_RationalIntervalFields):
 
 def _e_interval(digits: int) -> RationalInterval:
     # Partial sums of sum 1/k!; the tail beyond K is < 2/(K+1)!.
+    from fractions import Fraction
+
     target = 4 * 10 ** digits
     k, fact = 1, 1
     while fact <= target:
@@ -398,6 +407,8 @@ def _e_interval(digits: int) -> RationalInterval:
 def _arctan_inv_interval(m: int, tail_bound: Fraction) -> RationalInterval:
     # arctan(1/m) as an alternating series; adjacent partial sums bracket the
     # limit, so the interval width is the first omitted term.
+    from fractions import Fraction
+
     acc = Fraction(0)
     i = 0
     while True:
@@ -413,6 +424,8 @@ def _arctan_inv_interval(m: int, tail_bound: Fraction) -> RationalInterval:
 
 def _pi_interval(digits: int) -> RationalInterval:
     # Machin: pi = 16*arctan(1/5) - 4*arctan(1/239).
+    from fractions import Fraction
+
     budget = Fraction(1, 10 ** (digits + 1))
     a5 = _arctan_inv_interval(5, budget / 32)
     a239 = _arctan_inv_interval(239, budget / 8)

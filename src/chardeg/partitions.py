@@ -179,12 +179,3 @@ def partitions_of(n: int) -> Iterator[Partition]:
             take = min(cap, rest)
             parts.append(take)
             rest -= take
-
-
-def partition_count(n: int) -> int:
-    """Number of partitions of n (Euler recurrence); oracle support."""
-    counts = [1] + [0] * n
-    for k in range(1, n + 1):
-        for j in range(k, n + 1):
-            counts[j] += counts[j - k]
-    return counts[n]

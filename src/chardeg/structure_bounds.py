@@ -95,12 +95,19 @@ def rat14_lower_bound(series: ChiefSeries) -> int:
 
 
 def quotient_power_check(rat_g: Fraction, rat_gn: Fraction, order_n: int) -> bool:
-    """Exact verdict on rat_g**14 >= rat_gn**14 * order_n."""
+    """Exact verdict on rat_g**14 >= rat_gn**14 * order_n.  Raises
+    ValueError when a cross product could exceed POWER_MAX_BITS bits."""
     rat_g, rat_gn = Fraction(rat_g), Fraction(rat_gn)
     if rat_g < 1 or rat_gn < 1:
         raise ValueError("degree ratios are at least 1")
     if order_n < 1:
         raise ValueError("order_n must be positive")
+    # A ratio >= 1 has the longer numerator, which bounds each cross product.
+    check_power_bits(
+        "quotient_power_check",
+        14 * (rat_g.numerator.bit_length() + rat_gn.numerator.bit_length())
+        + order_n.bit_length(),
+    )
     lhs = ((rat_g, 14),)
     return cmp_power(lhs, ((rat_gn, 14), (order_n, 1))) >= 0
 
@@ -131,12 +138,17 @@ def solvable_index_bound(order_n: int) -> int:
 
 
 def radical_index_check(rat_g: Fraction, index: int) -> bool:
-    """Exact verdict on index <= rat_g**21."""
+    """Exact verdict on index <= rat_g**21.  Raises ValueError when a cross
+    product could exceed POWER_MAX_BITS bits."""
     rat_g = Fraction(rat_g)
     if rat_g < 1:
         raise ValueError("degree ratios are at least 1")
     if index < 1:
         raise ValueError("index must be positive")
+    # rat_g >= 1 has the longer numerator, which bounds each cross product.
+    check_power_bits(
+        "radical_index_check", 21 * rat_g.numerator.bit_length() + index.bit_length()
+    )
     return cmp_power(((rat_g, 21),), ((index, 1),)) >= 0
 
 

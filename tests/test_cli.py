@@ -1,12 +1,15 @@
+import argparse
 import json
+import os
 import re
-import shlex
+import subprocess
+import sys
 import time
 
 import pytest
 
 from chardeg.cli import build_parser, main, run
-from conftest import REPO_ROOT
+from conftest import REPO_ROOT, load_workloads, readme_command_lines
 
 
 def _run_json(capsys, argv):
@@ -244,6 +247,16 @@ class TestContract:
                 "solvable_index_bound would build an integer of up to 475046 bits",
                 id="prop32 --order 10**1000",
             ),
+            pytest.param(
+                f"thmB --rat {10 ** 100000 + 1}/{10 ** 100000} --index 2",
+                "radical_index_check would build an integer of up to 6976055 bits",
+                id="thmB --rat (10**100000+1)/10**100000 --index 2",
+            ),
+            pytest.param(
+                f"prop23 --rat-g {10 ** 100000 + 1}/{10 ** 100000} --rat-gn 1 --order-n 2",
+                "quotient_power_check would build an integer of up to 4650718 bits",
+                id="prop23 --rat-g (10**100000+1)/10**100000 --rat-gn 1 --order-n 2",
+            ),
         ],
     )
     def test_unbounded_inputs_rejected_quickly(self, argv, reason, capsys):
@@ -265,10 +278,142 @@ class TestContract:
 def test_readme_command_lines_parse():
     # Every example in the README's command-line block must still be accepted
     # by the parser; nothing is run.
-    readme = (REPO_ROOT / "README.md").read_text()
-    block = re.search(r"## Command line.*?```sh\n(.*?)```", readme, re.S).group(1)
-    lines = [line for line in block.splitlines() if line.startswith("chardeg ")]
+    lines = readme_command_lines()
     assert len(lines) > 20
-    for line in lines:
-        args = build_parser().parse_args(shlex.split(line, comments=True)[1:])
-        assert callable(args.handler), line
+    for argv in lines:
+        args = build_parser().parse_args(argv)
+        assert callable(args.handler), argv
+
+
+def _subcommands(parser) -> list[str]:
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return list(sub.choices)
+
+
+def _outcome(parser, argv, capsys):
+    # What parsing argv and running its handler gives: the result or the
+    # error text, with the usage lines written to stderr.
+    try:
+        args = parser.parse_args(argv)
+        result = args.handler(args)
+    except ValueError as exc:
+        return "error", str(exc), capsys.readouterr().err
+    return "ran", result, capsys.readouterr().err
+
+
+class TestSingleRowParser:
+    """build_parser(argv) builds only the subparser argv[0] names; it must
+    parse, and fail, as the full parser build_parser() does."""
+
+    def test_builds_only_the_named_row(self):
+        assert _subcommands(build_parser(["prop42", "--n", "7"])) == ["prop42"]
+        full = _subcommands(build_parser())
+        assert len(full) == 26
+        for argv in ([], ["--help"], ["no-such-command"], ["--bogus", "prop42"]):
+            assert _subcommands(build_parser(argv)) == full
+
+    def test_same_namespace_as_full_parser(self):
+        argvs = [list(a) for a in load_workloads().all_query_variants()] + readme_command_lines()
+        assert len(argvs) > 160
+        for argv in argvs:
+            one, full = build_parser(argv).parse_args(argv), build_parser().parse_args(argv)
+            assert vars(one) == vars(full), argv
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            "sweep --jsonl --csv",
+            "prop42 --n 5 --from 7",
+            "order --family linear",
+            "prop42 --n 7 --bogus",
+            "lemma46 --n x",
+        ],
+    )
+    def test_same_usage_errors(self, argv, capsys):
+        argv = argv.split()
+        one = _outcome(build_parser(argv), argv, capsys)
+        assert one[0] == "error"
+        assert one == _outcome(build_parser(), argv, capsys)
+
+    def test_subcommand_help_unchanged(self, capsys):
+        for name in _subcommands(build_parser()):
+            texts = []
+            for parser in (build_parser([name, "--help"]), build_parser()):
+                with pytest.raises(SystemExit) as err:
+                    parser.parse_args([name, "--help"])
+                assert err.value.code == 0
+                texts.append(capsys.readouterr().out)
+            assert texts[0] == texts[1], name
+
+    def test_top_level_help_lists_every_command(self, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(["--help"])
+        assert err.value.code == 0
+        out = capsys.readouterr().out
+        names = _subcommands(build_parser())
+        assert "{" + ",".join(names) + "}" in out
+        for name in names:
+            assert re.search(rf"^ +{re.escape(name)}( |$)", out, re.M), name
+
+
+def _fresh_run(argv: list[str]) -> tuple[int, str, set[str]]:
+    # `python -X importtime -m chardeg.cli argv` in a new interpreter: the exit
+    # code, stdout, and every module the run imported (importtime's stderr).
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(REPO_ROOT / "src"), env.get("PYTHONPATH")) if p
+    )
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "chardeg.cli", *argv],
+        capture_output=True,
+        text=True,
+        env=env,
+        cwd=REPO_ROOT,
+        stdin=subprocess.DEVNULL,
+        timeout=60,
+    )
+    modules = {
+        line.rsplit("|", 1)[1].strip()
+        for line in proc.stderr.splitlines()
+        if line.startswith("import time:")
+    }
+    return proc.returncode, proc.stdout, modules
+
+
+class TestStartup:
+    """A command imports only the layer module its handler runs."""
+
+    @pytest.mark.parametrize(
+        "argv, layer, absent",
+        [
+            (
+                "prop42 --n 7",
+                "chardeg.alternating",
+                {"chardeg.lie_type", "chardeg.degree_data", "chardeg.structure_bounds",
+                 "fractions", "decimal"},
+            ),
+            (
+                "sweep --families G2 --q-max 8",
+                "chardeg.lie_type",
+                {"chardeg.alternating", "fractions", "decimal"},
+            ),
+        ],
+    )
+    def test_loads_only_its_layer(self, argv, layer, absent):
+        code, out, modules = _fresh_run(argv.split())
+        assert code == 0 and json.loads(out)["status"] == "pass"
+        assert layer in modules
+        assert not absent & modules
+
+    def test_long_integer_arguments_convert(self):
+        # 5001 digits is over the interpreter's default int-to-str limit of
+        # 4300, so argparse's int() conversion needs exact_arith's lifted one.
+        big = "1" * 5001
+        code, out, _ = _fresh_run(["thmB", "--rat", "3", "--index", big])
+        assert code == 1 and json.loads(out) == {"status": "fail", "holds": False}
+        code, out, _ = _fresh_run(["prop32", "--order", big])
+        assert code == 2 and json.loads(out) == {
+            "status": "error",
+            "error": "solvable_index_bound would build an integer of up to 2375230 bits, "
+            "more than 131072",
+        }

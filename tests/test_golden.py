@@ -5,28 +5,16 @@ must the witness range, run in chunks."""
 import argparse
 import contextlib
 import hashlib
-import importlib.util
 import io
 import json
-import sys
 
 import pytest
 
 from chardeg import cli
 
-from conftest import REPO_ROOT
+from conftest import REPO_ROOT, load_workloads
 
-
-def _load_workloads():
-    path = REPO_ROOT / "perfbench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module  # dataclasses look their module up here
-    spec.loader.exec_module(module)
-    return module
-
-
-WORKLOADS = _load_workloads()
+WORKLOADS = load_workloads()
 GOLDEN_DOC = json.loads(WORKLOADS.GOLDEN_PATH.read_text())
 GOLDEN = GOLDEN_DOC["commands"]
 VARIANTS = WORKLOADS.all_query_variants()

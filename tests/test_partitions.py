@@ -9,7 +9,6 @@ from chardeg.partitions import (
     enumerate_gamma,
     hooks,
     parse_partition,
-    partition_count,
     partitions_of,
 )
 
@@ -183,7 +182,6 @@ class TestPartitionsOf:
     def test_counts(self):
         assert len(list(partitions_of(5))) == 7
         assert len(list(partitions_of(12))) == 77
-        assert partition_count(12) == 77
 
     def test_decreasing_lex_and_unique(self):
         for n in (6, 9):

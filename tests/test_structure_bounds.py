@@ -90,6 +90,16 @@ class TestQuotientPowerCheck:
         with pytest.raises(ValueError):
             quotient_power_check(Fraction(1, 2), Fraction(1), 5)
 
+    def test_power_size_cap(self):
+        # 14 bits per numerator bit of each ratio (a ratio >= 1 has the
+        # longer numerator) plus the bits of order_n: 14 * (9361 + 1) + 4 is
+        # exactly at the 2**17-bit cap, one more numerator bit is over
+        assert quotient_power_check(Fraction(2 ** 9361 - 1, 2 ** 9000), Fraction(1), 15) is True
+        with pytest.raises(ValueError, match="131086 bits, more than 131072"):
+            quotient_power_check(Fraction(2 ** 9362 - 1, 2 ** 9000), Fraction(1), 15)
+        with pytest.raises(ValueError, match="131086 bits, more than 131072"):
+            quotient_power_check(Fraction(1), Fraction(2 ** 9362 - 1, 2 ** 9000), 15)
+
 
 class TestMarotiBound:
     def test_examples(self):
@@ -158,6 +168,15 @@ class TestRadicalIndexCheck:
         assert radical_index_check(Fraction(16, 5), 2 * 10 ** 10) is True
         # and just past the true threshold it flips
         assert radical_index_check(Fraction(16, 5), 5 * 10 ** 10) is False
+
+    def test_power_size_cap(self):
+        # 21 bits per numerator bit of rat_g (a ratio >= 1 has the longer
+        # numerator) plus the bits of index: 21 * 6240 + 32 is exactly at the
+        # 2**17-bit cap, one index bit more is over
+        rat = Fraction(2 ** 6240 - 1, 2 ** 6000)
+        assert radical_index_check(rat, 2 ** 31) is True
+        with pytest.raises(ValueError, match="131073 bits, more than 131072"):
+            radical_index_check(rat, 2 ** 32)
 
 
 class TestFrobeniusExample:
