@@ -22,7 +22,7 @@ from typing import NamedTuple, NoReturn
 
 # exact_arith, imported here also through partitions, lifts the int-to-str
 # digit limit before argparse converts a long integer argument.
-from .exact_arith import cyclotomic
+from .exact_arith import check_power_bits, cyclotomic, eval_poly
 from .partitions import degree as partition_degree, enumerate_gamma, hooks, parse_partition
 
 EXIT_CODES = {"pass": 0, "fail": 1, "error": 2, "inconclusive": 3}
@@ -158,16 +158,28 @@ def _cmd_lemma46(args) -> CommandResult:
     )
 
 
+def _poly_text(coeffs: tuple[int, ...]) -> str:
+    # Highest term first, e.g. "x^4 - x^2 + 1"; the lead coefficient is nonzero.
+    text = ""
+    for i in range(len(coeffs) - 1, -1, -1):
+        c, var = coeffs[i], "" if i == 0 else "x" if i == 1 else f"x^{i}"
+        if c:
+            text += (" - " if c < 0 else " + ") + (var if abs(c) == 1 and var else f"{abs(c)}{var}")
+    return text[3:] if text[1] == "+" else "-" + text[3:]
+
+
 def _cmd_cyclotomic(args) -> CommandResult:
-    poly = cyclotomic(args.k)
+    coeffs = cyclotomic(args.k)
+    degree = len(coeffs) - 1
     payload = {
         "k": args.k,
-        "degree": poly.degree,
-        "coefficients": list(poly.coeffs),
-        "text": str(poly),
+        "degree": degree,
+        "coefficients": list(coeffs),
+        "text": _poly_text(coeffs),
     }
     if args.q is not None:
-        payload["value"] = str(poly(args.q))
+        check_power_bits("cyclotomic", degree * abs(args.q).bit_length())
+        payload["value"] = str(eval_poly(coeffs, args.q))
     return CommandResult("pass", payload)
 
 

@@ -23,7 +23,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import NamedTuple
 
-from .exact_arith import cmp_power
+from .exact_arith import check_power_bits, cmp_power
 
 __all__ = [
     "DegreeTable",
@@ -74,6 +74,12 @@ class DegreeTable(_DegreeTableFields):
             if bad is not None:
                 raise TableError(
                     f"{self.name}: degree {bad} does not divide the order {self.order}"
+                )
+            squares = sum(d * d for d in self.degrees)
+            if squares > self.order:
+                raise TableError(
+                    f"{self.name}: the squared degrees sum to {squares},"
+                    f" more than the order {self.order}"
                 )
         if self.extendible_pair is not None:
             a, b = self.extendible_pair
@@ -199,9 +205,13 @@ def check_extendible_pair(table: DegreeTable) -> PairCheck:
 
 
 def check_exponent_bound(x: int, y: int, num: int, den: int) -> bool:
-    """Exact verdict on x <= y**(num/den), i.e. x**den <= y**num."""
+    """Exact verdict on x <= y**(num/den), i.e. x**den <= y**num.  Raises
+    ValueError when either power could exceed POWER_MAX_BITS bits."""
     if den < 1:
         raise ValueError("check_exponent_bound requires den >= 1")
     if x < 0 or y < 0 or num < 0:
         raise ValueError("check_exponent_bound requires nonnegative arguments")
+    check_power_bits(
+        "check_exponent_bound", max(den * x.bit_length(), num * y.bit_length())
+    )
     return cmp_power(((x, den),), ((y, num),)) <= 0

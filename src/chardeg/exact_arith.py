@@ -5,14 +5,14 @@ powers and returns the sign -1, 0 or 1: it decides from the bit lengths of
 the bases when their bounds on the two products do not overlap, and by a
 single integer cross-multiplication otherwise; integer k-th roots by Newton
 from a half-precision root; is_prime, Miller-Rabin with the first k prime
-bases, k read off the table of psi_k; integer polynomials with a cyclotomic
-constructor; rational intervals, endpoint pairs with outward rounding for
-the constants e and pi; and POWER_MAX_BITS with check_power_bits, the size
-cap callers apply before building a large power from their inputs.
-IntPolynomial and RationalInterval are immutable NamedTuples compared by
-value; RationalInterval checks its endpoints in __new__.  Only the interval
-code builds a Fraction, so fractions is imported there and not when this
-module loads.
+bases, k read off the table of psi_k; cyclotomic, the coefficient tuple of
+a cyclotomic polynomial by its Moebius product, and eval_poly, Horner
+evaluation of such a tuple; rational intervals, endpoint pairs with outward
+rounding for the constants e and pi; and POWER_MAX_BITS with
+check_power_bits, the size cap callers apply before building a large power
+from their inputs.  RationalInterval is an immutable NamedTuple compared by
+value that checks its endpoints in __new__.  Only the interval code builds a
+Fraction, so fractions is imported there and not when this module loads.
 
 Every verdict produced by this module reduces to a comparison of Python
 integers; floats never participate.  Magnitudes like 2000!**14 are routine.
@@ -37,8 +37,8 @@ __all__ = [
     "is_prime",
     "POWER_MAX_BITS",
     "check_power_bits",
-    "IntPolynomial",
     "cyclotomic",
+    "eval_poly",
     "CYCLOTOMIC_MAX_K",
     "RationalInterval",
     "const_interval",
@@ -210,120 +210,48 @@ def is_prime(n: int) -> bool:
     return True
 
 
-# ---------------------------------------------------------------------------
-# Integer polynomials
-# ---------------------------------------------------------------------------
-
-
-class IntPolynomial(NamedTuple):
-    """Dense integer polynomial, constant term first, no trailing zeros."""
-
-    coeffs: tuple[int, ...]
-
-    @classmethod
-    def from_coeffs(cls, coeffs) -> "IntPolynomial":
-        cs = list(coeffs)
-        while cs and cs[-1] == 0:
-            cs.pop()
-        return cls(tuple(cs))
-
-    @classmethod
-    def x_power_minus_one(cls, k: int) -> "IntPolynomial":
-        if k < 1:
-            raise ValueError("need k >= 1")
-        return cls((-1,) + (0,) * (k - 1) + (1,))
-
-    @property
-    def degree(self) -> int:
-        """Degree of the leading term; -1 for the zero polynomial."""
-        return len(self.coeffs) - 1
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def __mul__(self, other: "IntPolynomial") -> "IntPolynomial":
-        if self.is_zero() or other.is_zero():
-            return IntPolynomial(())
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, c in enumerate(self.coeffs):
-            if c:
-                for j, d in enumerate(other.coeffs):
-                    out[i + j] += c * d
-        return IntPolynomial.from_coeffs(out)
-
-    def div_exact(self, d: "IntPolynomial") -> "IntPolynomial":
-        """Exact quotient self / d over the integers; raises if not exact."""
-        if d.is_zero():
-            raise ZeroDivisionError("division by the zero polynomial")
-        rem = list(self.coeffs)
-        lead = d.coeffs[-1]
-        qdeg = len(rem) - len(d.coeffs)
-        if qdeg < 0:
-            if self.is_zero():
-                return IntPolynomial(())
-            raise ValueError("inexact polynomial division")
-        quot = [0] * (qdeg + 1)
-        for i in range(qdeg, -1, -1):
-            t, r = divmod(rem[i + d.degree], lead)
-            if r:
-                raise ValueError("inexact polynomial division")
-            quot[i] = t
-            if t:
-                for j, c in enumerate(d.coeffs):
-                    rem[i + j] -= t * c
-        if any(rem):
-            raise ValueError("inexact polynomial division")
-        return IntPolynomial.from_coeffs(quot)
-
-    def __call__(self, x: int) -> int:
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
-    def __str__(self) -> str:
-        if self.is_zero():
-            return "0"
-        parts = []
-        for i in range(self.degree, -1, -1):
-            c = self.coeffs[i]
-            if c == 0:
-                continue
-            sign = "-" if c < 0 else ("+" if parts else "")
-            mag = abs(c)
-            if i == 0:
-                term = str(mag)
-            else:
-                var = "x" if i == 1 else f"x^{i}"
-                term = var if mag == 1 else f"{mag}{var}"
-            parts.append(f"{sign} {term}".strip() if parts else f"{sign}{term}")
-        return " ".join(parts)
-
-
-# cyclotomic(k) costs about k**2 and caches every divisor's polynomial, so k
-# is capped: k = 1000 takes milliseconds, k = 12000 would take seconds.
+# cyclotomic(k) takes about k * 2**omega(k) steps and the CLI prints its phi(k) + 1
+# coefficients twice, in a list and as text; the cap keeps both small (k = 1000: 0.1 ms).
 CYCLOTOMIC_MAX_K = 1000
 
-# Filled on demand, so it holds at most CYCLOTOMIC_MAX_K entries; refills
-# write identical immutable values, so concurrent population is idempotent.
-_CYCLOTOMIC_CACHE: dict[int, IntPolynomial] = {}
 
+def cyclotomic(k: int) -> tuple[int, ...]:
+    """Coefficients of the k-th cyclotomic polynomial, constant term first;
+    1 <= k <= CYCLOTOMIC_MAX_K.
 
-def cyclotomic(k: int) -> IntPolynomial:
-    """The k-th cyclotomic polynomial, by exact division of x**k - 1 by the
-    cyclotomic polynomials of the proper divisors of k; 1 <= k <=
-    CYCLOTOMIC_MAX_K."""
+    Phi_k = prod over d | k of (1 - x**d)**mu(k/d), negated for k = 1 (for
+    k > 1 the exponents sum to 0, so the signs of x**d - 1 cancel).  Each
+    factor acts on one list of phi(k) + 1 power-series coefficients: times
+    1 - x**d in place from the top, divided by it with running sums from the
+    bottom.  Truncation is exact because Phi_k has degree phi(k).
+    """
     if not 1 <= k <= CYCLOTOMIC_MAX_K:
         raise ValueError(f"cyclotomic requires 1 <= k <= {CYCLOTOMIC_MAX_K}, got {k}")
-    cached = _CYCLOTOMIC_CACHE.get(k)
-    if cached is not None:
-        return cached
-    poly = IntPolynomial.x_power_minus_one(k)
-    for d in range(1, k):
-        if k % d == 0:
-            poly = poly.div_exact(cyclotomic(d))
-    _CYCLOTOMIC_CACHE[k] = poly
-    return poly
+    terms, phi, m = [(k, 1)], k, k  # (d, mu(k/d)) for every squarefree k/d
+    for p in range(2, k + 1):
+        if m % p == 0:  # p is the least prime factor of k left in m
+            terms += [(d // p, -mu) for d, mu in terms]
+            phi -= phi // p
+            while m % p == 0:
+                m //= p
+    coeffs = [-1 if k == 1 else 1] + [0] * phi
+    for d, mu in terms:
+        if mu > 0:
+            for i in range(phi, d - 1, -1):
+                coeffs[i] -= coeffs[i - d]
+        else:
+            for i in range(d, phi + 1):
+                coeffs[i] += coeffs[i - d]
+    return tuple(coeffs)
+
+
+def eval_poly(coeffs: Sequence[int], x: int) -> int:
+    """The value at x of the polynomial with these coefficients, constant
+    term first, by Horner's rule."""
+    acc = 0
+    for c in reversed(coeffs):
+        acc = acc * x + c
+    return acc
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ ChiefFactorDescriptor checks its fields in __new__.
 from __future__ import annotations
 
 import json
+import math
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -86,12 +87,13 @@ def series_from_json(text: str) -> ChiefSeries:
 
 def rat14_lower_bound(series: ChiefSeries) -> int:
     """Product of |S|**k over the nonabelian, non-PSL_2 chief factors; the
-    caller reads the result P as the certified bound rat(G)**14 >= P."""
-    out = 1
-    for f in series.factors:
-        if not f.is_abelian and not f.is_psl2:
-            out *= f.factor_order ** f.multiplicity
-    return out
+    caller reads the result P as the certified bound rat(G)**14 >= P.
+    Raises ValueError when P could exceed POWER_MAX_BITS bits."""
+    counted = [f for f in series.factors if not f.is_abelian and not f.is_psl2]
+    check_power_bits(
+        "rat14_lower_bound", sum(f.multiplicity * f.factor_order.bit_length() for f in counted)
+    )
+    return math.prod(f.factor_order ** f.multiplicity for f in counted)
 
 
 def quotient_power_check(rat_g: Fraction, rat_gn: Fraction, order_n: int) -> bool:

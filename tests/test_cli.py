@@ -8,7 +8,8 @@ import time
 
 import pytest
 
-from chardeg.cli import build_parser, main, run
+from chardeg.cli import _poly_text, build_parser, main, run
+from chardeg.exact_arith import cyclotomic
 from conftest import REPO_ROOT, load_workloads, readme_command_lines
 
 
@@ -54,6 +55,14 @@ class TestBasicCommands:
     def test_rat(self, capsys):
         code, doc = _run_json(capsys, ["rat", "--degrees", "1,20,35,45,63,64"])
         assert code == 0 and doc["rat"] == "16/5"
+
+
+class TestPolyText:
+    def test_str(self):
+        assert _poly_text(cyclotomic(12)) == "x^4 - x^2 + 1"
+        assert _poly_text(cyclotomic(1)) == "x - 1"
+        assert _poly_text((-5, 0, -2, 3)) == "3x^3 - 2x^2 - 5"
+        assert _poly_text((0, -1)) == "-x"
 
 
 class TestVerifierCommands:
@@ -256,6 +265,24 @@ class TestContract:
                 f"prop23 --rat-g {10 ** 100000 + 1}/{10 ** 100000} --rat-gn 1 --order-n 2",
                 "quotient_power_check would build an integer of up to 4650718 bits",
                 id="prop23 --rat-g (10**100000+1)/10**100000 --rat-gn 1 --order-n 2",
+            ),
+            pytest.param(
+                f"cyclotomic --k 1000 --q {10 ** 1000}",
+                "cyclotomic would build an integer of up to 1328800 bits",
+                id="cyclotomic --k 1000 --q 10**1000",
+            ),
+            pytest.param(
+                f"cyclotomic --k 1000 --q {10 ** 3000}",
+                "cyclotomic would build an integer of up to 3986400 bits",
+                id="cyclotomic --k 1000 --q 10**3000",
+            ),
+            (
+                "out-bound --x 60 --y 60 --num 3000000 --den 3000000",
+                "check_exponent_bound would build an integer of up to 18000000 bits",
+            ),
+            (
+                'chiefseries-bound --json {"factors":[{"order":"60","multiplicity":10000000}]}',
+                "rat14_lower_bound would build an integer of up to 60000000 bits",
             ),
         ],
     )

@@ -59,8 +59,8 @@ class TestParsing:
         assert parse_tables(M11_LINE + "\n") == [t]
 
     def test_degrees_sorted_on_construction(self):
-        positional = DegreeTable("x", (10, 1, 5, 1), 100)
-        keyword = DegreeTable(degrees=(10, 1, 5, 1), name="x", order=100)
+        positional = DegreeTable("x", (10, 1, 5, 1), 200)
+        keyword = DegreeTable(degrees=(10, 1, 5, 1), name="x", order=200)
         assert positional.degrees == keyword.degrees == (1, 1, 5, 10)
         assert positional == keyword
 
@@ -73,6 +73,16 @@ class TestParsing:
         for order in (0, -6):
             with pytest.raises(TableError):
                 parse_table(f"X\t{order}\t1,2,3\t\t3,2\t")
+
+    def test_squared_degrees_must_not_exceed_order(self):
+        # every degree divides 24, but 1 + 4 + 9 + 16 = 30 > 24
+        with pytest.raises(TableError) as err:
+            parse_table("X\t24\t1,2,3,4\t\t\t", line_number=7)
+        assert "line 7" in str(err.value)
+        assert "X: the squared degrees sum to 30, more than the order 24" in str(err.value)
+        # equality is the complete table, and a partial one stays below it
+        assert parse_table("S3\t6\t1,1,2\t\t\t").order == 6
+        assert parse_table("S3\t6\t1,2\t\t\t").order == 6
 
 
 class TestRat:
@@ -119,7 +129,7 @@ class TestPairCheck:
         assert check_extendible_pair(table).passed is True
 
     def test_degenerate_beta_rejected(self):
-        table = DegreeTable("bad", (1, 50), order=100, extendible_pair=(50, 1))
+        table = DegreeTable("bad", (1, 50), order=2550, extendible_pair=(50, 1))
         with pytest.raises(TableError):
             check_extendible_pair(table)
 
@@ -176,6 +186,14 @@ class TestExponentBound:
     def test_rejects_bad_den(self):
         with pytest.raises(ValueError):
             check_exponent_bound(2, 3, 1, 0)
+
+    def test_size_cap(self):
+        # 60 has 6 bits: 60**21845 is within POWER_MAX_BITS, 60**21846 is not
+        assert check_exponent_bound(60, 60, 21845, 21845) is True
+        with pytest.raises(ValueError, match="check_exponent_bound would build"):
+            check_exponent_bound(60, 60, 21846, 1)
+        with pytest.raises(ValueError, match="check_exponent_bound would build"):
+            check_exponent_bound(60, 60, 1, 21846)
 
     @given(
         x=st.integers(1, 10 ** 6),

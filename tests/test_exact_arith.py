@@ -7,11 +7,11 @@ from hypothesis import strategies as st
 
 from chardeg.exact_arith import (
     CYCLOTOMIC_MAX_K,
-    IntPolynomial,
     RationalInterval,
     cmp_power,
     const_interval,
     cyclotomic,
+    eval_poly,
     factorial,
     is_prime,
     nth_root_floor,
@@ -229,67 +229,71 @@ def test_is_prime_strong_pseudoprimes():
         is_prime(2 ** 127 - 1)
 
 
+def _poly_mul(a, b):
+    # Schoolbook convolution of two coefficient tuples, constant term first.
+    out = [0] * (len(a) + len(b) - 1)
+    for i, c in enumerate(a):
+        for j, d in enumerate(b):
+            out[i + j] += c * d
+    return tuple(out)
+
+
 class TestCyclotomic:
     def test_small(self):
-        assert cyclotomic(1).coeffs == (-1, 1)
-        assert cyclotomic(2).coeffs == (1, 1)
-        assert cyclotomic(12).coeffs == (1, 0, -1, 0, 1)
+        assert cyclotomic(1) == (-1, 1)
+        assert cyclotomic(2) == (1, 1)
+        assert cyclotomic(12) == (1, 0, -1, 0, 1)
 
     def test_rejects_zero(self):
         with pytest.raises(ValueError):
             cyclotomic(0)
 
     def test_rejects_k_above_cap(self):
-        assert cyclotomic(CYCLOTOMIC_MAX_K).degree == 400  # phi(1000)
+        assert len(cyclotomic(CYCLOTOMIC_MAX_K)) - 1 == 400  # phi(1000)
         with pytest.raises(ValueError, match="k <= 1000"):
             cyclotomic(CYCLOTOMIC_MAX_K + 1)
 
     def test_product_identity_small(self):
         for n in (1, 2, 6, 30, 60):
-            prod = IntPolynomial((1,))
+            prod = (1,)
             for d in range(1, n + 1):
                 if n % d == 0:
-                    prod = prod * cyclotomic(d)
-            assert prod == IntPolynomial.x_power_minus_one(n)
+                    prod = _poly_mul(prod, cyclotomic(d))
+            assert prod == (-1,) + (0,) * (n - 1) + (1,)
+
+    def test_product_of_values_up_to_cap(self):
+        # prod over d | k of Phi_d(q) = q**k - 1, at every k the cap allows.
+        for q in (2, 3):
+            ks = range(1, CYCLOTOMIC_MAX_K + 1)
+            values = [None] + [eval_poly(cyclotomic(k), q) for k in ks]
+            for k in ks:
+                divisors = (d for d in range(1, k + 1) if k % d == 0)
+                assert math.prod(values[d] for d in divisors) == q ** k - 1, (q, k)
 
     def test_degree_is_totient(self):
         def phi(n):
             return sum(1 for k in range(1, n + 1) if math.gcd(k, n) == 1)
 
         for n in range(1, 201):
-            assert cyclotomic(n).degree == phi(n)
+            assert len(cyclotomic(n)) - 1 == phi(n)
 
     def test_eval_examples(self):
-        assert cyclotomic(6)(2) == 3   # 4 - 2 + 1
-        assert cyclotomic(12)(2) == 13  # 16 - 4 + 1
-        assert cyclotomic(1)(1) == 0
+        assert eval_poly(cyclotomic(6), 2) == 3   # 4 - 2 + 1
+        assert eval_poly(cyclotomic(12), 2) == 13  # 16 - 4 + 1
+        assert eval_poly(cyclotomic(1), 1) == 0
 
     def test_coefficient_bound_below_105(self):
         for n in range(1, 105):
-            assert all(c in (-1, 0, 1) for c in cyclotomic(n).coeffs), n
+            assert all(c in (-1, 0, 1) for c in cyclotomic(n)), n
         # and the derived evaluation bound for a few sample points
         for n in (3, 12, 24, 60, 104):
-            poly = cyclotomic(n)
+            coeffs = cyclotomic(n)
+            degree = len(coeffs) - 1
             for q in (1, 2, 5, 9):
-                assert poly(q) <= (poly.degree + 1) * q ** poly.degree
+                assert eval_poly(coeffs, q) <= (degree + 1) * q ** degree
 
     def test_first_exception_is_105(self):
-        assert any(c not in (-1, 0, 1) for c in cyclotomic(105).coeffs)
-
-
-class TestIntPolynomial:
-    def test_exact_division_round_trip(self):
-        a = IntPolynomial((2, 3, 1))   # x^2 + 3x + 2
-        b = IntPolynomial((1, 1))      # x + 1
-        assert a.div_exact(b) == IntPolynomial((2, 1))
-
-    def test_inexact_division_raises(self):
-        with pytest.raises(ValueError):
-            IntPolynomial((1, 1, 1)).div_exact(IntPolynomial((1, 1)))
-
-    def test_str(self):
-        assert str(cyclotomic(12)) == "x^4 - x^2 + 1"
-        assert str(IntPolynomial(())) == "0"
+        assert any(c not in (-1, 0, 1) for c in cyclotomic(105))
 
 
 rationals = st.fractions(

@@ -6,7 +6,7 @@ import pytest
 
 from chardeg import exact_arith
 from chardeg.degree_data import load_dir
-from chardeg.exact_arith import cyclotomic
+from chardeg.exact_arith import cyclotomic, eval_poly
 from chardeg.lie_type import (
     _FAMILIES,
     CLASSICAL_FAMILIES,
@@ -138,7 +138,7 @@ def order_oracle(spec):
         centre = {Family.E6: math.gcd(3, q - 1), Family.TWISTED_E6: math.gcd(3, q + 1),
                   Family.E7: math.gcd(2, q - 1)}.get(fam, 1)
     x = -q if fam is Family.UNITARY else q
-    raw = q ** big_n * math.prod(abs(cyclotomic(k)(x)) ** m for k, m in phis.items())
+    raw = q ** big_n * math.prod(abs(eval_poly(cyclotomic(k), x)) ** m for k, m in phis.items())
     quo, rem = divmod(raw, centre)
     assert rem == 0, spec
     return quo
@@ -162,7 +162,7 @@ def beta_oracle(spec):
         num, den = (q - 1 if fam is Family.SUZUKI_2B2 else q * q - 1) * root, 1
     else:
         ks, den = EXCEPTIONAL_BETA_PHIS[fam]
-        num = q * math.prod(cyclotomic(k)(q) for k in ks)
+        num = q * math.prod(eval_poly(cyclotomic(k), q) for k in ks)
     quo, rem = divmod(num, den)
     assert rem == 0, spec
     return quo

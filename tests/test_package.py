@@ -42,7 +42,6 @@ def _records():
     return [
         (partitions.parse_partition("3,2,2"), "parts"),
         (partitions.hooks(partitions.parse_partition("2,1")), "product"),
-        (exact_arith.cyclotomic(3), "coeffs"),
         (exact_arith.RationalInterval(Fraction(1), Fraction(2)), "lo"),
         (report, "passed"),
         (report.margin, "lhs_bits"),

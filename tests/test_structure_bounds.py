@@ -56,6 +56,16 @@ class TestRat14LowerBound:
             joined = ChiefSeries(a.factors + b.factors)
             assert rat14_lower_bound(joined) == rat14_lower_bound(a) * rat14_lower_bound(b)
 
+    def test_size_cap_counts_only_the_product_factors(self):
+        # 60 has 6 bits: 21845 copies stay within POWER_MAX_BITS, one more does
+        # not; abelian and PSL_2 factors are left out of the product and the cap
+        cap = exact_arith.POWER_MAX_BITS // 6
+        assert rat14_lower_bound(ChiefSeries((_factor(60, mult=cap),))) == 60 ** cap
+        exempt = (_factor(2, mult=10 ** 9, abelian=True), _factor(60, mult=10 ** 9, psl2=True))
+        assert rat14_lower_bound(ChiefSeries(exempt + (_factor(60),))) == 60
+        with pytest.raises(ValueError, match="rat14_lower_bound would build"):
+            rat14_lower_bound(ChiefSeries((_factor(60, mult=cap + 1),)))
+
     def test_flag_validation(self):
         with pytest.raises(ValueError):
             _factor(60, abelian=True, psl2=True)
