@@ -11,21 +11,21 @@ carried from one call to the next: a call for n right after one for n-1
 multiplies the carried power by n**13 instead of raising n! afresh.  Every
 path yields the same integer, so a report does not depend on the order of
 calls.  The supporting analytic bounds (which involve e and pi) are decided by
-cmp_power on the endpoints of outward-rounded rational intervals and are
+cmp_power on integer enclosures lo <= c * 2**b <= hi of the constants and are
 advisory; they can return None (inconclusive) without affecting any witness
-certificate.  Each rung of their precision ladder is tried first on the
-outward dyadic rounding of its enclosure, whose endpoints are short, and
-only then on the exact endpoints.  Every check is monotone in each constant
-and the rounding contains the exact enclosure, so a verdict the rounding
-reaches is the one the exact rung reaches: only the cost changes.
+certificate.  Their precision ladder is one enclosure per rung: a first rung
+of a few more bits than the largest exponent on a constant, then one rung
+per --digits step d, at b = ceil(3.322 * d) + 2 bits, so that the enclosure
+is narrower than 10**-d.
 """
 
 from __future__ import annotations
 
 import math
+from itertools import chain
 from typing import Iterator, NamedTuple
 
-from .exact_arith import RationalInterval, cmp_power, const_interval, factorial
+from .exact_arith import cmp_power, const_interval, factorial
 from .partitions import Partition, enumerate_gamma, hooks, partitions_of
 
 __all__ = [
@@ -157,9 +157,10 @@ def check_witness(n: int, best: bool = False) -> WitnessReport:
 
     For n <= 48 the search is exhaustive over non-self-conjugate partitions
     (the named small witnesses first); for larger n it walks the window
-    family of index floor(sqrt(n)) and falls back to the exhaustive scan if
-    that ever failed.  With best=True the passer with the smallest hook
-    product is reported instead of the first one found.
+    family of index floor(sqrt(n)).  The first passer is reported, or with
+    best=True the passer with the smallest hook product; when no candidate
+    passes, the failing one with the smallest hook product is reported.  Of
+    equal candidates the first is kept.
 
     (n!)**13 comes from a one-entry carry, so consecutive n cost one small
     multiplication each; the value is exact whatever the call order, and so
@@ -170,39 +171,20 @@ def check_witness(n: int, best: bool = False) -> WitnessReport:
     # The verdict (n!)**13 > (H*(n-1))**14 and its margin evidence are both
     # taken from these integers: lhs once per n, rhs once per candidate.
     lhs = _factorial_pow13(n)
-
-    def scan(cands: Iterator[Partition]):
-        # Each found entry is (lam, H, rhs).
-        best_found = None
-        smallest_fail = None
-        count = 0
-        for lam in cands:
-            count += 1
-            h = hooks(lam).product
-            rhs = (h * (n - 1)) ** 14
-            if lhs > rhs:
-                if not best:
-                    return (lam, h, rhs), count, None
-                if best_found is None or h < best_found[1]:
-                    best_found = (lam, h, rhs)
-            elif smallest_fail is None or h < smallest_fail[1]:
-                smallest_fail = (lam, h, rhs)
-        return best_found, count, smallest_fail
-
-    if n <= EXHAUSTIVE_MAX:
-        found, tried, fail = scan(_exhaustive_candidates(n))
-    else:
-        found, tried, fail = scan(_gamma_candidates(n))
-        if found is None:
-            found, tried2, fail = scan(_exhaustive_candidates(n))
-            tried += tried2
-
-    if found is not None:
-        lam, h, rhs = found
-        return WitnessReport(n, lam, h, True, _evidence(lhs, rhs), tried)
-    # No passer anywhere: report the best (smallest-H) failing candidate.
-    lam, h, rhs = fail
-    return WitnessReport(n, lam, h, False, _evidence(lhs, rhs), tried)
+    cands = _exhaustive_candidates(n) if n <= EXHAUSTIVE_MAX else _gamma_candidates(n)
+    found = None  # (passed, lam, H, rhs), ranked by (passed, -H)
+    tried = 0
+    for lam in cands:
+        tried += 1
+        h = hooks(lam).product
+        rhs = (h * (n - 1)) ** 14
+        passed = lhs > rhs
+        if found is None or (passed, -h) > (found[0], -found[2]):
+            found = (passed, lam, h, rhs)
+        if passed and not best:
+            break
+    passed, lam, h, rhs = found
+    return WitnessReport(n, lam, h, passed, _evidence(lhs, rhs), tried)
 
 
 # ---------------------------------------------------------------------------
@@ -219,40 +201,38 @@ def _digit_ladder(digits: int) -> Iterator[int]:
         d = min(2 * d, MAX_DIGITS)
 
 
-def _enclosures(
-    digits: int, *constants: tuple[str, int]
-) -> Iterator[tuple[RationalInterval, ...]]:
-    """Enclosures of the named constants, two per rung of the ladder: first
-    each rounded outward to 2**-b, b = E.bit_length() + 8 for the largest
-    exponent E the check puts on it, then the exact ones.
-
-    The rounding moves log(c**E) by at most E * 2**-b / c < 1/256 / c, so
-    it decides whenever the exact rung decides with a wider log margin, on
-    endpoints of about b + 2 bits instead of the rung's full length.
+def _enclosures(digits: int, *constants: tuple[str, int]) -> Iterator[tuple]:
+    """(b, (lo, hi), ...) per rung, with lo <= c * 2**b <= hi for each named
+    constant c: first at b = E.bit_length() + 8 for the largest exponent E
+    a check puts on a constant, then at b = ceil(3.322 * d) + 2 for each d
+    of the digit ladder, pulled only when the rung before leaves the check
+    undecided.  The enclosure is at most 3 * 2**-b < 10**-d wide.
     """
-    for d in _digit_ladder(digits):
-        exact = tuple(const_interval(name, d) for name, _ in constants)
-        yield tuple(iv.dyadic(exp.bit_length() + 8) for iv, (_, exp) in zip(exact, constants))
-        yield exact
+    if digits < 1:
+        raise ValueError(f"interval checks require digits >= 1, got {digits}")
+    first = max(exp for _, exp in constants).bit_length() + 8
+    for b in chain((first,), ((3322 * d + 999) // 1000 + 2 for d in _digit_ladder(digits))):
+        yield (b, *(const_interval(name, b) for name, _ in constants))
 
 
 def check_factorial_lower(n: int, digits: int = DEFAULT_DIGITS) -> bool | None:
     """Decide  (n!)**(13/14) / (n-1)  >  1.35 * (n/e)**(25n/28)  for n >= 15.
 
     Exponents are cleared by raising both sides to the 28th power, leaving
-    (n!)**26 * e**(25n) * 20**28  >  27**28 * n**(25n) * (n-1)**28, which is
-    decided with an outward interval for e, at each rung first on its dyadic
-    rounding; the left side increases with e, so the rounding cannot change
-    a verdict.  Returns None if still undecided at the maximum precision.
+    (n!)**26 * e**(25n) * 20**28  >  27**28 * n**(25n) * (n-1)**28.  The left
+    side increases with e, so it holds when it holds with lo/2**b for e and
+    fails when it fails with hi/2**b; 2**(25n*b) moves to the right as a
+    factor.  Returns None if still undecided at the maximum precision.
     """
     if n < 15:
         raise ValueError("check_factorial_lower requires n >= 15")
     fact = factorial(n)
     rhs = ((27, 28), (n, 25 * n), (n - 1, 28))
-    for (e,) in _enclosures(digits, ("e", 25 * n)):
-        if cmp_power(((fact, 26), (e.lo, 25 * n), (20, 28)), rhs) > 0:
+    for b, (lo, hi) in _enclosures(digits, ("e", 25 * n)):
+        scaled = (*rhs, (2, 25 * n * b))
+        if cmp_power(((fact, 26), (lo, 25 * n), (20, 28)), scaled) > 0:
             return True
-        if cmp_power(((fact, 26), (e.hi, 25 * n), (20, 28)), rhs) <= 0:
+        if cmp_power(((fact, 26), (hi, 25 * n), (20, 28)), scaled) <= 0:
             return False
     return None
 
@@ -273,29 +253,29 @@ def check_growth(n: int, digits: int = DEFAULT_DIGITS) -> bool | None:
     """Decide  (81n/64)**(81n/128) <= (n/e)**(25n/28).
 
     Taking n-th roots and raising to 896 = lcm(128, 28) reduces this to
-    e**800 * 81**567 <= 64**567 * n**233, decided with an interval for e, at
-    each rung first on its dyadic rounding; the left side increases with e,
-    so the rounding cannot change a verdict.
+    e**800 * 81**567 <= 64**567 * n**233, decided with hi/2**b and lo/2**b
+    for e, since the left side increases with e, and 2**(800b) on the right.
     """
     if n < 1:
         raise ValueError("check_growth requires n >= 1")
-    rhs = ((64, 567), (n, 233))
-    for (e,) in _enclosures(digits, ("e", 800)):
-        if cmp_power(((e.hi, 800), (81, 567)), rhs) <= 0:
+    for b, (lo, hi) in _enclosures(digits, ("e", 800)):
+        rhs = ((64, 567), (n, 233), (2, 800 * b))
+        if cmp_power(((hi, 800), (81, 567)), rhs) <= 0:
             return True
-        if cmp_power(((e.lo, 800), (81, 567)), rhs) > 0:
+        if cmp_power(((lo, 800), (81, 567)), rhs) > 0:
             return False
     return None
 
 
 def check_constant(digits: int = DEFAULT_DIGITS) -> bool | None:
     """Decide  ((2*pi)**13 / e**15)**(1/28) > 1.35, i.e.
-    (2*pi)**13 * 20**28 > 27**28 * e**15, with intervals for both constants,
-    at each rung first on their dyadic roundings; the left side increases
-    with pi and the right with e, so the roundings cannot change a verdict."""
-    for tp, e in _enclosures(digits, ("two_pi", 13), ("e", 15)):
-        if cmp_power(((tp.lo, 13), (20, 28)), ((27, 28), (e.hi, 15))) > 0:
+    (2*pi)**13 * 20**28 > 27**28 * e**15.  The left side increases with pi
+    and the right with e, so each rung puts the opposite ends of the two
+    enclosures against each other, both sides times 2**(28b)."""
+    for b, (tp_lo, tp_hi), (e_lo, e_hi) in _enclosures(digits, ("two_pi", 13), ("e", 15)):
+        left, right = ((20, 28), (2, 15 * b)), ((27, 28), (2, 13 * b))
+        if cmp_power(((tp_lo, 13), *left), ((e_hi, 15), *right)) > 0:
             return True
-        if cmp_power(((tp.hi, 13), (20, 28)), ((27, 28), (e.lo, 15))) <= 0:
+        if cmp_power(((tp_hi, 13), *left), ((e_lo, 15), *right)) <= 0:
             return False
     return None

@@ -7,12 +7,12 @@ single integer cross-multiplication otherwise; integer k-th roots by Newton
 from a half-precision root; is_prime, Miller-Rabin with the first k prime
 bases, k read off the table of psi_k; cyclotomic, the coefficient tuple of
 a cyclotomic polynomial by its Moebius product, and eval_poly, Horner
-evaluation of such a tuple; rational intervals, endpoint pairs with outward
-rounding for the constants e and pi; and POWER_MAX_BITS with
-check_power_bits, the size cap callers apply before building a large power
-from their inputs.  RationalInterval is an immutable NamedTuple compared by
-value that checks its endpoints in __new__.  Only the interval code builds a
-Fraction, so fractions is imported there and not when this module loads.
+evaluation of such a tuple; const_interval, integer bounds lo <= c * 2**b
+<= hi for the constants e and 2*pi, at most 3 apart, from exact series sums
+rounded outward; and POWER_MAX_BITS with check_power_bits, the size cap
+callers apply before building a large power from their inputs.  Nothing in
+this module builds a Fraction; cmp_power reads numerator and denominator
+off the Fractions its callers pass.
 
 Every verdict produced by this module reduces to a comparison of Python
 integers; floats never participate.  Magnitudes like 2000!**14 are routine.
@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 import sys
 from bisect import bisect_right
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 # Decimal serialization of values like 2000!**14 is part of the interface;
 # lift the interpreter's int-to-str conversion guard accordingly.
@@ -40,7 +40,6 @@ __all__ = [
     "cyclotomic",
     "eval_poly",
     "CYCLOTOMIC_MAX_K",
-    "RationalInterval",
     "const_interval",
 ]
 
@@ -255,120 +254,54 @@ def eval_poly(coeffs: Sequence[int], x: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Rational intervals
+# Dyadic enclosures of e and 2*pi
 # ---------------------------------------------------------------------------
 
 
-class _RationalIntervalFields(NamedTuple):
-    lo: Fraction
-    hi: Fraction
-
-
-class RationalInterval(_RationalIntervalFields):
-    """Closed interval with Fraction endpoints: an enclosure of e or pi.
-
-    Endpoints are exact, so the difference and scaling that build the pi
-    enclosure never round.  Checks pass lo and hi to cmp_power, first those
-    of the outward dyadic rounding dyadic(bits), which contains the interval
-    and has short endpoints, then the exact ones; there is no interval
-    arithmetic beyond that.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, lo: Fraction, hi: Fraction):
-        if lo > hi:
-            raise ValueError("interval endpoints out of order")
-        return super().__new__(cls, lo, hi)
-
-    def width(self) -> Fraction:
-        return self.hi - self.lo
-
-    def contains(self, x: RationalLike) -> bool:
-        from fractions import Fraction
-
-        return self.lo <= Fraction(x) <= self.hi
-
-    def dyadic(self, bits: int) -> "RationalInterval":
-        """[floor(lo*2**bits), ceil(hi*2**bits)] / 2**bits: contains this
-        interval, is at most 2**(1-bits) wider, and every denominator is a
-        power of two."""
-        from fractions import Fraction
-
-        if bits < 0:
-            raise ValueError("dyadic requires bits >= 0")
-        lo = (self.lo.numerator << bits) // self.lo.denominator
-        hi = -((-self.hi.numerator << bits) // self.hi.denominator)
-        return RationalInterval(Fraction(lo, 1 << bits), Fraction(hi, 1 << bits))
-
-    def __sub__(self, other: "RationalInterval") -> "RationalInterval":
-        return RationalInterval(self.lo - other.hi, self.hi - other.lo)
-
-    def scale(self, c: RationalLike) -> "RationalInterval":
-        from fractions import Fraction
-
-        c = Fraction(c)
-        if c >= 0:
-            return RationalInterval(self.lo * c, self.hi * c)
-        return RationalInterval(self.hi * c, self.lo * c)
-
-
-def _e_interval(digits: int) -> RationalInterval:
-    # Partial sums of sum 1/k!; the tail beyond K is < 2/(K+1)!.
-    from fractions import Fraction
-
-    target = 4 * 10 ** digits
+def _e_scaled(bits: int) -> tuple[int, int]:
+    # sum(1/j! for j < k) = num/(k-1)!, and the tail beyond it is below
+    # 2/k! < 2**-bits, so e * 2**bits lies in [x, x + 2) for x the floor of
+    # the partial sum scaled.
     k, fact = 1, 1
-    while fact <= target:
+    while fact <= 2 << bits:  # until k! > 2**(bits+1)
         k += 1
         fact *= k
-    K = k - 1  # (K+1)! = fact > target
     num, c = 1, 1
-    for j in range(K, 0, -1):
+    for j in range(k - 1, 0, -1):
         c *= j
         num += c
-    lo = Fraction(num, c)  # c == K!
-    hi = lo + Fraction(2, fact)
-    return RationalInterval(lo, hi)
+    x = (num << bits) // c  # c == (k-1)!
+    return x, x + 2
 
 
-def _arctan_inv_interval(m: int, tail_bound: Fraction) -> RationalInterval:
-    # arctan(1/m) as an alternating series; adjacent partial sums bracket the
-    # limit, so the interval width is the first omitted term.
-    from fractions import Fraction
-
-    acc = Fraction(0)
-    i = 0
-    while True:
-        term = Fraction(1, (2 * i + 1) * m ** (2 * i + 1))
-        if term < tail_bound:
-            break
-        acc += term if i % 2 == 0 else -term
-        i += 1
-    if i % 2 == 1:  # last added term positive: acc overestimates
-        return RationalInterval(acc - term, acc)
-    return RationalInterval(acc, acc + term)
+def _arctan_inv_scaled(m: int, bits: int) -> tuple[int, int]:
+    # atan(1/m) = sum((-1)**j / ((2j+1) * m**(2j+1))); the partial sums
+    # alternate around the limit, so the sum of the t terms before the first
+    # one below 2**-bits is within that term of it, above when t is odd.  The
+    # sum is exact over the denominator lcm(1, 3, ..., 2t-1) * m**(2t+1).
+    t = 0
+    while (2 * t + 1) * m ** (2 * t + 1) <= 1 << bits:
+        t += 1
+    odd = math.lcm(*range(1, 2 * t, 2))
+    num = sum((-1) ** j * (odd // (2 * j + 1)) * m ** (2 * (t - j)) for j in range(t))
+    x = (num << bits) // (odd * m ** (2 * t + 1))
+    return (x - 1, x + 1) if t % 2 else (x, x + 2)
 
 
-def _pi_interval(digits: int) -> RationalInterval:
-    # Machin: pi = 16*arctan(1/5) - 4*arctan(1/239).
-    from fractions import Fraction
+def const_interval(name: str, bits: int) -> tuple[int, int]:
+    """Integers lo <= c * 2**bits <= hi, hi - lo <= 3, for the constant c
+    named "e" or "two_pi"; bits >= 1.
 
-    budget = Fraction(1, 10 ** (digits + 1))
-    a5 = _arctan_inv_interval(5, budget / 32)
-    a239 = _arctan_inv_interval(239, budget / 8)
-    return a5.scale(16) - a239.scale(4)
-
-
-def const_interval(name: str, digits: int) -> RationalInterval:
-    """Rational interval of width < 10**-digits guaranteed to contain the
-    named constant.  Supported names: "e", "pi", "two_pi"."""
-    if digits < 1:
-        raise ValueError("const_interval requires digits >= 1")
+    e comes from its factorial series, 2*pi from Machin's formula
+    32*atan(1/5) - 8*atan(1/239), the two arctangents bracketed at bits + 6
+    and bits + 4 and their halved difference rounded outward.
+    """
+    if bits < 1:
+        raise ValueError("const_interval requires bits >= 1")
     if name == "e":
-        return _e_interval(digits)
-    if name == "pi":
-        return _pi_interval(digits)
+        return _e_scaled(bits)
     if name == "two_pi":
-        return _pi_interval(digits + 1).scale(2)
+        lo5, hi5 = _arctan_inv_scaled(5, bits + 6)
+        lo239, hi239 = _arctan_inv_scaled(239, bits + 4)
+        return (lo5 - hi239) // 2, -((lo239 - hi5) // 2)
     raise ValueError(f"unknown constant {name!r}")

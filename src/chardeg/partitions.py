@@ -87,14 +87,20 @@ class Partition(_PartitionFields):
 
 _TERM_RE = re.compile(r"^(\d+)(?:\^(\d+))?$")
 
+# parse_partition refuses larger partitions; at this size `hook --partition
+# 100^100` prints 80 KB in 0.04 s (in-process, 2-CPU x86-64 box).
+PARTITION_MAX_SIZE = 10_000
+
 
 def parse_partition(text: str) -> Partition:
     """Parse "3,2,2" or the exponential form "3,2^2"; round-trips both
-    display forms."""
+    display forms.  A partition of size above PARTITION_MAX_SIZE is refused
+    before its parts are listed."""
     text = text.strip()
     if not text:
         return Partition(())
     parts: list[int] = []
+    size = 0
     for chunk in text.split(","):
         m = _TERM_RE.match(chunk.strip())
         if not m:
@@ -103,6 +109,10 @@ def parse_partition(text: str) -> Partition:
         count = int(m.group(2)) if m.group(2) else 1
         if count < 1:
             raise ValueError(f"bad exponent in {chunk!r}")
+        # A zero part is refused by Partition, but only once the list is built.
+        size += max(val, 1) * count
+        if size > PARTITION_MAX_SIZE:
+            raise ValueError(f"partition size is above the maximum {PARTITION_MAX_SIZE}")
         parts.extend([val] * count)
     return Partition(tuple(parts))
 

@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 
 import pytest
@@ -12,7 +13,7 @@ from chardeg.alternating import (
     gamma_index,
     square_fix,
 )
-from chardeg.exact_arith import cmp_power, const_interval, factorial
+from chardeg.exact_arith import const_interval, factorial
 from chardeg.partitions import Partition, degree, hooks, partitions_of
 
 
@@ -122,9 +123,21 @@ class TestCheckWitness:
             monkeypatch.setattr(alternating, "_lhs_carry", (0, 1))
             assert check_witness(n, best=best).to_json_dict() == doc
 
+    def test_no_passer_reports_smallest_failure_quickly(self, monkeypatch):
+        # With (n!)**13 replaced by 1 nothing passes: the report is the
+        # window member with the smallest hook product, found in one scan of
+        # the window family (no search over the p(101) ~ 2e8 partitions).
+        monkeypatch.setattr(alternating, "_factorial_pow13", lambda n: 1)
+        start = time.perf_counter()
+        r = check_witness(101)
+        assert time.perf_counter() - start < 1.0
+        members = list(alternating._gamma_candidates(101))
+        assert not r.passed and r.candidates_tried == len(members)
+        assert r.witness == min(members, key=lambda lam: hooks(lam).product)
+
     def test_whole_window_family_passes_for_large_index(self):
         # for window index >= 8 every candidate (with the square replaced)
-        # passes, so the guided search never needs its fallback there
+        # passes, so the window search always finds a witness there
         from chardeg.partitions import enumerate_gamma
 
         for m in (8, 9):
@@ -144,73 +157,93 @@ class TestIntervalChecks:
 
     def test_matches_fraction_reference(self):
         # Reference: the same inequalities decided with Fraction powers of
-        # the exact interval endpoints, independently of cmp_power and of
-        # the dyadic rounding, walked up the precision ladder d, 2d, 4d, ...
-        # (capped at 400 digits); the verdict must be the first decided one.
-        def ladder_ref(ref, digits):
+        # lo/2**b and hi/2**b, independently of cmp_power, on the same rungs:
+        # b0 = bit length of the largest exponent + 8, then ceil(3.322*d) + 2
+        # for d, 2d, 4d, ... (capped at 400 digits); the verdict must be the
+        # first decided one.
+        def ladder_ref(ref, exponent, digits):
+            rungs = [exponent.bit_length() + 8]
             d = digits
             while True:
-                verdict = ref(d)
-                if verdict is not None or d >= 400:
-                    return verdict
+                rungs.append(-(-3322 * d // 1000) + 2)
+                if d >= 400:
+                    break
                 d = min(2 * d, 400)
+            for b in rungs:
+                verdict = ref(b)
+                if verdict is not None:
+                    return verdict
+            return None
 
-        def factorial_lower_ref(n, digits):
+        def enclosure(name, b):
+            lo, hi = const_interval(name, b)
+            return Fraction(lo, 2 ** b), Fraction(hi, 2 ** b)
+
+        def factorial_lower_ref(n, b):
             base = Fraction(factorial(n)) ** 26 * Fraction(20) ** 28
             rhs = Fraction(27) ** 28 * Fraction(n) ** (25 * n) * Fraction(n - 1) ** 28
-            e = const_interval("e", digits)
-            if base * e.lo ** (25 * n) > rhs:
+            e_lo, e_hi = enclosure("e", b)
+            if base * e_lo ** (25 * n) > rhs:
                 return True
-            if base * e.hi ** (25 * n) <= rhs:
+            if base * e_hi ** (25 * n) <= rhs:
                 return False
             return None
 
-        def growth_ref(n, digits):
+        def growth_ref(n, b):
             rhs = Fraction(64) ** 567 * Fraction(n) ** 233
-            e = const_interval("e", digits)
-            if e.hi ** 800 * Fraction(81) ** 567 <= rhs:
+            e_lo, e_hi = enclosure("e", b)
+            if e_hi ** 800 * Fraction(81) ** 567 <= rhs:
                 return True
-            if e.lo ** 800 * Fraction(81) ** 567 > rhs:
+            if e_lo ** 800 * Fraction(81) ** 567 > rhs:
                 return False
             return None
 
-        def constant_ref(digits):
-            tp = const_interval("two_pi", digits)
-            e = const_interval("e", digits)
-            if tp.lo ** 13 * Fraction(20) ** 28 > Fraction(27) ** 28 * e.hi ** 15:
+        def constant_ref(b):
+            tp_lo, tp_hi = enclosure("two_pi", b)
+            e_lo, e_hi = enclosure("e", b)
+            if tp_lo ** 13 * Fraction(20) ** 28 > Fraction(27) ** 28 * e_hi ** 15:
                 return True
-            if tp.hi ** 13 * Fraction(20) ** 28 <= Fraction(27) ** 28 * e.lo ** 15:
+            if tp_hi ** 13 * Fraction(20) ** 28 <= Fraction(27) ** 28 * e_lo ** 15:
                 return False
             return None
 
         factorial_cases = [(n, d) for d in (1, 2, 3) for n in range(15, 61)]
         factorial_cases += [(15, 50), (16, 50), (100, 50), (200, 50), (400, 50)]
         for n, digits in factorial_cases:
-            expected = ladder_ref(lambda d: factorial_lower_ref(n, d), digits)
+            expected = ladder_ref(lambda b: factorial_lower_ref(n, b), 25 * n, digits)
             assert expected is True or digits < 50
             assert check_factorial_lower(n, digits) == expected, (n, digits)
-        # At digits=1, n = 54, 55, 56 climb the ladder 1 -> 2 -> 4.
         for n in range(1, 121):
-            expected = ladder_ref(lambda d: growth_ref(n, d), 1)
+            expected = ladder_ref(lambda b: growth_ref(n, b), 800, 1)
             assert check_growth(n, digits=1) == expected, n
         for digits in (1, 2, 3, 4):
-            assert check_constant(digits) == ladder_ref(constant_ref, digits), digits
+            assert check_constant(digits) == ladder_ref(constant_ref, 15, digits), digits
 
     def test_factorial_lower_decides_on_dyadic_endpoints(self, monkeypatch):
-        # At n = 1000 the first rung's dyadic rounding decides: no base of
-        # the 50-digit enclosure (a 159-bit denominator) is ever raised to
-        # the 25000th power.
-        bases = []
+        # At n = 1000 the first rung decides: the only enclosure built is
+        # that of e at b0 = bit length of 25n + 8, whose endpoints have at
+        # most b0 + 2 bits, where the 50-digit rung is at 169 bits.
+        built = []
 
-        def recording_cmp_power(lhs, rhs):
-            bases.extend(base for base, _ in (*lhs, *rhs))
-            return cmp_power(lhs, rhs)
+        def recording_const_interval(name, bits):
+            built.append((name, bits, const_interval(name, bits)))
+            return built[-1][2]
 
-        monkeypatch.setattr(alternating, "cmp_power", recording_cmp_power)
+        monkeypatch.setattr(alternating, "const_interval", recording_const_interval)
         assert check_factorial_lower(1000) is True
-        fractions = [b for b in bases if isinstance(b, Fraction)]
-        assert fractions
-        assert all(b.denominator & (b.denominator - 1) == 0 for b in fractions)
+        b0 = (25 * 1000).bit_length() + 8
+        [(name, bits, endpoints)] = built
+        assert (name, bits) == ("e", b0)
+        assert all(end.bit_length() <= b0 + 2 for end in endpoints)
+
+    def test_digits_below_one_rejected(self):
+        # The digit ladder never ends below 1, so the checks refuse it.
+        with pytest.raises(ValueError):
+            check_factorial_lower(1000, 0)
+        with pytest.raises(ValueError):
+            check_growth(100, -3)
+        with pytest.raises(ValueError):
+            check_constant(0)
 
     def test_hook_upper(self):
         assert check_hook_upper(2) is True

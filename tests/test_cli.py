@@ -284,6 +284,8 @@ class TestContract:
                 'chiefseries-bound --json {"factors":[{"order":"60","multiplicity":10000000}]}',
                 "rat14_lower_bound would build an integer of up to 60000000 bits",
             ),
+            ("conjugate --partition 100000000^3", "partition size is above the maximum 10000"),
+            ("hook --partition 3000^3000", "partition size is above the maximum 10000"),
         ],
     )
     def test_unbounded_inputs_rejected_quickly(self, argv, reason, capsys):
@@ -419,6 +421,8 @@ class TestStartup:
                 {"chardeg.lie_type", "chardeg.degree_data", "chardeg.structure_bounds",
                  "fractions", "decimal"},
             ),
+            ("lemma43 --n 250", "chardeg.alternating", {"fractions", "decimal"}),
+            ("lemma46 --n 55 --digits 1", "chardeg.alternating", {"fractions", "decimal"}),
             (
                 "sweep --families G2 --q-max 8",
                 "chardeg.lie_type",

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from chardeg.exact_arith import (
     CYCLOTOMIC_MAX_K,
-    RationalInterval,
     cmp_power,
     const_interval,
     cyclotomic,
@@ -17,7 +16,7 @@ from chardeg.exact_arith import (
     nth_root_floor,
 )
 
-# 50-digit truncations used as containment oracles for the interval code.
+# 50-digit truncations of e and pi, a second oracle for const_interval.
 E_50 = Fraction(27182818284590452353602874713526624977572470936999, 10 ** 49)
 PI_50 = Fraction(31415926535897932384626433832795028841971693993751, 10 ** 49)
 
@@ -296,75 +295,61 @@ class TestCyclotomic:
         assert any(c not in (-1, 0, 1) for c in cyclotomic(105))
 
 
-rationals = st.fractions(
-    min_value=Fraction(-8), max_value=Fraction(8), max_denominator=64
-)
+def _series_reference(digits: int) -> dict[str, tuple[Fraction, Fraction]]:
+    """Fraction enclosures of e and 2*pi narrower than 10**-digits, from the
+    rational series: partial sums of sum 1/k!, whose tail is below twice the
+    first omitted term, and Machin's 2*pi = 32*atan(1/5) - 8*atan(1/239),
+    each arctangent between two adjacent partial sums of its alternating
+    series."""
+    tol = Fraction(1, 10 ** (digits + 2))
+    e, term, k = Fraction(0), Fraction(1), 0
+    while term >= tol:
+        e += term
+        k += 1
+        term /= k
 
+    def arctan_inv(m):
+        acc, i = Fraction(0), 0
+        while (t := Fraction(1, (2 * i + 1) * m ** (2 * i + 1))) >= tol:
+            acc += -t if i % 2 else t
+            i += 1
+        return (acc - t, acc) if i % 2 else (acc, acc + t)
 
-class TestRationalInterval:
-    def test_invariant(self):
-        with pytest.raises(ValueError):
-            RationalInterval(Fraction(1), Fraction(0))
-        with pytest.raises(ValueError):
-            RationalInterval(2, 1)
-        with pytest.raises(ValueError):
-            RationalInterval(lo=Fraction(1), hi=Fraction(0))
-
-    @given(
-        a=rationals, b=rationals, c=rationals, d=rationals, k=rationals,
-        ta=st.fractions(min_value=0, max_value=1, max_denominator=32),
-        tb=st.fractions(min_value=0, max_value=1, max_denominator=32),
-    )
-    def test_sub_scale_soundness(self, a, b, c, d, k, ta, tb):
-        i1 = RationalInterval(min(a, b), max(a, b))
-        i2 = RationalInterval(min(c, d), max(c, d))
-        x = i1.lo + ta * (i1.hi - i1.lo)
-        y = i2.lo + tb * (i2.hi - i2.lo)
-        assert (i1 - i2).contains(x - y)
-        assert i1.scale(k).contains(k * x)
-
-    @given(
-        a=st.fractions(min_value=-8, max_value=8, max_denominator=10 ** 60),
-        b=st.fractions(min_value=-8, max_value=8, max_denominator=10 ** 60),
-        bits=st.integers(min_value=0, max_value=80),
-    )
-    def test_dyadic_rounding(self, a, b, bits):
-        exact = RationalInterval(min(a, b), max(a, b))
-        rounded = exact.dyadic(bits)
-        assert rounded.lo <= exact.lo and exact.hi <= rounded.hi
-        for end in (rounded.lo, rounded.hi):
-            assert end.denominator & (end.denominator - 1) == 0
-            assert end.denominator <= 2 ** bits
-        assert rounded.width() <= exact.width() + Fraction(2, 2 ** bits)
+    lo5, hi5 = arctan_inv(5)
+    lo239, hi239 = arctan_inv(239)
+    return {"e": (e, e + 2 * term), "two_pi": (32 * lo5 - 8 * hi239, 32 * hi5 - 8 * lo239)}
 
 
 class TestConstInterval:
     def test_containment_and_width(self):
-        # The oracles are 49-decimal truncations, so containment is only a
-        # fair test while the interval is wider than the truncation error.
-        for digits in (2, 10, 30, 45):
-            e = const_interval("e", digits)
-            assert e.contains(E_50)
-            assert e.width() < Fraction(1, 10 ** digits)
-            pi = const_interval("pi", digits)
-            assert pi.contains(PI_50)
-            assert pi.width() < Fraction(1, 10 ** digits)
-            tp = const_interval("two_pi", digits)
-            assert tp.contains(2 * PI_50)
-            assert tp.width() < Fraction(1, 10 ** digits)
+        # Every b up to the last rung of the digit ladder (1331 bits) and
+        # beyond, against an enclosure about 10**-500 wide.
+        reference = _series_reference(500)
+        for name, (ref_lo, ref_hi) in reference.items():
+            assert ref_hi - ref_lo < Fraction(1, 10 ** 500)
+            for b in range(1, 1401):
+                lo, hi = const_interval(name, b)
+                assert Fraction(lo, 1 << b) <= ref_lo and ref_hi <= Fraction(hi, 1 << b), (name, b)
+                assert hi - lo <= 3, (name, b)
 
     def test_width_contract_at_high_precision(self):
-        for name in ("e", "pi", "two_pi"):
-            iv = const_interval(name, 50)
-            assert iv.width() < Fraction(1, 10 ** 50)
-            # still consistent with the truncation oracle to its own accuracy
-            oracle = {"e": E_50, "pi": PI_50, "two_pi": 2 * PI_50}[name]
-            assert abs(iv.lo - oracle) < Fraction(2, 10 ** 49)
+        # The truncations are 10**-49 below the constants, far less than the
+        # distance of c * 2**b to the nearest integer for these b.
+        oracles = {"e": E_50, "two_pi": 2 * PI_50}
+        for name, oracle in oracles.items():
+            for b in (16, 64, 150):
+                lo, hi = const_interval(name, b)
+                assert lo < oracle * 2 ** b < hi
+            for b in (1331, 2000):
+                lo, hi = const_interval(name, b)
+                assert hi - lo <= 3 and lo.bit_length() >= b + 1
 
     def test_unknown_name(self):
-        with pytest.raises(ValueError):
-            const_interval("phi", 10)
+        for name in ("phi", "pi"):
+            with pytest.raises(ValueError):
+                const_interval(name, 10)
 
     def test_requires_positive_digits(self):
+        # The precision is a number of bits, at least 1.
         with pytest.raises(ValueError):
             const_interval("e", 0)

@@ -4,12 +4,11 @@ import os
 import pkgutil
 import subprocess
 import sys
-from fractions import Fraction
 
 import pytest
 
 import chardeg
-from chardeg import alternating, cli, degree_data, exact_arith, lie_type, partitions
+from chardeg import alternating, cli, degree_data, lie_type, partitions
 from chardeg import structure_bounds
 from conftest import REPO_ROOT
 
@@ -42,7 +41,6 @@ def _records():
     return [
         (partitions.parse_partition("3,2,2"), "parts"),
         (partitions.hooks(partitions.parse_partition("2,1")), "product"),
-        (exact_arith.RationalInterval(Fraction(1), Fraction(2)), "lo"),
         (report, "passed"),
         (report.margin, "lhs_bits"),
         (spec, "q"),
