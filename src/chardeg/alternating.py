@@ -40,10 +40,15 @@ __all__ = [
     "check_constant",
     "DEFAULT_DIGITS",
     "MAX_DIGITS",
+    "MAX_N",
 ]
 
 DEFAULT_DIGITS = 50
 MAX_DIGITS = 400
+# check_witness and check_factorial_lower refuse a larger n: at n = 2000 each
+# takes under 0.3 s in-process (2-CPU x86-64 box), and prop42 over 7..2000
+# about 15 s.
+MAX_N = 2000
 
 # Below this n the witness search is exhaustive over all partitions of n;
 # for larger n the three-parts-window family around the square (m**2 <= n)
@@ -168,6 +173,8 @@ def check_witness(n: int, best: bool = False) -> WitnessReport:
     """
     if n < 7:
         raise ValueError("check_witness requires n >= 7")
+    if n > MAX_N:
+        raise ValueError(f"check_witness requires n <= {MAX_N}, got {n}")
     # The verdict (n!)**13 > (H*(n-1))**14 and its margin evidence are both
     # taken from these integers: lhs once per n, rhs once per candidate.
     lhs = _factorial_pow13(n)
@@ -226,6 +233,8 @@ def check_factorial_lower(n: int, digits: int = DEFAULT_DIGITS) -> bool | None:
     """
     if n < 15:
         raise ValueError("check_factorial_lower requires n >= 15")
+    if n > MAX_N:
+        raise ValueError(f"check_factorial_lower requires n <= {MAX_N}, got {n}")
     fact = factorial(n)
     rhs = ((27, 28), (n, 25 * n), (n - 1, 28))
     for b, (lo, hi) in _enclosures(digits, ("e", 25 * n)):

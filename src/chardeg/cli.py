@@ -113,6 +113,9 @@ def _cmd_prop42(args) -> CommandResult:
         if lo > hi:
             # An empty range would certify nothing yet report "pass".
             raise ValueError(f"prop42 requires --from <= --to, got {lo} > {hi}")
+    if hi > alternating.MAX_N:
+        # Refused before the first n, not when the loop reaches it.
+        raise ValueError(f"prop42 requires n <= {alternating.MAX_N}, got {hi}")
     records = [alternating.check_witness(n, best=args.best) for n in range(lo, hi + 1)]
     all_passed = all(r.passed for r in records)
     dicts = [r.to_json_dict() for r in records]
@@ -589,6 +592,8 @@ def run(argv: list[str] | None = None) -> CommandResult:
         return args.handler(args)
     except (ValueError, ArithmeticError, OSError, KeyError) as exc:
         return CommandResult("error", {"error": str(exc)})
+    except MemoryError:
+        return CommandResult("error", {"error": "out of memory"})
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -1,18 +1,19 @@
 """Exact arithmetic kernel.
 
-One comparison primitive, cmp_power, which orders two products of rational
+One comparison primitive, cmp_power, which orders two products of integer
 powers and returns the sign -1, 0 or 1: it decides from the bit lengths of
-the bases when their bounds on the two products do not overlap, and by a
-single integer cross-multiplication otherwise; integer k-th roots by Newton
-from a half-precision root; is_prime, Miller-Rabin with the first k prime
+the bases when their bounds on the two products do not overlap, and builds
+and compares the products otherwise; integer k-th roots by Newton from a
+half-precision root; is_prime, Miller-Rabin with the first k prime
 bases, k read off the table of psi_k; cyclotomic, the coefficient tuple of
 a cyclotomic polynomial by its Moebius product, and eval_poly, Horner
 evaluation of such a tuple; const_interval, integer bounds lo <= c * 2**b
 <= hi for the constants e and 2*pi, at most 3 apart, from exact series sums
 rounded outward; and POWER_MAX_BITS with check_power_bits, the size cap
 callers apply before building a large power from their inputs.  Nothing in
-this module builds a Fraction; cmp_power reads numerator and denominator
-off the Fractions its callers pass.
+this module handles a rational: a caller that compares rationals splits each
+ratio, its numerator on one side of cmp_power and its denominator on the
+other, and fractions is never imported.
 
 Every verdict produced by this module reduces to a comparison of Python
 integers; floats never participate.  Magnitudes like 2000!**14 are routine.
@@ -45,8 +46,6 @@ __all__ = [
 
 factorial = math.factorial
 
-RationalLike = "Fraction | int"
-
 # Callers refuse, before building it, a power that could exceed this many
 # bits: at the cap maroti_bound, or one Lie-type order, takes about 0.1 s.
 POWER_MAX_BITS = 2 ** 17
@@ -61,67 +60,48 @@ def check_power_bits(caller: str, bits: int) -> None:
         )
 
 
-def _bit_bounds(factors: Sequence[tuple[RationalLike, int]]) -> tuple[int, int, int, int] | None:
-    # Validates the factors and bounds the numerator N and the denominator D
-    # of their product without raising anything to a power: an integer x >= 1
-    # of bit length L lies in [2**(L-1), 2**L) and is 2**(L-1) when it is a
-    # power of two, so (lo_n, hi_n, lo_d, hi_d) give 2**lo_n <= N <= 2**hi_n
-    # and 2**lo_d <= D <= 2**hi_d.  None when a zero base has a nonzero
-    # exponent.
-    lo_n = hi_n = lo_d = hi_d = 0
-    zero = False
+def _bit_bounds(factors: Sequence[tuple[int, int]]) -> tuple[int, int] | None:
+    # Validates the factors and bounds their product P without raising
+    # anything to a power: an integer x >= 1 of bit length L lies in
+    # [2**(L-1), 2**L) and is 2**(L-1) when it is a power of two, so (lo, hi)
+    # give 2**lo <= P <= 2**hi.  None when a zero base has a nonzero exponent.
+    lo = hi = 0
     for base, exp in factors:
+        if not isinstance(base, int):
+            raise TypeError(f"cmp_power requires integer bases, got {type(base).__name__}")
         if base < 0:
             raise ValueError("cmp_power requires nonnegative bases")
         if exp < 0:
             raise ValueError("cmp_power requires nonnegative exponents")
-        num, den = base.numerator, base.denominator
-        zero = zero or (num == 0 and exp > 0)
-        lo_n += (num.bit_length() - 1) * exp
-        hi_n += (num.bit_length() - (num & (num - 1) == 0)) * exp
-        lo_d += (den.bit_length() - 1) * exp
-        hi_d += (den.bit_length() - (den & (den - 1) == 0)) * exp
-    return None if zero else (lo_n, hi_n, lo_d, hi_d)
+        lo += (base.bit_length() - 1) * exp
+        hi += (base.bit_length() - (base & (base - 1) == 0)) * exp
+    return None if any(base == 0 and exp for base, exp in factors) else (lo, hi)
 
 
-def _side(factors: Sequence[tuple[RationalLike, int]]) -> tuple[int, int]:
-    # Numerator and denominator of prod(a**p for a, p in factors).  ints and
-    # Fractions both carry numerator/denominator, so no Fraction is built.
-    num = den = 1
-    for base, exp in factors:
-        num *= base.numerator ** exp
-        den *= base.denominator ** exp
-    return num, den
+def _product(factors: Sequence[tuple[int, int]]) -> int:
+    return math.prod(base ** exp for base, exp in factors)
 
 
-def cmp_power(
-    lhs: Sequence[tuple[RationalLike, int]], rhs: Sequence[tuple[RationalLike, int]]
-) -> int:
+def cmp_power(lhs: Sequence[tuple[int, int]], rhs: Sequence[tuple[int, int]]) -> int:
     """The sign -1, 0 or 1 of prod(a**p for a, p in lhs) minus
     prod(b**s for b, s in rhs); callers compare it with 0.
 
-    Bases are nonnegative ints or Fractions, exponents nonnegative ints, not
-    all zero; an empty side is the empty product 1.  Each side is one
-    numerator and one denominator, and the sign is that of ln * rd - rn * ld,
-    so no division ever happens.  The bit lengths of the bases bound both
-    cross products first, and when the lower bound of one is above the upper
-    bound of the other the sign is returned without building a power.
-    Otherwise, and whenever a zero base has a nonzero exponent, the two
-    cross products are built and compared exactly.
+    Bases and exponents are nonnegative ints, the exponents not all zero; an
+    empty side is the empty product 1.  A caller comparing rationals puts
+    each ratio's numerator on its own side and its denominator on the other.
+    The bit lengths of the bases bound both products first, and when the
+    lower bound of one is above the upper bound of the other the sign is
+    returned without building a power.  Otherwise, and whenever a zero base
+    has a nonzero exponent, the two products are built and compared exactly.
     """
     if not any(exp for _, exp in lhs) and not any(exp for _, exp in rhs):
         raise ValueError("cmp_power: the exponents must not all be zero")
     lb, rb = _bit_bounds(lhs), _bit_bounds(rhs)
-    if lb is not None and rb is not None:
-        lo_ln, hi_ln, lo_ld, hi_ld = lb
-        lo_rn, hi_rn, lo_rd, hi_rd = rb
-        if lo_ln + lo_rd > hi_rn + hi_ld:
-            return 1
-        if lo_rn + lo_ld > hi_ln + hi_rd:
-            return -1
-    ln, ld = _side(lhs)
-    rn, rd = _side(rhs)
-    left, right = ln * rd, rn * ld
+    if lb and rb and lb[0] > rb[1]:
+        return 1
+    if lb and rb and rb[0] > lb[1]:
+        return -1
+    left, right = _product(lhs), _product(rhs)
     return (left > right) - (left < right)
 
 
@@ -278,7 +258,7 @@ def _arctan_inv_scaled(m: int, bits: int) -> tuple[int, int]:
     # atan(1/m) = sum((-1)**j / ((2j+1) * m**(2j+1))); the partial sums
     # alternate around the limit, so the sum of the t terms before the first
     # one below 2**-bits is within that term of it, above when t is odd.  The
-    # sum is exact over the denominator lcm(1, 3, ..., 2t-1) * m**(2t+1).
+    # sum is an exact integer over lcm(1, 3, ..., 2t-1) * m**(2t+1).
     t = 0
     while (2 * t + 1) * m ** (2 * t + 1) <= 1 << bits:
         t += 1

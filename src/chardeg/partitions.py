@@ -145,15 +145,25 @@ def degree(lam: Partition) -> int:
     return q
 
 
+# enumerate_gamma refuses a larger index: at m = 50 `gamma` prints 200 KB and
+# `lemma45` takes 0.8 s in-process (2-CPU x86-64 box, 2.1 s at m = 60); the
+# output grows as m**3 and the time faster.  The witness search up to
+# n = 2000 needs m <= 44.
+GAMMA_MAX_M = 50
+
+
 def enumerate_gamma(m: int, size: int | None = None) -> Iterator[Partition]:
     """All partitions with exactly m parts, each part in [m, m+2], or only
-    those of the given size (none when size is outside [m*m, m*m + 2m]).
+    those of the given size (none when size is outside [m*m, m*m + 2m]);
+    1 <= m <= GAMMA_MAX_M.
 
     Yields groups of constant size |lam| in increasing order of size; within
     one size, partitions with more parts equal to m+2 come first.
     """
     if m < 1:
         raise ValueError("enumerate_gamma requires m >= 1")
+    if m > GAMMA_MAX_M:
+        raise ValueError(f"enumerate_gamma requires m <= {GAMMA_MAX_M}, got {m}")
     excesses = range(0, 2 * m + 1)  # |lam| = m*m + excess
     if size is not None:
         excesses = [size - m * m] if size - m * m in excesses else []

@@ -3,9 +3,11 @@
 These operate on user-supplied structural data (chief-factor descriptors,
 subgroup indices); nothing here computes radicals or Fitting subgroups from
 a group presentation.  The decimal exponents 1.43, 0.259, ... are treated as
-the exact rationals 143/100, 259/1000, ... throughout.  ChiefFactorDescriptor
-and ChiefSeries are immutable NamedTuples compared by value;
-ChiefFactorDescriptor checks its fields in __new__.
+the exact rationals 143/100, 259/1000, ... throughout.  A degree ratio a/b
+goes to cmp_power split, a on its own side and b on the other, so every
+verdict compares two integer products.  ChiefFactorDescriptor and
+ChiefSeries are immutable NamedTuples compared by value; ChiefFactorDescriptor
+checks its fields in __new__.
 """
 
 from __future__ import annotations
@@ -97,21 +99,20 @@ def rat14_lower_bound(series: ChiefSeries) -> int:
 
 
 def quotient_power_check(rat_g: Fraction, rat_gn: Fraction, order_n: int) -> bool:
-    """Exact verdict on rat_g**14 >= rat_gn**14 * order_n.  Raises
-    ValueError when a cross product could exceed POWER_MAX_BITS bits."""
+    """Exact verdict on rat_g**14 >= rat_gn**14 * order_n: with rat_g = a/b
+    and rat_gn = c/d, on a**14 * d**14 >= c**14 * b**14 * order_n.  Raises
+    ValueError when a side could exceed POWER_MAX_BITS bits."""
     rat_g, rat_gn = Fraction(rat_g), Fraction(rat_gn)
     if rat_g < 1 or rat_gn < 1:
         raise ValueError("degree ratios are at least 1")
     if order_n < 1:
         raise ValueError("order_n must be positive")
-    # A ratio >= 1 has the longer numerator, which bounds each cross product.
+    (a, b), (c, d) = rat_g.as_integer_ratio(), rat_gn.as_integer_ratio()
+    # A ratio >= 1 has the longer numerator, which bounds each side.
     check_power_bits(
-        "quotient_power_check",
-        14 * (rat_g.numerator.bit_length() + rat_gn.numerator.bit_length())
-        + order_n.bit_length(),
+        "quotient_power_check", 14 * (a.bit_length() + c.bit_length()) + order_n.bit_length()
     )
-    lhs = ((rat_g, 14),)
-    return cmp_power(lhs, ((rat_gn, 14), (order_n, 1))) >= 0
+    return cmp_power(((a, 14), (d, 14)), ((c, 14), (b, 14), (order_n, 1))) >= 0
 
 
 def maroti_bound(n: int, d: int) -> int:
@@ -140,18 +141,18 @@ def solvable_index_bound(order_n: int) -> int:
 
 
 def radical_index_check(rat_g: Fraction, index: int) -> bool:
-    """Exact verdict on index <= rat_g**21.  Raises ValueError when a cross
-    product could exceed POWER_MAX_BITS bits."""
+    """Exact verdict on index <= rat_g**21: with rat_g = a/b, on
+    a**21 >= b**21 * index.  Raises ValueError when a side could exceed
+    POWER_MAX_BITS bits."""
     rat_g = Fraction(rat_g)
     if rat_g < 1:
         raise ValueError("degree ratios are at least 1")
     if index < 1:
         raise ValueError("index must be positive")
-    # rat_g >= 1 has the longer numerator, which bounds each cross product.
-    check_power_bits(
-        "radical_index_check", 21 * rat_g.numerator.bit_length() + index.bit_length()
-    )
-    return cmp_power(((rat_g, 21),), ((index, 1),)) >= 0
+    a, b = rat_g.as_integer_ratio()
+    # rat_g >= 1 has the longer numerator, which bounds each side.
+    check_power_bits("radical_index_check", 21 * a.bit_length() + index.bit_length())
+    return cmp_power(((a, 21),), ((b, 21), (index, 1))) >= 0
 
 
 def frobenius_example(p: int, m: int) -> DegreeTable:

@@ -102,6 +102,14 @@ class TestCheckWitness:
         with pytest.raises(ValueError):
             check_witness(6)
 
+    def test_size_cap(self):
+        assert alternating.MAX_N == 2000
+        assert check_witness(2000).passed is True
+        with pytest.raises(ValueError, match="n <= 2000, got 2001"):
+            check_witness(2001)
+        with pytest.raises(ValueError, match="n <= 2000, got 2001"):
+            check_factorial_lower(2001)
+
     @pytest.mark.parametrize(
         "calls",
         [

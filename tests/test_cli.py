@@ -8,6 +8,7 @@ import time
 
 import pytest
 
+from chardeg import cli
 from chardeg.cli import _poly_text, build_parser, main, run
 from chardeg.exact_arith import cyclotomic
 from conftest import REPO_ROOT, load_workloads, readme_command_lines
@@ -286,6 +287,10 @@ class TestContract:
             ),
             ("conjugate --partition 100000000^3", "partition size is above the maximum 10000"),
             ("hook --partition 3000^3000", "partition size is above the maximum 10000"),
+            ("gamma --m 3000", "enumerate_gamma requires m <= 50, got 3000"),
+            ("lemma45 --m 300", "enumerate_gamma requires m <= 50, got 300"),
+            ("lemma43 --n 200000", "check_factorial_lower requires n <= 2000, got 200000"),
+            ("prop42 --from 7 --to 100000000", "prop42 requires n <= 2000, got 100000000"),
         ],
     )
     def test_unbounded_inputs_rejected_quickly(self, argv, reason, capsys):
@@ -294,6 +299,16 @@ class TestContract:
         assert time.perf_counter() - start < 1.0
         assert code == 2 and doc["status"] == "error"
         assert reason in doc["error"]
+
+    def test_memory_error_is_an_error_document(self, monkeypatch, capsys):
+        # exit 1 is a "fail" verdict; running out of memory is an error
+        def exhausted(args):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, "_cmd_gamma", exhausted)
+        code, doc = _run_json(capsys, ["gamma", "--m", "3"])
+        assert code == 2
+        assert doc == {"status": "error", "error": "out of memory"}
 
     @pytest.mark.parametrize("command", ["validate-data", "sporadic-check"])
     def test_duplicate_table_names_rejected(self, command, capsys, tmp_path):

@@ -425,8 +425,8 @@ class TestSweep:
         # On the benchmark grids (classical rank <= 20, q <= 32; exceptional
         # q <= 8192) at most 2 % of the power-gap comparisons build powers.
         built = []
-        side = exact_arith._side
-        monkeypatch.setattr(exact_arith, "_side", lambda f: built.append(f) or side(f))
+        product = exact_arith._product
+        monkeypatch.setattr(exact_arith, "_product", lambda f: built.append(f) or product(f))
         entries = sweep(CLASSICAL_FAMILIES, rank_max=20, q_max=32)
         entries += sweep(EXCEPTIONAL_FAMILIES, q_max=8192)
         points = sum(isinstance(e, SweepRecord) for e in entries)

@@ -4,6 +4,7 @@ from hypothesis import strategies as st
 
 from chardeg.exact_arith import factorial
 from chardeg.partitions import (
+    GAMMA_MAX_M,
     Partition,
     degree,
     enumerate_gamma,
@@ -168,6 +169,12 @@ class TestGamma:
     def test_rejects_zero(self):
         with pytest.raises(ValueError):
             list(enumerate_gamma(0))
+
+    def test_index_cap(self):
+        assert GAMMA_MAX_M == 50
+        assert len(list(enumerate_gamma(50, size=2600))) == 1  # the rectangle 52^50
+        with pytest.raises(ValueError, match="m <= 50, got 51"):
+            list(enumerate_gamma(51))
 
 
 class TestPartitionsOf:

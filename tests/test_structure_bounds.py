@@ -1,7 +1,10 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from chardeg import exact_arith, structure_bounds
 from chardeg.degree_data import rat
@@ -134,8 +137,6 @@ class TestMarotiBound:
             maroti_bound(1, 10 ** 6)
 
     def test_monotone_in_n_and_defining_inequality(self):
-        import math
-
         prev = 0
         for n in range(1, 9):
             b = maroti_bound(n, 5)
@@ -187,6 +188,49 @@ class TestRadicalIndexCheck:
         assert radical_index_check(rat, 2 ** 31) is True
         with pytest.raises(ValueError, match="131073 bits, more than 131072"):
             radical_index_check(rat, 2 ** 32)
+
+
+# A ratio >= 1 as the checks receive it: an int, or a Fraction of a numerator
+# and a denominator drawn with a common factor k.
+ratios = st.integers(1, 400) | st.builds(
+    lambda b, extra, k: Fraction(k * (b + extra), k * b),
+    st.integers(1, 300),
+    st.integers(0, 300),
+    st.integers(1, 6),
+)
+
+
+class TestSplitChecksMatchFractions:
+    """quotient_power_check and radical_index_check put each ratio's
+    numerator and denominator on opposite sides of cmp_power; plain Fraction
+    powers are the oracle, at random points and on both sides of the
+    boundary."""
+
+    @given(rat_g=ratios, rat_gn=ratios, order_n=st.integers(1, 10 ** 40), t=st.integers(1, 40))
+    def test_quotient_power_check(self, rat_g, rat_gn, order_n, t):
+        def oracle(g, gn, n):
+            return Fraction(g) ** 14 >= Fraction(gn) ** 14 * n
+
+        assert quotient_power_check(rat_g, rat_gn, order_n) is oracle(rat_g, rat_gn, order_n)
+        # exactly at the boundary: (t * rat_gn)**14 == rat_gn**14 * t**14
+        g = Fraction(rat_gn) * t
+        assert quotient_power_check(g, rat_gn, t ** 14) is True
+        assert quotient_power_check(g, rat_gn, t ** 14 + 1) is False
+        # the largest order_n that holds, and the next one
+        top = math.floor((Fraction(rat_g) / Fraction(rat_gn)) ** 14)
+        if top >= 1:
+            assert quotient_power_check(rat_g, rat_gn, top) is True
+            assert oracle(rat_g, rat_gn, top + 1) is False
+            assert quotient_power_check(rat_g, rat_gn, top + 1) is False
+
+    @given(rat_g=ratios, index=st.integers(1, 10 ** 60))
+    def test_radical_index_check(self, rat_g, index):
+        assert radical_index_check(rat_g, index) is (index <= Fraction(rat_g) ** 21)
+        # the largest index that holds, and the next one; for an integer
+        # ratio the largest is rat_g**21 itself
+        top = math.floor(Fraction(rat_g) ** 21)
+        assert radical_index_check(rat_g, top) is True
+        assert radical_index_check(rat_g, top + 1) is False
 
 
 class TestFrobeniusExample:
