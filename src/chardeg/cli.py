@@ -405,13 +405,20 @@ def _cmd_chiefseries_bound(args) -> CommandResult:
     )
 
 
-def _cmd_prop23(args) -> CommandResult:
+def _ratio(flag: str, text: str) -> Fraction:
     from fractions import Fraction
 
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"{flag} {text!r} has a zero denominator") from None
+
+
+def _cmd_prop23(args) -> CommandResult:
     from . import structure_bounds
 
     holds = structure_bounds.quotient_power_check(
-        Fraction(args.rat_g), Fraction(args.rat_gn), args.order_n
+        _ratio("--rat-g", args.rat_g), _ratio("--rat-gn", args.rat_gn), args.order_n
     )
     return CommandResult(_verdict_status(holds), {"holds": holds})
 
@@ -433,11 +440,9 @@ def _cmd_prop32(args) -> CommandResult:
 
 
 def _cmd_thmb(args) -> CommandResult:
-    from fractions import Fraction
-
     from . import structure_bounds
 
-    holds = structure_bounds.radical_index_check(Fraction(args.rat), args.index)
+    holds = structure_bounds.radical_index_check(_ratio("--rat", args.rat), args.index)
     return CommandResult(_verdict_status(holds), {"holds": holds})
 
 

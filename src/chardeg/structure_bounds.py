@@ -69,19 +69,48 @@ class ChiefSeries(NamedTuple):
     factors: tuple[ChiefFactorDescriptor, ...]
 
 
+def _json_count(value, key: str, where: str) -> int:
+    if type(value) is int:
+        return value
+    if isinstance(value, str) and value.isascii() and value.isdigit():
+        return int(value)
+    raise ValueError(
+        f"{where}: {key!r} must be a JSON integer or a decimal string, got {json.dumps(value)}"
+    )
+
+
+def _json_flag(value, key: str, where: str) -> bool:
+    if type(value) is not bool:
+        raise ValueError(f"{where}: {key!r} must be true or false, got {json.dumps(value)}")
+    return value
+
+
 def series_from_json(text: str) -> ChiefSeries:
     """Accepts {"factors": [{"label": ..., "order": "20160",
-    "multiplicity": 2, "abelian": false, "psl2": false}, ...]}."""
+    "multiplicity": 2, "abelian": false, "psl2": false}, ...]}.
+
+    order (required) and multiplicity (default 1) are each a JSON integer
+    or a string of decimal digits, abelian and psl2 (default false) JSON
+    booleans; any other shape raises ValueError naming the factor and key,
+    rather than reading "false" as true or truncating 20160.9.
+    """
     doc = json.loads(text)
+    if not isinstance(doc, dict) or not isinstance(doc.get("factors"), list):
+        raise ValueError('a chief series is a JSON object {"factors": [...]}')
     factors = []
-    for f in doc["factors"]:
+    for i, f in enumerate(doc["factors"]):
+        where = f"chief factor {i}"
+        if not isinstance(f, dict):
+            raise ValueError(f"{where} must be a JSON object, got {json.dumps(f)}")
+        if "order" not in f:
+            raise ValueError(f"{where} has no 'order'")
         factors.append(
             ChiefFactorDescriptor(
                 label=str(f.get("label", "")),
-                factor_order=int(f["order"]),
-                multiplicity=int(f.get("multiplicity", 1)),
-                is_abelian=bool(f.get("abelian", False)),
-                is_psl2=bool(f.get("psl2", False)),
+                factor_order=_json_count(f["order"], "order", where),
+                multiplicity=_json_count(f.get("multiplicity", 1), "multiplicity", where),
+                is_abelian=_json_flag(f.get("abelian", False), "abelian", where),
+                is_psl2=_json_flag(f.get("psl2", False), "psl2", where),
             )
         )
     return ChiefSeries(tuple(factors))

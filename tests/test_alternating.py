@@ -1,3 +1,4 @@
+import hashlib
 import time
 from fractions import Fraction
 
@@ -14,7 +15,7 @@ from chardeg.alternating import (
     square_fix,
 )
 from chardeg.exact_arith import const_interval, factorial
-from chardeg.partitions import Partition, degree, hooks, partitions_of
+from chardeg.partitions import Partition, degree, enumerate_gamma, hook_product, hooks, partitions_of
 
 
 class TestGammaIndex:
@@ -146,14 +147,32 @@ class TestCheckWitness:
     def test_whole_window_family_passes_for_large_index(self):
         # for window index >= 8 every candidate (with the square replaced)
         # passes, so the window search always finds a witness there
-        from chardeg.partitions import enumerate_gamma
-
         for m in (8, 9):
             fixed = square_fix(m)
             for lam in enumerate_gamma(m):
                 if lam.is_self_conjugate():
                     lam = fixed
                 assert _passes_directly(lam.n, lam), lam
+
+
+    def test_window_candidates_never_self_conjugate(self):
+        for n in range(49, alternating.MAX_N + 1):
+            members = list(alternating._gamma_candidates(n))
+            assert members and all(lam.n == n for lam in members), n
+            assert not any(lam.is_self_conjugate() for lam in members), n
+
+    @pytest.mark.parametrize("n", [49, 64, 100, 529, 1000, 1999, 2000])
+    def test_margin_matches_plain_powers(self, n):
+        # rhs is raised on the odd part of H*(n-1) and shifted back; the
+        # evidence must fingerprint the same integer as the plain power
+        def sha256(x: int) -> str:
+            return hashlib.sha256(x.to_bytes((x.bit_length() + 7) // 8, "big")).hexdigest()
+
+        r = check_witness(n)
+        lhs = factorial(n) ** 13
+        rhs = (hook_product(r.witness) * (n - 1)) ** 14
+        assert (r.margin.lhs_bits, r.margin.lhs_sha256) == (lhs.bit_length(), sha256(lhs))
+        assert (r.margin.rhs_bits, r.margin.rhs_sha256) == (rhs.bit_length(), sha256(rhs))
 
 
 class TestIntervalChecks:
@@ -258,10 +277,14 @@ class TestIntervalChecks:
         assert check_hook_upper(3) is True
         assert check_hook_upper(8) is True
 
+    def test_hook_upper_matches_grid_products(self):
+        for m in range(1, 13):
+            bound = (m + 1) ** ((m + 1) ** 2)
+            expected = all(hooks(lam).product < bound for lam in enumerate_gamma(m))
+            assert check_hook_upper(m) is expected
+
     def test_hook_upper_max_member_bound(self):
         # the largest member is the full rectangle; re-verify the bound there
-        from chardeg.partitions import enumerate_gamma
-
         for m in (2, 5):
             bound = (m + 1) ** ((m + 1) ** 2)
             for lam in enumerate_gamma(m):

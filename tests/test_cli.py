@@ -300,6 +300,59 @@ class TestContract:
         assert code == 2 and doc["status"] == "error"
         assert reason in doc["error"]
 
+    @pytest.mark.parametrize(
+        "document, reason",
+        [
+            ("[]", 'a chief series is a JSON object {"factors": [...]}'),
+            ("null", 'a chief series is a JSON object {"factors": [...]}'),
+            ("{}", 'a chief series is a JSON object {"factors": [...]}'),
+            ('{"factors": 5}', 'a chief series is a JSON object {"factors": [...]}'),
+            ('{"factors": [1]}', "chief factor 0 must be a JSON object, got 1"),
+            ('{"factors": [{"label": "A8"}]}', "chief factor 0 has no 'order'"),
+            (
+                '{"factors": [{"order": "20160", "abelian": "false"}]}',
+                "chief factor 0: 'abelian' must be true or false, got \"false\"",
+            ),
+            (
+                '{"factors": [{"order": "2", "abelian": true}, {"order": "168", "psl2": 1}]}',
+                "chief factor 1: 'psl2' must be true or false, got 1",
+            ),
+            (
+                '{"factors": [{"order": 20160.9, "multiplicity": 2.9}]}',
+                "chief factor 0: 'order' must be a JSON integer or a decimal string, got 20160.9",
+            ),
+            (
+                '{"factors": [{"order": 20160, "multiplicity": 2.9}]}',
+                "chief factor 0: 'multiplicity' must be a JSON integer or a decimal string, got 2.9",
+            ),
+            (
+                '{"factors": [{"order": true}]}',
+                "chief factor 0: 'order' must be a JSON integer or a decimal string, got true",
+            ),
+            (
+                '{"factors": [{"order": "-60"}]}',
+                "chief factor 0: 'order' must be a JSON integer or a decimal string, got \"-60\"",
+            ),
+        ],
+    )
+    def test_malformed_chief_series_rejected(self, document, reason, capsys):
+        code, doc = _run_json(capsys, ["chiefseries-bound", "--json", document])
+        assert code == 2
+        assert doc == {"status": "error", "error": reason}
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            ("thmB --rat 1/0 --index 3", "--rat '1/0'"),
+            ("prop23 --rat-g 1/0 --rat-gn 1 --order-n 3", "--rat-g '1/0'"),
+            ("prop23 --rat-g 2 --rat-gn 5/0 --order-n 3", "--rat-gn '5/0'"),
+        ],
+    )
+    def test_zero_denominator_names_the_flag(self, argv, flag, capsys):
+        code, doc = _run_json(capsys, argv.split())
+        assert code == 2
+        assert doc == {"status": "error", "error": f"{flag} has a zero denominator"}
+
     def test_memory_error_is_an_error_document(self, monkeypatch, capsys):
         # exit 1 is a "fail" verdict; running out of memory is an error
         def exhausted(args):

@@ -1,13 +1,18 @@
+import math
+from collections import Counter
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from chardeg.alternating import square_fix
 from chardeg.exact_arith import factorial
 from chardeg.partitions import (
     GAMMA_MAX_M,
     Partition,
     degree,
     enumerate_gamma,
+    hook_product,
     hooks,
     parse_partition,
     partitions_of,
@@ -108,6 +113,49 @@ class TestHooks:
                 for h in row:
                     prod *= h
             assert prod == data.product
+
+
+def _first_column_product(lam: Partition) -> int:
+    """H by the Frame-Robinson-Thrall first-column formula
+    prod l_i! / prod_{i<j} (l_i - l_j), with l_i = parts[i] + len - 1 - i the
+    first-column hook lengths; the gaps are counted, then raised."""
+    firsts = [p + len(lam) - 1 - i for i, p in enumerate(lam.parts)]
+    gaps = Counter(a - b for i, a in enumerate(firsts) for b in firsts[i + 1 :])
+    q, r = divmod(math.prod(map(math.factorial, firsts)), math.prod(d**k for d, k in gaps.items()))
+    assert r == 0
+    return q
+
+
+# Every member of these window families is checked against the grid and the
+# first-column formula.  All m <= GAMMA_MAX_M, 23425 members, take about 17 s;
+# these take about 3 s and include 44, the largest index the witness search
+# up to n = 2000 meets, and the cap itself.
+_WINDOW_INDICES = (*range(1, 13), 20, 33, 44, GAMMA_MAX_M)
+
+
+class TestHookProduct:
+    def test_examples(self):
+        assert hook_product(Partition(())) == 1
+        assert hook_product(Partition((1,))) == 1
+        assert hook_product(Partition((3, 2, 2))) == 240
+        assert hook_product(Partition((7,) * 7)) == factorial(49) // 475073684264389879228560
+
+    def test_matches_grid_for_every_partition_up_to_20(self):
+        for n in range(21):
+            for lam in partitions_of(n):
+                assert hook_product(lam) == hooks(lam).product, lam
+
+    @pytest.mark.parametrize("m", _WINDOW_INDICES)
+    def test_window_family_matches_grid_and_first_column(self, m):
+        for lam in enumerate_gamma(m):
+            h = hook_product(lam)
+            assert h == hooks(lam).product, lam
+            assert h == _first_column_product(lam), lam
+
+    def test_square_fix_matches_grid_and_first_column(self):
+        for m in range(2, GAMMA_MAX_M + 1):
+            lam = square_fix(m)
+            assert hook_product(lam) == hooks(lam).product == _first_column_product(lam)
 
 
 class TestDegree:

@@ -1,3 +1,4 @@
+import json
 import math
 import random
 from fractions import Fraction
@@ -87,6 +88,10 @@ class TestRat14LowerBound:
             ' "abelian": false, "psl2": false}]}'
         )
         assert rat14_lower_bound(series) == 20160 ** 2
+        # order and multiplicity: a JSON integer or a decimal string
+        for order, multiplicity in ((20160, 2), ("20160", "2"), (20160, "2")):
+            doc = {"factors": [{"order": order, "multiplicity": multiplicity}]}
+            assert rat14_lower_bound(series_from_json(json.dumps(doc))) == 20160 ** 2
 
 
 class TestQuotientPowerCheck:
