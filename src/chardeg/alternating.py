@@ -19,8 +19,6 @@ per --digits step d, at b = ceil(3.322 * d) + 2 bits, so that the enclosure
 is narrower than 10**-d.
 """
 
-from __future__ import annotations
-
 import math
 from itertools import chain
 from typing import Iterator, NamedTuple

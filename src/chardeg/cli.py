@@ -13,8 +13,6 @@ handler runs, inside that handler, so it pays for neither the other rows nor
 the other layers; fractions is loaded only by what builds a Fraction.
 """
 
-from __future__ import annotations
-
 import argparse
 import json
 import sys
@@ -32,6 +30,9 @@ class CommandResult(NamedTuple):
     status: str
     payload: dict
     lines: list[str] | None = None  # pre-rendered output (jsonl / csv)
+    # The JSON document pre-rendered, printed in place of status and payload
+    # when the payload alone does not hold it (sweep's entries).
+    document: str | None = None
 
     @property
     def exit_code(self) -> int:
@@ -54,7 +55,7 @@ def _verdict_status(verdict: bool | None) -> str:
     return "pass" if verdict else "fail"
 
 
-def _spec_from_args(args) -> lie_type.GroupSpec:
+def _spec_from_args(args) -> "lie_type.GroupSpec":
     from . import lie_type
 
     fam = lie_type.Family(args.family)
@@ -215,7 +216,9 @@ def _cmd_beta(args) -> CommandResult:
     )
 
 
-def _gap_payload(record: lie_type.SweepRecord, pair: lie_type.CharPair, passed: bool) -> dict:
+def _gap_payload(
+    record: "lie_type.SweepRecord", pair: "lie_type.CharPair", passed: bool
+) -> dict:
     spec = record.spec
     return {
         "family": spec.family.value,
@@ -248,7 +251,7 @@ def _cmd_lemma61(args) -> CommandResult:
     )
 
 
-def _parse_families(text: str) -> list[lie_type.Family]:
+def _parse_families(text: str) -> "list[lie_type.Family]":
     from . import lie_type
 
     if text == "all":
@@ -260,48 +263,74 @@ def _parse_families(text: str) -> list[lie_type.Family]:
     return [lie_type.Family(part.strip()) for part in text.split(",") if part.strip()]
 
 
-def _sweep_entry_dict(entry) -> dict:
+class _JsonStrings(dict):
+    """Each str key's JSON text, encoded the first time it is looked up."""
+
+    def __missing__(self, text: str) -> str:
+        self[text] = encoded = json.dumps(text)
+        return encoded
+
+
+def _sweep_json(entries: list) -> list[str]:
+    # Each entry's JSON text, as json.dumps writes the entry's object: keys
+    # family, rank, q, status, then reason for an Exclusion, or order, alpha,
+    # beta, beta_label, passed_pow14, ratio_alpha, ratio_beta and
+    # passed_ratio165 for a SweepRecord.  Each integer goes to decimal once
+    # (ratio_alpha and ratio_beta reuse alpha and beta unless the ratio pair
+    # is an override), and each family name (a str), label and reason is
+    # JSON-encoded once.
     from . import lie_type
 
-    if isinstance(entry, lie_type.Exclusion):
-        return {
-            "family": entry.family.value,
-            "rank": entry.rank,
-            "q": entry.q,
-            "status": "excluded",
-            "reason": entry.reason,
-        }
-    spec = entry.spec
-    return {
-        "family": spec.family.value,
-        "rank": spec.rank,
-        "q": spec.q,
-        "status": "ok",
-        "order": str(entry.order),
-        "alpha": str(entry.gap_pair.alpha_degree),
-        "beta": str(entry.gap_pair.beta_degree),
-        "beta_label": entry.gap_pair.beta_label,
-        "passed_pow14": entry.passed_pow14,
-        "ratio_alpha": str(entry.ratio_pair.alpha_degree),
-        "ratio_beta": str(entry.ratio_pair.beta_degree),
-        "passed_ratio165": entry.passed_ratio165,
-    }
+    strings = _JsonStrings()
+    texts = []
+    for e in entries:
+        if isinstance(e, lie_type.Exclusion):
+            rank = "null" if e.rank is None else e.rank
+            texts.append(
+                f'{{"family": {strings[e.family]}, "rank": {rank}, "q": {e.q}, '
+                f'"status": "excluded", "reason": {strings[e.reason]}}}'
+            )
+            continue
+        spec, pair, ratio = e.spec, e.gap_pair, e.ratio_pair
+        rank = "null" if spec.rank is None else spec.rank
+        alpha, beta = str(pair.alpha_degree), str(pair.beta_degree)
+        ratio_alpha, ratio_beta = (
+            (alpha, beta) if ratio is pair else (str(ratio.alpha_degree), str(ratio.beta_degree))
+        )
+        texts.append(
+            f'{{"family": {strings[spec.family]}, "rank": {rank}, "q": {spec.q}, '
+            f'"status": "ok", "order": "{e.order}", "alpha": "{alpha}", "beta": "{beta}", '
+            f'"beta_label": {strings[pair.beta_label]}, '
+            f'"passed_pow14": {"true" if e.passed_pow14 else "false"}, '
+            f'"ratio_alpha": "{ratio_alpha}", "ratio_beta": "{ratio_beta}", '
+            f'"passed_ratio165": {"true" if e.passed_ratio165 else "false"}}}'
+        )
+    return texts
 
 
-_CSV_FIELDS = (
-    "family",
-    "rank",
-    "q",
-    "status",
-    "order",
-    "alpha",
-    "beta",
-    "passed_pow14",
-    "ratio_alpha",
-    "ratio_beta",
-    "passed_ratio165",
-    "reason",
-)
+def _sweep_csv(entries: list) -> list[str]:
+    # One row per entry under the header; a field an entry does not have,
+    # and a rank of None, is empty.
+    from . import lie_type
+
+    lines = ["family,rank,q,status,order,alpha,beta,passed_pow14,ratio_alpha,ratio_beta,"
+             "passed_ratio165,reason"]
+    for e in entries:
+        if isinstance(e, lie_type.Exclusion):
+            rank = "" if e.rank is None else e.rank
+            lines.append(f"{e.family.value},{rank},{e.q},excluded,,,,,,,,{e.reason}")
+            continue
+        spec, pair, ratio = e.spec, e.gap_pair, e.ratio_pair
+        rank = "" if spec.rank is None else spec.rank
+        alpha, beta = str(pair.alpha_degree), str(pair.beta_degree)
+        ratio_alpha, ratio_beta = (
+            (alpha, beta) if ratio is pair else (str(ratio.alpha_degree), str(ratio.beta_degree))
+        )
+        lines.append(
+            f"{spec.family.value},{rank},{spec.q},ok,{e.order},{alpha},{beta},{e.passed_pow14},"
+            f"{ratio_alpha},{ratio_beta},{e.passed_ratio165},"
+        )
+    return lines
 
 
 def _cmd_sweep(args) -> CommandResult:
@@ -309,31 +338,27 @@ def _cmd_sweep(args) -> CommandResult:
 
     families = _parse_families(args.families)
     entries = lie_type.sweep(families, rank_max=args.rank_max, q_max=args.q_max)
-    dicts = [_sweep_entry_dict(e) for e in entries]
-    oks = [d for d in dicts if d["status"] == "ok"]
-    if not oks:
+    checked = [e for e in entries if not isinstance(e, lie_type.Exclusion)]
+    if not checked:
         # Nothing checked would certify nothing yet report "pass".
-        raise ValueError(f"sweep checked no parameter point ({len(dicts)} excluded)")
-    all_passed = all(d["passed_pow14"] and d["passed_ratio165"] for d in oks)
-    lines = None
-    if args.csv:
-        lines = [",".join(_CSV_FIELDS)]
-        for d in dicts:
-            lines.append(
-                ",".join(
-                    "" if d.get(f) is None else str(d.get(f, "")) for f in _CSV_FIELDS
-                )
-            )
-    elif args.jsonl:
-        lines = [json.dumps(d) for d in dicts]
+        raise ValueError(f"sweep checked no parameter point ({len(entries)} excluded)")
+    all_passed = all(r.passed_pow14 and r.passed_ratio165 for r in checked)
+    status = _verdict_status(all_passed)
     payload = {
-        "points": len(dicts),
-        "checked": len(oks),
-        "excluded": len(dicts) - len(oks),
+        "points": len(entries),
+        "checked": len(checked),
+        "excluded": len(entries) - len(checked),
         "all_passed": all_passed,
-        "entries": dicts,
     }
-    return CommandResult(_verdict_status(all_passed), payload, lines=lines)
+    if args.csv:
+        return CommandResult(status, payload, lines=_sweep_csv(entries))
+    texts = _sweep_json(entries)
+    if args.jsonl:
+        return CommandResult(status, payload, lines=texts)
+    head = json.dumps({"status": status, **payload})
+    return CommandResult(
+        status, payload, document=f'{head[:-1]}, "entries": [{", ".join(texts)}]}}'
+    )
 
 
 def _cmd_rat(args) -> CommandResult:
@@ -382,7 +407,7 @@ def _cmd_out_bound(args) -> CommandResult:
     )
 
 
-def _read_series(args) -> structure_bounds.ChiefSeries:
+def _read_series(args) -> "structure_bounds.ChiefSeries":
     from . import structure_bounds
 
     if args.json:
@@ -405,7 +430,7 @@ def _cmd_chiefseries_bound(args) -> CommandResult:
     )
 
 
-def _ratio(flag: str, text: str) -> Fraction:
+def _ratio(flag: str, text: str) -> "Fraction":
     from fractions import Fraction
 
     try:
@@ -446,7 +471,7 @@ def _cmd_thmb(args) -> CommandResult:
     return CommandResult(_verdict_status(holds), {"holds": holds})
 
 
-def _table_payload(table: degree_data.DegreeTable) -> dict:
+def _table_payload(table: "degree_data.DegreeTable") -> dict:
     from . import degree_data
 
     value = degree_data.rat(table)
@@ -604,8 +629,10 @@ def run(argv: list[str] | None = None) -> CommandResult:
 def main(argv: list[str] | None = None) -> int:
     result = run(argv)
     if result.lines is not None:
-        for line in result.lines:
-            print(line)
+        if result.lines:
+            print("\n".join(result.lines))
+    elif result.document is not None:
+        print(result.document)
     else:
         print(json.dumps({"status": result.status, **result.payload}))
     if result.lines is not None and result.status != "pass":

@@ -17,8 +17,6 @@ DegreeTable and PairCheck are immutable NamedTuples compared by value;
 DegreeTable checks its fields and sorts its degrees in __new__.
 """
 
-from __future__ import annotations
-
 from fractions import Fraction
 from pathlib import Path
 from typing import NamedTuple

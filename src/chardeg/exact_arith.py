@@ -4,22 +4,21 @@ One comparison primitive, cmp_power, which orders two products of integer
 powers and returns the sign -1, 0 or 1: it decides from the bit lengths of
 the bases when their bounds on the two products do not overlap, and builds
 and compares the products otherwise; integer k-th roots by Newton from a
-half-precision root; is_prime, Miller-Rabin with the first k prime
-bases, k read off the table of psi_k; cyclotomic, the coefficient tuple of
-a cyclotomic polynomial by its Moebius product, and eval_poly, Horner
-evaluation of such a tuple; const_interval, integer bounds lo <= c * 2**b
-<= hi for the constants e and 2*pi, at most 3 apart, from exact series sums
-rounded outward; and POWER_MAX_BITS with check_power_bits, the size cap
-callers apply before building a large power from their inputs.  Nothing in
-this module handles a rational: a caller that compares rationals splits each
-ratio, its numerator on one side of cmp_power and its denominator on the
-other, and fractions is never imported.
+half-precision root; is_prime, trial division by the primes below 256 and
+then Miller-Rabin with the first k prime bases, k read off the table of
+psi_k; cyclotomic, the coefficient tuple of a cyclotomic polynomial by its
+Moebius product, and eval_poly, Horner evaluation of such a tuple;
+const_interval, integer bounds lo <= c * 2**b <= hi for the constants e and
+2*pi, at most 3 apart, from exact series sums rounded outward; and
+POWER_MAX_BITS with check_power_bits, the size cap callers apply before
+building a large power from their inputs.  Nothing in this module handles a
+rational: a caller that compares rationals splits each ratio, its numerator
+on one side of cmp_power and its denominator on the other, and fractions is
+never imported.
 
 Every verdict produced by this module reduces to a comparison of Python
 integers; floats never participate.  Magnitudes like 2000!**14 are routine.
 """
-
-from __future__ import annotations
 
 import math
 import sys
@@ -60,12 +59,14 @@ def check_power_bits(caller: str, bits: int) -> None:
         )
 
 
-def _bit_bounds(factors: Sequence[tuple[int, int]]) -> tuple[int, int] | None:
-    # Validates the factors and bounds their product P without raising
-    # anything to a power: an integer x >= 1 of bit length L lies in
-    # [2**(L-1), 2**L) and is 2**(L-1) when it is a power of two, so (lo, hi)
-    # give 2**lo <= P <= 2**hi.  None when a zero base has a nonzero exponent.
+def _bit_bounds(factors: Sequence[tuple[int, int]]) -> tuple[int | None, int, bool]:
+    # One pass over the factors: validates them, and bounds their product P
+    # without raising anything to a power.  An integer x >= 1 of bit length L
+    # lies in [2**(L-1), 2**L) and is 2**(L-1) when it is a power of two, so
+    # (lo, hi) give 2**lo <= P <= 2**hi; lo is None when a zero base has a
+    # nonzero exponent.  The flag is whether any exponent is nonzero.
     lo = hi = 0
+    zero = used = False
     for base, exp in factors:
         if not isinstance(base, int):
             raise TypeError(f"cmp_power requires integer bases, got {type(base).__name__}")
@@ -73,9 +74,15 @@ def _bit_bounds(factors: Sequence[tuple[int, int]]) -> tuple[int, int] | None:
             raise ValueError("cmp_power requires nonnegative bases")
         if exp < 0:
             raise ValueError("cmp_power requires nonnegative exponents")
-        lo += (base.bit_length() - 1) * exp
-        hi += (base.bit_length() - (base & (base - 1) == 0)) * exp
-    return None if any(base == 0 and exp for base, exp in factors) else (lo, hi)
+        if exp:
+            used = True
+            if base:
+                bits = base.bit_length()
+                lo += (bits - 1) * exp
+                hi += (bits - (base & (base - 1) == 0)) * exp
+            else:
+                zero = True
+    return (None if zero else lo), hi, used
 
 
 def _product(factors: Sequence[tuple[int, int]]) -> int:
@@ -89,18 +96,21 @@ def cmp_power(lhs: Sequence[tuple[int, int]], rhs: Sequence[tuple[int, int]]) ->
     Bases and exponents are nonnegative ints, the exponents not all zero; an
     empty side is the empty product 1.  A caller comparing rationals puts
     each ratio's numerator on its own side and its denominator on the other.
-    The bit lengths of the bases bound both products first, and when the
-    lower bound of one is above the upper bound of the other the sign is
-    returned without building a power.  Otherwise, and whenever a zero base
-    has a nonzero exponent, the two products are built and compared exactly.
+    The bit lengths of the bases bound both products first, in the same pass
+    over each side that validates it, and when the lower bound of one is
+    above the upper bound of the other the sign is returned without building
+    a power.  Otherwise, and whenever a zero base has a nonzero exponent, the
+    two products are built and compared exactly.
     """
-    if not any(exp for _, exp in lhs) and not any(exp for _, exp in rhs):
+    llo, lhi, lused = _bit_bounds(lhs)
+    rlo, rhi, rused = _bit_bounds(rhs)
+    if not (lused or rused):
         raise ValueError("cmp_power: the exponents must not all be zero")
-    lb, rb = _bit_bounds(lhs), _bit_bounds(rhs)
-    if lb and rb and lb[0] > rb[1]:
-        return 1
-    if lb and rb and rb[0] > lb[1]:
-        return -1
+    if llo is not None and rlo is not None:
+        if llo > rhi:
+            return 1
+        if rlo > lhi:
+            return -1
     left, right = _product(lhs), _product(rhs)
     return (left > right) - (left < right)
 
@@ -136,10 +146,19 @@ def _root(x: int, k: int) -> int:
         r = nr
 
 
+# The primes below 256.  Trial division by all of them is one gcd with their
+# product, and it decides every n below 257**2 without a Miller-Rabin round.
+_SMALL_PRIMES = (
+    2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71, 73, 79,
+    83, 89, 97, 101, 103, 107, 109, 113, 127, 131, 137, 139, 149, 151, 157, 163, 167,
+    173, 179, 181, 191, 193, 197, 199, 211, 223, 227, 229, 233, 239, 241, 251,
+)
+_SMALL_PRIMES_PRODUCT = math.prod(_SMALL_PRIMES)
+
 # Miller-Rabin with the first k primes as bases has no false positive below
 # psi_k (Jaeschke, Math. Comp. 1993; Sorenson and Webster, Math. Comp. 2017),
 # and psi_k is the least composite that passes all k; psi_13 is _MR_LIMIT.
-_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_WITNESSES = _SMALL_PRIMES[:13]
 _MR_PSI = (
     2047,
     1373653,
@@ -160,25 +179,24 @@ _MR_LIMIT = _MR_PSI[-1]
 
 def is_prime(n: int) -> bool:
     """Deterministic Miller-Rabin; exact for every n below psi_13 ~ 3.3e24,
-    and a ValueError at or above it rather than an unproven answer.  After
-    trial division by the 13 bases, n uses the first k of them, k the least
+    and a ValueError at or above it rather than an unproven answer.  Trial
+    division by the primes below 256 decides every n below 257**2; a larger
+    n without such a factor uses the first k primes as bases, k the least
     with n < psi_k."""
     if n >= _MR_LIMIT:
         raise ValueError(f"is_prime is exact only below {_MR_LIMIT}")
     if n < 2:
         return False
-    for p in _MR_WITNESSES:
-        if n % p == 0:
-            return n == p
-    if n < 43 * 43:
+    if math.gcd(n, _SMALL_PRIMES_PRODUCT) != 1:
+        return n in _SMALL_PRIMES
+    if n < 257 * 257:
         return True
-    d, r = n - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        r += 1
+    d = n - 1
+    r = (d & -d).bit_length() - 1
+    d >>= r
     for a in _MR_WITNESSES[: bisect_right(_MR_PSI, n) + 1]:
         x = pow(a, d, n)
-        if x in (1, n - 1):
+        if x == 1 or x == n - 1:
             continue
         for _ in range(r - 1):
             x = x * x % n

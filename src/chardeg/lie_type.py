@@ -24,15 +24,22 @@ make_spec and sweep read the q-degree of the order row, and refuse a point
 or a grid whose order could exceed POWER_MAX_BITS bits before factoring q or
 checking a point.
 
-GroupSpec, CharPair, Exclusion and SweepRecord are immutable NamedTuples
-compared by value; GroupSpec validates its point in __new__.
-"""
+check_point and sweep share one kernel, which takes the point's family row
+as its caller read it, builds alpha = q**a once, as the Steinberg degree and
+as the leading factor of the order, and decides both checks.  A sweep reads
+each (family, rank) row once and evaluates each point of its grid once,
+through that kernel; a point validate rejects becomes an Exclusion without
+raising.
 
-from __future__ import annotations
+GroupSpec, CharPair, Exclusion and SweepRecord are immutable NamedTuples
+compared by value; GroupSpec validates its point in __new__, and sweep builds
+a spec only from a point it has just validated.
+"""
 
 from enum import Enum
 from functools import partial
-from math import gcd, isqrt, prod
+from itertools import compress
+from math import gcd, isqrt
 from typing import Callable, Iterable, Mapping, NamedTuple
 
 from .exact_arith import check_power_bits, cmp_power, is_prime, nth_root_floor
@@ -130,13 +137,6 @@ class Exclusion(NamedTuple):
     reason: str
 
 
-def _exact_div(a: int, b: int) -> int:
-    q, r = divmod(a, b)
-    if r:
-        raise ArithmeticError(f"inexact division {a} / {b}")
-    return q
-
-
 # ---------------------------------------------------------------------------
 # The formula table
 # ---------------------------------------------------------------------------
@@ -156,11 +156,26 @@ class _Value(NamedTuple):
     h: int = 0
 
 
-def _evaluate(v: _Value, q: int, p: int) -> int:
+def _evaluate(v: _Value, q: int, p: int, lead: int | None = None) -> int:
+    # lead is q**v.a when the caller has built it already.  The centre gcd
+    # is taken modulo k, so q**j is not built.
+    top = q ** v.a if lead is None else lead
+    if v.h:
+        top *= isqrt(q // p) ** v.h
+    for d, e in v.num:
+        top *= q ** d - e
+    bottom = v.c
+    for d, e in v.den:
+        bottom *= q ** d - e
     k, j, eps = v.centre
-    top = q ** v.a * isqrt(q // p) ** v.h * prod(q ** d - e for d, e in v.num)
-    bottom = v.c * prod(q ** d - e for d, e in v.den) * gcd(k, q ** j - eps)
-    return _exact_div(top, bottom)
+    if k != 1:
+        bottom *= gcd(k, pow(q, j, k) - eps)
+    if bottom == 1:
+        return top
+    quo, rem = divmod(top, bottom)
+    if rem:
+        raise ArithmeticError(f"inexact division {top} / {bottom}")
+    return quo
 
 
 class _Family(NamedTuple):
@@ -395,10 +410,20 @@ def check_point(spec: GroupSpec) -> SweepRecord:
     """Exact verdicts on alpha**14 > beta**14 * |S| for the standard pair and
     on 5*alpha >= 16*beta for the ratio pair (the per-point override where
     one is registered), from one order and one companion degree."""
-    o = order(spec)
-    pair = beta_degree(spec)
-    ratio_pair = _RATIO_OVERRIDES.get((spec.family, spec.rank, spec.q), pair)
-    pow14 = cmp_power(((pair.alpha_degree, 14),), ((pair.beta_degree, 14), (o, 1))) > 0
+    return _check(spec, _rows(spec.family, spec.rank), _FAMILIES[spec.family].beta_label)
+
+
+def _check(spec: GroupSpec, rows: tuple[_Value, _Value], label: str) -> SweepRecord:
+    # The kernel check_point and sweep share: rows and label are the point's
+    # family row, read once by the caller, and alpha = q**a is built once, as
+    # the Steinberg degree and as the leading factor of the order.
+    q, p = spec.q, spec.p
+    order_row, beta_row = rows
+    alpha = q ** order_row.a
+    o = _evaluate(order_row, q, p, alpha)
+    pair = CharPair(alpha, _evaluate(beta_row, q, p), label)
+    ratio_pair = _RATIO_OVERRIDES.get((spec.family, spec.rank, q), pair)
+    pow14 = cmp_power(((alpha, 14),), ((pair.beta_degree, 14), (o, 1))) > 0
     ratio165 = 5 * ratio_pair.alpha_degree >= 16 * ratio_pair.beta_degree
     return SweepRecord(spec, o, pair, pow14, ratio_pair, ratio165)
 
@@ -418,13 +443,12 @@ def prime_powers(limit: int) -> list[tuple[int, int, int]]:
         if sieve[i]:
             sieve[i * i :: i] = b"\x00" * len(range(i * i, limit + 1, i))
     out = []
-    for p in range(2, limit + 1):
-        if sieve[p]:
-            q, e = p, 1
-            while q <= limit:
-                out.append((q, p, e))
-                q *= p
-                e += 1
+    for p in compress(range(limit + 1), sieve):
+        q, e = p, 1
+        while q <= limit:
+            out.append((q, p, e))
+            q *= p
+            e += 1
     out.sort()
     return out
 
@@ -460,12 +484,15 @@ def sweep(
     pps = prime_powers(q_max)
     out = []
     for fam, ranks in grid:
+        label = _FAMILIES[fam].beta_label
         for rank in ranks:
+            rows = _rows(fam, rank)
             for q, p, e in pps:
-                try:
-                    spec = GroupSpec(fam, rank, q, p, e)
-                except InvalidSpec as exc:
-                    out.append(Exclusion(fam, rank, q, exc.reason))
+                reason = validate(fam, rank, q, p, e)
+                if reason is None:
+                    # Built as a tuple: GroupSpec(...) would validate it again.
+                    spec = tuple.__new__(GroupSpec, (fam, rank, q, p, e))
+                    out.append(_check(spec, rows, label))
                 else:
-                    out.append(check_point(spec))
+                    out.append(Exclusion(fam, rank, q, reason))
     return out

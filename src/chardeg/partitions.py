@@ -11,8 +11,6 @@ Partition and HookData are immutable NamedTuples compared by value;
 Partition checks its parts in __new__, so every instance is a partition.
 """
 
-from __future__ import annotations
-
 import math
 import re
 from typing import Iterator, NamedTuple

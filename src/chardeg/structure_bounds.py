@@ -10,8 +10,6 @@ ChiefSeries are immutable NamedTuples compared by value; ChiefFactorDescriptor
 checks its fields in __new__.
 """
 
-from __future__ import annotations
-
 import json
 import math
 from fractions import Fraction
@@ -32,6 +30,7 @@ __all__ = [
     "frobenius_example",
     "extraspecial_example",
     "FROBENIUS_MAX_DEGREES",
+    "SERIES_MAX_DIGITS",
 ]
 
 # frobenius_example lists every degree, m + (p-1)/m of them; beyond this many
@@ -69,10 +68,32 @@ class ChiefSeries(NamedTuple):
     factors: tuple[ChiefFactorDescriptor, ...]
 
 
+# The digit count of 2**POWER_MAX_BITS.  An order or multiplicity written
+# with more digits is refused before int() converts it, since CPython's
+# str-to-int conversion takes time quadratic in the length; the cap is on the
+# text, because an abelian or PSL_2 factor's order never enters the product.
+SERIES_MAX_DIGITS = 39_457
+
+
+class _LongInteger(str):
+    """The text of a JSON integer literal longer than SERIES_MAX_DIGITS,
+    left unconverted by json.loads."""
+
+    __slots__ = ()
+
+
+def _parse_int(text: str) -> int | _LongInteger:
+    return int(text) if len(text) <= SERIES_MAX_DIGITS else _LongInteger(text)
+
+
 def _json_count(value, key: str, where: str) -> int:
     if type(value) is int:
         return value
-    if isinstance(value, str) and value.isascii() and value.isdigit():
+    if type(value) is _LongInteger or (
+        isinstance(value, str) and value.isascii() and value.isdigit()
+    ):
+        if len(value) > SERIES_MAX_DIGITS:
+            raise ValueError(f"{where}: {key!r} has more than {SERIES_MAX_DIGITS} digits")
         return int(value)
     raise ValueError(
         f"{where}: {key!r} must be a JSON integer or a decimal string, got {json.dumps(value)}"
@@ -90,11 +111,12 @@ def series_from_json(text: str) -> ChiefSeries:
     "multiplicity": 2, "abelian": false, "psl2": false}, ...]}.
 
     order (required) and multiplicity (default 1) are each a JSON integer
-    or a string of decimal digits, abelian and psl2 (default false) JSON
-    booleans; any other shape raises ValueError naming the factor and key,
-    rather than reading "false" as true or truncating 20160.9.
+    or a string of decimal digits, of at most SERIES_MAX_DIGITS digits,
+    abelian and psl2 (default false) JSON booleans; any other shape raises
+    ValueError naming the factor and key, rather than reading "false" as
+    true, truncating 20160.9 or spending seconds converting a million digits.
     """
-    doc = json.loads(text)
+    doc = json.loads(text, parse_int=_parse_int)
     if not isinstance(doc, dict) or not isinstance(doc.get("factors"), list):
         raise ValueError('a chief series is a JSON object {"factors": [...]}')
     factors = []

@@ -340,6 +340,20 @@ class TestContract:
         assert code == 2
         assert doc == {"status": "error", "error": reason}
 
+    @pytest.mark.parametrize("quote", ['"', ""], ids=["string", "json-integer"])
+    def test_million_digit_chief_factor_refused_quickly(self, quote, tmp_path):
+        # int() on a million digits takes seconds; the text is refused first.
+        path = tmp_path / "series.json"
+        path.write_text(f'{{"factors": [{{"order": {quote}{"7" * 10 ** 6}{quote}}}]}}')
+        start = time.perf_counter()
+        code, out, _ = _fresh_run(["chiefseries-bound", "--file", str(path)])
+        assert time.perf_counter() - start < 1.0
+        assert code == 2
+        assert json.loads(out) == {
+            "status": "error",
+            "error": "chief factor 0: 'order' has more than 39457 digits",
+        }
+
     @pytest.mark.parametrize(
         "argv, flag",
         [

@@ -210,6 +210,8 @@ def test_is_prime_matches_sieve():
         if sieve[i]:
             sieve[i * i :: i] = bytes(len(range(i * i, limit, i)))
     assert [n for n in range(limit) if is_prime(n)] == [n for n in range(limit) if sieve[n]]
+    # Trial division decides every n below 257**2; the sieve range crosses it.
+    assert exact_arith._SMALL_PRIMES == tuple(n for n in range(256) if sieve[n])
 
 
 # psi_k, the least composite that passes Miller-Rabin to the first k prime

@@ -1,6 +1,7 @@
 """Every fixed CLI query of the benchmark, run in-process, must reproduce the
 exit code and stdout SHA-256 digest recorded in perfbench/golden.json, and so
-must the witness range, run in chunks."""
+must the witness range, run in chunks, and each sweep of the lie-sweep
+workload, with its point counts."""
 
 import argparse
 import contextlib
@@ -18,6 +19,7 @@ WORKLOADS = load_workloads()
 GOLDEN_DOC = json.loads(WORKLOADS.GOLDEN_PATH.read_text())
 GOLDEN = GOLDEN_DOC["commands"]
 VARIANTS = WORKLOADS.all_query_variants()
+SWEEP_FAMILIES = list(WORKLOADS.CLASSICAL_RANK_MIN) + list(WORKLOADS.EXCEPTIONAL)
 
 
 def _run(argv) -> tuple[int, str]:
@@ -54,3 +56,26 @@ def test_witness_range_chunks_match_golden(order):
         assert rc == 0
     joined = "".join(outputs[start] for start, _ in chunks)
     assert hashlib.sha256(joined.encode()).hexdigest() == GOLDEN_DOC["witness_range_sha256"]
+
+
+@pytest.mark.parametrize("family", SWEEP_FAMILIES)
+def test_lie_sweep_matches_golden(family):
+    argv = WORKLOADS.sweep_argv(family)
+    rc, out = _run(argv)
+    expected = GOLDEN[" ".join(argv)]
+    assert rc == expected["rc"]
+    assert hashlib.sha256(out.encode()).hexdigest() == expected["sha256"]
+    lines = out.splitlines()
+    checked = sum('"status": "ok"' in line for line in lines)
+    assert {"points": len(lines), "checked": checked, "excluded": len(lines) - checked} == (
+        expected["counts"]
+    )
+    if family == "linear":
+        # The ratio pair of this point is the override (39, 12); the Steinberg
+        # pair next to it keeps alpha = 27.
+        (line,) = [l for l in lines if l.startswith('{"family": "linear", "rank": 3, "q": 3,')]
+        assert line == (
+            '{"family": "linear", "rank": 3, "q": 3, "status": "ok", "order": "5616", '
+            '"alpha": "27", "beta": "12", "beta_label": "(n-1,1)", "passed_pow14": true, '
+            '"ratio_alpha": "39", "ratio_beta": "12", "passed_ratio165": true}'
+        )

@@ -80,3 +80,28 @@ def test_cli_start_up_imports():
     loaded = set(json.loads(out))
     assert "chardeg.cli" in loaded
     assert not loaded & {"dataclasses", "inspect", "hashlib"}
+
+
+def test_imports_make_no_compile_calls():
+    # typing.NamedTuple compiles every field annotation it gets as a string
+    # (a ForwardRef), which each record field was under postponed
+    # annotations; the records take real types instead.  Compiles of a
+    # module's own source, made when its bytecode cache is missing or stale,
+    # are the import system's and are not counted.
+    code = (
+        "import builtins, json\n"
+        "calls = []\n"
+        "real = builtins.compile\n"
+        "def counting(source, filename, *args, **kwargs):\n"
+        "    if not str(filename).endswith('.py'):\n"
+        "        calls.append(repr(source)[:60])\n"
+        "    return real(source, filename, *args, **kwargs)\n"
+        "builtins.compile = counting\n"
+        + "".join(f"import chardeg.{name}\n" for name in MODULES)
+        + "print(json.dumps(calls))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")}
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    ).stdout
+    assert json.loads(out) == []

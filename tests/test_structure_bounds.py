@@ -93,6 +93,27 @@ class TestRat14LowerBound:
             doc = {"factors": [{"order": order, "multiplicity": multiplicity}]}
             assert rat14_lower_bound(series_from_json(json.dumps(doc))) == 20160 ** 2
 
+    def test_digit_cap(self):
+        # The cap is the digit count of 2**POWER_MAX_BITS.  At the cap the
+        # text converts, as a string and as a JSON integer; one digit more is
+        # refused before conversion, naming the factor and the key.
+        cap = structure_bounds.SERIES_MAX_DIGITS
+        assert cap == len(str(2 ** exact_arith.POWER_MAX_BITS))
+        at_cap = "9" * cap
+        for text in (f'"{at_cap}"', at_cap):
+            doc = f'{{"factors": [{{"order": {text}, "abelian": true}}, {{"order": 60}}]}}'
+            series = series_from_json(doc)
+            assert series.factors[0].factor_order == 10 ** cap - 1
+            assert rat14_lower_bound(series) == 60
+        for key in ("order", "multiplicity"):
+            for text in (f'"{at_cap}9"', f"{at_cap}9", f"-{at_cap}"):
+                factor = {"order": "60", key: "PLACEHOLDER"}
+                doc = json.dumps({"factors": [{"order": 2, "abelian": True}, factor]})
+                with pytest.raises(
+                    ValueError, match=f"^chief factor 1: '{key}' has more than {cap} digits$"
+                ):
+                    series_from_json(doc.replace('"PLACEHOLDER"', text))
+
 
 class TestQuotientPowerCheck:
     def test_boundary(self):
