@@ -23,13 +23,12 @@ import math
 from itertools import chain
 from typing import Iterator, NamedTuple
 
-from .exact_arith import cmp_power, const_interval, factorial
+from .exact_arith import cmp_power, const_interval
 from .partitions import Partition, enumerate_gamma, hook_product, partitions_of
 
 __all__ = [
     "WitnessReport",
     "MarginEvidence",
-    "gamma_index",
     "square_fix",
     "check_witness",
     "check_factorial_lower",
@@ -91,13 +90,6 @@ class WitnessReport(NamedTuple):
         }
 
 
-def gamma_index(n: int) -> int:
-    """The unique m with m*m <= n <= m*m + 2m, i.e. floor(sqrt(n))."""
-    if n < 1:
-        raise ValueError("gamma_index requires n >= 1")
-    return math.isqrt(n)
-
-
 def square_fix(m: int) -> Partition:
     """(m+1, m**(m-2), m-1): the non-self-conjugate stand-in of size m*m used
     in place of the self-conjugate square (m**m)."""
@@ -107,7 +99,7 @@ def square_fix(m: int) -> Partition:
 
 
 def _gamma_candidates(n: int) -> Iterator[Partition]:
-    m = gamma_index(n)
+    m = math.isqrt(n)  # the window index: m*m <= n <= m*m + 2m
     for lam in enumerate_gamma(m, size=n):
         # A self-conjugate member has as many parts, m, as its largest part,
         # so it is (m**m), the only member of size n = m*m; substitute the
@@ -151,7 +143,7 @@ def _factorial_pow13(n: int) -> int:
     k, power = _lhs_carry
     if k == n:
         return power
-    power = power * n**13 if k == n - 1 else factorial(n) ** 13
+    power = power * n**13 if k == n - 1 else math.factorial(n) ** 13
     _lhs_carry = (n, power)
     return power
 
@@ -239,7 +231,7 @@ def check_factorial_lower(n: int, digits: int = DEFAULT_DIGITS) -> bool | None:
         raise ValueError("check_factorial_lower requires n >= 15")
     if n > MAX_N:
         raise ValueError(f"check_factorial_lower requires n <= {MAX_N}, got {n}")
-    fact = factorial(n)
+    fact = math.factorial(n)
     rhs = ((27, 28), (n, 25 * n), (n - 1, 28))
     for b, (lo, hi) in _enclosures(digits, ("e", 25 * n)):
         scaled = (*rhs, (2, 25 * n * b))

@@ -55,12 +55,11 @@ def _verdict_status(verdict: bool | None) -> str:
     return "pass" if verdict else "fail"
 
 
-def _spec_from_args(args) -> "lie_type.GroupSpec":
+def _point(args) -> "lie_type.SweepRecord":
+    # Every Lie-type handler prints fields of this one record.
     from . import lie_type
 
-    fam = lie_type.Family(args.family)
-    rank = getattr(args, "rank", None)
-    return lie_type.make_spec(fam, args.q, rank)
+    return lie_type.check_point(lie_type.make_spec(args.family, args.q, args.rank))
 
 
 # ---------------------------------------------------------------------------
@@ -188,24 +187,15 @@ def _cmd_cyclotomic(args) -> CommandResult:
 
 
 def _cmd_order(args) -> CommandResult:
-    from . import lie_type
-
-    spec = _spec_from_args(args)
-    return CommandResult("pass", {"order": str(lie_type.order(spec))})
+    return CommandResult("pass", {"order": str(_point(args).order)})
 
 
 def _cmd_steinberg(args) -> CommandResult:
-    from . import lie_type
-
-    spec = _spec_from_args(args)
-    return CommandResult("pass", {"steinberg": str(lie_type.steinberg_degree(spec))})
+    return CommandResult("pass", {"steinberg": str(_point(args).gap_pair.alpha_degree)})
 
 
 def _cmd_beta(args) -> CommandResult:
-    from . import lie_type
-
-    spec = _spec_from_args(args)
-    pair = lie_type.beta_degree(spec)
+    pair = _point(args).gap_pair
     return CommandResult(
         "pass",
         {
@@ -216,11 +206,11 @@ def _cmd_beta(args) -> CommandResult:
     )
 
 
-def _gap_payload(
+def _gap_result(
     record: "lie_type.SweepRecord", pair: "lie_type.CharPair", passed: bool
-) -> dict:
+) -> CommandResult:
     spec = record.spec
-    return {
+    return CommandResult(_verdict_status(passed), {
         "family": spec.family.value,
         "rank": spec.rank,
         "q": spec.q,
@@ -230,25 +220,17 @@ def _gap_payload(
         "ratio": f"{pair.alpha_degree}/{pair.beta_degree}",
         "order": str(record.order),
         "passed": passed,
-    }
+    })
 
 
 def _cmd_thm21(args) -> CommandResult:
-    from . import lie_type
-
-    r = lie_type.check_point(_spec_from_args(args))
-    return CommandResult(
-        _verdict_status(r.passed_pow14), _gap_payload(r, r.gap_pair, r.passed_pow14)
-    )
+    r = _point(args)
+    return _gap_result(r, r.gap_pair, r.passed_pow14)
 
 
 def _cmd_lemma61(args) -> CommandResult:
-    from . import lie_type
-
-    r = lie_type.check_point(_spec_from_args(args))
-    return CommandResult(
-        _verdict_status(r.passed_ratio165), _gap_payload(r, r.ratio_pair, r.passed_ratio165)
-    )
+    r = _point(args)
+    return _gap_result(r, r.ratio_pair, r.passed_ratio165)
 
 
 def _parse_families(text: str) -> "list[lie_type.Family]":
@@ -308,9 +290,16 @@ def _sweep_json(entries: list) -> list[str]:
     return texts
 
 
+def _csv_field(text: str) -> str:
+    # RFC 4180: a field with a comma, quote or line break is quoted.
+    if any(c in text for c in ',"\r\n'):
+        text = '"' + text.replace('"', '""') + '"'
+    return text
+
+
 def _sweep_csv(entries: list) -> list[str]:
     # One row per entry under the header; a field an entry does not have,
-    # and a rank of None, is empty.
+    # and a rank of None, is empty.  Only a reason can need quoting.
     from . import lie_type
 
     lines = ["family,rank,q,status,order,alpha,beta,passed_pow14,ratio_alpha,ratio_beta,"
@@ -318,7 +307,7 @@ def _sweep_csv(entries: list) -> list[str]:
     for e in entries:
         if isinstance(e, lie_type.Exclusion):
             rank = "" if e.rank is None else e.rank
-            lines.append(f"{e.family.value},{rank},{e.q},excluded,,,,,,,,{e.reason}")
+            lines.append(f"{e.family.value},{rank},{e.q},excluded,,,,,,,,{_csv_field(e.reason)}")
             continue
         spec, pair, ratio = e.spec, e.gap_pair, e.ratio_pair
         rank = "" if spec.rank is None else spec.rank
@@ -407,7 +396,7 @@ def _cmd_out_bound(args) -> CommandResult:
     )
 
 
-def _read_series(args) -> "structure_bounds.ChiefSeries":
+def _read_series(args) -> "tuple[structure_bounds.ChiefFactorDescriptor, ...]":
     from . import structure_bounds
 
     if args.json:
@@ -426,7 +415,7 @@ def _cmd_chiefseries_bound(args) -> CommandResult:
     series = _read_series(args)
     bound = structure_bounds.rat14_lower_bound(series)
     return CommandResult(
-        "pass", {"factors": len(series.factors), "rat14_lower_bound": str(bound)}
+        "pass", {"factors": len(series), "rat14_lower_bound": str(bound)}
     )
 
 

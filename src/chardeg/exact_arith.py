@@ -11,7 +11,9 @@ Moebius product, and eval_poly, Horner evaluation of such a tuple;
 const_interval, integer bounds lo <= c * 2**b <= hi for the constants e and
 2*pi, at most 3 apart, from exact series sums rounded outward; and
 POWER_MAX_BITS with check_power_bits, the size cap callers apply before
-building a large power from their inputs.  Nothing in this module handles a
+building a large power from their inputs.  Factorials and integer square
+roots are math.factorial and math.isqrt, which callers take from math
+directly.  Nothing in this module handles a
 rational: a caller that compares rationals splits each ratio, its numerator
 on one side of cmp_power and its denominator on the other, and fractions is
 never imported.
@@ -33,7 +35,6 @@ if hasattr(sys, "set_int_max_str_digits"):
 __all__ = [
     "cmp_power",
     "nth_root_floor",
-    "factorial",
     "is_prime",
     "POWER_MAX_BITS",
     "check_power_bits",
@@ -42,8 +43,6 @@ __all__ = [
     "CYCLOTOMIC_MAX_K",
     "const_interval",
 ]
-
-factorial = math.factorial
 
 # Callers refuse, before building it, a power that could exceed this many
 # bits: at the cap maroti_bound, or one Lie-type order, takes about 0.1 s.

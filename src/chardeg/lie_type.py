@@ -24,12 +24,13 @@ make_spec and sweep read the q-degree of the order row, and refuse a point
 or a grid whose order could exceed POWER_MAX_BITS bits before factoring q or
 checking a point.
 
-check_point and sweep share one kernel, which takes the point's family row
-as its caller read it, builds alpha = q**a once, as the Steinberg degree and
-as the leading factor of the order, and decides both checks.  A sweep reads
-each (family, rank) row once and evaluates each point of its grid once,
-through that kernel; a point validate rejects becomes an Exclusion without
-raising.
+check_point is the one per-point API: its SweepRecord holds the order, the
+Steinberg pair and both verdicts.  It and sweep share one kernel, which takes
+the point's family row as its caller read it, builds alpha = q**a once, as
+the Steinberg degree and as the leading factor of the order, and decides
+both checks.  A sweep reads each (family, rank) row once and evaluates each
+point of its grid once, through that kernel; a point validate rejects
+becomes an Exclusion without raising.
 
 GroupSpec, CharPair, Exclusion and SweepRecord are immutable NamedTuples
 compared by value; GroupSpec validates its point in __new__, and sweep builds
@@ -55,9 +56,6 @@ __all__ = [
     "Exclusion",
     "make_spec",
     "validate",
-    "order",
-    "steinberg_degree",
-    "beta_degree",
     "check_point",
     "sweep",
     "prime_powers",
@@ -156,10 +154,9 @@ class _Value(NamedTuple):
     h: int = 0
 
 
-def _evaluate(v: _Value, q: int, p: int, lead: int | None = None) -> int:
-    # lead is q**v.a when the caller has built it already.  The centre gcd
-    # is taken modulo k, so q**j is not built.
-    top = q ** v.a if lead is None else lead
+def _evaluate(v: _Value, q: int, p: int, top: int) -> int:
+    # top is q**v.a, built by the caller.  The centre gcd is taken modulo k,
+    # so q**j is not built.
     if v.h:
         top *= isqrt(q // p) ** v.h
     for d, e in v.num:
@@ -320,8 +317,10 @@ def _factor_prime_power(q: int) -> tuple[int, int]:
 
 def _check_order_bits(family: Family, rank: int | None, q: int) -> None:
     # The order row has q-degree a + h + sum(num d) - sum(den d), so the
-    # order has at most that many times q.bit_length() bits.
-    v = _rows(family, rank)[0]
+    # order has at most that many times q.bit_length() bits.  A rank below
+    # the minimum is read at the minimum; validate then gives the reason.
+    rank_min = _FAMILIES[family].rank_min
+    v = _rows(family, rank if rank_min is None else max(rank, rank_min))[0]
     degree = v.a + v.h + sum(d for d, _ in v.num) - sum(d for d, _ in v.den)
     check_power_bits(f"the order of {family.value}", degree * q.bit_length())
 
@@ -364,28 +363,8 @@ def validate(fam: Family, n: int | None, q: int, p: int, e: int) -> str | None:
 
 
 # ---------------------------------------------------------------------------
-# Orders, degrees and the two checks
+# The order, the degrees and the two checks
 # ---------------------------------------------------------------------------
-
-
-def order(spec: GroupSpec) -> int:
-    """Exact group order, the centre gcd divided out."""
-    return _evaluate(_rows(spec.family, spec.rank)[0], spec.q, spec.p)
-
-
-def steinberg_degree(spec: GroupSpec) -> int:
-    """The p-part q**a of the group order."""
-    return spec.q ** _rows(spec.family, spec.rank)[0].a
-
-
-def beta_degree(spec: GroupSpec) -> CharPair:
-    """The companion unipotent degree used opposite the Steinberg degree."""
-    order_row, beta_row = _rows(spec.family, spec.rank)
-    return CharPair(
-        spec.q ** order_row.a,
-        _evaluate(beta_row, spec.q, spec.p),
-        _FAMILIES[spec.family].beta_label,
-    )
 
 
 # For the linear group of rank 3 over GF(3) the standard pair has ratio
@@ -421,7 +400,7 @@ def _check(spec: GroupSpec, rows: tuple[_Value, _Value], label: str) -> SweepRec
     order_row, beta_row = rows
     alpha = q ** order_row.a
     o = _evaluate(order_row, q, p, alpha)
-    pair = CharPair(alpha, _evaluate(beta_row, q, p), label)
+    pair = CharPair(alpha, _evaluate(beta_row, q, p, q ** beta_row.a), label)
     ratio_pair = _RATIO_OVERRIDES.get((spec.family, spec.rank, q), pair)
     pow14 = cmp_power(((alpha, 14),), ((pair.beta_degree, 14), (o, 1))) > 0
     ratio165 = 5 * ratio_pair.alpha_degree >= 16 * ratio_pair.beta_degree

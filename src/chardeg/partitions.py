@@ -15,8 +15,6 @@ import math
 import re
 from typing import Iterator, NamedTuple
 
-from .exact_arith import factorial
-
 __all__ = [
     "Partition",
     "HookData",
@@ -75,19 +73,6 @@ class Partition(_PartitionFields):
     def __str__(self) -> str:
         return ",".join(str(p) for p in self.parts)
 
-    def exp_str(self) -> str:
-        """Exponential display form, e.g. (5,4,4,4,3,3,1) -> "5,4^3,3^2,1"."""
-        out = []
-        i = 0
-        while i < len(self.parts):
-            j = i
-            while j < len(self.parts) and self.parts[j] == self.parts[i]:
-                j += 1
-            count = j - i
-            out.append(str(self.parts[i]) if count == 1 else f"{self.parts[i]}^{count}")
-            i = j
-        return ",".join(out)
-
 
 _TERM_RE = re.compile(r"^(\d+)(?:\^(\d+))?$")
 
@@ -97,9 +82,9 @@ PARTITION_MAX_SIZE = 10_000
 
 
 def parse_partition(text: str) -> Partition:
-    """Parse "3,2,2" or the exponential form "3,2^2"; round-trips both
-    display forms.  A partition of size above PARTITION_MAX_SIZE is refused
-    before its parts are listed."""
+    """Parse "3,2,2" or the exponential form "3,2^2", where a^k stands for k
+    parts equal to a; str of the result is the first form.  A partition of
+    size above PARTITION_MAX_SIZE is refused before its parts are listed."""
     text = text.strip()
     if not text:
         return Partition(())
@@ -162,7 +147,7 @@ def degree(lam: Partition) -> int:
     """Exact degree n!/H of the character indexed by lam; the division is
     asserted exact (a remainder would mean a hook-computation bug)."""
     h = hook_product(lam)
-    q, r = divmod(factorial(lam.n), h)
+    q, r = divmod(math.factorial(lam.n), h)
     if r:
         raise ArithmeticError(f"hook product {h} does not divide {lam.n}!")
     return q

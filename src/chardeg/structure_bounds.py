@@ -5,9 +5,9 @@ subgroup indices); nothing here computes radicals or Fitting subgroups from
 a group presentation.  The decimal exponents 1.43, 0.259, ... are treated as
 the exact rationals 143/100, 259/1000, ... throughout.  A degree ratio a/b
 goes to cmp_power split, a on its own side and b on the other, so every
-verdict compares two integer products.  ChiefFactorDescriptor and
-ChiefSeries are immutable NamedTuples compared by value; ChiefFactorDescriptor
-checks its fields in __new__.
+verdict compares two integer products.  A chief series is a tuple of
+ChiefFactorDescriptor, an immutable NamedTuple compared by value that checks
+its fields in __new__.
 """
 
 import json
@@ -15,12 +15,11 @@ import math
 from fractions import Fraction
 from typing import NamedTuple
 
-from .exact_arith import check_power_bits, cmp_power, factorial, is_prime, nth_root_floor
+from .exact_arith import check_power_bits, cmp_power, is_prime, nth_root_floor
 from .degree_data import DegreeTable
 
 __all__ = [
     "ChiefFactorDescriptor",
-    "ChiefSeries",
     "series_from_json",
     "rat14_lower_bound",
     "quotient_power_check",
@@ -64,10 +63,6 @@ class ChiefFactorDescriptor(_ChiefFactorFields):
         return super().__new__(cls, label, factor_order, multiplicity, is_abelian, is_psl2)
 
 
-class ChiefSeries(NamedTuple):
-    factors: tuple[ChiefFactorDescriptor, ...]
-
-
 # The digit count of 2**POWER_MAX_BITS.  An order or multiplicity written
 # with more digits is refused before int() converts it, since CPython's
 # str-to-int conversion takes time quadratic in the length; the cap is on the
@@ -75,38 +70,47 @@ class ChiefSeries(NamedTuple):
 SERIES_MAX_DIGITS = 39_457
 
 
-class _LongInteger(str):
-    """The text of a JSON integer literal longer than SERIES_MAX_DIGITS,
-    left unconverted by json.loads."""
+class _NumberText(str):
+    """The text of a JSON number literal that json.loads leaves unconverted:
+    an integer longer than SERIES_MAX_DIGITS, or one with a fraction or an
+    exponent, which a message then shows as written."""
 
     __slots__ = ()
 
 
-def _parse_int(text: str) -> int | _LongInteger:
-    return int(text) if len(text) <= SERIES_MAX_DIGITS else _LongInteger(text)
+def _parse_int(text: str) -> int | _NumberText:
+    return int(text) if len(text) <= SERIES_MAX_DIGITS else _NumberText(text)
+
+
+def _shown(value) -> str:
+    # value as JSON text, each number literal as the document wrote it.
+    if type(value) is list:
+        return f"[{', '.join(map(_shown, value))}]"
+    if type(value) is dict:
+        return f"{{{', '.join(f'{json.dumps(k)}: {_shown(v)}' for k, v in value.items())}}}"
+    return value if type(value) is _NumberText else json.dumps(value)
 
 
 def _json_count(value, key: str, where: str) -> int:
     if type(value) is int:
         return value
-    if type(value) is _LongInteger or (
-        isinstance(value, str) and value.isascii() and value.isdigit()
-    ):
-        if len(value) > SERIES_MAX_DIGITS:
-            raise ValueError(f"{where}: {key!r} has more than {SERIES_MAX_DIGITS} digits")
+    digits = isinstance(value, str) and value.isascii() and value.isdigit()
+    if (digits or type(value) is _NumberText) and len(value) > SERIES_MAX_DIGITS:
+        raise ValueError(f"{where}: {key!r} has more than {SERIES_MAX_DIGITS} digits")
+    if digits:
         return int(value)
     raise ValueError(
-        f"{where}: {key!r} must be a JSON integer or a decimal string, got {json.dumps(value)}"
+        f"{where}: {key!r} must be a JSON integer or a decimal string, got {_shown(value)}"
     )
 
 
 def _json_flag(value, key: str, where: str) -> bool:
     if type(value) is not bool:
-        raise ValueError(f"{where}: {key!r} must be true or false, got {json.dumps(value)}")
+        raise ValueError(f"{where}: {key!r} must be true or false, got {_shown(value)}")
     return value
 
 
-def series_from_json(text: str) -> ChiefSeries:
+def series_from_json(text: str) -> tuple[ChiefFactorDescriptor, ...]:
     """Accepts {"factors": [{"label": ..., "order": "20160",
     "multiplicity": 2, "abelian": false, "psl2": false}, ...]}.
 
@@ -116,14 +120,14 @@ def series_from_json(text: str) -> ChiefSeries:
     ValueError naming the factor and key, rather than reading "false" as
     true, truncating 20160.9 or spending seconds converting a million digits.
     """
-    doc = json.loads(text, parse_int=_parse_int)
+    doc = json.loads(text, parse_int=_parse_int, parse_float=_NumberText)
     if not isinstance(doc, dict) or not isinstance(doc.get("factors"), list):
         raise ValueError('a chief series is a JSON object {"factors": [...]}')
     factors = []
     for i, f in enumerate(doc["factors"]):
         where = f"chief factor {i}"
         if not isinstance(f, dict):
-            raise ValueError(f"{where} must be a JSON object, got {json.dumps(f)}")
+            raise ValueError(f"{where} must be a JSON object, got {_shown(f)}")
         if "order" not in f:
             raise ValueError(f"{where} has no 'order'")
         factors.append(
@@ -135,14 +139,14 @@ def series_from_json(text: str) -> ChiefSeries:
                 is_psl2=_json_flag(f.get("psl2", False), "psl2", where),
             )
         )
-    return ChiefSeries(tuple(factors))
+    return tuple(factors)
 
 
-def rat14_lower_bound(series: ChiefSeries) -> int:
+def rat14_lower_bound(series: tuple[ChiefFactorDescriptor, ...]) -> int:
     """Product of |S|**k over the nonabelian, non-PSL_2 chief factors; the
     caller reads the result P as the certified bound rat(G)**14 >= P.
     Raises ValueError when P could exceed POWER_MAX_BITS bits."""
-    counted = [f for f in series.factors if not f.is_abelian and not f.is_psl2]
+    counted = [f for f in series if not f.is_abelian and not f.is_psl2]
     check_power_bits(
         "rat14_lower_bound", sum(f.multiplicity * f.factor_order.bit_length() for f in counted)
     )
@@ -179,7 +183,7 @@ def maroti_bound(n: int, d: int) -> int:
         raise ValueError("maroti_bound requires n >= 1")
     # d! < d**d has at most d * d.bit_length() bits; n = 1 still builds d!
     check_power_bits("maroti_bound", max(n - 1, 1) * d * d.bit_length())
-    return nth_root_floor(factorial(d) ** (n - 1), d - 1)
+    return nth_root_floor(math.factorial(d) ** (n - 1), d - 1)
 
 
 def solvable_index_bound(order_n: int) -> int:

@@ -6,6 +6,7 @@ All verdicts below are decided in exact integer arithmetic; the only interval
 arithmetic is the constant check, at 50 digits.
 """
 
+import math
 import time
 from fractions import Fraction
 
@@ -15,7 +16,6 @@ from chardeg.alternating import check_constant, check_witness
 from chardeg.degree_data import DegreeTable, check_extendible_pair, load_dir, rat
 from chardeg.exact_arith import (
     cyclotomic,
-    factorial,
     nth_root_floor,
 )
 from chardeg.lie_type import (
@@ -59,7 +59,7 @@ def exceptional_sweep():
 def test_criterion_01_hook_orthogonality():
     start = time.monotonic()
     ok = all(
-        sum(degree(lam) ** 2 for lam in partitions_of(n)) == factorial(n)
+        sum(degree(lam) ** 2 for lam in partitions_of(n)) == math.factorial(n)
         for n in range(7, 13)
     )
     elapsed = time.monotonic() - start
@@ -70,7 +70,7 @@ def test_criterion_02_reference_magnitudes():
     d = degree(Partition((7,) * 7))
     # rounds to 4.75e23 at 3 significant figures
     ok = 4745 * 10 ** 20 <= d < 4755 * 10 ** 20
-    root = nth_root_floor(factorial(63), 14)
+    root = nth_root_floor(math.factorial(63), 14)
     lo, hi = 62 * root, 62 * (root + 1)
     # both ends of the integer bracket round to 1.07e8
     ok = ok and 1065 * 10 ** 5 <= lo and hi < 1075 * 10 ** 5
@@ -86,7 +86,7 @@ def test_criterion_03_witness_range_exact():
     ok = ok and reports[1].witness == Partition((4, 2, 2))
     # the named witnesses pass the inequality themselves
     for n, lam in ((7, Partition((3, 2, 2))), (8, Partition((4, 2, 2)))):
-        ok = ok and factorial(n) ** 13 > (hooks(lam).product * (n - 1)) ** 14
+        ok = ok and math.factorial(n) ** 13 > (hooks(lam).product * (n - 1)) ** 14
     _report(
         f"3 witness certification n=7..2000 exact ({elapsed:.1f}s)",
         ok and elapsed < 300,
@@ -96,7 +96,7 @@ def test_criterion_03_witness_range_exact():
 def test_criterion_04_oracle_equivalence():
     ok = True
     for n in range(7, 41):
-        fact13 = factorial(n) ** 13
+        fact13 = math.factorial(n) ** 13
         exists = any(
             fact13 > (hooks(lam).product * (n - 1)) ** 14
             for lam in partitions_of(n)

@@ -1,4 +1,5 @@
 import hashlib
+import math
 import time
 from fractions import Fraction
 
@@ -11,22 +12,23 @@ from chardeg.alternating import (
     check_growth,
     check_hook_upper,
     check_witness,
-    gamma_index,
     square_fix,
 )
-from chardeg.exact_arith import const_interval, factorial
+from chardeg.exact_arith import const_interval
 from chardeg.partitions import Partition, degree, enumerate_gamma, hook_product, hooks, partitions_of
 
 
 class TestGammaIndex:
+    # The window index of n is math.isqrt(n), the m of the window family
+    # that check_witness searches above EXHAUSTIVE_MAX.
     def test_examples(self):
-        assert gamma_index(64) == 8
-        assert gamma_index(80) == 8
-        assert gamma_index(63) == 7
+        assert math.isqrt(64) == 8
+        assert math.isqrt(80) == 8
+        assert math.isqrt(63) == 7
 
     def test_window_inequality(self):
         for n in range(1, 500):
-            m = gamma_index(n)
+            m = math.isqrt(n)
             assert m * m <= n <= m * m + 2 * m
 
 
@@ -51,7 +53,7 @@ class TestSquareFix:
 
 def _passes_directly(n: int, lam: Partition) -> bool:
     # independent route: direct integer powers, no cmp_power
-    return factorial(n) ** 13 > (hooks(lam).product * (n - 1)) ** 14
+    return math.factorial(n) ** 13 > (hooks(lam).product * (n - 1)) ** 14
 
 
 class TestCheckWitness:
@@ -70,7 +72,7 @@ class TestCheckWitness:
         assert not r.witness.is_self_conjugate()
         # witness degree exceeds (n-1) * (n!)^(1/14), restated in powers
         d = degree(r.witness)
-        assert d ** 14 > factorial(49) * 48 ** 14
+        assert d ** 14 > math.factorial(49) * 48 ** 14
 
     def test_report_consistency(self):
         for n in (7, 20, 50, 100):
@@ -127,7 +129,7 @@ class TestCheckWitness:
         chained = []
         for n, best in calls:
             chained.append(check_witness(n, best=best).to_json_dict())
-            assert alternating._lhs_carry == (n, factorial(n) ** 13)
+            assert alternating._lhs_carry == (n, math.factorial(n) ** 13)
         for (n, best), doc in zip(calls, chained):
             monkeypatch.setattr(alternating, "_lhs_carry", (0, 1))
             assert check_witness(n, best=best).to_json_dict() == doc
@@ -169,7 +171,7 @@ class TestCheckWitness:
             return hashlib.sha256(x.to_bytes((x.bit_length() + 7) // 8, "big")).hexdigest()
 
         r = check_witness(n)
-        lhs = factorial(n) ** 13
+        lhs = math.factorial(n) ** 13
         rhs = (hook_product(r.witness) * (n - 1)) ** 14
         assert (r.margin.lhs_bits, r.margin.lhs_sha256) == (lhs.bit_length(), sha256(lhs))
         assert (r.margin.rhs_bits, r.margin.rhs_sha256) == (rhs.bit_length(), sha256(rhs))
@@ -207,7 +209,7 @@ class TestIntervalChecks:
             return Fraction(lo, 2 ** b), Fraction(hi, 2 ** b)
 
         def factorial_lower_ref(n, b):
-            base = Fraction(factorial(n)) ** 26 * Fraction(20) ** 28
+            base = Fraction(math.factorial(n)) ** 26 * Fraction(20) ** 28
             rhs = Fraction(27) ** 28 * Fraction(n) ** (25 * n) * Fraction(n - 1) ** 28
             e_lo, e_hi = enclosure("e", b)
             if base * e_lo ** (25 * n) > rhs:

@@ -1,4 +1,5 @@
 import argparse
+import csv
 import json
 import os
 import re
@@ -151,6 +152,15 @@ class TestVerifierCommands:
         out = capsys.readouterr().out.splitlines()
         assert code == 0 and out[0].startswith("family,rank,q,")
 
+    def test_csv_quotes_a_reason_with_a_comma(self, capsys):
+        # The orth_odd point n=2, q=2 is excluded with a reason that holds a
+        # comma; every row still reads back as the header's 12 fields.
+        code = main(["sweep", "--families", "orth_odd", "--rank-max", "2", "--q-max", "3", "--csv"])
+        rows = list(csv.reader(capsys.readouterr().out.splitlines()))
+        assert code == 0 and len(rows) == 3
+        assert [len(row) for row in rows] == [12, 12, 12]
+        assert rows[1][-1] == "not simple (isomorphic to the symplectic point n=2, q=2)"
+
     def test_data_commands(self, capsys, data_dir):
         code, doc = _run_json(capsys, ["validate-data", "--data", str(data_dir)])
         assert code == 0 and doc["tables"] == 28
@@ -238,6 +248,8 @@ class TestContract:
             ("sweep --families E8 --q-max 300000", "q_max 300000 is above the maximum 65536"),
             ("sweep --families linear --rank-max 3000", "rank_max 3000 is above the maximum 100"),
             ("order --family linear --rank 3000 --q 2", "rank 3000 is above the maximum 100"),
+            # The size bound reads the row at the minimum rank, not at -100000.
+            ("thm21 --family linear --rank -100000 --q 2", "rank below minimum 3 for linear"),
             pytest.param(
                 f"order --family linear --rank 100 --q {2 ** 256}",
                 "up to 2569743 bits, more than 131072",
@@ -324,6 +336,13 @@ class TestContract:
             (
                 '{"factors": [{"order": 20160, "multiplicity": 2.9}]}',
                 "chief factor 0: 'multiplicity' must be a JSON integer or a decimal string, got 2.9",
+            ),
+            pytest.param(
+                # 400 nines overflow a float, which json.dumps shows as Infinity.
+                f'{{"factors": [{{"order": 60, "multiplicity": {"9" * 400}.5}}]}}',
+                "chief factor 0: 'multiplicity' must be a JSON integer or a decimal string, "
+                f"got {'9' * 400}.5",
+                id="400-digit float literal",
             ),
             (
                 '{"factors": [{"order": true}]}',

@@ -14,7 +14,6 @@ from chardeg.exact_arith import (
     const_interval,
     cyclotomic,
     eval_poly,
-    factorial,
     is_prime,
     nth_root_floor,
 )
@@ -182,16 +181,6 @@ class TestNthRootFloor:
     def test_exact_powers_and_neighbours(self, data, k, delta):
         r = data.draw(st.integers(1, 2 ** max(1, 20000 // k)))
         assert nth_root_floor(r ** k + delta, k) == (r - 1 if delta < 0 else r)
-
-
-def test_factorial_examples():
-    assert factorial(0) == 1
-    assert factorial(7) == 5040
-    # iterative product oracle
-    acc = 1
-    for i in range(1, 14):
-        acc *= i
-    assert factorial(13) == acc == 6227020800
 
 
 def test_is_prime_small():

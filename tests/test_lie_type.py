@@ -20,12 +20,10 @@ from chardeg.lie_type import (
     SweepRecord,
     _check_order_bits,
     _evaluate,
-    beta_degree,
+    _rows,
     check_point,
     make_spec,
-    order,
     prime_powers,
-    steinberg_degree,
     sweep,
 )
 from chardeg.partitions import degree as partition_degree, partitions_of
@@ -270,11 +268,11 @@ class TestValidate:
 class TestOrders:
     @pytest.mark.parametrize("family,rank,q,expected", KNOWN_ORDERS)
     def test_known_orders(self, family, rank, q, expected):
-        assert order(make_spec(family, q, rank=rank)) == expected
+        assert check_point(make_spec(family, q, rank=rank)).order == expected
 
     def test_invalid_spec_rejected(self):
         with pytest.raises(ValueError):
-            order(make_spec(Family.LINEAR, 5, rank=2))
+            check_point(make_spec(Family.LINEAR, 5, rank=2))
 
     def test_steinberg_is_p_part(self):
         # |S| / St(S) must be an integer coprime to p
@@ -282,7 +280,8 @@ class TestOrders:
         specs += valid_specs(EXCEPTIONAL_FAMILIES, (), 32)
         checked = 0
         for spec in specs:
-            o, st_deg = order(spec), steinberg_degree(spec)
+            r = check_point(spec)
+            o, st_deg = r.order, r.gap_pair.alpha_degree
             quo, rem = divmod(o, st_deg)
             assert rem == 0, spec
             assert math.gcd(quo, spec.p) == 1, spec
@@ -292,23 +291,23 @@ class TestOrders:
 
 class TestSteinberg:
     def test_examples(self):
-        assert steinberg_degree(make_spec(Family.LINEAR, 3, rank=3)) == 27
-        assert steinberg_degree(make_spec(Family.SYMPLECTIC, 3, rank=2)) == 81
-        assert steinberg_degree(make_spec(Family.E8, 2)) == 2 ** 120
+        assert check_point(make_spec(Family.LINEAR, 3, rank=3)).gap_pair.alpha_degree == 27
+        assert check_point(make_spec(Family.SYMPLECTIC, 3, rank=2)).gap_pair.alpha_degree == 81
+        assert check_point(make_spec(Family.E8, 2)).gap_pair.alpha_degree == 2 ** 120
 
 
 class TestBeta:
     def test_examples(self):
-        assert beta_degree(make_spec(Family.LINEAR, 2, rank=4)).beta_degree == 14
-        assert beta_degree(make_spec(Family.SYMPLECTIC, 3, rank=2)).beta_degree == 6
-        assert beta_degree(make_spec(Family.SUZUKI_2B2, 8)).beta_degree == 14
+        assert check_point(make_spec(Family.LINEAR, 2, rank=4)).gap_pair.beta_degree == 14
+        assert check_point(make_spec(Family.SYMPLECTIC, 3, rank=2)).gap_pair.beta_degree == 6
+        assert check_point(make_spec(Family.SUZUKI_2B2, 8)).gap_pair.beta_degree == 14
 
     def test_orthogonal_values(self):
         # singular-point permutation-character constituents at q = 2
-        assert beta_degree(make_spec(Family.ORTH_PLUS, 2, rank=4)).beta_degree == 50
-        assert beta_degree(make_spec(Family.ORTH_MINUS, 2, rank=4)).beta_degree == 34
-        assert beta_degree(make_spec(Family.ORTH_PLUS, 2, rank=5)).beta_degree == 186
-        assert beta_degree(make_spec(Family.ORTH_MINUS, 2, rank=5)).beta_degree == 154
+        assert check_point(make_spec(Family.ORTH_PLUS, 2, rank=4)).gap_pair.beta_degree == 50
+        assert check_point(make_spec(Family.ORTH_MINUS, 2, rank=4)).gap_pair.beta_degree == 34
+        assert check_point(make_spec(Family.ORTH_PLUS, 2, rank=5)).gap_pair.beta_degree == 186
+        assert check_point(make_spec(Family.ORTH_MINUS, 2, rank=5)).gap_pair.beta_degree == 154
 
     def test_integrality_across_grid(self):
         # every constant division inside the degree formulas must be exact;
@@ -316,18 +315,18 @@ class TestBeta:
         specs = valid_specs(CLASSICAL_FAMILIES, range(2, 9), 16)
         specs += valid_specs(EXCEPTIONAL_FAMILIES, (), 32)
         for spec in specs:
-            pair = beta_degree(spec)
+            pair = check_point(spec).gap_pair
             assert 2 <= pair.beta_degree <= pair.alpha_degree, spec
 
     def test_exceptional_spot_values(self):
-        assert beta_degree(make_spec(Family.REE_2G2, 27)).beta_degree == 2184
-        assert beta_degree(make_spec(Family.TRIALITY_3D4, 2)).beta_degree == 26
-        assert beta_degree(make_spec(Family.G2, 3)).beta_degree == 104
-        assert beta_degree(make_spec(Family.F4, 2)).beta_degree == 1377
-        assert beta_degree(make_spec(Family.REE_2F4, 8)).beta_degree == 1839048
-        assert beta_degree(make_spec(Family.E6, 2)).beta_degree == 2 * 17 * 73
-        assert beta_degree(make_spec(Family.TWISTED_E6, 2)).beta_degree == 2 * 17 * 57
-        assert beta_degree(make_spec(Family.E8, 2)).beta_degree == 545925250
+        assert check_point(make_spec(Family.REE_2G2, 27)).gap_pair.beta_degree == 2184
+        assert check_point(make_spec(Family.TRIALITY_3D4, 2)).gap_pair.beta_degree == 26
+        assert check_point(make_spec(Family.G2, 3)).gap_pair.beta_degree == 104
+        assert check_point(make_spec(Family.F4, 2)).gap_pair.beta_degree == 1377
+        assert check_point(make_spec(Family.REE_2F4, 8)).gap_pair.beta_degree == 1839048
+        assert check_point(make_spec(Family.E6, 2)).gap_pair.beta_degree == 2 * 17 * 73
+        assert check_point(make_spec(Family.TWISTED_E6, 2)).gap_pair.beta_degree == 2 * 17 * 57
+        assert check_point(make_spec(Family.E8, 2)).gap_pair.beta_degree == 545925250
 
 
 class TestChecks:
@@ -474,11 +473,11 @@ class TestSecondImplementation:
 
     def test_orders_match_cyclotomic_products(self):
         for spec in self.SPECS:
-            assert order(spec) == order_oracle(spec), spec
+            assert check_point(spec).order == order_oracle(spec), spec
 
     def test_beta_matches_closed_forms(self):
         for spec in self.SPECS:
-            assert beta_degree(spec).beta_degree == beta_oracle(spec), spec
+            assert check_point(spec).gap_pair.beta_degree == beta_oracle(spec), spec
 
 
 class TestCrossLayer:
@@ -494,16 +493,17 @@ class TestCrossLayer:
     def test_psl34_data_row_matches_registry(self, data_dir):
         (table,) = [t for t in load_dir(data_dir) if t.name == "PSL3(4)"]
         spec = make_spec(Family.LINEAR, 4, rank=3)
-        pair = beta_degree(spec)
-        assert table.order == order(spec) == 20160
+        r = check_point(spec)
+        pair = r.gap_pair
+        assert table.order == r.order == 20160
         assert (pair.alpha_degree, pair.beta_degree) == (64, 20)
         assert {64, 20} <= set(table.degrees)
 
 
 def _raw_order(fam, rank, q):
     """The order row of a family at a point validate may reject, q prime."""
-    row = _FAMILIES[fam]
-    return _evaluate((row.rows if row.rank_min is None else row.rows(rank))[0], q, q)
+    v = _rows(fam, rank)[0]
+    return _evaluate(v, q, q, q ** v.a)
 
 
 def _psl2_order(q):
@@ -524,7 +524,7 @@ class TestExclusionData:
                 assert _raw_order(fam, rank, q) == _psl2_order(q), (fam, q)
 
     def test_not_simple_points(self):
-        psu33 = order(make_spec(Family.UNITARY, 3, rank=3))
+        psu33 = check_point(make_spec(Family.UNITARY, 3, rank=3)).order
         expected = {
             (Family.LINEAR, 3, 2): _psl2_order(7),          # PSL_3(2) = PSL_2(7)
             (Family.UNITARY, 3, 2): 9 * 8,                  # 3^2:Q_8, solvable
