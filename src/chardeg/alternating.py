@@ -43,8 +43,9 @@ __all__ = [
 DEFAULT_DIGITS = 50
 MAX_DIGITS = 400
 # check_witness and check_factorial_lower refuse a larger n: at n = 2000 they
-# take 0.01 s and 0.2 s in-process (2-CPU x86-64 box), and prop42 over
-# 7..2000 about 2.2 s as a command.
+# take 0.01 s and 0.3 ms in-process (2-CPU x86-64 box; cmp_power decides the
+# latter from leading bits, without building its 0.8 Mbit products), and
+# prop42 over 7..2000 about 2.2 s as a command.
 MAX_N = 2000
 
 # Below this n the witness search is exhaustive over all partitions of n;

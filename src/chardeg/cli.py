@@ -14,6 +14,7 @@ the other layers; fractions is loaded only by what builds a Fraction.
 """
 
 import argparse
+import gc
 import json
 import sys
 from typing import NamedTuple, NoReturn
@@ -631,4 +632,10 @@ def main(argv: list[str] | None = None) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    # Frozen objects are skipped by the collections the interpreter runs at
+    # teardown; the output is flushed and atexit handlers run as before.
+    # main itself does not freeze, since tests call it in-process.
+    try:
+        sys.exit(main())
+    finally:
+        gc.freeze()

@@ -1,13 +1,16 @@
 """Exact arithmetic kernel.
 
 One comparison primitive, cmp_power, which orders two products of integer
-powers and returns the sign -1, 0 or 1: it decides from the bit lengths of
-the bases when their bounds on the two products do not overlap, and builds
-and compares the products otherwise; integer k-th roots by Newton from a
-half-precision root; is_prime, trial division by the primes below 256 and
-then Miller-Rabin with the first k prime bases, k read off the table of
-psi_k; cyclotomic, the coefficient tuple of a cyclotomic polynomial by its
-Moebius product, and eval_poly, Horner evaluation of such a tuple;
+powers and returns the sign -1, 0 or 1 in up to three stages: the bit
+lengths of the bases, when their bounds on the two products do not overlap;
+then the leading 64 bits of the bases, raised and multiplied with directed
+rounding into integer bounds a * 2**x <= P <= b * 2**y, when those separate
+the two products; and otherwise the two products, built and compared
+exactly.  Integer k-th roots by Newton from a half-precision root;
+is_prime, trial division by the primes below 256 and then Miller-Rabin with
+the first k prime bases, k read off the table of psi_k; cyclotomic, the
+coefficient tuple of a cyclotomic polynomial by its Moebius product, and
+eval_poly, Horner evaluation of such a tuple;
 const_interval, integer bounds lo <= c * 2**b <= hi for the constants e and
 2*pi, at most 3 apart, from exact series sums rounded outward; and
 POWER_MAX_BITS with check_power_bits, the size cap callers apply before
@@ -69,6 +72,8 @@ def _bit_bounds(factors: Sequence[tuple[int, int]]) -> tuple[int | None, int, bo
     for base, exp in factors:
         if not isinstance(base, int):
             raise TypeError(f"cmp_power requires integer bases, got {type(base).__name__}")
+        if not isinstance(exp, int):
+            raise TypeError(f"cmp_power requires integer exponents, got {type(exp).__name__}")
         if base < 0:
             raise ValueError("cmp_power requires nonnegative bases")
         if exp < 0:
@@ -84,6 +89,58 @@ def _bit_bounds(factors: Sequence[tuple[int, int]]) -> tuple[int | None, int, bo
     return (None if zero else lo), hi, used
 
 
+# The leading-bits stage of cmp_power carries each bound as a mantissa below
+# 2**_MANTISSA_BITS times a power of two, rounded in one direction throughout
+# (directed rounding; Brent and Zimmermann, Modern Computer Arithmetic, 2010,
+# ch. 3).
+_MANTISSA_BITS = 64
+
+
+def _round(m: int, e: int, up: bool) -> tuple[int, int]:
+    # (r, f) with r * 2**f <= m * 2**e, or >= when up, and r below
+    # 2**_MANTISSA_BITS: the top bits of m, plus one when rounding up drops a
+    # nonzero bit.
+    shift = m.bit_length() - _MANTISSA_BITS
+    if shift <= 0:
+        return m, e
+    r = m >> shift
+    if up and r << shift != m:
+        r += 1
+        if r >> _MANTISSA_BITS:  # r is 2**_MANTISSA_BITS, halved exactly
+            r >>= 1
+            shift += 1
+    return r, e + shift
+
+
+def _leading_bound(factors: Sequence[tuple[int, int]], up: bool) -> tuple[int, int]:
+    # (m, e) with m * 2**e <= P, or >= P when up, for the product P of the
+    # factors, none of them with a zero base: each base cut to its top bits,
+    # raised by square-and-multiply and multiplied into the rest, every
+    # intermediate mantissa rounded the same way.
+    m, e = 1, 0
+    for base, exp in factors:
+        if not exp:
+            continue
+        b, f = _round(base, 0, up)
+        while True:
+            if exp & 1:
+                m, e = _round(m * b, e + f, up)
+            exp >>= 1
+            if not exp:
+                break
+            b, f = _round(b * b, 2 * f, up)
+    return m, e
+
+
+def _above(a: int, x: int, b: int, y: int) -> bool:
+    # a * 2**x > b * 2**y, for a, b >= 1: by the bit lengths of the two
+    # numbers, and when those are equal the exponents differ by less than 64.
+    la, lb = a.bit_length() + x, b.bit_length() + y
+    if la != lb:
+        return la > lb
+    return a << (x - y) > b if x >= y else a > b << (y - x)
+
+
 def _product(factors: Sequence[tuple[int, int]]) -> int:
     return math.prod(base ** exp for base, exp in factors)
 
@@ -95,11 +152,20 @@ def cmp_power(lhs: Sequence[tuple[int, int]], rhs: Sequence[tuple[int, int]]) ->
     Bases and exponents are nonnegative ints, the exponents not all zero; an
     empty side is the empty product 1.  A caller comparing rationals puts
     each ratio's numerator on its own side and its denominator on the other.
-    The bit lengths of the bases bound both products first, in the same pass
-    over each side that validates it, and when the lower bound of one is
-    above the upper bound of the other the sign is returned without building
-    a power.  Otherwise, and whenever a zero base has a nonzero exponent, the
-    two products are built and compared exactly.
+    Three stages, the first that separates the two sides deciding:
+
+    1. bit lengths: the bit lengths of the bases bound both products, in the
+       same pass over each side that validates it;
+    2. leading bits: each base is cut to its top 64 bits, rounded down for a
+       lower bound and up for an upper bound, and raised and multiplied by
+       square-and-multiply with every intermediate mantissa rounded the same
+       way, so that a * 2**x <= P <= b * 2**y with a, b below 2**64;
+    3. built products: both products are built and compared exactly.
+
+    Each of the first two returns the sign when the lower bound of one side
+    is above the upper bound of the other; all three are integer
+    comparisons.  A zero base with a nonzero exponent goes straight from the
+    first stage to the third.
     """
     llo, lhi, lused = _bit_bounds(lhs)
     rlo, rhi, rused = _bit_bounds(rhs)
@@ -109,6 +175,10 @@ def cmp_power(lhs: Sequence[tuple[int, int]], rhs: Sequence[tuple[int, int]]) ->
         if llo > rhi:
             return 1
         if rlo > lhi:
+            return -1
+        if _above(*_leading_bound(lhs, False), *_leading_bound(rhs, True)):
+            return 1
+        if _above(*_leading_bound(rhs, False), *_leading_bound(lhs, True)):
             return -1
     left, right = _product(lhs), _product(rhs)
     return (left > right) - (left < right)

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from chardeg import alternating
+from chardeg import alternating, exact_arith
 from chardeg.alternating import (
     check_constant,
     check_factorial_lower,
@@ -264,6 +264,22 @@ class TestIntervalChecks:
         [(name, bits, endpoints)] = built
         assert (name, bits) == ("e", b0)
         assert all(end.bit_length() <= b0 + 2 for end in endpoints)
+
+    def test_interval_verdicts_build_no_product(self, monkeypatch):
+        # Every comparison of these checks is decided by the bit lengths or
+        # the leading bits of its bases; none builds either product.
+        def refuse(factors):
+            raise AssertionError("built a product")
+
+        monkeypatch.setattr(exact_arith, "_product", refuse)
+        for n in (15, 250, 1000, 2000):
+            assert check_factorial_lower(n) is True
+        assert check_growth(54) is False
+        for n in (55, 56, 1000):
+            assert check_growth(n) is True
+        assert check_constant() is True
+        for m in range(1, 13):
+            assert check_hook_upper(m) is True
 
     def test_digits_below_one_rejected(self):
         # The digit ladder never ends below 1, so the checks refuse it.

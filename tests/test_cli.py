@@ -486,18 +486,22 @@ class TestSingleRowParser:
             assert re.search(rf"^ +{re.escape(name)}( |$)", out, re.M), name
 
 
-def _fresh_run(argv: list[str]) -> tuple[int, str, set[str]]:
-    # `python -X importtime -m chardeg.cli argv` in a new interpreter: the exit
-    # code, stdout, and every module the run imported (importtime's stderr).
+def _fresh_env() -> dict[str, str]:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(REPO_ROOT / "src"), env.get("PYTHONPATH")) if p
     )
+    return env
+
+
+def _fresh_run(argv: list[str]) -> tuple[int, str, set[str]]:
+    # `python -X importtime -m chardeg.cli argv` in a new interpreter: the exit
+    # code, stdout, and every module the run imported (importtime's stderr).
     proc = subprocess.run(
         [sys.executable, "-X", "importtime", "-m", "chardeg.cli", *argv],
         capture_output=True,
         text=True,
-        env=env,
+        env=_fresh_env(),
         cwd=REPO_ROOT,
         stdin=subprocess.DEVNULL,
         timeout=60,
@@ -549,3 +553,38 @@ class TestStartup:
             "error": "solvable_index_bound would build an integer of up to 2375230 bits, "
             "more than 131072",
         }
+
+
+class TestFreshProcessExit:
+    """`python -m chardeg.cli` ends as in-process main does: the same stdout
+    bytes, exit code and stderr, on large output and on every exit path."""
+
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            ("sweep --families E8 --q-max 8192 --jsonl", 0),
+            ("thmB --rat 2 --index 3000000", 1),
+            ("thm21 --family linear --rank 4 --q 6", 2),
+            ("--help", 0),
+        ],
+    )
+    def test_matches_in_process_main(self, argv, code, capsys, monkeypatch):
+        # argparse wraps --help to COLUMNS, so both runs get the same width
+        monkeypatch.setenv("COLUMNS", "80")
+        try:
+            in_code = main(argv.split())
+        except SystemExit as exc:
+            in_code = exc.code
+        captured = capsys.readouterr()
+        proc = subprocess.run(
+            [sys.executable, "-m", "chardeg.cli", *argv.split()],
+            capture_output=True,
+            env=_fresh_env(),
+            cwd=REPO_ROOT,
+            stdin=subprocess.DEVNULL,
+            timeout=60,
+        )
+        assert (proc.returncode, in_code) == (code, code)
+        assert proc.stdout == captured.out.encode()
+        assert proc.stderr == captured.err.encode()
+        assert proc.stdout

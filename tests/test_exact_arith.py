@@ -23,9 +23,14 @@ E_50 = Fraction(27182818284590452353602874713526624977572470936999, 10 ** 49)
 PI_50 = Fraction(31415926535897932384626433832795028841971693993751, 10 ** 49)
 
 powers_base = st.fractions(min_value=0, max_value=40, max_denominator=40)
-big_base = st.integers(0, 2 ** 64) | st.builds(
-    Fraction, st.integers(0, 2 ** 64), st.integers(1, 2 ** 64)
+# Bases past 2**64, so that the leading-bits stage cuts them, and small bases
+# with exponents large enough that the bit lengths rarely decide.
+big_base = st.integers(0, 2 ** 400) | st.builds(
+    Fraction, st.integers(0, 2 ** 400), st.integers(1, 2 ** 400)
 )
+long_power = st.tuples(st.integers(0, 64), st.integers(0, 50_000))
+wide_power = long_power | st.tuples(st.integers(0, 2 ** 400), st.integers(0, 60))
+above_64 = st.integers(2 ** 64 + 1, 2 ** 400)
 
 
 def _split(lhs, rhs):
@@ -35,6 +40,12 @@ def _split(lhs, rhs):
     left = [(b.numerator, e) for b, e in lhs] + [(b.denominator, e) for b, e in rhs]
     right = [(b.numerator, e) for b, e in rhs] + [(b.denominator, e) for b, e in lhs]
     return left, right
+
+
+def _int_sign(lhs, rhs):
+    left = math.prod(b ** e for b, e in lhs)
+    right = math.prod(b ** e for b, e in rhs)
+    return (left > right) - (left < right)
 
 
 def _fraction_sign(lhs, rhs):
@@ -125,6 +136,47 @@ class TestCmpPower:
             return
         assert cmp_power(*_split(lhs, rhs)) == _fraction_sign(lhs, rhs)
 
+    @given(
+        lhs=st.lists(wide_power, max_size=3),
+        rhs=st.lists(wide_power, max_size=3),
+    )
+    def test_matches_int_products_long_exponents(self, lhs, rhs):
+        if not any(e for _, e in lhs + rhs):
+            return
+        assert cmp_power(lhs, rhs) == _int_sign(lhs, rhs)
+
+    @given(a=above_64, b=above_64, k=st.integers(1, 60))
+    def test_ties_between_factorizations(self, a, b, k):
+        # equal products whose bases are all cut by the leading-bits stage, and the same
+        # product against its built value and its neighbours
+        assert cmp_power(((a * b, k),), ((a, k), (b, k))) == 0
+        assert cmp_power(((a, k), (b, k)), ((a * b, k),)) == 0
+        power = (a * b) ** k
+        for d in (-1, 0, 1):
+            assert cmp_power(((a, k), (b, k)), ((power + d, 1),)) == -d
+
+    def test_near_ties_fall_back_to_products(self):
+        # the leading bits cannot separate these; the exact products decide
+        x = 2 ** 64 + 1
+        expansion = 2 ** 192 + 3 * 2 ** 128 + 3 * 2 ** 64 + 1
+        assert cmp_power(((x, 3),), ((expansion, 1),)) == 0
+        assert cmp_power(((x, 3),), ((expansion + 1, 1),)) == -1
+        assert cmp_power(((x, 3),), ((expansion - 1, 1),)) == 1
+        assert cmp_power(((expansion - 1, 1),), ((x, 3),)) == -1
+        assert cmp_power(((x, 3),), ((2 ** 192, 1),)) == 1
+
+    def test_leading_bits_decide_without_building(self, monkeypatch):
+        # 3**1000 lies between 2**1584 and 2**1585, where the bit lengths
+        # only bound it by 2**1000 and 2**2000
+        def refuse(factors):
+            raise AssertionError("built a product")
+
+        monkeypatch.setattr(exact_arith, "_product", refuse)
+        assert cmp_power(((3, 1000),), ((2, 1585),)) == -1
+        assert cmp_power(((2, 1585),), ((3, 1000),)) == 1
+        assert cmp_power(((3, 1000),), ((2, 1584),)) == 1
+        assert cmp_power(((2 ** 400 - 1, 50_000),), ((2 ** 400, 49_999), (2 ** 399, 1))) == 1
+
     def test_ties_and_equal_bit_lengths(self):
         # equal products, and products whose bit-length bounds coincide, are
         # left to the exact comparison
@@ -155,6 +207,11 @@ class TestCmpPower:
             cmp_power(((2 ** 100, 5),), ((1, 1), (-1, 1)))
         with pytest.raises(ValueError, match="nonnegative exponents"):
             cmp_power(((2 ** 100, 5),), ((3, 1), (3, -1)))
+        # a float exponent would let a float decide, even one equal to an int
+        with pytest.raises(TypeError, match="integer exponents"):
+            cmp_power(((2, 0.5),), ((1, 1),))
+        with pytest.raises(TypeError, match="integer exponents"):
+            cmp_power(((3, 2.0),), ((9, 1),))
 
 
 class TestNthRootFloor:
