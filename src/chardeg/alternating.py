@@ -82,12 +82,7 @@ class WitnessReport(NamedTuple):
             "witness": str(self.witness),
             "hook_product": str(self.hook_product),
             "passed": self.passed,
-            "margin": {
-                "lhs_bits": self.margin.lhs_bits,
-                "rhs_bits": self.margin.rhs_bits,
-                "lhs_sha256": self.margin.lhs_sha256,
-                "rhs_sha256": self.margin.rhs_sha256,
-            },
+            "margin": self.margin._asdict(),
         }
 
 

@@ -19,10 +19,9 @@ import json
 import sys
 from typing import NamedTuple, NoReturn
 
-# exact_arith, imported here also through partitions, lifts the int-to-str
-# digit limit before argparse converts a long integer argument.
+# exact_arith, imported here, lifts the int-to-str digit limit before
+# argparse converts a long integer argument.
 from .exact_arith import check_power_bits, cyclotomic, eval_poly
-from .partitions import degree as partition_degree, enumerate_gamma, hooks, parse_partition
 
 EXIT_CODES = {"pass": 0, "fail": 1, "error": 2, "inconclusive": 3}
 
@@ -69,31 +68,39 @@ def _point(args) -> "lie_type.SweepRecord":
 
 
 def _cmd_hook(args) -> CommandResult:
-    lam = parse_partition(args.partition)
-    data = hooks(lam)
+    from . import partitions
+
+    lam = partitions.parse_partition(args.partition)
+    data = partitions.hooks(lam)
     return CommandResult(
         "pass",
         {
             "partition": str(lam),
             "hooks": [list(row) for row in data.rows],
             "H": str(data.product),
-            "degree": str(partition_degree(lam)),
+            "degree": str(partitions.degree(lam)),
         },
     )
 
 
 def _cmd_degree(args) -> CommandResult:
-    lam = parse_partition(args.partition)
-    return CommandResult("pass", {"partition": str(lam), "degree": str(partition_degree(lam))})
+    from . import partitions
+
+    lam = partitions.parse_partition(args.partition)
+    return CommandResult("pass", {"partition": str(lam), "degree": str(partitions.degree(lam))})
 
 
 def _cmd_conjugate(args) -> CommandResult:
-    lam = parse_partition(args.partition)
+    from . import partitions
+
+    lam = partitions.parse_partition(args.partition)
     return CommandResult("pass", {"partition": str(lam), "conjugate": str(lam.conjugate())})
 
 
 def _cmd_gamma(args) -> CommandResult:
-    members = list(enumerate_gamma(args.m, size=args.size))
+    from . import partitions
+
+    members = list(partitions.enumerate_gamma(args.m, size=args.size))
     return CommandResult(
         "pass",
         {"m": args.m, "count": len(members), "partitions": [str(p) for p in members]},
@@ -355,17 +362,12 @@ def _cmd_rat(args) -> CommandResult:
     from . import degree_data
 
     degrees = tuple(int(d) for d in args.degrees.split(","))
-    table = degree_data.DegreeTable(name="cli", degrees=degrees)
-    value = degree_data.rat(table)
-    nonlinear = [d for d in degrees if d > 1]
-    return CommandResult(
-        "pass",
-        {
-            "rat": f"{value.numerator}/{value.denominator}" if value.denominator != 1 else str(value.numerator),
-            "b": str(max(degrees)),
-            "c": str(min(nonlinear)) if nonlinear else "1",
-        },
-    )
+    value = degree_data.rat(degree_data.DegreeTable(name="cli", degrees=degrees))
+    return CommandResult("pass", {
+        "rat": str(value),  # "n/d" in lowest terms, "n" when d is 1
+        "b": str(max(degrees)),
+        "c": str(min((d for d in degrees if d > 1), default=1)),
+    })
 
 
 def _cmd_sporadic_check(args) -> CommandResult:

@@ -17,7 +17,6 @@ DegreeTable and PairCheck are immutable NamedTuples compared by value;
 DegreeTable checks its fields and sorts its degrees in __new__.
 """
 
-from fractions import Fraction
 from pathlib import Path
 from typing import NamedTuple
 
@@ -157,8 +156,10 @@ def load_dir(path: str | Path) -> list[DegreeTable]:
     return tables
 
 
-def rat(table: DegreeTable) -> Fraction:
+def rat(table: DegreeTable) -> "Fraction":
     """max degree / min nonlinear degree; 1 when every degree equals 1."""
+    from fractions import Fraction
+
     nonlinear = [d for d in table.degrees if d > 1]
     if not nonlinear:
         return Fraction(1)

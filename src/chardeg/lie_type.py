@@ -16,13 +16,16 @@ has one shape, a quotient of binomials q**d - eps:
 The gcd is the centre of the order (k = 1 where there is none and for every
 companion degree), h is nonzero only for 2B2 and 2G2, and alpha is q**a of
 the order.  Every division is asserted exact, so a transcription error
-cannot pass silently.
+cannot pass silently.  PSU_n and 2E6 are the rows of PSL_n and E6 at
+eps = -1, not a second transcription: by Ennola duality (GU_n(q) is
+GL_n(-q); Ennola 1963, Carter 13.8) they replace q by -q.
 
-The row also holds the exclusions validate reads: the PSL_2 rank, the
-non-simple (rank, q) points, and for Suzuki and Ree the p of q = p**(2f+1).
-make_spec and sweep read the q-degree of the order row, and refuse a point
-or a grid whose order could exceed POWER_MAX_BITS bits before factoring q or
-checking a point.
+The row also holds the exclusions validate reads (the PSL_2 rank, the
+non-simple (rank, q) points, and for Suzuki and Ree the p of q = p**(2f+1))
+and the pair the minimum-ratio check reads where the Steinberg pair's ratio
+is below 16/5 (PSL_3(3): 39 and 12).  make_spec and sweep read the q-degree
+of the order row, and refuse a point or a grid whose order could exceed
+POWER_MAX_BITS bits before factoring q or checking a point.
 
 check_point is the one per-point API: its SweepRecord holds the order, the
 Steinberg pair and both verdicts.  It and sweep share one kernel, which takes
@@ -183,22 +186,25 @@ class _Family(NamedTuple):
     rows: Callable[[int], tuple[_Value, _Value]] | tuple[_Value, _Value]
     psl2_rank: int | None = None  # the rank at which the family is PSL_2
     not_simple: Mapping[tuple[int | None, int], str] = {}  # (rank, q) -> reason
+    ratio_overrides: Mapping[tuple[int | None, int], CharPair] = {}  # (rank, q) -> ratio pair
     twisted_p: int | None = None  # q must be twisted_p**(2f+1), f >= 1
 
 
-def _linear(n: int) -> tuple[_Value, _Value]:
+# At eps = -1, q -> -q: each q**d - e becomes q**d - eps**d * e up to sign,
+# and the centre gcd(k, q - 1) becomes gcd(k, q + 1).
+def _linear(eps: int, n: int) -> tuple[_Value, _Value]:
     return (
-        _Value(n * (n - 1) // 2, tuple((i, 1) for i in range(2, n + 1)), centre=(n, 1, 1)),
-        _Value(1, ((n - 1, 1),), ((1, 1),)),
+        _Value(
+            n * (n - 1) // 2, tuple((i, eps ** i) for i in range(2, n + 1)), centre=(n, 1, eps)
+        ),
+        _Value(1, ((n - 1, eps ** (n - 1)),), ((1, eps),)),
     )
 
 
-def _unitary(n: int) -> tuple[_Value, _Value]:
+def _e6(eps: int) -> tuple[_Value, _Value]:
     return (
-        _Value(
-            n * (n - 1) // 2, tuple((i, (-1) ** i) for i in range(2, n + 1)), centre=(n, 1, -1)
-        ),
-        _Value(1, ((n - 1, (-1) ** (n - 1)),), ((1, -1),)),
+        _Value(36, ((12, 1), (9, eps), (8, 1), (6, 1), (5, eps), (2, 1)), centre=(3, 1, eps)),
+        _Value(1, ((4, -1), (9, eps)), ((3, eps),)),
     )
 
 
@@ -229,9 +235,10 @@ def _even_orthogonal(eps: int, n: int) -> tuple[_Value, _Value]:
 # isqrt(q // p) = p**f exactly.  f = 0 is excluded: 2B2(2) is solvable,
 # 2G2(3) is PSL_2(8):3 and 2F4(2) is the Tits group extended by 2.
 _FAMILIES: dict[Family, _Family] = {
-    Family.LINEAR: _Family(3, "(n-1,1)", _linear, 2, {
-        (3, 2): "not simple at this point (isomorphic to PSL_2(7))"}),
-    Family.UNITARY: _Family(3, "(n-1,1)", _unitary, 2, {(3, 2): "not simple"}),
+    Family.LINEAR: _Family(3, "(n-1,1)", partial(_linear, 1), 2, {
+        (3, 2): "not simple at this point (isomorphic to PSL_2(7))"},
+        ratio_overrides={(3, 3): CharPair(39, 12, "degrees 39 and 12")}),
+    Family.UNITARY: _Family(3, "(n-1,1)", partial(_linear, -1), 2, {(3, 2): "not simple"}),
     Family.SYMPLECTIC: _Family(2, "(0,1,n;-)", _symplectic, 1, {(2, 2): "not simple"}),
     Family.ORTH_ODD: _Family(2, "(0,1,n;-)", _symplectic, 1, {
         (2, 2): "not simple (isomorphic to the symplectic point n=2, q=2)"}),
@@ -257,12 +264,8 @@ _FAMILIES: dict[Family, _Family] = {
     Family.REE_2F4: _Family(None, "epsilon'", (
         _Value(12, ((6, -1), (4, 1), (3, -1), (1, 1))),
         _Value(1, ((3, -1), (6, -1)), ((1, -1), (2, -1)))), twisted_p=2),
-    Family.E6: _Family(None, "phi_{6,1}", (
-        _Value(36, ((12, 1), (9, 1), (8, 1), (6, 1), (5, 1), (2, 1)), centre=(3, 1, 1)),
-        _Value(1, ((4, -1), (9, 1)), ((3, 1),)))),
-    Family.TWISTED_E6: _Family(None, "phi'_{2,4}", (
-        _Value(36, ((12, 1), (9, -1), (8, 1), (6, 1), (5, -1), (2, 1)), centre=(3, 1, -1)),
-        _Value(1, ((4, -1), (9, -1)), ((3, -1),)))),
+    Family.E6: _Family(None, "phi_{6,1}", _e6(1)),
+    Family.TWISTED_E6: _Family(None, "phi'_{2,4}", _e6(-1)),
     Family.E7: _Family(None, "phi_{7,1}", (
         _Value(63, ((18, 1), (14, 1), (12, 1), (10, 1), (8, 1), (6, 1), (2, 1)), centre=(2, 1, 1)),
         _Value(1, ((14, 1), (6, -1)), ((4, 1),)))),
@@ -330,12 +333,11 @@ def make_spec(family: Family, q: int, rank: int | None = None) -> GroupSpec:
     the rank is missing or above MAX_RANK, or when the order, of q-degree
     a + h + sum(num d) - sum(den d) in its row, could exceed POWER_MAX_BITS."""
     family = Family(family)
-    if family in EXCEPTIONAL_FAMILIES:
-        rank = None
-    elif rank is None:
-        raise ValueError(f"family {family.value} requires a rank parameter")
-    elif rank > MAX_RANK:
-        raise ValueError(f"rank {rank} is above the maximum {MAX_RANK}")
+    if family in CLASSICAL_FAMILIES:
+        if rank is None:
+            raise ValueError(f"family {family.value} requires a rank parameter")
+        if rank > MAX_RANK:
+            raise ValueError(f"rank {rank} is above the maximum {MAX_RANK}")
     _check_order_bits(family, rank, q)
     p, e = _factor_prime_power(q)
     return GroupSpec(family, rank, q, p, e)
@@ -349,7 +351,8 @@ def validate(fam: Family, n: int | None, q: int, p: int, e: int) -> str | None:
         return "q is not a prime power"
     row = _FAMILIES[fam]
     if row.rank_min is None:
-        n = None
+        if n is not None:
+            return f"{fam.value} takes no rank parameter"
     elif n is None:
         return "missing rank"
     elif n == row.psl2_rank:
@@ -365,11 +368,6 @@ def validate(fam: Family, n: int | None, q: int, p: int, e: int) -> str | None:
 # ---------------------------------------------------------------------------
 # The order, the degrees and the two checks
 # ---------------------------------------------------------------------------
-
-
-# For the linear group of rank 3 over GF(3) the standard pair has ratio
-# 27/12 < 16/5; the minimum-ratio check uses the degrees 39 and 12 instead.
-_RATIO_OVERRIDES = {(Family.LINEAR, 3, 3): CharPair(39, 12, "degrees 39 and 12")}
 
 
 class SweepRecord(NamedTuple):
@@ -389,19 +387,19 @@ def check_point(spec: GroupSpec) -> SweepRecord:
     """Exact verdicts on alpha**14 > beta**14 * |S| for the standard pair and
     on 5*alpha >= 16*beta for the ratio pair (the per-point override where
     one is registered), from one order and one companion degree."""
-    return _check(spec, _rows(spec.family, spec.rank), _FAMILIES[spec.family].beta_label)
+    return _check(spec, _FAMILIES[spec.family], _rows(spec.family, spec.rank))
 
 
-def _check(spec: GroupSpec, rows: tuple[_Value, _Value], label: str) -> SweepRecord:
-    # The kernel check_point and sweep share: rows and label are the point's
-    # family row, read once by the caller, and alpha = q**a is built once, as
+def _check(spec: GroupSpec, row: _Family, rows: tuple[_Value, _Value]) -> SweepRecord:
+    # The kernel check_point and sweep share: row and its rows at the point's
+    # rank are read once by the caller, and alpha = q**a is built once, as
     # the Steinberg degree and as the leading factor of the order.
     q, p = spec.q, spec.p
     order_row, beta_row = rows
     alpha = q ** order_row.a
     o = _evaluate(order_row, q, p, alpha)
-    pair = CharPair(alpha, _evaluate(beta_row, q, p, q ** beta_row.a), label)
-    ratio_pair = _RATIO_OVERRIDES.get((spec.family, spec.rank, q), pair)
+    pair = CharPair(alpha, _evaluate(beta_row, q, p, q ** beta_row.a), row.beta_label)
+    ratio_pair = row.ratio_overrides.get((spec.rank, q), pair)
     pow14 = cmp_power(((alpha, 14),), ((pair.beta_degree, 14), (o, 1))) > 0
     ratio165 = 5 * ratio_pair.alpha_degree >= 16 * ratio_pair.beta_degree
     return SweepRecord(spec, o, pair, pow14, ratio_pair, ratio165)
@@ -463,7 +461,7 @@ def sweep(
     pps = prime_powers(q_max)
     out = []
     for fam, ranks in grid:
-        label = _FAMILIES[fam].beta_label
+        row = _FAMILIES[fam]
         for rank in ranks:
             rows = _rows(fam, rank)
             for q, p, e in pps:
@@ -471,7 +469,7 @@ def sweep(
                 if reason is None:
                     # Built as a tuple: GroupSpec(...) would validate it again.
                     spec = tuple.__new__(GroupSpec, (fam, rank, q, p, e))
-                    out.append(_check(spec, rows, label))
+                    out.append(_check(spec, row, rows))
                 else:
                     out.append(Exclusion(fam, rank, q, reason))
     return out

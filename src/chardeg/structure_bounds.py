@@ -12,7 +12,6 @@ its fields in __new__.
 
 import json
 import math
-from fractions import Fraction
 from typing import NamedTuple
 
 from .exact_arith import check_power_bits, cmp_power, is_prime, nth_root_floor
@@ -153,10 +152,12 @@ def rat14_lower_bound(series: tuple[ChiefFactorDescriptor, ...]) -> int:
     return math.prod(f.factor_order ** f.multiplicity for f in counted)
 
 
-def quotient_power_check(rat_g: Fraction, rat_gn: Fraction, order_n: int) -> bool:
+def quotient_power_check(rat_g: "Fraction", rat_gn: "Fraction", order_n: int) -> bool:
     """Exact verdict on rat_g**14 >= rat_gn**14 * order_n: with rat_g = a/b
     and rat_gn = c/d, on a**14 * d**14 >= c**14 * b**14 * order_n.  Raises
     ValueError when a side could exceed POWER_MAX_BITS bits."""
+    from fractions import Fraction
+
     rat_g, rat_gn = Fraction(rat_g), Fraction(rat_gn)
     if rat_g < 1 or rat_gn < 1:
         raise ValueError("degree ratios are at least 1")
@@ -195,10 +196,12 @@ def solvable_index_bound(order_n: int) -> int:
     return nth_root_floor(order_n ** 143, 100)
 
 
-def radical_index_check(rat_g: Fraction, index: int) -> bool:
+def radical_index_check(rat_g: "Fraction", index: int) -> bool:
     """Exact verdict on index <= rat_g**21: with rat_g = a/b, on
     a**21 >= b**21 * index.  Raises ValueError when a side could exceed
     POWER_MAX_BITS bits."""
+    from fractions import Fraction
+
     rat_g = Fraction(rat_g)
     if rat_g < 1:
         raise ValueError("degree ratios are at least 1")

@@ -239,6 +239,17 @@ class TestContract:
         assert "entries" not in doc
 
     @pytest.mark.parametrize(
+        "argv, family",
+        [("thm21 --family E8 --rank 7 --q 2", "E8"), ("order --family G2 --rank 0 --q 3", "G2")],
+    )
+    def test_rank_on_a_fixed_rank_family_exits_2(self, argv, family, capsys):
+        code, doc = _run_json(capsys, argv.split())
+        assert code == 2
+        assert doc == {
+            "status": "error", "error": f"invalid group spec ({family} takes no rank parameter)"
+        }
+
+    @pytest.mark.parametrize(
         "argv, reason",
         [
             ("cyclotomic --k 100000", "k <= 1000"),
@@ -531,8 +542,10 @@ class TestStartup:
             (
                 "sweep --families G2 --q-max 8",
                 "chardeg.lie_type",
-                {"chardeg.alternating", "fractions", "decimal"},
+                {"chardeg.alternating", "chardeg.partitions", "fractions", "decimal"},
             ),
+            ("maroti --n 5 --d 4", "chardeg.structure_bounds", {"fractions", "decimal"}),
+            ("sporadic-check --data data", "chardeg.degree_data", {"fractions", "decimal"}),
         ],
     )
     def test_loads_only_its_layer(self, argv, layer, absent):

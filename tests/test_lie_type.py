@@ -13,11 +13,13 @@ from chardeg.lie_type import (
     EXCEPTIONAL_FAMILIES,
     MAX_RANK,
     SWEEP_MAX_Q,
+    CharPair,
     Exclusion,
     Family,
     GroupSpec,
     InvalidSpec,
     SweepRecord,
+    _Value,
     _check_order_bits,
     _evaluate,
     _rows,
@@ -233,6 +235,13 @@ class TestValidate:
         with pytest.raises(InvalidSpec):
             GroupSpec(Family.LINEAR, 3, 8, 2, 2)  # q != p**e
 
+    def test_rank_refused_on_a_fixed_rank_family(self):
+        assert reason(Family.E8, 2, rank=7) == "E8 takes no rank parameter"
+        assert reason(Family.G2, 3, rank=0) == "G2 takes no rank parameter"
+        with pytest.raises(InvalidSpec) as info:
+            GroupSpec(Family.E8, 7, 2, 2, 1)
+        assert info.value.reason == "E8 takes no rank parameter"
+
     def test_large_prime_q_rejected_quickly(self):
         # q = 2**61 - 1 is prime, so make_spec must not trial-divide up to sqrt(q)
         t0 = time.perf_counter()
@@ -250,9 +259,9 @@ class TestValidate:
 
     def test_large_exponents_factored_quickly(self):
         t0 = time.perf_counter()
-        for family, p, e in [(Family.SUZUKI_2B2, 2, 26213),  # e prime, q of 26214 bits
-                             (Family.LINEAR, 3, 6930), (Family.LINEAR, 1009, 1000)]:
-            spec = make_spec(family, p ** e, rank=3)
+        for family, rank, p, e in [(Family.SUZUKI_2B2, None, 2, 26213),  # e prime, 26214 bits
+                                   (Family.LINEAR, 3, 3, 6930), (Family.LINEAR, 3, 1009, 1000)]:
+            spec = make_spec(family, p ** e, rank=rank)
             assert (spec.p, spec.e) == (p, e)
         with pytest.raises(ValueError, match="is_prime is exact only below"):
             make_spec(Family.LINEAR, 6 ** 4000, rank=3)
@@ -360,6 +369,15 @@ class TestChecks:
         assert r.passed_ratio165
         r = check_point(make_spec(Family.ORTH_PLUS, 2, rank=4))
         assert r.passed_ratio165
+
+    def test_ratio_override_is_row_data(self):
+        # PSL_3(3) has the degrees 1, 12, 13, 16 (4 times), 26 (3 times), 27
+        # and 39, whose squares sum to its order; the override is two of them
+        overrides = {f: row.ratio_overrides for f, row in _FAMILIES.items() if row.ratio_overrides}
+        assert overrides == {Family.LINEAR: {(3, 3): CharPair(39, 12, "degrees 39 and 12")}}
+        degrees = [1, 12, 13] + [16] * 4 + [26] * 3 + [27, 39]
+        order = check_point(make_spec(Family.LINEAR, 3, rank=3)).order
+        assert sum(d * d for d in degrees) == order == 5616
 
     def test_psl34_hits_bound_exactly(self):
         r = check_point(make_spec(Family.LINEAR, 4, rank=3))
@@ -478,6 +496,84 @@ class TestSecondImplementation:
     def test_beta_matches_closed_forms(self):
         for spec in self.SPECS:
             assert check_point(spec).gap_pair.beta_degree == beta_oracle(spec), spec
+
+
+# The PSL_n, PSU_n, E6 and 2E6 rows as they were transcribed one family at a
+# time, before PSU_n and 2E6 became the eps = -1 rows of PSL_n and E6.
+def _transcribed_linear(n):
+    return (
+        _Value(n * (n - 1) // 2, tuple((i, 1) for i in range(2, n + 1)), centre=(n, 1, 1)),
+        _Value(1, ((n - 1, 1),), ((1, 1),)),
+    )
+
+
+def _transcribed_unitary(n):
+    return (
+        _Value(
+            n * (n - 1) // 2, tuple((i, (-1) ** i) for i in range(2, n + 1)), centre=(n, 1, -1)
+        ),
+        _Value(1, ((n - 1, (-1) ** (n - 1)),), ((1, -1),)),
+    )
+
+
+TRANSCRIBED_E6 = (
+    _Value(36, ((12, 1), (9, 1), (8, 1), (6, 1), (5, 1), (2, 1)), centre=(3, 1, 1)),
+    _Value(1, ((4, -1), (9, 1)), ((3, 1),)),
+)
+TRANSCRIBED_2E6 = (
+    _Value(36, ((12, 1), (9, -1), (8, 1), (6, 1), (5, -1), (2, 1)), centre=(3, 1, -1)),
+    _Value(1, ((4, -1), (9, -1)), ((3, -1),)),
+)
+
+
+def _linear_forms(n, x):
+    """|PSL_n| * gcd(n, x - 1) and the (n-1,1) degree x(x**(n-1) - 1)/(x - 1),
+    as polynomials in x."""
+    order = x ** (n * (n - 1) // 2) * math.prod(x ** i - 1 for i in range(2, n + 1))
+    return order, (x ** n - x) // (x - 1)
+
+
+def _e6_forms(x):
+    """|E6| * gcd(3, x - 1) and phi_{6,1} = x * Phi_8(x) * Phi_9(x)."""
+    order = x ** 36 * math.prod(x ** d - 1 for d in (2, 5, 6, 8, 9, 12))
+    return order, x * (x ** 4 + 1) * (x ** 6 + x ** 3 + 1)
+
+
+class TestEnnolaDuality:
+    """PSU_n(q) and 2E6(q) are PSL_n and E6 at -q (Ennola 1963): their orders
+    and companion degrees are the PSL_n and E6 closed forms evaluated at
+    x = -q, in absolute value, with the centre gcd(k, q + 1) in place of
+    gcd(k, q - 1).  At x = q the same forms give PSL_n and E6 themselves."""
+
+    @staticmethod
+    def _assert_matches(families, rank, q, forms, k):
+        for fam, x, centre in ((families[0], q, math.gcd(k, q - 1)),
+                               (families[1], -q, math.gcd(k, q + 1))):
+            try:
+                r = check_point(make_spec(fam, q, rank=rank))
+            except InvalidSpec:
+                continue
+            order, beta = forms(x)
+            quo, rem = divmod(abs(order), centre)
+            assert rem == 0 and r.order == quo, (fam, rank, q)
+            assert r.gap_pair.beta_degree == abs(beta), (fam, rank, q)
+
+    def test_unitary_is_linear_at_minus_q(self):
+        for n in range(3, 21):
+            for q, _, _ in prime_powers(32):
+                self._assert_matches((Family.LINEAR, Family.UNITARY), n, q,
+                                     lambda x: _linear_forms(n, x), n)
+
+    def test_twisted_e6_is_e6_at_minus_q(self):
+        for q, _, _ in prime_powers(64):
+            self._assert_matches((Family.E6, Family.TWISTED_E6), None, q, _e6_forms, 3)
+
+    def test_rows_equal_the_transcribed_rows(self):
+        for n in range(3, MAX_RANK + 1):
+            assert _rows(Family.LINEAR, n) == _transcribed_linear(n), n
+            assert _rows(Family.UNITARY, n) == _transcribed_unitary(n), n
+        assert _rows(Family.E6, None) == TRANSCRIBED_E6
+        assert _rows(Family.TWISTED_E6, None) == TRANSCRIBED_2E6
 
 
 class TestCrossLayer:

@@ -37,6 +37,9 @@ def test_all_names_resolve(name):
 # tracer lists each as absent and its metrics read 0.  A refactor that drops
 # another traced name fails test_tracer_spans_resolve until it is named here.
 STALE_SPANS = {
+    "cli.hooks",
+    "cli.partition_degree",
+    "cli.parse_partition",
     "alternating.hooks",
     "lie_type.check_steinberg_gap",
     "lie_type.check_min_ratio",
