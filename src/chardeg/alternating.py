@@ -6,17 +6,16 @@ For every n >= 7 there is a non-self-conjugate partition lam of n with
 
 equivalently chi_lam(1) > (n!)**(1/14) * (n-1).  The search is exact: the
 verdict for a candidate is a single big-integer comparison, and the margin
-evidence fingerprints the same two integers.  The left side (n!)**13 is
-carried from one call to the next: a call for n right after one for n-1
-multiplies the carried power by n**13 instead of raising n! afresh.  Every
-path yields the same integer, so a report does not depend on the order of
-calls.  The supporting analytic bounds (which involve e and pi) are decided by
-cmp_power on integer enclosures lo <= c * 2**b <= hi of the constants and are
-advisory; they can return None (inconclusive) without affecting any witness
-certificate.  Their precision ladder is one enclosure per rung: a first rung
-of a few more bits than the largest exponent on a constant, then one rung
-per --digits step d, at b = ceil(3.322 * d) + 2 bits, so that the enclosure
-is narrower than 10**-d.
+evidence fingerprints the same two integers.  witness_range searches a range
+of n: it raises (lo-1)! to the 13th power once and multiplies in n**13 for
+each n, and check_witness is the range of one n.  The supporting analytic
+bounds (which involve e and pi) are decided by cmp_power on integer
+enclosures lo <= c * 2**b <= hi of the constants and are advisory; they can
+return None (inconclusive) without affecting any witness certificate.  Their
+precision ladder is one enclosure per rung: a first rung of a few more bits
+than the largest exponent on a constant, then one rung per --digits step d,
+at b = ceil(3.322 * d) + 2 bits, so that the enclosure is narrower than
+10**-d.
 """
 
 import math
@@ -31,6 +30,7 @@ __all__ = [
     "MarginEvidence",
     "square_fix",
     "check_witness",
+    "witness_range",
     "check_factorial_lower",
     "check_hook_upper",
     "check_growth",
@@ -128,43 +128,9 @@ def _evidence(lhs: int, rhs: int) -> MarginEvidence:
     )
 
 
-# (n, (n!)**13) of the last witness search, read and written as one tuple so
-# that an n is never paired with another n's power.
-_lhs_carry: tuple[int, int] = (0, 1)
-
-
-def _factorial_pow13(n: int) -> int:
-    """(n!)**13, from the carry when the previous call was for n or n-1."""
-    global _lhs_carry
-    k, power = _lhs_carry
-    if k == n:
-        return power
-    power = power * n**13 if k == n - 1 else math.factorial(n) ** 13
-    _lhs_carry = (n, power)
-    return power
-
-
-def check_witness(n: int, best: bool = False) -> WitnessReport:
-    """Search for a passing witness of size n.
-
-    For n <= 48 the search is exhaustive over non-self-conjugate partitions
-    (the named small witnesses first); for larger n it walks the window
-    family of index floor(sqrt(n)).  The first passer is reported, or with
-    best=True the passer with the smallest hook product; when no candidate
-    passes, the failing one with the smallest hook product is reported.  Of
-    equal candidates the first is kept.
-
-    (n!)**13 comes from a one-entry carry, so consecutive n cost one small
-    multiplication each; the value is exact whatever the call order, and so
-    is the report.
-    """
-    if n < 7:
-        raise ValueError("check_witness requires n >= 7")
-    if n > MAX_N:
-        raise ValueError(f"check_witness requires n <= {MAX_N}, got {n}")
-    # The verdict (n!)**13 > (H*(n-1))**14 and its margin evidence are both
-    # taken from these integers: lhs once per n, rhs once per candidate.
-    lhs = _factorial_pow13(n)
+def _search(n: int, lhs: int, best: bool) -> WitnessReport:
+    # The verdict lhs = (n!)**13 > (H*(n-1))**14 and its margin evidence are
+    # both taken from these integers: rhs is built once per candidate.
     cands = _exhaustive_candidates(n) if n <= EXHAUSTIVE_MAX else _gamma_candidates(n)
     found = None  # (passed, lam, H, rhs), ranked by (passed, -H)
     tried = 0
@@ -184,6 +150,32 @@ def check_witness(n: int, best: bool = False) -> WitnessReport:
             break
     passed, lam, h, rhs = found
     return WitnessReport(n, lam, h, passed, _evidence(lhs, rhs), tried)
+
+
+def witness_range(lo: int, hi: int, best: bool = False) -> Iterator[WitnessReport]:
+    """The report of each n in lo..hi, in order.
+
+    For n <= 48 the search is exhaustive over non-self-conjugate partitions
+    (the named small witnesses first); for larger n it walks the window
+    family of index floor(sqrt(n)).  The first passer is reported, or with
+    best=True the passer with the smallest hook product; when no candidate
+    passes, the failing one with the smallest hook product is reported.  Of
+    equal candidates the first is kept.  The range is refused before its
+    first n if it reaches below 7 or above MAX_N.
+    """
+    if lo < 7:
+        raise ValueError("check_witness requires n >= 7")
+    if hi > MAX_N:
+        raise ValueError(f"check_witness requires n <= {MAX_N}, got {hi}")
+    lhs = math.factorial(lo - 1) ** 13
+    for n in range(lo, hi + 1):
+        lhs *= n**13
+        yield _search(n, lhs, best)
+
+
+def check_witness(n: int, best: bool = False) -> WitnessReport:
+    """The witness_range report of the single n."""
+    return next(witness_range(n, n, best))
 
 
 # ---------------------------------------------------------------------------

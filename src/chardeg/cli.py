@@ -16,6 +16,7 @@ the other layers; fractions is loaded only by what builds a Fraction.
 import argparse
 import gc
 import json
+import re
 import sys
 from typing import NamedTuple, NoReturn
 
@@ -121,10 +122,7 @@ def _cmd_prop42(args) -> CommandResult:
         if lo > hi:
             # An empty range would certify nothing yet report "pass".
             raise ValueError(f"prop42 requires --from <= --to, got {lo} > {hi}")
-    if hi > alternating.MAX_N:
-        # Refused before the first n, not when the loop reaches it.
-        raise ValueError(f"prop42 requires n <= {alternating.MAX_N}, got {hi}")
-    records = [alternating.check_witness(n, best=args.best) for n in range(lo, hi + 1)]
+    records = list(alternating.witness_range(lo, hi, best=args.best))
     all_passed = all(r.passed for r in records)
     dicts = [r.to_json_dict() for r in records]
     lines = [json.dumps(d) for d in dicts] if args.jsonl else None
@@ -253,32 +251,24 @@ def _parse_families(text: str) -> "list[lie_type.Family]":
     return [lie_type.Family(part.strip()) for part in text.split(",") if part.strip()]
 
 
-class _JsonStrings(dict):
-    """Each str key's JSON text, encoded the first time it is looked up."""
-
-    def __missing__(self, text: str) -> str:
-        self[text] = encoded = json.dumps(text)
-        return encoded
-
-
 def _sweep_json(entries: list) -> list[str]:
     # Each entry's JSON text, as json.dumps writes the entry's object: keys
     # family, rank, q, status, then reason for an Exclusion, or order, alpha,
     # beta, beta_label, passed_pow14, ratio_alpha, ratio_beta and
     # passed_ratio165 for a SweepRecord.  Each integer goes to decimal once
     # (ratio_alpha and ratio_beta reuse alpha and beta unless the ratio pair
-    # is an override), and each family name (a str), label and reason is
-    # JSON-encoded once.
+    # is an override).  Family values, labels and reasons are written between
+    # quotes as they are: none holds a character JSON escapes, which
+    # test_sweep_strings_need_no_json_escape checks over the family table.
     from . import lie_type
 
-    strings = _JsonStrings()
     texts = []
     for e in entries:
         if isinstance(e, lie_type.Exclusion):
             rank = "null" if e.rank is None else e.rank
             texts.append(
-                f'{{"family": {strings[e.family]}, "rank": {rank}, "q": {e.q}, '
-                f'"status": "excluded", "reason": {strings[e.reason]}}}'
+                f'{{"family": "{e.family.value}", "rank": {rank}, "q": {e.q}, '
+                f'"status": "excluded", "reason": "{e.reason}"}}'
             )
             continue
         spec, pair, ratio = e.spec, e.gap_pair, e.ratio_pair
@@ -288,9 +278,9 @@ def _sweep_json(entries: list) -> list[str]:
             (alpha, beta) if ratio is pair else (str(ratio.alpha_degree), str(ratio.beta_degree))
         )
         texts.append(
-            f'{{"family": {strings[spec.family]}, "rank": {rank}, "q": {spec.q}, '
+            f'{{"family": "{spec.family.value}", "rank": {rank}, "q": {spec.q}, '
             f'"status": "ok", "order": "{e.order}", "alpha": "{alpha}", "beta": "{beta}", '
-            f'"beta_label": {strings[pair.beta_label]}, '
+            f'"beta_label": "{pair.beta_label}", '
             f'"passed_pow14": {"true" if e.passed_pow14 else "false"}, '
             f'"ratio_alpha": "{ratio_alpha}", "ratio_beta": "{ratio_beta}", '
             f'"passed_ratio165": {"true" if e.passed_ratio165 else "false"}}}'
@@ -423,6 +413,10 @@ def _cmd_chiefseries_bound(args) -> CommandResult:
 
 
 def _ratio(flag: str, text: str) -> "Fraction":
+    # Checked before Fraction sees it: Fraction also reads decimals and
+    # exponents, and expands "1e16000000" to a 16-million-digit integer.
+    if not re.fullmatch(r"[0-9]+(/[0-9]+)?", text):
+        raise ValueError(f"{flag} {text!r} must be an integer a or a ratio a/b")
     from fractions import Fraction
 
     try:

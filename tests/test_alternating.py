@@ -13,6 +13,7 @@ from chardeg.alternating import (
     check_hook_upper,
     check_witness,
     square_fix,
+    witness_range,
 )
 from chardeg.exact_arith import const_interval
 from chardeg.partitions import Partition, degree, enumerate_gamma, hook_product, hooks, partitions_of
@@ -114,33 +115,26 @@ class TestCheckWitness:
             check_factorial_lower(2001)
 
     @pytest.mark.parametrize(
-        "calls",
-        [
-            [(n, False) for n in range(7, 13)],
-            [(n, False) for n in range(12, 6, -1)],
-            [(20, False), (20, False), (21, False), (21, False)],
-            [(30, False), (31, False), (40, False), (41, False)],
-            [(60, False), (61, False), (61, False), (59, False), (100, False),
-             (101, False), (7, False), (30, True), (31, False)],
-        ],
-        ids=["ascending", "descending", "repeated", "gap", "interleaved-best"],
+        "lo, hi, best",
+        [(7, 60, False), (45, 55, True), (48, 50, False), (95, 105, False), (1990, 2000, False)],
     )
-    def test_report_independent_of_call_order(self, calls, monkeypatch):
-        chained = []
-        for n, best in calls:
-            chained.append(check_witness(n, best=best).to_json_dict())
-            assert alternating._lhs_carry == (n, math.factorial(n) ** 13)
-        for (n, best), doc in zip(calls, chained):
-            monkeypatch.setattr(alternating, "_lhs_carry", (0, 1))
-            assert check_witness(n, best=best).to_json_dict() == doc
+    def test_range_matches_single_calls(self, lo, hi, best):
+        # A range carries (n!)**13 from n to n+1; each report equals the
+        # single call's, and the power is the one built directly.
+        reports = list(witness_range(lo, hi, best))
+        assert reports == [check_witness(n, best) for n in range(lo, hi + 1)]
+        for n, r in zip(range(lo, hi + 1), reports):
+            lhs = math.factorial(n) ** 13
+            assert r.margin.lhs_sha256 == hashlib.sha256(
+                lhs.to_bytes((lhs.bit_length() + 7) // 8, "big")
+            ).hexdigest()
 
-    def test_no_passer_reports_smallest_failure_quickly(self, monkeypatch):
+    def test_no_passer_reports_smallest_failure_quickly(self):
         # With (n!)**13 replaced by 1 nothing passes: the report is the
         # window member with the smallest hook product, found in one scan of
         # the window family (no search over the p(101) ~ 2e8 partitions).
-        monkeypatch.setattr(alternating, "_factorial_pow13", lambda n: 1)
         start = time.perf_counter()
-        r = check_witness(101)
+        r = alternating._search(101, 1, False)
         assert time.perf_counter() - start < 1.0
         members = list(alternating._gamma_candidates(101))
         assert not r.passed and r.candidates_tried == len(members)

@@ -161,6 +161,22 @@ class TestVerifierCommands:
         assert [len(row) for row in rows] == [12, 12, 12]
         assert rows[1][-1] == "not simple (isomorphic to the symplectic point n=2, q=2)"
 
+    def test_sweep_strings_need_no_json_escape(self):
+        # _sweep_json writes these between quotes as they are, so each must
+        # be its own JSON encoding: every family value, beta label,
+        # not-simple reason, ratio-override label and exclusion reason.
+        from chardeg import lie_type
+
+        rows = lie_type._FAMILIES.values()
+        strings = [f.value for f in lie_type.Family]
+        strings += [row.beta_label for row in rows]
+        strings += [reason for row in rows for reason in row.not_simple.values()]
+        strings += [pair.beta_label for row in rows for pair in row.ratio_overrides.values()]
+        strings += [f"q must be {row.twisted_p}**(2f+1) with f >= 1" for row in rows if row.twisted_p]
+        strings += ["PSL_2"]
+        assert len(strings) == 42
+        assert [s for s in strings if json.dumps(s) != f'"{s}"'] == []
+
     def test_data_commands(self, capsys, data_dir):
         code, doc = _run_json(capsys, ["validate-data", "--data", str(data_dir)])
         assert code == 0 and doc["tables"] == 28
@@ -313,7 +329,14 @@ class TestContract:
             ("gamma --m 3000", "enumerate_gamma requires m <= 50, got 3000"),
             ("lemma45 --m 300", "enumerate_gamma requires m <= 50, got 300"),
             ("lemma43 --n 200000", "check_factorial_lower requires n <= 2000, got 200000"),
-            ("prop42 --from 7 --to 100000000", "prop42 requires n <= 2000, got 100000000"),
+            ("prop42 --from 7 --to 100000000", "check_witness requires n <= 2000, got 100000000"),
+            # Fraction would expand the exponent to 16 million digits first.
+            ("thmB --rat 1e16000000 --index 2",
+             "--rat '1e16000000' must be an integer a or a ratio a/b"),
+            ("prop23 --rat-g 1e16000000 --rat-gn 1 --order-n 2",
+             "--rat-g '1e16000000' must be an integer a or a ratio a/b"),
+            ("prop23 --rat-g 2 --rat-gn 1.5 --order-n 2",
+             "--rat-gn '1.5' must be an integer a or a ratio a/b"),
         ],
     )
     def test_unbounded_inputs_rejected_quickly(self, argv, reason, capsys):
@@ -396,6 +419,20 @@ class TestContract:
         code, doc = _run_json(capsys, argv.split())
         assert code == 2
         assert doc == {"status": "error", "error": f"{flag} has a zero denominator"}
+
+    @pytest.mark.parametrize(
+        "text", ["-2", "+2", "1_000", " 2", "2/ 3", "2/3/4", "", "\u0663"]
+    )
+    def test_ratio_is_an_integer_or_a_ratio(self, text, capsys):
+        # Signs, underscores, whitespace and non-ASCII digits are refused
+        # like the decimal and exponent rows of
+        # test_unbounded_inputs_rejected_quickly, all before Fraction reads
+        # the text.
+        code, doc = _run_json(capsys, ["thmB", f"--rat={text}", "--index", "2"])
+        assert code == 2
+        assert doc == {
+            "status": "error", "error": f"--rat {text!r} must be an integer a or a ratio a/b"
+        }
 
     def test_memory_error_is_an_error_document(self, monkeypatch, capsys):
         # exit 1 is a "fail" verdict; running out of memory is an error

@@ -45,8 +45,8 @@ def test_query_matches_golden(argv, monkeypatch):
 
 @pytest.mark.parametrize("order", ["in-order", "reversed"])
 def test_witness_range_chunks_match_golden(order):
-    # In order, each chunk continues the (n!)**13 carry of the one before;
-    # reversed, every chunk starts where the carry cannot help.
+    # Each chunk raises its own first factorial and carries (n!)**13 only
+    # within itself, so the joined output is the same in either order.
     lo, hi, k = WORKLOADS.WITNESS_FROM, WORKLOADS.WITNESS_TO, 8
     cuts = [lo + i * (hi + 1 - lo) // k for i in range(k + 1)]
     chunks = list(zip(cuts, cuts[1:]))

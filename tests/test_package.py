@@ -1,3 +1,4 @@
+import ast
 import importlib
 import importlib.util
 import json
@@ -31,6 +32,18 @@ def test_all_names_resolve(name):
     assert len(set(names)) == len(names)
     missing = [n for n in names if not hasattr(module, n)]
     assert not missing, missing
+
+
+def test_no_module_state():
+    # A function keeps its state in locals or in what it returns: no
+    # chardeg module has a global or nonlocal statement.
+    found = {
+        f"{name}:{node.lineno}"
+        for name in MODULES
+        for node in ast.walk(ast.parse((REPO_ROOT / "src" / "chardeg" / f"{name}.py").read_text()))
+        if isinstance(node, (ast.Global, ast.Nonlocal))
+    }
+    assert found == set()
 
 
 # Names perfbench/tracer.py wraps that the package no longer has: the
