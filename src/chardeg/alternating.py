@@ -12,14 +12,12 @@ each n, and check_witness is the range of one n.  The supporting analytic
 bounds (which involve e and pi) are decided by cmp_power on integer
 enclosures lo <= c * 2**b <= hi of the constants and are advisory; they can
 return None (inconclusive) without affecting any witness certificate.  Their
-precision ladder is one enclosure per rung: a first rung of a few more bits
-than the largest exponent on a constant, then one rung per --digits step d,
-at b = ceil(3.322 * d) + 2 bits, so that the enclosure is narrower than
-10**-d.
+one precision rule is the digit ladder d, 2d, 4d, ... up to MAX_DIGITS,
+starting at the requested digits: one enclosure per rung, at
+b = ceil(3.322 * d) + 2 bits, so that it is narrower than 10**-d.
 """
 
 import math
-from itertools import chain
 from typing import Iterator, NamedTuple
 
 from .exact_arith import cmp_power, const_interval
@@ -192,18 +190,18 @@ def _digit_ladder(digits: int) -> Iterator[int]:
         d = min(2 * d, MAX_DIGITS)
 
 
-def _enclosures(digits: int, *constants: tuple[str, int]) -> Iterator[tuple]:
-    """(b, (lo, hi), ...) per rung, with lo <= c * 2**b <= hi for each named
-    constant c: first at b = E.bit_length() + 8 for the largest exponent E
-    a check puts on a constant, then at b = ceil(3.322 * d) + 2 for each d
-    of the digit ladder, pulled only when the rung before leaves the check
-    undecided.  The enclosure is at most 3 * 2**-b < 10**-d wide.
+def _enclosures(digits: int, *names: str) -> Iterator[tuple]:
+    """(b, (lo, hi), ...) per rung d of the digit ladder, at
+    b = ceil(3.322 * d) + 2, with lo <= c * 2**b <= hi for each named
+    constant c; a rung is built only when the one before leaves the check
+    undecided.  The enclosure is at most 3 * 2**-b < 10**-d wide.  Digits
+    outside 1..MAX_DIGITS are refused: the requested rung is always built.
     """
-    if digits < 1:
-        raise ValueError(f"interval checks require digits >= 1, got {digits}")
-    first = max(exp for _, exp in constants).bit_length() + 8
-    for b in chain((first,), ((3322 * d + 999) // 1000 + 2 for d in _digit_ladder(digits))):
-        yield (b, *(const_interval(name, b) for name, _ in constants))
+    if not 1 <= digits <= MAX_DIGITS:
+        raise ValueError(f"interval checks require 1 <= digits <= {MAX_DIGITS}, got {digits}")
+    for d in _digit_ladder(digits):
+        b = (3322 * d + 999) // 1000 + 2
+        yield (b, *(const_interval(name, b) for name in names))
 
 
 def check_factorial_lower(n: int, digits: int = DEFAULT_DIGITS) -> bool | None:
@@ -221,7 +219,7 @@ def check_factorial_lower(n: int, digits: int = DEFAULT_DIGITS) -> bool | None:
         raise ValueError(f"check_factorial_lower requires n <= {MAX_N}, got {n}")
     fact = math.factorial(n)
     rhs = ((27, 28), (n, 25 * n), (n - 1, 28))
-    for b, (lo, hi) in _enclosures(digits, ("e", 25 * n)):
+    for b, (lo, hi) in _enclosures(digits, "e"):
         scaled = (*rhs, (2, 25 * n * b))
         if cmp_power(((fact, 26), (lo, 25 * n), (20, 28)), scaled) > 0:
             return True
@@ -251,7 +249,7 @@ def check_growth(n: int, digits: int = DEFAULT_DIGITS) -> bool | None:
     """
     if n < 1:
         raise ValueError("check_growth requires n >= 1")
-    for b, (lo, hi) in _enclosures(digits, ("e", 800)):
+    for b, (lo, hi) in _enclosures(digits, "e"):
         rhs = ((64, 567), (n, 233), (2, 800 * b))
         if cmp_power(((hi, 800), (81, 567)), rhs) <= 0:
             return True
@@ -265,7 +263,7 @@ def check_constant(digits: int = DEFAULT_DIGITS) -> bool | None:
     (2*pi)**13 * 20**28 > 27**28 * e**15.  The left side increases with pi
     and the right with e, so each rung puts the opposite ends of the two
     enclosures against each other, both sides times 2**(28b)."""
-    for b, (tp_lo, tp_hi), (e_lo, e_hi) in _enclosures(digits, ("two_pi", 13), ("e", 15)):
+    for b, (tp_lo, tp_hi), (e_lo, e_hi) in _enclosures(digits, "two_pi", "e"):
         left, right = ((20, 28), (2, 15 * b)), ((27, 28), (2, 13 * b))
         if cmp_power(((tp_lo, 13), *left), ((e_hi, 15), *right)) > 0:
             return True

@@ -5,8 +5,8 @@ build_parser, with JSON output on stdout (JSON-lines for streamed sweeps with
 --jsonl, CSV with --csv).  Big integers are serialized as decimal strings.
 Exit codes: 0 pass, 1 fail, 2 error (usage errors such as conflicting flags
 included, with the same JSON error document), 3 inconclusive.  --digits
-(default 50) sets the starting interval precision for the checks involving
-e and pi.
+(1 to 400, default 50) sets the starting interval precision for the checks
+involving e and pi.
 
 A command builds only its own subparser and imports the layer module its
 handler runs, inside that handler, so it pays for neither the other rows nor
@@ -45,8 +45,8 @@ def _precision(args) -> int:
 
     if args.digits is None:
         return alternating.DEFAULT_DIGITS
-    if args.digits < 1:
-        raise ValueError(f"--digits must be a positive integer, got {args.digits}")
+    if not 1 <= args.digits <= alternating.MAX_DIGITS:
+        raise ValueError(f"--digits must be in 1..{alternating.MAX_DIGITS}, got {args.digits}")
     return args.digits
 
 
@@ -351,8 +351,10 @@ def _cmd_sweep(args) -> CommandResult:
 def _cmd_rat(args) -> CommandResult:
     from . import degree_data
 
+    if not re.fullmatch(r"[0-9]+(,[0-9]+)*", args.degrees):
+        raise ValueError(f"--degrees {args.degrees!r} must be a comma list of integers")
     degrees = tuple(int(d) for d in args.degrees.split(","))
-    value = degree_data.rat(degree_data.DegreeTable(name="cli", degrees=degrees))
+    value = degree_data.rat(degree_data.DegreeTable(name="--degrees", degrees=degrees))
     return CommandResult("pass", {
         "rat": str(value),  # "n/d" in lowest terms, "n" when d is 1
         "b": str(max(degrees)),

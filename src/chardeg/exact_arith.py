@@ -247,19 +247,19 @@ _MR_LIMIT = _MR_PSI[-1]
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin; exact for every n below psi_13 ~ 3.3e24,
-    and a ValueError at or above it rather than an unproven answer.  Trial
-    division by the primes below 256 decides every n below 257**2; a larger
-    n without such a factor uses the first k primes as bases, k the least
-    with n < psi_k."""
-    if n >= _MR_LIMIT:
-        raise ValueError(f"is_prime is exact only below {_MR_LIMIT}")
+    """Exact, or a ValueError rather than an unproven answer.  Trial division
+    by the primes below 256 decides an n of any size with such a factor, and
+    every n below 257**2; any other n below psi_13 ~ 3.3e24 gets deterministic
+    Miller-Rabin on the first k primes, k the least with n < psi_k.  Only an
+    n at or above psi_13 with no prime factor below 256 raises."""
     if n < 2:
         return False
     if math.gcd(n, _SMALL_PRIMES_PRODUCT) != 1:
         return n in _SMALL_PRIMES
     if n < 257 * 257:
         return True
+    if n >= _MR_LIMIT:
+        raise ValueError(f"is_prime is exact only below {_MR_LIMIT}")
     d = n - 1
     r = (d & -d).bit_length() - 1
     d >>= r

@@ -314,7 +314,6 @@ def _factor_prime_power(q: int) -> tuple[int, int]:
             r, e = root, e * ell
     if is_prime(r):
         return r, e
-    is_prime(q)  # a q at or above psi_13 gets is_prime's range error
     raise ValueError(f"q = {q} is not a prime power")
 
 

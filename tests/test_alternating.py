@@ -1,11 +1,13 @@
+import contextlib
 import hashlib
+import io
 import math
 import time
 from fractions import Fraction
 
 import pytest
 
-from chardeg import alternating, exact_arith
+from chardeg import alternating, cli, exact_arith
 from chardeg.alternating import (
     check_constant,
     check_factorial_lower,
@@ -17,6 +19,9 @@ from chardeg.alternating import (
 )
 from chardeg.exact_arith import const_interval
 from chardeg.partitions import Partition, degree, enumerate_gamma, hook_product, hooks, partitions_of
+from conftest import load_workloads
+
+WORKLOADS = load_workloads()
 
 
 class TestGammaIndex:
@@ -181,34 +186,29 @@ class TestIntervalChecks:
     def test_matches_fraction_reference(self):
         # Reference: the same inequalities decided with Fraction powers of
         # lo/2**b and hi/2**b, independently of cmp_power, on the same rungs:
-        # b0 = bit length of the largest exponent + 8, then ceil(3.322*d) + 2
-        # for d, 2d, 4d, ... (capped at 400 digits); the verdict must be the
-        # first decided one.
-        def ladder_ref(ref, exponent, digits):
-            rungs = [exponent.bit_length() + 8]
+        # ceil(3.322*d) + 2 bits for d, 2d, 4d, ... (capped at 400 digits);
+        # the verdict must be the first decided one.
+        def ladder_ref(ref, digits):
             d = digits
             while True:
-                rungs.append(-(-3322 * d // 1000) + 2)
-                if d >= 400:
-                    break
-                d = min(2 * d, 400)
-            for b in rungs:
-                verdict = ref(b)
-                if verdict is not None:
+                verdict = ref(-(-3322 * d // 1000) + 2)
+                if verdict is not None or d >= 400:
                     return verdict
-            return None
+                d = min(2 * d, 400)
 
         def enclosure(name, b):
             lo, hi = const_interval(name, b)
             return Fraction(lo, 2 ** b), Fraction(hi, 2 ** b)
 
         def factorial_lower_ref(n, b):
-            base = Fraction(math.factorial(n)) ** 26 * Fraction(20) ** 28
-            rhs = Fraction(27) ** 28 * Fraction(n) ** (25 * n) * Fraction(n - 1) ** 28
+            # e**(25n) against the rest as one Fraction, so that no gcd is
+            # taken on the product with the large power of e.
+            bound = (Fraction(27) ** 28 * Fraction(n) ** (25 * n) * Fraction(n - 1) ** 28
+                     / (Fraction(math.factorial(n)) ** 26 * Fraction(20) ** 28))
             e_lo, e_hi = enclosure("e", b)
-            if base * e_lo ** (25 * n) > rhs:
+            if e_lo ** (25 * n) > bound:
                 return True
-            if base * e_hi ** (25 * n) <= rhs:
+            if e_hi ** (25 * n) <= bound:
                 return False
             return None
 
@@ -231,21 +231,24 @@ class TestIntervalChecks:
             return None
 
         factorial_cases = [(n, d) for d in (1, 2, 3) for n in range(15, 61)]
-        factorial_cases += [(15, 50), (16, 50), (100, 50), (200, 50), (400, 50)]
+        sample = (*range(15, 31), 64, 100, 250, 499, 1000)
+        factorial_cases += [(n, d) for d in (1, 50) for n in sample]
+        factorial_cases += [(n, 1) for n in (1500, 1999, 2000)]
         for n, digits in factorial_cases:
-            expected = ladder_ref(lambda b: factorial_lower_ref(n, b), 25 * n, digits)
+            expected = ladder_ref(lambda b: factorial_lower_ref(n, b), digits)
             assert expected is True or digits < 50
             assert check_factorial_lower(n, digits) == expected, (n, digits)
-        for n in range(1, 121):
-            expected = ladder_ref(lambda b: growth_ref(n, b), 800, 1)
-            assert check_growth(n, digits=1) == expected, n
-        for digits in (1, 2, 3, 4):
-            assert check_constant(digits) == ladder_ref(constant_ref, 15, digits), digits
+        for digits in (1, 50):
+            for n in range(1, 401):
+                expected = ladder_ref(lambda b: growth_ref(n, b), digits)
+                assert check_growth(n, digits) == expected, (n, digits)
+        for digits in (1, 2, 3, 4, 50):
+            assert check_constant(digits) == ladder_ref(constant_ref, digits), digits
 
     def test_factorial_lower_decides_on_dyadic_endpoints(self, monkeypatch):
-        # At n = 1000 the first rung decides: the only enclosure built is
-        # that of e at b0 = bit length of 25n + 8, whose endpoints have at
-        # most b0 + 2 bits, where the 50-digit rung is at 169 bits.
+        # At n = 1000 the 50-digit rung decides: the only enclosure built is
+        # that of e at b = ceil(3.322 * 50) + 2 = 169 bits, whose endpoints
+        # have at most b + 2 bits.
         built = []
 
         def recording_const_interval(name, bits):
@@ -254,10 +257,9 @@ class TestIntervalChecks:
 
         monkeypatch.setattr(alternating, "const_interval", recording_const_interval)
         assert check_factorial_lower(1000) is True
-        b0 = (25 * 1000).bit_length() + 8
         [(name, bits, endpoints)] = built
-        assert (name, bits) == ("e", b0)
-        assert all(end.bit_length() <= b0 + 2 for end in endpoints)
+        assert (name, bits) == ("e", 169)
+        assert all(end.bit_length() <= bits + 2 for end in endpoints)
 
     def test_interval_verdicts_build_no_product(self, monkeypatch):
         # Every comparison of these checks is decided by the bit lengths or
@@ -283,6 +285,15 @@ class TestIntervalChecks:
             check_growth(100, -3)
         with pytest.raises(ValueError):
             check_constant(0)
+
+    def test_digits_above_max_rejected(self, monkeypatch):
+        # The requested rung is always built, so digits above MAX_DIGITS are
+        # refused before any enclosure is.
+        monkeypatch.setattr(alternating, "const_interval", None)
+        for check in (lambda d: check_factorial_lower(1000, d), lambda d: check_growth(55, d),
+                      check_constant):
+            with pytest.raises(ValueError, match="1 <= digits <= 400, got 401"):
+                check(alternating.MAX_DIGITS + 1)
 
     def test_hook_upper(self):
         assert check_hook_upper(2) is True
@@ -324,3 +335,64 @@ class TestIntervalChecks:
             high = check_growth(n, digits=50)
             if low is not None and high is not None:
                 assert low == high
+
+
+class TestPrecisionLadder:
+    """The rung of the digit ladder that decides each check, for the golden
+    queries and for the benchmark's interval workload."""
+
+    def test_default_digits_decide_at_the_printed_rung(self, monkeypatch):
+        # Every golden lemma43 and lemma46 query without --digits builds
+        # only the 50-digit rung, at 169 bits: the precision it prints.
+        built = []
+
+        def recording_const_interval(name, bits):
+            built.append((name, bits))
+            return const_interval(name, bits)
+
+        monkeypatch.setattr(alternating, "const_interval", recording_const_interval)
+        golden = WORKLOADS.load_golden()["commands"]
+        queries = [
+            key for key in golden
+            if key.split()[0] in ("lemma43", "lemma46") and "--digits" not in key
+        ]
+        assert "lemma43 --constant" in queries and len(queries) >= 5
+        for key in queries:
+            built.clear()
+            result = cli.run(key.split())
+            assert result.exit_code == golden[key]["rc"] and result.payload["digits"] == 50
+            names = ["two_pi", "e"] if key == "lemma43 --constant" else ["e"]
+            assert built == [(name, 169) for name in names], key
+
+    def test_interval_workload_rungs(self, monkeypatch):
+        # _digit_ladder wrapped as the benchmark tracer wraps it, whose
+        # yielded items are interval_steps and the largest interval_digits_max.
+        pulled = []
+        ladder = alternating._digit_ladder
+
+        def recording_ladder(digits):
+            for d in ladder(digits):
+                pulled.append(d)
+                yield d
+
+        monkeypatch.setattr(alternating, "_digit_ladder", recording_ladder)
+        commands, _ = WORKLOADS.interval_pass(WORKLOADS.load_golden(), 901, 0)
+        climbs = {
+            ("lemma46", "--n", "55", "--digits", "1"): [1, 2, 4],
+            ("lemma43", "--constant"): [50],
+        }
+        for cmd in commands:
+            pulled.clear()
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                rc = cli.main(list(cmd.argv))
+            assert rc == cmd.expect_rc and cmd.check(out.getvalue().encode()) is None
+            assert pulled, cmd.argv
+            assert pulled == climbs.get(cmd.argv, pulled), cmd.argv
+        # Every lemma43 --n the workload can draw decides at its first rung.
+        lo, hi = WORKLOADS.LEMMA43_PAIR
+        mid, jitter = WORKLOADS.LEMMA43_MID, WORKLOADS.LEMMA43_MID_JITTER
+        for n in (*range(mid - jitter, mid + jitter + 1), *range(lo, hi + 1)):
+            pulled.clear()
+            assert check_factorial_lower(n) is True
+            assert pulled == [50], n

@@ -58,6 +58,20 @@ class TestBasicCommands:
         code, doc = _run_json(capsys, ["rat", "--degrees", "1,20,35,45,63,64"])
         assert code == 0 and doc["rat"] == "16/5"
 
+    @pytest.mark.parametrize(
+        "degrees, error",
+        [
+            ("1,x", "--degrees '1,x' must be a comma list of integers"),
+            ("2,3", "--degrees: degree 1 missing"),
+            ("1,-3", "--degrees '1,-3' must be a comma list of integers"),
+            ("1, 3", "--degrees '1, 3' must be a comma list of integers"),
+            ("1,0", "--degrees: degrees must be positive"),
+        ],
+    )
+    def test_rat_refusals_name_the_flag(self, degrees, error, capsys):
+        code, doc = _run_json(capsys, ["rat", "--degrees", degrees])
+        assert (code, doc) == (2, {"status": "error", "error": error})
+
 
 class TestPolyText:
     def test_str(self):
@@ -270,6 +284,8 @@ class TestContract:
         [
             ("cyclotomic --k 100000", "k <= 1000"),
             ("example-frobenius --p 1000000007 --m 2", "more than 100000"),
+            ("example-frobenius --p 2000000000000000000000000000000 --m 2",
+             "2000000000000000000000000000000 is not prime"),
             ("example-extraspecial --p 2 --i 200000", "more than 131072"),
             ("maroti --n 2000 --d 100", "more than 131072"),
             ("sweep --families E8 --q-max 300000", "q_max 300000 is above the maximum 65536"),
@@ -284,7 +300,7 @@ class TestContract:
             ),
             pytest.param(
                 f"order --family linear --rank 3 --q {6 ** 4000}",
-                "is_prime is exact only below",
+                f"q = {6 ** 4000} is not a prime power",
                 id="order --family linear --rank 3 --q 6**4000",
             ),
             (
@@ -329,6 +345,9 @@ class TestContract:
             ("gamma --m 3000", "enumerate_gamma requires m <= 50, got 3000"),
             ("lemma45 --m 300", "enumerate_gamma requires m <= 50, got 300"),
             ("lemma43 --n 200000", "check_factorial_lower requires n <= 2000, got 200000"),
+            # Every rung from --digits up is built: 2pi at 30000 digits takes seconds.
+            ("lemma43 --constant --digits 30000", "--digits must be in 1..400, got 30000"),
+            ("lemma46 --n 55 --digits 401", "--digits must be in 1..400, got 401"),
             ("prop42 --from 7 --to 100000000", "check_witness requires n <= 2000, got 100000000"),
             # Fraction would expand the exponent to 16 million digits first.
             ("thmB --rat 1e16000000 --index 2",

@@ -308,6 +308,13 @@ def test_is_prime_strong_pseudoprimes():
         is_prime(2 ** 127 - 1)
 
 
+def test_is_prime_small_factor_decides_any_size():
+    # A prime factor below 256 proves n composite above psi_13 too.
+    psi_13 = 3317044064679887385961981
+    for n in (2 * psi_13, 251 * (2 ** 127 - 1), 6 ** 4000, 2 * 10 ** 30):
+        assert is_prime(n) is False
+
+
 def _poly_mul(a, b):
     # Schoolbook convolution of two coefficient tuples, constant term first.
     out = [0] * (len(a) + len(b) - 1)

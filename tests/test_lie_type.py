@@ -263,10 +263,15 @@ class TestValidate:
                                    (Family.LINEAR, 3, 3, 6930), (Family.LINEAR, 3, 1009, 1000)]:
             spec = make_spec(family, p ** e, rank=rank)
             assert (spec.p, spec.e) == (p, e)
-        with pytest.raises(ValueError, match="is_prime is exact only below"):
+        # A prime factor below 256 settles a q of any size: 6 and 3**6930 * 2
+        # are even, so neither q is a prime power.
+        with pytest.raises(ValueError, match="is not a prime power"):
             make_spec(Family.LINEAR, 6 ** 4000, rank=3)
-        with pytest.raises(ValueError, match="is_prime is exact only below"):
+        with pytest.raises(ValueError, match="is not a prime power"):
             make_spec(Family.LINEAR, 3 ** 6930 * 2, rank=3)
+        # A root at or above psi_13 with no small factor still gets the range error.
+        with pytest.raises(ValueError, match="is_prime is exact only below"):
+            make_spec(Family.LINEAR, (2 ** 127 - 1) ** 2, rank=3)
         assert time.perf_counter() - t0 < 1.0
 
     def test_prime_power_of_a_large_prime(self):
