@@ -11,7 +11,7 @@ The on-disk format is TSV, one group per line:
     name <TAB> order <TAB> degrees <TAB> out <TAB> alpha,beta <TAB> fitting
 
 with '#' comment lines, empty optional fields, comma-separated degrees, and
-all integers in plain decimal.
+all integers in plain decimal of at most POWER_MAX_DIGITS digits.
 
 DegreeTable and PairCheck are immutable NamedTuples compared by value;
 DegreeTable checks its fields and sorts its degrees in __new__.
@@ -20,7 +20,7 @@ DegreeTable checks its fields and sorts its degrees in __new__.
 from pathlib import Path
 from typing import NamedTuple
 
-from .exact_arith import check_power_bits, cmp_power
+from .exact_arith import POWER_MAX_DIGITS, check_power_bits, cmp_power
 
 __all__ = [
     "DegreeTable",
@@ -88,6 +88,8 @@ class DegreeTable(_DegreeTableFields):
 
 
 def _parse_int(text: str, what: str, line: int | None) -> int:
+    if len(text) > POWER_MAX_DIGITS:
+        raise TableError(f"{what} has more than {POWER_MAX_DIGITS} digits", line)
     try:
         return int(text)
     except ValueError:

@@ -6,20 +6,20 @@ lengths of the bases, when their bounds on the two products do not overlap;
 then the leading 64 bits of the bases, raised and multiplied with directed
 rounding into integer bounds a * 2**x <= P <= b * 2**y, when those separate
 the two products; and otherwise the two products, built and compared
-exactly.  Integer k-th roots by Newton from a half-precision root;
-is_prime, trial division by the primes below 256 and then Miller-Rabin with
-the first k prime bases, k read off the table of psi_k; cyclotomic, the
-coefficient tuple of a cyclotomic polynomial by its Moebius product, and
-eval_poly, Horner evaluation of such a tuple;
-const_interval, integer bounds lo <= c * 2**b <= hi for the constants e and
-2*pi, at most 3 apart, from exact series sums rounded outward; and
-POWER_MAX_BITS with check_power_bits, the size cap callers apply before
-building a large power from their inputs.  Factorials and integer square
-roots are math.factorial and math.isqrt, which callers take from math
-directly.  Nothing in this module handles a
-rational: a caller that compares rationals splits each ratio, its numerator
-on one side of cmp_power and its denominator on the other, and fractions is
-never imported.
+exactly.  Integer k-th roots by Newton from a half-precision root; primes,
+the package's one sieve; is_prime, trial division by the primes below 256
+and then Miller-Rabin with the first 13 primes as bases, exact below psi_13;
+cyclotomic, the coefficient tuple of a cyclotomic polynomial by its Moebius
+product, and eval_poly, Horner evaluation of such a tuple; const_interval,
+integer bounds lo <= c * 2**b <= hi for the constants e and 2*pi, at most 3
+apart, from exact series sums rounded outward; and POWER_MAX_BITS with
+check_power_bits, the size cap callers apply before building a large power
+from their inputs, with POWER_MAX_DIGITS, the cap on decimal text they
+apply before int() converts it.  Factorials and integer square roots are
+math.factorial and math.isqrt, which callers take from math directly.
+Nothing in this module handles a rational: a caller that compares rationals
+splits each ratio, its numerator on one side of cmp_power and its
+denominator on the other, and fractions is never imported.
 
 Every verdict produced by this module reduces to a comparison of Python
 integers; floats never participate.  Magnitudes like 2000!**14 are routine.
@@ -27,7 +27,7 @@ integers; floats never participate.  Magnitudes like 2000!**14 are routine.
 
 import math
 import sys
-from bisect import bisect_right
+from itertools import compress
 from typing import Sequence
 
 # Decimal serialization of values like 2000!**14 is part of the interface;
@@ -38,8 +38,10 @@ if hasattr(sys, "set_int_max_str_digits"):
 __all__ = [
     "cmp_power",
     "nth_root_floor",
+    "primes",
     "is_prime",
     "POWER_MAX_BITS",
+    "POWER_MAX_DIGITS",
     "check_power_bits",
     "cyclotomic",
     "eval_poly",
@@ -50,6 +52,11 @@ __all__ = [
 # Callers refuse, before building it, a power that could exceed this many
 # bits: at the cap maroti_bound, or one Lie-type order, takes about 0.1 s.
 POWER_MAX_BITS = 2 ** 17
+
+# The digit count of 2**POWER_MAX_BITS.  Decimal text with more digits is
+# refused before int() converts it, since CPython's str-to-int conversion
+# takes time quadratic in the length.
+POWER_MAX_DIGITS = 39_457
 
 
 def check_power_bits(caller: str, bits: int) -> None:
@@ -215,43 +222,36 @@ def _root(x: int, k: int) -> int:
         r = nr
 
 
+def primes(limit: int) -> list[int]:
+    """The primes p <= limit, ascending, by the sieve of Eratosthenes."""
+    if limit < 2:
+        return []
+    sieve = bytearray([1]) * (limit + 1)
+    sieve[:2] = b"\x00\x00"
+    for i in range(2, math.isqrt(limit) + 1):
+        if sieve[i]:
+            sieve[i * i :: i] = bytes(len(range(i * i, limit + 1, i)))
+    return list(compress(range(limit + 1), sieve))
+
+
 # The primes below 256.  Trial division by all of them is one gcd with their
 # product, and it decides every n below 257**2 without a Miller-Rabin round.
-_SMALL_PRIMES = (
-    2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71, 73, 79,
-    83, 89, 97, 101, 103, 107, 109, 113, 127, 131, 137, 139, 149, 151, 157, 163, 167,
-    173, 179, 181, 191, 193, 197, 199, 211, 223, 227, 229, 233, 239, 241, 251,
-)
+_SMALL_PRIMES = tuple(primes(255))
 _SMALL_PRIMES_PRODUCT = math.prod(_SMALL_PRIMES)
 
-# Miller-Rabin with the first k primes as bases has no false positive below
-# psi_k (Jaeschke, Math. Comp. 1993; Sorenson and Webster, Math. Comp. 2017),
-# and psi_k is the least composite that passes all k; psi_13 is _MR_LIMIT.
+# Miller-Rabin with the first 13 primes as bases has no false positive below
+# psi_13 = 3317044064679887385961981, the least composite that passes all 13
+# (Sorenson and Webster, Math. Comp. 86, 2017).
 _MR_WITNESSES = _SMALL_PRIMES[:13]
-_MR_PSI = (
-    2047,
-    1373653,
-    25326001,
-    3215031751,
-    2152302898747,
-    3474749660383,
-    341550071728321,
-    341550071728321,
-    3825123056546413051,
-    3825123056546413051,
-    3825123056546413051,
-    318665857834031151167461,
-    3317044064679887385961981,
-)
-_MR_LIMIT = _MR_PSI[-1]
+_MR_LIMIT = 3317044064679887385961981
 
 
 def is_prime(n: int) -> bool:
     """Exact, or a ValueError rather than an unproven answer.  Trial division
     by the primes below 256 decides an n of any size with such a factor, and
     every n below 257**2; any other n below psi_13 ~ 3.3e24 gets deterministic
-    Miller-Rabin on the first k primes, k the least with n < psi_k.  Only an
-    n at or above psi_13 with no prime factor below 256 raises."""
+    Miller-Rabin with the first 13 primes as bases.  Only an n at or above
+    psi_13 with no prime factor below 256 raises."""
     if n < 2:
         return False
     if math.gcd(n, _SMALL_PRIMES_PRODUCT) != 1:
@@ -263,7 +263,7 @@ def is_prime(n: int) -> bool:
     d = n - 1
     r = (d & -d).bit_length() - 1
     d >>= r
-    for a in _MR_WITNESSES[: bisect_right(_MR_PSI, n) + 1]:
+    for a in _MR_WITNESSES:
         x = pow(a, d, n)
         if x == 1 or x == n - 1:
             continue

@@ -21,11 +21,12 @@ eps = -1, not a second transcription: by Ennola duality (GU_n(q) is
 GL_n(-q); Ennola 1963, Carter 13.8) they replace q by -q.
 
 The row also holds the exclusions validate reads (the PSL_2 rank, the
-non-simple (rank, q) points, and for Suzuki and Ree the p of q = p**(2f+1))
+(rank, q) points left out, and for Suzuki and Ree the p of q = p**(2f+1))
 and the pair the minimum-ratio check reads where the Steinberg pair's ratio
 is below 16/5 (PSL_3(3): 39 and 12).  make_spec and sweep read the q-degree
-of the order row, and refuse a point or a grid whose order could exceed
-POWER_MAX_BITS bits before factoring q or checking a point.
+of the order row: before q is factored or a point checked, they refuse a
+point or grid whose order could exceed POWER_MAX_BITS bits, and a grid whose
+orders could total more than SWEEP_MAX_BITS bits.
 
 check_point is the one per-point API: its SweepRecord holds the order, the
 Steinberg pair and both verdicts.  It and sweep share one kernel, which takes
@@ -42,11 +43,10 @@ a spec only from a point it has just validated.
 
 from enum import Enum
 from functools import partial
-from itertools import compress
 from math import gcd, isqrt
 from typing import Callable, Iterable, Mapping, NamedTuple
 
-from .exact_arith import check_power_bits, cmp_power, is_prime, nth_root_floor
+from .exact_arith import check_power_bits, cmp_power, is_prime, nth_root_floor, primes
 
 __all__ = [
     "Family",
@@ -64,12 +64,16 @@ __all__ = [
     "prime_powers",
     "MAX_RANK",
     "SWEEP_MAX_Q",
+    "SWEEP_MAX_BITS",
 ]
 
 # Refused rather than run for minutes: an order has about rank**2 * log2(q)
-# bits, and a sweep sieves every q up to its q_max.
+# bits, and a sweep sieves every q up to its q_max.  A grid's orders total at
+# most the sum over its points of q-degree times bitlen(q) bits, and a sweep
+# peaks at about 2 bytes of memory per such bit.
 MAX_RANK = 100
 SWEEP_MAX_Q = 2 ** 16
+SWEEP_MAX_BITS = 2 ** 28
 
 
 class Family(str, Enum):
@@ -236,6 +240,8 @@ def _even_orthogonal(eps: int, n: int) -> tuple[_Value, _Value]:
 # 2G2(3) is PSL_2(8):3 and 2F4(2) is the Tits group extended by 2.
 _FAMILIES: dict[Family, _Family] = {
     Family.LINEAR: _Family(3, "(n-1,1)", partial(_linear, 1), 2, {
+        # PSL_3(2) is simple; it is left out because it is PSL_2(7), and the
+        # theorems leave out PSL_2.  The golden sweep digests pin this text.
         (3, 2): "not simple at this point (isomorphic to PSL_2(7))"},
         ratio_overrides={(3, 3): CharPair(39, 12, "degrees 39 and 12")}),
     Family.UNITARY: _Family(3, "(n-1,1)", partial(_linear, -1), 2, {(3, 2): "not simple"}),
@@ -299,9 +305,7 @@ def _factor_prime_power(q: int) -> tuple[int, int]:
     if q < 2:
         raise ValueError("q must be at least 2")
     r, e = q, 1
-    for _, ell, k in prime_powers(q.bit_length()):
-        if k > 1:
-            continue
+    for ell in primes(q.bit_length()):
         if ell >= r.bit_length():
             break
         m = 2 * ell + 1
@@ -317,14 +321,16 @@ def _factor_prime_power(q: int) -> tuple[int, int]:
     raise ValueError(f"q = {q} is not a prime power")
 
 
+def _degree(v: _Value) -> int:
+    # The q-degree of a row: its value has at most that times bitlen(q) bits.
+    return v.a + v.h + sum(d for d, _ in v.num) - sum(d for d, _ in v.den)
+
+
 def _check_order_bits(family: Family, rank: int | None, q: int) -> None:
-    # The order row has q-degree a + h + sum(num d) - sum(den d), so the
-    # order has at most that many times q.bit_length() bits.  A rank below
-    # the minimum is read at the minimum; validate then gives the reason.
+    # A rank below the minimum is read there; validate then gives the reason.
     rank_min = _FAMILIES[family].rank_min
     v = _rows(family, rank if rank_min is None else max(rank, rank_min))[0]
-    degree = v.a + v.h + sum(d for d, _ in v.num) - sum(d for d, _ in v.den)
-    check_power_bits(f"the order of {family.value}", degree * q.bit_length())
+    check_power_bits(f"the order of {family.value}", _degree(v) * q.bit_length())
 
 
 def make_spec(family: Family, q: int, rank: int | None = None) -> GroupSpec:
@@ -410,16 +416,10 @@ def _check(spec: GroupSpec, row: _Family, rows: tuple[_Value, _Value]) -> SweepR
 
 
 def prime_powers(limit: int) -> list[tuple[int, int, int]]:
-    """All (q, p, e) with q = p**e <= limit, ascending in q; sieve-based."""
-    if limit < 2:
-        return []
-    sieve = bytearray([1]) * (limit + 1)
-    sieve[0:2] = b"\x00\x00"
-    for i in range(2, isqrt(limit) + 1):
-        if sieve[i]:
-            sieve[i * i :: i] = b"\x00" * len(range(i * i, limit + 1, i))
+    """All (q, p, e) with q = p**e <= limit, ascending in q, from the primes
+    exact_arith.primes sieves."""
     out = []
-    for p in compress(range(limit + 1), sieve):
+    for p in primes(limit):
         q, e = p, 1
         while q <= limit:
             out.append((q, p, e))
@@ -441,7 +441,8 @@ def sweep(
     validation gave.  The output order is deterministic: family declaration
     order, then rank, then q.  rank_max is at most MAX_RANK and q_max at
     most SWEEP_MAX_Q, and the grid is refused before any point is checked
-    when the order at its largest rank and q_max could exceed POWER_MAX_BITS.
+    when the order at its largest rank and q_max could exceed POWER_MAX_BITS,
+    or the orders of all its points together SWEEP_MAX_BITS.
     """
     if rank_max > MAX_RANK:
         raise ValueError(f"rank_max {rank_max} is above the maximum {MAX_RANK}")
@@ -456,19 +457,20 @@ def sweep(
         ranks = (None,) if rank_min is None else range(rank_min, rank_max + 1)
         if ranks:
             _check_order_bits(fam, ranks[-1], q_max)
-        grid.append((fam, ranks))
+        grid += ((fam, rank, _rows(fam, rank)) for rank in ranks)
     pps = prime_powers(q_max)
+    bits = sum(_degree(rows[0]) for _, _, rows in grid) * sum(q.bit_length() for q, _, _ in pps)
+    if bits > SWEEP_MAX_BITS:
+        raise ValueError(f"the grid's orders total up to {bits} bits, more than {SWEEP_MAX_BITS}")
     out = []
-    for fam, ranks in grid:
+    for fam, rank, rows in grid:
         row = _FAMILIES[fam]
-        for rank in ranks:
-            rows = _rows(fam, rank)
-            for q, p, e in pps:
-                reason = validate(fam, rank, q, p, e)
-                if reason is None:
-                    # Built as a tuple: GroupSpec(...) would validate it again.
-                    spec = tuple.__new__(GroupSpec, (fam, rank, q, p, e))
-                    out.append(_check(spec, row, rows))
-                else:
-                    out.append(Exclusion(fam, rank, q, reason))
+        for q, p, e in pps:
+            reason = validate(fam, rank, q, p, e)
+            if reason is None:
+                # Built as a tuple: GroupSpec(...) would validate it again.
+                spec = tuple.__new__(GroupSpec, (fam, rank, q, p, e))
+                out.append(_check(spec, row, rows))
+            else:
+                out.append(Exclusion(fam, rank, q, reason))
     return out

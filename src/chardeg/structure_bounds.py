@@ -14,7 +14,7 @@ import json
 import math
 from typing import NamedTuple
 
-from .exact_arith import check_power_bits, cmp_power, is_prime, nth_root_floor
+from .exact_arith import POWER_MAX_DIGITS, check_power_bits, cmp_power, is_prime, nth_root_floor
 from .degree_data import DegreeTable
 
 __all__ = [
@@ -28,7 +28,6 @@ __all__ = [
     "frobenius_example",
     "extraspecial_example",
     "FROBENIUS_MAX_DEGREES",
-    "SERIES_MAX_DIGITS",
 ]
 
 # frobenius_example lists every degree, m + (p-1)/m of them; beyond this many
@@ -62,23 +61,17 @@ class ChiefFactorDescriptor(_ChiefFactorFields):
         return super().__new__(cls, label, factor_order, multiplicity, is_abelian, is_psl2)
 
 
-# The digit count of 2**POWER_MAX_BITS.  An order or multiplicity written
-# with more digits is refused before int() converts it, since CPython's
-# str-to-int conversion takes time quadratic in the length; the cap is on the
-# text, because an abelian or PSL_2 factor's order never enters the product.
-SERIES_MAX_DIGITS = 39_457
-
-
 class _NumberText(str):
     """The text of a JSON number literal that json.loads leaves unconverted:
-    an integer longer than SERIES_MAX_DIGITS, or one with a fraction or an
+    an integer longer than POWER_MAX_DIGITS, or one with a fraction or an
     exponent, which a message then shows as written."""
 
     __slots__ = ()
 
 
 def _parse_int(text: str) -> int | _NumberText:
-    return int(text) if len(text) <= SERIES_MAX_DIGITS else _NumberText(text)
+    # The cap is on the text: an abelian or PSL_2 factor's order never enters the product.
+    return int(text) if len(text) <= POWER_MAX_DIGITS else _NumberText(text)
 
 
 def _shown(value) -> str:
@@ -94,8 +87,8 @@ def _json_count(value, key: str, where: str) -> int:
     if type(value) is int:
         return value
     digits = isinstance(value, str) and value.isascii() and value.isdigit()
-    if (digits or type(value) is _NumberText) and len(value) > SERIES_MAX_DIGITS:
-        raise ValueError(f"{where}: {key!r} has more than {SERIES_MAX_DIGITS} digits")
+    if (digits or type(value) is _NumberText) and len(value) > POWER_MAX_DIGITS:
+        raise ValueError(f"{where}: {key!r} has more than {POWER_MAX_DIGITS} digits")
     if digits:
         return int(value)
     raise ValueError(
@@ -114,7 +107,7 @@ def series_from_json(text: str) -> tuple[ChiefFactorDescriptor, ...]:
     "multiplicity": 2, "abelian": false, "psl2": false}, ...]}.
 
     order (required) and multiplicity (default 1) are each a JSON integer
-    or a string of decimal digits, of at most SERIES_MAX_DIGITS digits,
+    or a string of decimal digits, of at most POWER_MAX_DIGITS digits,
     abelian and psl2 (default false) JSON booleans; any other shape raises
     ValueError naming the factor and key, rather than reading "false" as
     true, truncating 20160.9 or spending seconds converting a million digits.

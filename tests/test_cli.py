@@ -307,6 +307,11 @@ class TestContract:
                 "sweep --families linear --rank-max 100 --q-max 65536",
                 "the order of linear would build an integer of up to 169983 bits",
             ),
+            # Each point is under the corner cap; all 6,635 q at 68 ranks are not.
+            (
+                "sweep --families linear --rank-max 70 --q-max 65536",
+                "the grid's orders total up to 11451478698 bits, more than 268435456",
+            ),
             pytest.param(
                 f"prop32 --order {10 ** 1000}",
                 "solvable_index_bound would build an integer of up to 475046 bits",
@@ -462,6 +467,16 @@ class TestContract:
         code, doc = _run_json(capsys, ["gamma", "--m", "3"])
         assert code == 2
         assert doc == {"status": "error", "error": "out of memory"}
+
+    @pytest.mark.parametrize("command", ["validate-data", "sporadic-check"])
+    def test_long_table_integer_refused_quickly(self, command, capsys, tmp_path):
+        # int() on 400,000 digits takes over a second; the field is refused first.
+        (tmp_path / "big.tsv").write_text(f"# one table\nX\t{'7' * 400_000}\t1\t\t\t\n")
+        start = time.perf_counter()
+        code, doc = _run_json(capsys, [command, "--data", str(tmp_path)])
+        assert time.perf_counter() - start < 0.1
+        assert code == 2
+        assert doc == {"status": "error", "error": "line 2: order has more than 39457 digits"}
 
     @pytest.mark.parametrize("command", ["validate-data", "sporadic-check"])
     def test_duplicate_table_names_rejected(self, command, capsys, tmp_path):

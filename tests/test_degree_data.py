@@ -43,6 +43,17 @@ class TestParsing:
             parse_tables(text)
         assert "line 3" in str(err.value)
 
+    def test_integer_digit_cap(self):
+        # The cap is the digit count of 2**POWER_MAX_BITS: at the cap a field
+        # converts, and one digit more is refused, naming the field and line.
+        at_cap = "9" * 39_457
+        assert parse_table(f"X\t{at_cap}\t1,3\t\t\t", 4).order == 10 ** 39_457 - 1
+        for line, field in ((f"X\t{'7' * 40_000}\t1\t\t\t", "order"),
+                            (f"X\t\t1,{at_cap}9\t\t\t", "degree"),
+                            (f"X\t6\t1\t\t\t{'1' * 40_000}", "fitting index")):
+            with pytest.raises(TableError, match=f"^line 4: {field} has more than 39457 digits$"):
+                parse_table(line, 4)
+
     def test_pair_must_appear_in_degrees(self):
         with pytest.raises(TableError):
             parse_table("X\t10\t1,2,3\t\t5,2\t")

@@ -16,6 +16,7 @@ from chardeg.exact_arith import (
     eval_poly,
     is_prime,
     nth_root_floor,
+    primes,
 )
 
 # 50-digit truncations of e and pi, a second oracle for const_interval.
@@ -256,8 +257,20 @@ def test_is_prime_matches_sieve():
         if sieve[i]:
             sieve[i * i :: i] = bytes(len(range(i * i, limit, i)))
     assert [n for n in range(limit) if is_prime(n)] == [n for n in range(limit) if sieve[n]]
+    assert primes(limit - 1) == [n for n in range(limit) if sieve[n]]
+    assert primes(0) == primes(1) == [] and primes(2) == [2]
     # Trial division decides every n below 257**2; the sieve range crosses it.
     assert exact_arith._SMALL_PRIMES == tuple(n for n in range(256) if sieve[n])
+
+
+def test_is_prime_semiprime_near_2_80():
+    # Two primes just above 2**40 (checked by trial division): their product
+    # has no factor below 256 and lies below psi_13, so only the Miller-Rabin
+    # rounds can refuse it.
+    p, q = 2 ** 40 + 15, 2 ** 40 + 27
+    assert all(p % d and q % d for d in range(3, math.isqrt(q) + 1, 2))
+    assert is_prime(p) and is_prime(q)
+    assert not is_prime(p * q) and p * q < exact_arith._MR_LIMIT
 
 
 # psi_k, the least composite that passes Miller-Rabin to the first k prime

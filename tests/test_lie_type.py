@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from chardeg import exact_arith
+from chardeg import exact_arith, lie_type
 from chardeg.degree_data import load_dir
 from chardeg.exact_arith import cyclotomic, eval_poly
 from chardeg.lie_type import (
@@ -12,6 +12,7 @@ from chardeg.lie_type import (
     CLASSICAL_FAMILIES,
     EXCEPTIONAL_FAMILIES,
     MAX_RANK,
+    SWEEP_MAX_BITS,
     SWEEP_MAX_Q,
     CharPair,
     Exclusion,
@@ -269,6 +270,10 @@ class TestValidate:
             make_spec(Family.LINEAR, 6 ** 4000, rank=3)
         with pytest.raises(ValueError, match="is not a prime power"):
             make_spec(Family.LINEAR, 3 ** 6930 * 2, rank=3)
+        # q = p**2 with p = 2**61 - 1: the square root is proved prime by
+        # Miller-Rabin, past trial division.
+        spec = make_spec(Family.LINEAR, (2 ** 61 - 1) ** 2, rank=3)
+        assert (spec.p, spec.e) == (2 ** 61 - 1, 2)
         # A root at or above psi_13 with no small factor still gets the range error.
         with pytest.raises(ValueError, match="is_prime is exact only below"):
             make_spec(Family.LINEAR, (2 ** 127 - 1) ** 2, rank=3)
@@ -391,6 +396,35 @@ class TestChecks:
         assert r.passed_ratio165  # equality passes the >= check
 
 
+class _Reached(Exception):
+    pass
+
+
+# The q-degree of each order is the dimension of the algebraic group, halved
+# for the Suzuki and Ree groups: an oracle independent of the formula table.
+_DIMENSION = {
+    Family.LINEAR: lambda n: n * n - 1,
+    Family.UNITARY: lambda n: n * n - 1,
+    Family.SYMPLECTIC: lambda n: 2 * n * n + n,
+    Family.ORTH_ODD: lambda n: 2 * n * n + n,
+    Family.ORTH_PLUS: lambda n: 2 * n * n - n,
+    Family.ORTH_MINUS: lambda n: 2 * n * n - n,
+    Family.SUZUKI_2B2: 5, Family.TRIALITY_3D4: 28, Family.G2: 14, Family.REE_2G2: 7,
+    Family.F4: 52, Family.REE_2F4: 26, Family.E6: 78, Family.TWISTED_E6: 78,
+    Family.E7: 133, Family.E8: 248,
+}
+
+
+def _grid_bits(families, rank_max, q_max):
+    # B: the sum over the grid's points of the order's q-degree times bitlen(q).
+    degrees = sum(
+        sum(map(_DIMENSION[f], range(_FAMILIES[f].rank_min, rank_max + 1)))
+        if f in CLASSICAL_FAMILIES else _DIMENSION[f]
+        for f in families
+    )
+    return degrees * sum(q.bit_length() for q, _, _ in prime_powers(q_max))
+
+
 class TestSweep:
     def test_empty_below_two(self):
         assert sweep([Family.LINEAR], rank_max=5, q_max=1) == []
@@ -436,12 +470,36 @@ class TestSweep:
         # ranks below the family's minimum are an empty grid, not a refusal
         assert sweep([Family.ORTH_PLUS], rank_max=3, q_max=SWEEP_MAX_Q) == []
 
-    def test_benchmark_grids_under_the_order_cap(self):
+    def test_benchmark_grids_under_the_order_cap(self, monkeypatch):
         for fam in CLASSICAL_FAMILIES:
             _check_order_bits(fam, 20, 32)
         for fam in EXCEPTIONAL_FAMILIES:
             _check_order_bits(fam, None, 8192)
+        # The corner alone admits rank 87 at q_max 2**16; the grid's total
+        # below refuses it.
         _check_order_bits(Family.LINEAR, 87, SWEEP_MAX_Q)
+        # The grid bound B: the benchmark and README grids, and the classical
+        # grid at rank 100, are admitted (a sweep that reaches its first point
+        # passed both caps), while linear grids at q_max 2**16 from rank 20 up
+        # are refused.
+        assert _grid_bits(CLASSICAL_FAMILIES, 20, 32) == 2_145_300
+        assert _grid_bits(EXCEPTIONAL_FAMILIES, None, 8192) == 8_422_041
+        assert _grid_bits(CLASSICAL_FAMILIES, MAX_RANK, 32) == 253_743_300
+
+        def reached(*point):
+            raise _Reached
+
+        monkeypatch.setattr(lie_type, "validate", reached)
+        for fams, rank_max, q_max in ((CLASSICAL_FAMILIES, 20, 32),
+                                      (EXCEPTIONAL_FAMILIES, 20, 8192),
+                                      (CLASSICAL_FAMILIES, MAX_RANK, 32)):
+            with pytest.raises(_Reached):
+                sweep(fams, rank_max=rank_max, q_max=q_max)
+        for rank_max in (20, 70, 87):
+            bits = _grid_bits([Family.LINEAR], rank_max, SWEEP_MAX_Q)
+            assert bits > SWEEP_MAX_BITS
+            with pytest.raises(ValueError, match=f"total up to {bits} bits, more than 268435456"):
+                sweep([Family.LINEAR], rank_max=rank_max, q_max=SWEEP_MAX_Q)
 
     def test_comparisons_mostly_decided_by_bit_lengths(self, monkeypatch):
         # On the benchmark grids (classical rank <= 20, q <= 32; exceptional
@@ -470,6 +528,13 @@ def test_prime_powers():
     assert prime_powers(1) == []
     got = [q for q, _, _ in prime_powers(32)]
     assert got == [2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27, 29, 31, 32]
+    for limit in (0, 1, 2, 32, 8192):
+        brute = [
+            (p ** e, p, e)
+            for p in range(2, limit + 1) if exact_arith.is_prime(p)
+            for e in range(1, limit.bit_length() + 1) if p ** e <= limit
+        ]
+        assert prime_powers(limit) == sorted(brute)
 
 
 def test_pair_invariant_across_grids():

@@ -94,7 +94,7 @@ class TestRat14LowerBound:
         # The cap is the digit count of 2**POWER_MAX_BITS.  At the cap the
         # text converts, as a string and as a JSON integer; one digit more is
         # refused before conversion, naming the factor and the key.
-        cap = structure_bounds.SERIES_MAX_DIGITS
+        cap = exact_arith.POWER_MAX_DIGITS
         assert cap == len(str(2 ** exact_arith.POWER_MAX_BITS))
         at_cap = "9" * cap
         for text in (f'"{at_cap}"', at_cap):
