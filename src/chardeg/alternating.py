@@ -43,7 +43,8 @@ MAX_DIGITS = 400
 # check_witness and check_factorial_lower refuse a larger n: at n = 2000 they
 # take 0.01 s and 0.3 ms in-process (2-CPU x86-64 box; cmp_power decides the
 # latter from leading bits, without building its 0.8 Mbit products), and
-# prop42 over 7..2000 about 2.2 s as a command.
+# prop42 over 7..2000 took 1.2-1.4 s as a command (wall time of three fresh
+# processes on the same box, shared).
 MAX_N = 2000
 
 # Below this n the witness search is exhaustive over all partitions of n;
@@ -73,15 +74,6 @@ class WitnessReport(NamedTuple):
     passed: bool
     margin: MarginEvidence
     candidates_tried: int
-
-    def to_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "witness": str(self.witness),
-            "hook_product": str(self.hook_product),
-            "passed": self.passed,
-            "margin": self.margin._asdict(),
-        }
 
 
 def square_fix(m: int) -> Partition:

@@ -1,12 +1,15 @@
 """Command-line front end.
 
 Every verifier and calculator is one row of the subcommand table in
-build_parser, with JSON output on stdout (JSON-lines for streamed sweeps with
---jsonl, CSV with --csv).  Big integers are serialized as decimal strings.
-Exit codes: 0 pass, 1 fail, 2 error (usage errors such as conflicting flags
-included, with the same JSON error document), 3 inconclusive.  --digits
-(1 to 400, default 50) sets the starting interval precision for the checks
-involving e and pi.
+build_parser, with JSON output on stdout (JSON-lines with --jsonl on prop42
+and sweep, CSV with sweep --csv).  This module alone renders output, and main
+writes it to stdout in one write.  A status other than "pass" of pre-rendered
+output (--jsonl, --csv or the sweep document) also goes to stderr as
+"status: <s>", since JSON lines and CSV rows do not hold it.  Big integers
+are serialized as decimal strings.  Exit codes: 0 pass, 1 fail, 2 error (usage errors such as
+conflicting flags included, with the same JSON error document, and a stdout
+closed by its reader), 3 inconclusive.  --digits (1 to 400, default 50) sets
+the starting interval precision for the checks involving e and pi.
 
 A command builds only its own subparser and imports the layer module its
 handler runs, inside that handler, so it pays for neither the other rows nor
@@ -16,6 +19,7 @@ the other layers; fractions is loaded only by what builds a Fraction.
 import argparse
 import gc
 import json
+import os
 import re
 import sys
 from typing import NamedTuple, NoReturn
@@ -30,10 +34,9 @@ EXIT_CODES = {"pass": 0, "fail": 1, "error": 2, "inconclusive": 3}
 class CommandResult(NamedTuple):
     status: str
     payload: dict
-    lines: list[str] | None = None  # pre-rendered output (jsonl / csv)
-    # The JSON document pre-rendered, printed in place of status and payload
-    # when the payload alone does not hold it (sweep's entries).
-    document: str | None = None
+    # Output pre-rendered in place of the JSON of status and payload: the
+    # --jsonl lines, the --csv rows, or sweep's document with its entries.
+    text: str | None = None
 
     @property
     def exit_code(self) -> int:
@@ -54,6 +57,10 @@ def _verdict_status(verdict: bool | None) -> str:
     if verdict is None:
         return "inconclusive"
     return "pass" if verdict else "fail"
+
+
+def _decimal(x: int | None) -> str | None:
+    return None if x is None else str(x)
 
 
 def _point(args) -> "lie_type.SweepRecord":
@@ -124,12 +131,12 @@ def _cmd_prop42(args) -> CommandResult:
             raise ValueError(f"prop42 requires --from <= --to, got {lo} > {hi}")
     records = list(alternating.witness_range(lo, hi, best=args.best))
     all_passed = all(r.passed for r in records)
-    dicts = [r.to_json_dict() for r in records]
-    lines = [json.dumps(d) for d in dicts] if args.jsonl else None
+    dicts = [{"n": r.n, "witness": str(r.witness), "hook_product": str(r.hook_product),
+              "passed": r.passed, "margin": r.margin._asdict()} for r in records]
     return CommandResult(
         _verdict_status(all_passed),
         {"from": lo, "to": hi, "all_passed": all_passed, "records": dicts},
-        lines=lines,
+        "\n".join(json.dumps(d) for d in dicts) if args.jsonl else None,
     )
 
 
@@ -338,14 +345,12 @@ def _cmd_sweep(args) -> CommandResult:
         "all_passed": all_passed,
     }
     if args.csv:
-        return CommandResult(status, payload, lines=_sweep_csv(entries))
+        return CommandResult(status, payload, "\n".join(_sweep_csv(entries)))
     texts = _sweep_json(entries)
     if args.jsonl:
-        return CommandResult(status, payload, lines=texts)
+        return CommandResult(status, payload, "\n".join(texts))
     head = json.dumps({"status": status, **payload})
-    return CommandResult(
-        status, payload, document=f'{head[:-1]}, "entries": [{", ".join(texts)}]}}'
-    )
+    return CommandResult(status, payload, f'{head[:-1]}, "entries": [{", ".join(texts)}]}}')
 
 
 def _cmd_rat(args) -> CommandResult:
@@ -368,15 +373,23 @@ def _cmd_sporadic_check(args) -> CommandResult:
     tables = degree_data.load_dir(args.data)
     checks = [degree_data.check_extendible_pair(t) for t in tables]
     checked = [c for c in checks if c.status == "checked"]
+    if not checked:
+        # Nothing checked would certify nothing yet report a verdict.
+        raise ValueError(
+            f"sporadic-check checked 0 of {len(tables)} tables: none has both an order and a pair"
+        )
     failures = [c.name for c in checked if not c.passed]
     return CommandResult(
-        _verdict_status(bool(checked) and not failures),
+        _verdict_status(not failures),
         {
             "tables": len(tables),
             "checked": len(checked),
             "unchecked": [c.name for c in checks if c.status == "unchecked"],
             "failures": failures,
-            "records": [c.to_json_dict() for c in checks],
+            "records": [{"name": c.name, "status": c.status, "passed": c.passed,
+                         "alpha": _decimal(c.alpha), "beta": _decimal(c.beta),
+                         "order": _decimal(c.order), "extendibility": "asserted by data"}
+                        for c in checks],
         },
     )
 
@@ -394,14 +407,12 @@ def _cmd_out_bound(args) -> CommandResult:
 def _read_series(args) -> "tuple[structure_bounds.ChiefFactorDescriptor, ...]":
     from . import structure_bounds
 
-    if args.json:
-        text = args.json
-    elif args.file:
-        with open(args.file) as fh:
-            text = fh.read()
-    else:
-        text = sys.stdin.read()
-    return structure_bounds.series_from_json(text)
+    if args.json is not None:
+        return structure_bounds.series_from_json(args.json)
+    if args.file is None:
+        raise ValueError("chiefseries-bound requires --json or --file")
+    with open(args.file) as fh:
+        return structure_bounds.series_from_json(fh.read())
 
 
 def _cmd_chiefseries_bound(args) -> CommandResult:
@@ -466,8 +477,8 @@ def _table_payload(table: "degree_data.DegreeTable") -> dict:
     return {
         "name": table.name,
         "degrees": [str(d) for d in table.degrees],
-        "order": None if table.order is None else str(table.order),
-        "fitting_index": None if table.fitting_index is None else str(table.fitting_index),
+        "order": _decimal(table.order),
+        "fitting_index": _decimal(table.fitting_index),
         "rat": f"{value.numerator}/{value.denominator}",
     }
 
@@ -490,6 +501,8 @@ def _cmd_validate_data(args) -> CommandResult:
     from . import degree_data
 
     tables = degree_data.load_dir(args.data)
+    if not tables:
+        raise ValueError(f"validate-data read 0 tables from {args.data}")
     return CommandResult(
         "pass",
         {"tables": len(tables), "with_pair": sum(1 for t in tables if t.extendible_pair)},
@@ -616,15 +629,18 @@ def run(argv: list[str] | None = None) -> CommandResult:
 
 def main(argv: list[str] | None = None) -> int:
     result = run(argv)
-    if result.lines is not None:
-        if result.lines:
-            print("\n".join(result.lines))
-    elif result.document is not None:
-        print(result.document)
-    else:
-        print(json.dumps({"status": result.status, **result.payload}))
-    if result.lines is not None and result.status != "pass":
-        # Status is not part of streamed output; surface it on stderr.
+    text = result.text
+    try:
+        # Flushed here, so that a closed stdout raises inside this try.
+        print(json.dumps({"status": result.status, **result.payload}) if text is None else text,
+              flush=True)
+    except BrokenPipeError:
+        # The output did not reach its reader: an error, not a verdict.  fd 1
+        # goes to devnull so that the flush at exit does not raise again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_CODES["error"]
+    if text is not None and result.status != "pass":
+        # JSON lines and CSV rows do not hold the status; surface it on stderr.
         print(f"status: {result.status}", file=sys.stderr)
     return result.exit_code
 

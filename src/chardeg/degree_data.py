@@ -175,18 +175,6 @@ class PairCheck(NamedTuple):
     alpha: int | None
     beta: int | None
     order: int | None
-    extendibility: str = "asserted by data"
-
-    def to_json_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "status": self.status,
-            "passed": self.passed,
-            "alpha": None if self.alpha is None else str(self.alpha),
-            "beta": None if self.beta is None else str(self.beta),
-            "order": None if self.order is None else str(self.order),
-            "extendibility": self.extendibility,
-        }
 
 
 def check_extendible_pair(table: DegreeTable) -> PairCheck:

@@ -1,6 +1,7 @@
 import contextlib
 import hashlib
 import io
+import json
 import math
 import time
 from fractions import Fraction
@@ -100,8 +101,9 @@ class TestCheckWitness:
         )
         assert r_best.hook_product == best_h
 
-    def test_json_shape(self):
-        doc = check_witness(7).to_json_dict()
+    def test_json_shape(self, capsys):
+        assert cli.main(["prop42", "--n", "7"]) == 0
+        (doc,) = json.loads(capsys.readouterr().out)["records"]
         assert doc["n"] == 7
         assert doc["witness"] == "3,2,2"
         assert doc["hook_product"] == "240"

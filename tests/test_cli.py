@@ -269,6 +269,49 @@ class TestContract:
         assert "entries" not in doc
 
     @pytest.mark.parametrize(
+        "command, tsv, reason",
+        [
+            ("sporadic-check", None, "sporadic-check checked 0 of 0 tables: "
+             "none has both an order and a pair"),
+            ("sporadic-check", "M11\t7920\t1,10,10,10,11,16,16,44,45,55\t1\t\t\n",
+             "sporadic-check checked 0 of 1 tables: none has both an order and a pair"),
+            ("validate-data", None, "validate-data read 0 tables from {}"),
+        ],
+        ids=["sporadic-check-empty", "sporadic-check-no-pair", "validate-data-empty"],
+    )
+    def test_nothing_checked_is_an_error(self, command, tsv, reason, capsys, tmp_path):
+        # Checking nothing certifies nothing, so it is no verdict either way.
+        if tsv is not None:
+            (tmp_path / "t.tsv").write_text(tsv)
+        code, doc = _run_json(capsys, [command, "--data", str(tmp_path)])
+        assert code == 2
+        assert doc == {"status": "error", "error": reason.format(tmp_path)}
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            "prop42 --from 7 --to 9 --jsonl",
+            "sweep --families G2 --q-max 8 --csv",
+            "sweep --families G2 --q-max 8 --jsonl",
+            "sweep --families G2 --q-max 8",
+        ],
+    )
+    def test_prerendered_output_puts_a_fail_on_stderr(self, argv, capsys, monkeypatch):
+        # JSON lines and CSV rows do not hold the status, so stderr does, and
+        # for the sweep document too; every witness and sweep point fails.
+        from chardeg import alternating, lie_type
+
+        witness_range, sweep = alternating.witness_range, lie_type.sweep
+        monkeypatch.setattr(alternating, "witness_range", lambda *a, **kw: [
+            r._replace(passed=False) for r in witness_range(*a, **kw)])
+        monkeypatch.setattr(lie_type, "sweep", lambda *a, **kw: [
+            e._replace(passed_pow14=False) if isinstance(e, lie_type.SweepRecord) else e
+            for e in sweep(*a, **kw)])
+        assert main(argv.split()) == 1
+        captured = capsys.readouterr()
+        assert captured.out and captured.err == "status: fail\n"
+
+    @pytest.mark.parametrize(
         "argv, family",
         [("thm21 --family E8 --rank 7 --q 2", "E8"), ("order --family G2 --rank 0 --q 3", "G2")],
     )
@@ -373,6 +416,7 @@ class TestContract:
     @pytest.mark.parametrize(
         "document, reason",
         [
+            pytest.param("", "Expecting value: line 1 column 1 (char 0)", id="empty"),
             ("[]", 'a chief series is a JSON object {"factors": [...]}'),
             ("null", 'a chief series is a JSON object {"factors": [...]}'),
             ("{}", 'a chief series is a JSON object {"factors": [...]}'),
@@ -416,6 +460,22 @@ class TestContract:
         code, doc = _run_json(capsys, ["chiefseries-bound", "--json", document])
         assert code == 2
         assert doc == {"status": "error", "error": reason}
+
+    def test_chiefseries_bound_reads_no_stdin(self):
+        # Without --json or --file it is refused at once, even with stdin
+        # left open: no input is read from anywhere else.
+        start = time.perf_counter()
+        with subprocess.Popen(
+            [sys.executable, "-m", "chardeg.cli", "chiefseries-bound"],
+            stdin=subprocess.PIPE, stdout=subprocess.PIPE, env=_fresh_env(), cwd=REPO_ROOT,
+        ) as proc:
+            code = proc.wait(timeout=10)
+            out = proc.stdout.read()
+        assert time.perf_counter() - start < 1.0
+        assert code == 2
+        assert json.loads(out) == {
+            "status": "error", "error": "chiefseries-bound requires --json or --file"
+        }
 
     @pytest.mark.parametrize("quote", ['"', ""], ids=["string", "json-integer"])
     def test_million_digit_chief_factor_refused_quickly(self, quote, tmp_path):
@@ -672,3 +732,22 @@ class TestFreshProcessExit:
         assert proc.stdout == captured.out.encode()
         assert proc.stderr == captured.err.encode()
         assert proc.stdout
+
+    @pytest.mark.parametrize(
+        "argv",
+        ["sweep --families classical --rank-max 20 --q-max 32", "prop42 --from 7 --to 300 --jsonl"],
+    )
+    def test_closed_stdout_is_an_error(self, argv):
+        # The reader takes 10 bytes of 1.5 MB or 138 kB, more than a pipe
+        # holds, and closes: the output did not arrive, so the exit is 2
+        # (not 1, a "fail" verdict) and there is no traceback.
+        with subprocess.Popen(
+            [sys.executable, "-m", "chardeg.cli", *argv.split()],
+            stdin=subprocess.DEVNULL, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            env=_fresh_env(), cwd=REPO_ROOT, bufsize=0,
+        ) as proc:
+            assert proc.stdout.read(10)
+            proc.stdout.close()
+            err = proc.stderr.read()
+            code = proc.wait(timeout=60)
+        assert (code, err) == (2, b"")

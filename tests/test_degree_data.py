@@ -1,9 +1,11 @@
+import json
 from fractions import Fraction
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from chardeg.cli import main
 from chardeg.degree_data import (
     DegreeTable,
     TableError,
@@ -150,9 +152,12 @@ class TestPairCheck:
         assert result.status == "unchecked"
         assert result.passed is None
 
-    def test_extendibility_labelled_as_asserted(self):
-        t = parse_table(M11_LINE)
-        assert check_extendible_pair(t).extendibility == "asserted by data"
+    def test_extendibility_labelled_as_asserted(self, capsys, tmp_path):
+        # The label is part of the CLI record, not of PairCheck.
+        (tmp_path / "m11.tsv").write_text(M11_LINE + "\n")
+        assert main(["sporadic-check", "--data", str(tmp_path)]) == 0
+        (record,) = json.loads(capsys.readouterr().out)["records"]
+        assert record["name"] == "M11" and record["extendibility"] == "asserted by data"
 
 
 class TestShippedData:
