@@ -145,13 +145,13 @@ def _search(n: int, lhs: int, best: bool) -> WitnessReport:
 def witness_range(lo: int, hi: int, best: bool = False) -> Iterator[WitnessReport]:
     """The report of each n in lo..hi, in order.
 
-    For n <= 48 the search is exhaustive over non-self-conjugate partitions
-    (the named small witnesses first); for larger n it walks the window
-    family of index floor(sqrt(n)).  The first passer is reported, or with
-    best=True the passer with the smallest hook product; when no candidate
-    passes, the failing one with the smallest hook product is reported.  Of
-    equal candidates the first is kept.  The range is refused before its
-    first n if it reaches below 7 or above MAX_N.
+    The candidates are every non-self-conjugate partition of n up to 48
+    (the named small witnesses first); above 48, the window family of index
+    floor(sqrt(n)) only.  The first passer is reported, or with best=True
+    the candidate passer of least hook product (above 48 not always the
+    least over all partitions of n); with no passer, the failing candidate
+    of least hook product.  Of equal candidates the first is kept.  The
+    range is refused before its first n if it reaches below 7 or above MAX_N.
     """
     if lo < 7:
         raise ValueError("check_witness requires n >= 7")

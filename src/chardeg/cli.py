@@ -13,12 +13,13 @@ the starting interval precision for the checks involving e and pi.
 
 A command builds only its own subparser and imports the layer module its
 handler runs, inside that handler, so it pays for neither the other rows nor
-the other layers; fractions is loaded only by what builds a Fraction.
+the other layers.  A ratio is a pair of ints (a, b), reduced with one gcd.
 """
 
 import argparse
 import gc
 import json
+import math
 import os
 import re
 import sys
@@ -61,6 +62,11 @@ def _verdict_status(verdict: bool | None) -> str:
 
 def _decimal(x: int | None) -> str | None:
     return None if x is None else str(x)
+
+
+def _lowest(a: int, b: int) -> tuple[int, int]:
+    g = math.gcd(a, b)
+    return a // g, b // g
 
 
 def _point(args) -> "lie_type.SweepRecord":
@@ -359,12 +365,10 @@ def _cmd_rat(args) -> CommandResult:
     if not re.fullmatch(r"[0-9]+(,[0-9]+)*", args.degrees):
         raise ValueError(f"--degrees {args.degrees!r} must be a comma list of integers")
     degrees = tuple(int(d) for d in args.degrees.split(","))
-    value = degree_data.rat(degree_data.DegreeTable(name="--degrees", degrees=degrees))
-    return CommandResult("pass", {
-        "rat": str(value),  # "n/d" in lowest terms, "n" when d is 1
-        "b": str(max(degrees)),
-        "c": str(min((d for d in degrees if d > 1), default=1)),
-    })
+    b, c = degree_data.rat(degree_data.DegreeTable(name="--degrees", degrees=degrees))
+    num, den = _lowest(b, c)
+    rat_text = str(num) if den == 1 else f"{num}/{den}"  # "n" when d is 1
+    return CommandResult("pass", {"rat": rat_text, "b": str(b), "c": str(c)})
 
 
 def _cmd_sporadic_check(args) -> CommandResult:
@@ -404,38 +408,34 @@ def _cmd_out_bound(args) -> CommandResult:
     )
 
 
-def _read_series(args) -> "tuple[structure_bounds.ChiefFactorDescriptor, ...]":
-    from . import structure_bounds
-
-    if args.json is not None:
-        return structure_bounds.series_from_json(args.json)
-    if args.file is None:
-        raise ValueError("chiefseries-bound requires --json or --file")
-    with open(args.file) as fh:
-        return structure_bounds.series_from_json(fh.read())
-
-
 def _cmd_chiefseries_bound(args) -> CommandResult:
     from . import structure_bounds
 
-    series = _read_series(args)
+    if args.json is not None:
+        source, text = "--json", args.json
+    elif args.file is not None:
+        with open(args.file) as fh:
+            source, text = f"--file {args.file!r}", fh.read()
+    else:
+        raise ValueError("chiefseries-bound requires --json or --file")
+    try:
+        series = structure_bounds.series_from_json(text)
+    except json.JSONDecodeError as exc:
+        expected = 'expected a JSON {"factors": [...]} document'
+        raise ValueError(f"{source}: {expected}: {exc}") from None
     bound = structure_bounds.rat14_lower_bound(series)
-    return CommandResult(
-        "pass", {"factors": len(series), "rat14_lower_bound": str(bound)}
-    )
+    return CommandResult("pass", {"factors": len(series), "rat14_lower_bound": str(bound)})
 
 
-def _ratio(flag: str, text: str) -> "Fraction":
-    # Checked before Fraction sees it: Fraction also reads decimals and
-    # exponents, and expands "1e16000000" to a 16-million-digit integer.
+def _ratio(flag: str, text: str) -> tuple[int, int]:
+    # (a, b) in lowest terms; int() sees only ASCII digits, never an exponent.
     if not re.fullmatch(r"[0-9]+(/[0-9]+)?", text):
         raise ValueError(f"{flag} {text!r} must be an integer a or a ratio a/b")
-    from fractions import Fraction
-
-    try:
-        return Fraction(text)
-    except ZeroDivisionError:
-        raise ValueError(f"{flag} {text!r} has a zero denominator") from None
+    a, _, b = text.partition("/")
+    a, b = int(a), int(b or 1)
+    if b == 0:
+        raise ValueError(f"{flag} {text!r} has a zero denominator")
+    return _lowest(a, b)
 
 
 def _cmd_prop23(args) -> CommandResult:
@@ -473,13 +473,13 @@ def _cmd_thmb(args) -> CommandResult:
 def _table_payload(table: "degree_data.DegreeTable") -> dict:
     from . import degree_data
 
-    value = degree_data.rat(table)
+    num, den = _lowest(*degree_data.rat(table))
     return {
         "name": table.name,
         "degrees": [str(d) for d in table.degrees],
         "order": _decimal(table.order),
         "fitting_index": _decimal(table.fitting_index),
-        "rat": f"{value.numerator}/{value.denominator}",
+        "rat": f"{num}/{den}",
     }
 
 
@@ -554,7 +554,9 @@ def build_parser(argv: list[str] | None = None) -> argparse.ArgumentParser:
         ("prop42", _cmd_prop42, "witness search for the degree-gap inequality",
          [("--n", _OPT_INT), ("--from", {**_OPT_INT, "dest": "start"}),
           ("--to", {**_OPT_INT, "dest": "end"}),
-          ("--best", {**_FLAG, "help": "report the minimal-H witness"}), jsonl], ()),
+          ("--best", {**_FLAG, "help": "report the least-H passer among the candidates: every "
+                      "non-self-conjugate partition of n up to 48; above 48, the window "
+                      "family of index floor(sqrt(n))"}), jsonl], ()),
         ("lemma43", _cmd_lemma43, "interval check of the factorial lower bound", [digits],
          [[("--n", _OPT_INT),
            ("--constant", {**_FLAG, "help": "check ((2pi)^13/e^15)^(1/28) > 1.35"})]]),

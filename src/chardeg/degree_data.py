@@ -158,14 +158,11 @@ def load_dir(path: str | Path) -> list[DegreeTable]:
     return tables
 
 
-def rat(table: DegreeTable) -> "Fraction":
-    """max degree / min nonlinear degree; 1 when every degree equals 1."""
-    from fractions import Fraction
-
-    nonlinear = [d for d in table.degrees if d > 1]
-    if not nonlinear:
-        return Fraction(1)
-    return Fraction(max(nonlinear), min(nonlinear))
+def rat(table: DegreeTable) -> tuple[int, int]:
+    """The pair (b, c) of rat(G) = b(G)/c(G), as the degrees give it: the
+    largest degree b and the least degree above 1 c, or 1 when every degree
+    is 1.  The pair is not reduced."""
+    return table.degrees[-1], next((d for d in table.degrees if d > 1), 1)
 
 
 class PairCheck(NamedTuple):

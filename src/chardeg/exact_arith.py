@@ -30,8 +30,9 @@ import sys
 from itertools import compress
 from typing import Sequence
 
-# Decimal serialization of values like 2000!**14 is part of the interface;
-# lift the interpreter's int-to-str conversion guard accordingly.
+# Lift the interpreter's 4300-digit int/str guard: argparse's int() reads
+# integer flags longer than that, and the CLI prints integers (orders,
+# bounds, hook products) as decimal strings that can be longer.
 if hasattr(sys, "set_int_max_str_digits"):
     sys.set_int_max_str_digits(2_000_000)
 

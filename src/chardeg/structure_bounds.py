@@ -4,10 +4,10 @@ These operate on user-supplied structural data (chief-factor descriptors,
 subgroup indices); nothing here computes radicals or Fitting subgroups from
 a group presentation.  The decimal exponents 1.43, 0.259, ... are treated as
 the exact rationals 143/100, 259/1000, ... throughout.  A degree ratio a/b
-goes to cmp_power split, a on its own side and b on the other, so every
-verdict compares two integer products.  A chief series is a tuple of
-ChiefFactorDescriptor, an immutable NamedTuple compared by value that checks
-its fields in __new__.
+is the pair of ints (a, b), which goes to cmp_power split, a on its own side
+and b on the other, so every verdict compares two integer products.  A chief
+series is a tuple of ChiefFactorDescriptor, an immutable NamedTuple compared
+by value that checks its fields in __new__.
 """
 
 import json
@@ -145,18 +145,15 @@ def rat14_lower_bound(series: tuple[ChiefFactorDescriptor, ...]) -> int:
     return math.prod(f.factor_order ** f.multiplicity for f in counted)
 
 
-def quotient_power_check(rat_g: "Fraction", rat_gn: "Fraction", order_n: int) -> bool:
-    """Exact verdict on rat_g**14 >= rat_gn**14 * order_n: with rat_g = a/b
-    and rat_gn = c/d, on a**14 * d**14 >= c**14 * b**14 * order_n.  Raises
+def quotient_power_check(rat_g: tuple[int, int], rat_gn: tuple[int, int], order_n: int) -> bool:
+    """Exact verdict on (a/b)**14 >= (c/d)**14 * order_n for rat_g = (a, b)
+    and rat_gn = (c, d), on a**14 * d**14 >= c**14 * b**14 * order_n.  Raises
     ValueError when a side could exceed POWER_MAX_BITS bits."""
-    from fractions import Fraction
-
-    rat_g, rat_gn = Fraction(rat_g), Fraction(rat_gn)
-    if rat_g < 1 or rat_gn < 1:
+    (a, b), (c, d) = rat_g, rat_gn
+    if not (a >= b >= 1 and c >= d >= 1):
         raise ValueError("degree ratios are at least 1")
     if order_n < 1:
         raise ValueError("order_n must be positive")
-    (a, b), (c, d) = rat_g.as_integer_ratio(), rat_gn.as_integer_ratio()
     # A ratio >= 1 has the longer numerator, which bounds each side.
     check_power_bits(
         "quotient_power_check", 14 * (a.bit_length() + c.bit_length()) + order_n.bit_length()
@@ -189,18 +186,15 @@ def solvable_index_bound(order_n: int) -> int:
     return nth_root_floor(order_n ** 143, 100)
 
 
-def radical_index_check(rat_g: "Fraction", index: int) -> bool:
-    """Exact verdict on index <= rat_g**21: with rat_g = a/b, on
+def radical_index_check(rat_g: tuple[int, int], index: int) -> bool:
+    """Exact verdict on index <= (a/b)**21 for rat_g = (a, b), on
     a**21 >= b**21 * index.  Raises ValueError when a side could exceed
     POWER_MAX_BITS bits."""
-    from fractions import Fraction
-
-    rat_g = Fraction(rat_g)
-    if rat_g < 1:
+    a, b = rat_g
+    if not a >= b >= 1:
         raise ValueError("degree ratios are at least 1")
     if index < 1:
         raise ValueError("index must be positive")
-    a, b = rat_g.as_integer_ratio()
     # rat_g >= 1 has the longer numerator, which bounds each side.
     check_power_bits("radical_index_check", 21 * a.bit_length() + index.bit_length())
     return cmp_power(((a, 21),), ((b, 21), (index, 1))) >= 0

@@ -101,6 +101,28 @@ class TestCheckWitness:
         )
         assert r_best.hook_product == best_h
 
+    def test_best_above_48_is_least_in_the_window_family_only(self, capsys):
+        # At n = 49 the window family of index 7 holds only (7^7), which is
+        # replaced by square_fix(7), so --best reports it (H ~ 5.33e37); a
+        # passing partition outside the family has H ~ 6.04e32.
+        r = check_witness(49, best=True)
+        assert r.passed and r.witness == square_fix(7) == Partition((8,) + (7,) * 5 + (6,))
+        assert r.hook_product == 53349782376052088761321783296000000000
+        other = Partition((10, 8, 7, 6, 5, 4, 3, 2, 2, 1, 1))
+        assert other.n == 49 and not other.is_self_conjugate()
+        assert _passes_directly(49, other)
+        assert hook_product(other) == 603524358269851825078272000000000
+        # the help says so, and names the cut-over at EXHAUSTIVE_MAX
+        with pytest.raises(SystemExit):
+            cli.main(["prop42", "--help"])
+        # (compared without whitespace, which argparse wraps to the terminal)
+        help_text = "".join(capsys.readouterr().out.split())
+        assert alternating.EXHAUSTIVE_MAX == 48
+        assert "".join(
+            "least-H passer among the candidates: every non-self-conjugate partition of n up "
+            "to 48; above 48, the window family of index floor(sqrt(n))".split()
+        ) in help_text
+
     def test_json_shape(self, capsys):
         assert cli.main(["prop42", "--n", "7"]) == 0
         (doc,) = json.loads(capsys.readouterr().out)["records"]

@@ -416,7 +416,12 @@ class TestContract:
     @pytest.mark.parametrize(
         "document, reason",
         [
-            pytest.param("", "Expecting value: line 1 column 1 (char 0)", id="empty"),
+            pytest.param(
+                "",
+                '--json: expected a JSON {"factors": [...]} document: '
+                "Expecting value: line 1 column 1 (char 0)",
+                id="empty",
+            ),
             ("[]", 'a chief series is a JSON object {"factors": [...]}'),
             ("null", 'a chief series is a JSON object {"factors": [...]}'),
             ("{}", 'a chief series is a JSON object {"factors": [...]}'),
@@ -460,6 +465,17 @@ class TestContract:
         code, doc = _run_json(capsys, ["chiefseries-bound", "--json", document])
         assert code == 2
         assert doc == {"status": "error", "error": reason}
+
+    def test_truncated_chief_series_file_names_the_path(self, capsys, tmp_path):
+        path = tmp_path / "series.json"
+        path.write_text('{"factors": [\n')
+        code, doc = _run_json(capsys, ["chiefseries-bound", "--file", str(path)])
+        assert code == 2
+        assert doc == {
+            "status": "error",
+            "error": f'--file {str(path)!r}: expected a JSON {{"factors": [...]}} document: '
+            "Expecting value: line 2 column 1 (char 14)",
+        }
 
     def test_chiefseries_bound_reads_no_stdin(self):
         # Without --json or --file it is refused at once, even with stdin
@@ -677,6 +693,22 @@ class TestStartup:
             ),
             ("maroti --n 5 --d 4", "chardeg.structure_bounds", {"fractions", "decimal"}),
             ("sporadic-check --data data", "chardeg.degree_data", {"fractions", "decimal"}),
+            (
+                "thmB --rat 16/5 --index 20000000000",
+                "chardeg.structure_bounds",
+                {"fractions", "decimal"},
+            ),
+            (
+                "prop23 --rat-g 16/5 --rat-gn 1 --order-n 20160",
+                "chardeg.structure_bounds",
+                {"fractions", "decimal"},
+            ),
+            ("rat --degrees 1,20,35,45,63,64", "chardeg.degree_data", {"fractions", "decimal"}),
+            (
+                "example-frobenius --p 7 --m 3",
+                "chardeg.structure_bounds",
+                {"fractions", "decimal"},
+            ),
         ],
     )
     def test_loads_only_its_layer(self, argv, layer, absent):

@@ -100,17 +100,19 @@ class TestParsing:
 
 class TestRat:
     def test_abelian_convention(self):
-        assert rat(DegreeTable("a", (1, 1, 1))) == 1
+        assert rat(DegreeTable("a", (1, 1, 1))) == (1, 1)
 
     def test_pgl2_shape(self):
         q = 5
-        assert rat(DegreeTable("pgl", (1, q - 1, q, q + 1))) == Fraction(q + 1, q - 1)
+        assert rat(DegreeTable("pgl", (1, q - 1, q, q + 1))) == (q + 1, q - 1)
 
     def test_psl34_value(self):
-        assert rat(DegreeTable("l34", (1, 20, 35, 45, 63, 64))) == Fraction(16, 5)
+        # b = 64 and c = 20, unreduced; the ratio is 16/5
+        value = rat(DegreeTable("l34", (1, 20, 35, 45, 63, 64)))
+        assert value == (64, 20) and Fraction(*value) == Fraction(16, 5)
 
     def test_single_nonlinear_degree(self):
-        assert rat(DegreeTable("f", (1, 1, 3, 3))) == 1
+        assert rat(DegreeTable("f", (1, 1, 3, 3))) == (3, 3)
 
     @given(
         degrees=st.lists(st.integers(1, 60), min_size=1, max_size=12).map(
@@ -121,11 +123,15 @@ class TestRat:
     def test_duplication_invariance(self, degrees, dup):
         base = DegreeTable("x", degrees)
         duplicated = DegreeTable("x", degrees + (degrees[dup % len(degrees)],))
-        assert rat(base) == rat(duplicated) >= 1
+        assert rat(base) == rat(duplicated)
+        # the pair is (max degree, min nonlinear degree), a ratio >= 1
+        nonlinear = [d for d in degrees if d > 1]
+        assert rat(base) == ((max(nonlinear), min(nonlinear)) if nonlinear else (1, 1))
+        assert Fraction(*rat(base)) >= 1
 
     def test_rat_one_iff_small_nonlinear_support(self):
         for degrees in ((1,), (1, 7), (1, 7, 7), (1, 2, 3)):
-            value = rat(DegreeTable("x", degrees))
+            value = Fraction(*rat(DegreeTable("x", degrees)))
             support = {d for d in degrees if d > 1}
             assert (value == 1) == (len(support) <= 1)
 

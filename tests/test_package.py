@@ -46,6 +46,23 @@ def test_no_module_state():
     assert found == set()
 
 
+def test_no_fractions_or_decimal_import():
+    # A ratio is a pair of ints from parse to verdict: no chardeg module
+    # imports fractions or decimal, at the top or inside a function.
+    found = set()
+    for name in MODULES:
+        tree = ast.parse((REPO_ROOT / "src" / "chardeg" / f"{name}.py").read_text())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                roots = {alias.name.split(".")[0] for alias in node.names}
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                roots = {node.module.split(".")[0]}
+            else:
+                continue
+            found |= {f"{name}:{node.lineno}:{root}" for root in roots & {"fractions", "decimal"}}
+    assert found == set()
+
+
 # Names perfbench/tracer.py wraps that the package no longer has: the
 # tracer lists each as absent and its metrics read 0.  A refactor that drops
 # another traced name fails test_tracer_spans_resolve until it is named here.

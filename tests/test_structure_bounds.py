@@ -114,27 +114,32 @@ class TestRat14LowerBound:
 
 class TestQuotientPowerCheck:
     def test_boundary(self):
-        assert quotient_power_check(Fraction(2), Fraction(1), 2 ** 14) is True
-        assert quotient_power_check(Fraction(2), Fraction(1), 2 ** 14 + 1) is False
+        assert quotient_power_check((2, 1), (1, 1), 2 ** 14) is True
+        assert quotient_power_check((2, 1), (1, 1), 2 ** 14 + 1) is False
 
     def test_fractional(self):
         # 3**14 >= 100 * 2**14 exactly
         assert 3 ** 14 >= 100 * 2 ** 14
-        assert quotient_power_check(Fraction(3, 2), Fraction(1), 100) is True
+        assert quotient_power_check((3, 2), (1, 1), 100) is True
+        # an unreduced pair is the same ratio
+        assert quotient_power_check((6, 4), (5, 5), 100) is True
 
     def test_rejects_ratio_below_one(self):
-        with pytest.raises(ValueError):
-            quotient_power_check(Fraction(1, 2), Fraction(1), 5)
+        for bad in ((1, 2), (1, 0), (0, 0)):
+            with pytest.raises(ValueError, match="degree ratios are at least 1"):
+                quotient_power_check(bad, (1, 1), 5)
+            with pytest.raises(ValueError, match="degree ratios are at least 1"):
+                quotient_power_check((1, 1), bad, 5)
 
     def test_power_size_cap(self):
         # 14 bits per numerator bit of each ratio (a ratio >= 1 has the
         # longer numerator) plus the bits of order_n: 14 * (9361 + 1) + 4 is
         # exactly at the 2**17-bit cap, one more numerator bit is over
-        assert quotient_power_check(Fraction(2 ** 9361 - 1, 2 ** 9000), Fraction(1), 15) is True
+        assert quotient_power_check((2 ** 9361 - 1, 2 ** 9000), (1, 1), 15) is True
         with pytest.raises(ValueError, match="131086 bits, more than 131072"):
-            quotient_power_check(Fraction(2 ** 9362 - 1, 2 ** 9000), Fraction(1), 15)
+            quotient_power_check((2 ** 9362 - 1, 2 ** 9000), (1, 1), 15)
         with pytest.raises(ValueError, match="131086 bits, more than 131072"):
-            quotient_power_check(Fraction(1), Fraction(2 ** 9362 - 1, 2 ** 9000), 15)
+            quotient_power_check((1, 1), (2 ** 9362 - 1, 2 ** 9000), 15)
 
 
 class TestMarotiBound:
@@ -194,29 +199,34 @@ class TestSolvableIndexBound:
 
 class TestRadicalIndexCheck:
     def test_examples(self):
-        assert radical_index_check(Fraction(1), 1) is True
-        assert radical_index_check(Fraction(2), 2 ** 21) is True
-        assert radical_index_check(Fraction(2), 2 ** 21 + 1) is False
+        assert radical_index_check((1, 1), 1) is True
+        assert radical_index_check((2, 1), 2 ** 21) is True
+        assert radical_index_check((2, 1), 2 ** 21 + 1) is False
         # exact big-integer verdict: 2e10 * 5**21 <= 16**21
         assert 2 * 10 ** 10 * 5 ** 21 <= 16 ** 21
-        assert radical_index_check(Fraction(16, 5), 2 * 10 ** 10) is True
+        assert radical_index_check((16, 5), 2 * 10 ** 10) is True
         # and just past the true threshold it flips
-        assert radical_index_check(Fraction(16, 5), 5 * 10 ** 10) is False
+        assert radical_index_check((16, 5), 5 * 10 ** 10) is False
+        # rat(L3(4)) as degree_data.rat gives it, unreduced
+        assert radical_index_check((64, 20), 2 * 10 ** 10) is True
+        for bad in ((1, 2), (1, 0), (0, 0)):
+            with pytest.raises(ValueError, match="degree ratios are at least 1"):
+                radical_index_check(bad, 1)
 
     def test_power_size_cap(self):
         # 21 bits per numerator bit of rat_g (a ratio >= 1 has the longer
         # numerator) plus the bits of index: 21 * 6240 + 32 is exactly at the
         # 2**17-bit cap, one index bit more is over
-        rat = Fraction(2 ** 6240 - 1, 2 ** 6000)
+        rat = (2 ** 6240 - 1, 2 ** 6000)
         assert radical_index_check(rat, 2 ** 31) is True
         with pytest.raises(ValueError, match="131073 bits, more than 131072"):
             radical_index_check(rat, 2 ** 32)
 
 
-# A ratio >= 1 as the checks receive it: an int, or a Fraction of a numerator
-# and a denominator drawn with a common factor k.
-ratios = st.integers(1, 400) | st.builds(
-    lambda b, extra, k: Fraction(k * (b + extra), k * b),
+# A ratio >= 1 as the checks receive it: a pair (a, b), an integer over 1 or
+# a numerator and a denominator drawn with a common factor k.
+ratios = st.integers(1, 400).map(lambda a: (a, 1)) | st.builds(
+    lambda b, extra, k: (k * (b + extra), k * b),
     st.integers(1, 300),
     st.integers(0, 300),
     st.integers(1, 6),
@@ -232,15 +242,16 @@ class TestSplitChecksMatchFractions:
     @given(rat_g=ratios, rat_gn=ratios, order_n=st.integers(1, 10 ** 40), t=st.integers(1, 40))
     def test_quotient_power_check(self, rat_g, rat_gn, order_n, t):
         def oracle(g, gn, n):
-            return Fraction(g) ** 14 >= Fraction(gn) ** 14 * n
+            return Fraction(*g) ** 14 >= Fraction(*gn) ** 14 * n
 
         assert quotient_power_check(rat_g, rat_gn, order_n) is oracle(rat_g, rat_gn, order_n)
         # exactly at the boundary: (t * rat_gn)**14 == rat_gn**14 * t**14
-        g = Fraction(rat_gn) * t
+        c, d = rat_gn
+        g = (c * t, d)
         assert quotient_power_check(g, rat_gn, t ** 14) is True
         assert quotient_power_check(g, rat_gn, t ** 14 + 1) is False
         # the largest order_n that holds, and the next one
-        top = math.floor((Fraction(rat_g) / Fraction(rat_gn)) ** 14)
+        top = math.floor((Fraction(*rat_g) / Fraction(*rat_gn)) ** 14)
         if top >= 1:
             assert quotient_power_check(rat_g, rat_gn, top) is True
             assert oracle(rat_g, rat_gn, top + 1) is False
@@ -248,10 +259,10 @@ class TestSplitChecksMatchFractions:
 
     @given(rat_g=ratios, index=st.integers(1, 10 ** 60))
     def test_radical_index_check(self, rat_g, index):
-        assert radical_index_check(rat_g, index) is (index <= Fraction(rat_g) ** 21)
+        assert radical_index_check(rat_g, index) is (index <= Fraction(*rat_g) ** 21)
         # the largest index that holds, and the next one; for an integer
         # ratio the largest is rat_g**21 itself
-        top = math.floor(Fraction(rat_g) ** 21)
+        top = math.floor(Fraction(*rat_g) ** 21)
         assert radical_index_check(rat_g, top) is True
         assert radical_index_check(rat_g, top + 1) is False
 
@@ -262,9 +273,9 @@ class TestFrobeniusExample:
         assert t.degrees == (1, 1, 1, 3, 3)
         assert t.order == 21
         assert t.fitting_index == 3
-        assert rat(t) == 1
+        assert rat(t) == (3, 3)
         t = frobenius_example(13, 4)
-        assert rat(t) == 1 and t.fitting_index == 4
+        assert rat(t) == (4, 4) and t.fitting_index == 4
 
     def test_divisibility_guard(self):
         with pytest.raises(ValueError):
@@ -288,7 +299,7 @@ class TestFrobeniusExample:
         for p, m in ((7, 3), (13, 4), (11, 5), (101, 100)):
             t = frobenius_example(p, m)
             assert sum(d * d for d in t.degrees) == t.order
-            assert rat(t) == 1
+            assert rat(t) == (m, m) and Fraction(*rat(t)) == 1
             assert t.fitting_index == m
 
     def test_solvable_families_satisfy_radical_bound(self):
@@ -302,20 +313,20 @@ class TestExtraspecialExample:
     def test_examples(self):
         t = extraspecial_example(2, 2)
         assert t.degrees == (1, 4, 5)
-        assert rat(t) == Fraction(5, 4)
+        assert rat(t) == (5, 4)
         assert t.fitting_index == 5
         t = extraspecial_example(3, 1)
         assert t.degrees == (1, 3, 4)
-        assert rat(t) == Fraction(4, 3)
+        assert rat(t) == (4, 3)
 
     def test_ratio_tends_to_one_while_index_grows(self):
         t = extraspecial_example(2, 10)
-        assert rat(t) == Fraction(1025, 1024)
+        assert rat(t) == (1025, 1024)
         assert t.fitting_index == 1025
         prev_rat, prev_idx = None, 0
         for i in (1, 3, 6, 10):
             t = extraspecial_example(2, i)
-            r = rat(t)
+            r = Fraction(*rat(t))
             if prev_rat is not None:
                 assert r < prev_rat
                 assert t.fitting_index > prev_idx
