@@ -7,14 +7,18 @@ For every n >= 7 there is a non-self-conjugate partition lam of n with
 equivalently chi_lam(1) > (n!)**(1/14) * (n-1).  The search is exact: the
 verdict for a candidate is a single big-integer comparison, and the margin
 evidence fingerprints the same two integers.  witness_range searches a range
-of n: it raises (lo-1)! to the 13th power once and multiplies in n**13 for
-each n, and check_witness is the range of one n.  The supporting analytic
-bounds (which involve e and pi) are decided by cmp_power on integer
-enclosures lo <= c * 2**b <= hi of the constants and are advisory; they can
-return None (inconclusive) without affecting any witness certificate.  Their
-one precision rule is the digit ladder d, 2d, 4d, ... up to MAX_DIGITS,
-starting at the requested digits: one enclosure per rung, at
-b = ceil(3.322 * d) + 2 bits, so that it is narrower than 10**-d.
+of n and carries both sides from n-1 to n: it raises (lo-1)! to the 13th
+power once and multiplies in n**13 for each n, and it raises x = H*(n-1) to
+the 14th power only at n = lo, then builds each candidate's x**14 from the
+previous n's reported x_prev**14 with g = gcd(x, x_prev), one exact division
+by (x_prev/g)**14 and one multiplication by (x/g)**14.  check_witness is the
+range of one n.  The supporting analytic bounds (which involve e and pi) are
+decided by cmp_power on integer enclosures lo <= c * 2**b <= hi of the
+constants and are advisory; they can return None (inconclusive) without
+affecting any witness certificate.  Their one precision rule is the digit
+ladder d, 2d, 4d, ... up to MAX_DIGITS, starting at the requested digits:
+one enclosure per rung, at b = ceil(3.322 * d) + 2 bits, so that it is
+narrower than 10**-d.
 """
 
 import math
@@ -43,7 +47,7 @@ MAX_DIGITS = 400
 # check_witness and check_factorial_lower refuse a larger n: at n = 2000 they
 # take 0.01 s and 0.3 ms in-process (2-CPU x86-64 box; cmp_power decides the
 # latter from leading bits, without building its 0.8 Mbit products), and
-# prop42 over 7..2000 took 1.2-1.4 s as a command (wall time of three fresh
+# prop42 over 7..2000 took 0.52-0.61 s as a command (wall time of six fresh
 # processes on the same box, shared).
 MAX_N = 2000
 
@@ -118,28 +122,39 @@ def _evidence(lhs: int, rhs: int) -> MarginEvidence:
     )
 
 
-def _search(n: int, lhs: int, best: bool) -> WitnessReport:
+def _carry(x: int, x_prev: int, rhs_prev: int) -> int:
+    # x**14 from rhs_prev = x_prev**14: with g = gcd(x, x_prev), divide out
+    # (x_prev/g)**14 and multiply in (x/g)**14.  Consecutive witnesses differ
+    # by one box, so both quotients are small and no 14th power of x is built.
+    g = math.gcd(x, x_prev)
+    q, r = divmod(rhs_prev, (x_prev // g) ** 14)
+    if r:
+        raise ArithmeticError(f"{x_prev}**14 is not the carried power")
+    return q * (x // g) ** 14
+
+
+def _search(
+    n: int, lhs: int, best: bool, carried: tuple[int, int] | None
+) -> tuple[WitnessReport, tuple[int, int]]:
     # The verdict lhs = (n!)**13 > (H*(n-1))**14 and its margin evidence are
-    # both taken from these integers: rhs is built once per candidate.
+    # both taken from these integers: rhs is built once per candidate, carried
+    # from the (x, rhs) of the previous n's report, or raised directly when
+    # carried is None.  The reported (x, rhs) is returned to carry on.
     cands = _exhaustive_candidates(n) if n <= EXHAUSTIVE_MAX else _gamma_candidates(n)
-    found = None  # (passed, lam, H, rhs), ranked by (passed, -H)
+    found = None  # (passed, lam, H, x, rhs), ranked by (passed, -H)
     tried = 0
     for lam in cands:
         tried += 1
         h = hook_product(lam)
-        # (H*(n-1))**14 as the same integer: the odd part x >> v is squared,
-        # and its 14*v zero bits are shifted in once at the end instead of
-        # being carried through every squaring.
         x = h * (n - 1)
-        v = (x & -x).bit_length() - 1
-        rhs = (x >> v) ** 14 << 14 * v
+        rhs = x**14 if carried is None else _carry(x, *carried)
         passed = lhs > rhs
         if found is None or (passed, -h) > (found[0], -found[2]):
-            found = (passed, lam, h, rhs)
+            found = (passed, lam, h, x, rhs)
         if passed and not best:
             break
-    passed, lam, h, rhs = found
-    return WitnessReport(n, lam, h, passed, _evidence(lhs, rhs), tried)
+    passed, lam, h, x, rhs = found
+    return WitnessReport(n, lam, h, passed, _evidence(lhs, rhs), tried), (x, rhs)
 
 
 def witness_range(lo: int, hi: int, best: bool = False) -> Iterator[WitnessReport]:
@@ -158,9 +173,11 @@ def witness_range(lo: int, hi: int, best: bool = False) -> Iterator[WitnessRepor
     if hi > MAX_N:
         raise ValueError(f"check_witness requires n <= {MAX_N}, got {hi}")
     lhs = math.factorial(lo - 1) ** 13
+    carried = None
     for n in range(lo, hi + 1):
         lhs *= n**13
-        yield _search(n, lhs, best)
+        report, carried = _search(n, lhs, best, carried)
+        yield report
 
 
 def check_witness(n: int, best: bool = False) -> WitnessReport:

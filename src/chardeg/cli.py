@@ -6,10 +6,13 @@ and sweep, CSV with sweep --csv).  This module alone renders output, and main
 writes it to stdout in one write.  A status other than "pass" of pre-rendered
 output (--jsonl, --csv or the sweep document) also goes to stderr as
 "status: <s>", since JSON lines and CSV rows do not hold it.  Big integers
-are serialized as decimal strings.  Exit codes: 0 pass, 1 fail, 2 error (usage errors such as
-conflicting flags included, with the same JSON error document, and a stdout
-closed by its reader), 3 inconclusive.  --digits (1 to 400, default 50) sets
-the starting interval precision for the checks involving e and pi.
+are serialized as decimal strings.  JSON lines are written with f-strings,
+byte for byte as json.dumps writes them, and json is imported only where a
+JSON document is rendered, so --jsonl, --csv and --help do not load it.
+Exit codes: 0 pass, 1 fail, 2 error (usage errors such as conflicting flags
+included, with the same JSON error document, and a stdout closed by its
+reader), 3 inconclusive.  --digits (1 to 400, default 50) sets the starting
+interval precision for the checks involving e and pi.
 
 A command builds only its own subparser and imports the layer module its
 handler runs, inside that handler, so it pays for neither the other rows nor
@@ -18,7 +21,6 @@ the other layers.  A ratio is a pair of ints (a, b), reduced with one gcd.
 
 import argparse
 import gc
-import json
 import math
 import os
 import re
@@ -121,6 +123,19 @@ def _cmd_gamma(args) -> CommandResult:
     )
 
 
+def _witness_json(r: "alternating.WitnessReport") -> str:
+    # The record's JSON text, as json.dumps writes the object of keys n,
+    # witness, hook_product, passed and margin (lhs_bits, rhs_bits, lhs_sha256,
+    # rhs_sha256): a witness is digits and commas, and a digest is hex.
+    m = r.margin
+    return (
+        f'{{"n": {r.n}, "witness": "{r.witness}", "hook_product": "{r.hook_product}", '
+        f'"passed": {"true" if r.passed else "false"}, '
+        f'"margin": {{"lhs_bits": {m.lhs_bits}, "rhs_bits": {m.rhs_bits}, '
+        f'"lhs_sha256": "{m.lhs_sha256}", "rhs_sha256": "{m.rhs_sha256}"}}}}'
+    )
+
+
 def _cmd_prop42(args) -> CommandResult:
     from . import alternating
 
@@ -137,13 +152,12 @@ def _cmd_prop42(args) -> CommandResult:
             raise ValueError(f"prop42 requires --from <= --to, got {lo} > {hi}")
     records = list(alternating.witness_range(lo, hi, best=args.best))
     all_passed = all(r.passed for r in records)
-    dicts = [{"n": r.n, "witness": str(r.witness), "hook_product": str(r.hook_product),
-              "passed": r.passed, "margin": r.margin._asdict()} for r in records]
-    return CommandResult(
-        _verdict_status(all_passed),
-        {"from": lo, "to": hi, "all_passed": all_passed, "records": dicts},
-        "\n".join(json.dumps(d) for d in dicts) if args.jsonl else None,
-    )
+    status, payload = _verdict_status(all_passed), {"from": lo, "to": hi, "all_passed": all_passed}
+    if args.jsonl:
+        return CommandResult(status, payload, "\n".join(map(_witness_json, records)))
+    payload["records"] = [{"n": r.n, "witness": str(r.witness), "hook_product": str(r.hook_product),
+                           "passed": r.passed, "margin": r.margin._asdict()} for r in records]
+    return CommandResult(status, payload)
 
 
 def _cmd_lemma43(args) -> CommandResult:
@@ -261,7 +275,10 @@ def _parse_families(text: str) -> "list[lie_type.Family]":
         return [f for f in lie_type.Family if f in lie_type.CLASSICAL_FAMILIES]
     if text == "exceptional":
         return [f for f in lie_type.Family if f in lie_type.EXCEPTIONAL_FAMILIES]
-    return [lie_type.Family(part.strip()) for part in text.split(",") if part.strip()]
+    families = [lie_type.Family(part.strip()) for part in text.split(",") if part.strip()]
+    if not families:
+        raise ValueError(f"--families {text!r} names no family")
+    return families
 
 
 def _sweep_json(entries: list) -> list[str]:
@@ -355,6 +372,8 @@ def _cmd_sweep(args) -> CommandResult:
     texts = _sweep_json(entries)
     if args.jsonl:
         return CommandResult(status, payload, "\n".join(texts))
+    import json  # only a JSON document is rendered with json
+
     head = json.dumps({"status": status, **payload})
     return CommandResult(status, payload, f'{head[:-1]}, "entries": [{", ".join(texts)}]}}')
 
@@ -409,6 +428,8 @@ def _cmd_out_bound(args) -> CommandResult:
 
 
 def _cmd_chiefseries_bound(args) -> CommandResult:
+    import json
+
     from . import structure_bounds
 
     if args.json is not None:
@@ -632,16 +653,19 @@ def run(argv: list[str] | None = None) -> CommandResult:
 def main(argv: list[str] | None = None) -> int:
     result = run(argv)
     text = result.text
+    if text is None:
+        import json
+
+        text = json.dumps({"status": result.status, **result.payload})
     try:
         # Flushed here, so that a closed stdout raises inside this try.
-        print(json.dumps({"status": result.status, **result.payload}) if text is None else text,
-              flush=True)
+        print(text, flush=True)
     except BrokenPipeError:
         # The output did not reach its reader: an error, not a verdict.  fd 1
         # goes to devnull so that the flush at exit does not raise again.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_CODES["error"]
-    if text is not None and result.status != "pass":
+    if result.text is not None and result.status != "pass":
         # JSON lines and CSV rows do not hold the status; surface it on stderr.
         print(f"status: {result.status}", file=sys.stderr)
     return result.exit_code

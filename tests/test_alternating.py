@@ -58,6 +58,20 @@ class TestSquareFix:
             square_fix(1)
 
 
+def _sha256(x: int) -> str:
+    return hashlib.sha256(x.to_bytes((x.bit_length() + 7) // 8, "big")).hexdigest()
+
+
+def _closed_form_witness(n: int) -> Partition:
+    # n = m*m + e with 0 <= e <= 2m: ((m+2)^(e//2), (m+1)^(e%2), m^(m - ceil(e/2)))
+    # for e > 0, and square_fix(m) for e = 0.
+    m = math.isqrt(n)
+    e = n - m * m
+    if e == 0:
+        return square_fix(m)
+    return Partition((m + 2,) * (e // 2) + (m + 1,) * (e % 2) + (m,) * (m - (e + 1) // 2))
+
+
 def _passes_directly(n: int, lam: Partition) -> bool:
     # independent route: direct integer powers, no cmp_power
     return math.factorial(n) ** 13 > (hooks(lam).product * (n - 1)) ** 14
@@ -145,25 +159,49 @@ class TestCheckWitness:
 
     @pytest.mark.parametrize(
         "lo, hi, best",
-        [(7, 60, False), (45, 55, True), (48, 50, False), (95, 105, False), (1990, 2000, False)],
+        [
+            (7, 60, False),
+            (45, 55, True),
+            (48, 50, False),
+            # across the switch from the exhaustive search to the window family
+            (44, 52, False),
+            (95, 105, False),
+            # across 121 = 11**2, where square_fix(11) is the witness
+            (120, 122, False),
+            # from a chunk boundary of the witness benchmark
+            (743, 822, False),
+            (1990, 2000, False),
+        ],
     )
     def test_range_matches_single_calls(self, lo, hi, best):
-        # A range carries (n!)**13 from n to n+1; each report equals the
-        # single call's, and the power is the one built directly.
+        # A range carries (n!)**13 and the reported (H*(n-1))**14 from n to
+        # n+1; each report equals the single call's, and both powers are the
+        # ones built directly.
         reports = list(witness_range(lo, hi, best))
         assert reports == [check_witness(n, best) for n in range(lo, hi + 1)]
         for n, r in zip(range(lo, hi + 1), reports):
             lhs = math.factorial(n) ** 13
-            assert r.margin.lhs_sha256 == hashlib.sha256(
-                lhs.to_bytes((lhs.bit_length() + 7) // 8, "big")
-            ).hexdigest()
+            rhs = (hook_product(r.witness) * (n - 1)) ** 14
+            assert r.margin.lhs_sha256 == _sha256(lhs)
+            assert (r.margin.rhs_bits, r.margin.rhs_sha256) == (rhs.bit_length(), _sha256(rhs))
+
+    def test_inconsistent_carry_raises(self):
+        # The carried power is divided exactly or not at all: a carried x
+        # that is not the root of the carried power is refused.
+        lhs = math.factorial(50) ** 13
+        x = hook_product(square_fix(7)) * 48
+        r, carried = alternating._search(50, lhs, False, (x, x**14))
+        assert carried == (hook_product(r.witness) * 49, (hook_product(r.witness) * 49) ** 14)
+        # 2**61 - 1 is a prime above every hook length, so it divides no power
+        with pytest.raises(ArithmeticError):
+            alternating._search(50, lhs, False, (2**61 - 1, x**14))
 
     def test_no_passer_reports_smallest_failure_quickly(self):
         # With (n!)**13 replaced by 1 nothing passes: the report is the
         # window member with the smallest hook product, found in one scan of
         # the window family (no search over the p(101) ~ 2e8 partitions).
         start = time.perf_counter()
-        r = alternating._search(101, 1, False)
+        r, _ = alternating._search(101, 1, False, None)
         assert time.perf_counter() - start < 1.0
         members = list(alternating._gamma_candidates(101))
         assert not r.passed and r.candidates_tried == len(members)
@@ -188,16 +226,27 @@ class TestCheckWitness:
 
     @pytest.mark.parametrize("n", [49, 64, 100, 529, 1000, 1999, 2000])
     def test_margin_matches_plain_powers(self, n):
-        # rhs is raised on the odd part of H*(n-1) and shifted back; the
-        # evidence must fingerprint the same integer as the plain power
-        def sha256(x: int) -> str:
-            return hashlib.sha256(x.to_bytes((x.bit_length() + 7) // 8, "big")).hexdigest()
-
+        # a single n raises rhs directly, and a range carries it from n-1
+        # (test_range_matches_single_calls); the evidence must fingerprint
+        # the same integers as the plain powers
         r = check_witness(n)
         lhs = math.factorial(n) ** 13
         rhs = (hook_product(r.witness) * (n - 1)) ** 14
-        assert (r.margin.lhs_bits, r.margin.lhs_sha256) == (lhs.bit_length(), sha256(lhs))
-        assert (r.margin.rhs_bits, r.margin.rhs_sha256) == (rhs.bit_length(), sha256(rhs))
+        assert (r.margin.lhs_bits, r.margin.lhs_sha256) == (lhs.bit_length(), _sha256(lhs))
+        assert (r.margin.rhs_bits, r.margin.rhs_sha256) == (rhs.bit_length(), _sha256(rhs))
+
+
+class TestClosedFormWitness:
+    # n = m*m + e, 0 <= e <= 2m: the first window candidate, and the witness
+    # reported above EXHAUSTIVE_MAX, is the closed form _closed_form_witness.
+    def test_first_window_candidate(self):
+        for n in range(9, alternating.MAX_N + 1):
+            assert next(alternating._gamma_candidates(n)) == _closed_form_witness(n), n
+
+    def test_range_reports_closed_form(self):
+        reports = witness_range(alternating.EXHAUSTIVE_MAX + 1, alternating.MAX_N)
+        for n, r in zip(range(alternating.EXHAUSTIVE_MAX + 1, alternating.MAX_N + 1), reports):
+            assert r.n == n and r.passed and r.witness == _closed_form_witness(n), n
 
 
 class TestIntervalChecks:

@@ -96,6 +96,14 @@ class TestVerifierCommands:
         assert code == 0 and len(lines) == 3
         assert json.loads(lines[0])["n"] == 7
 
+    def test_prop42_jsonl_lines_are_json_dumps_of_the_records(self, capsys):
+        # The lines are rendered without json, byte for byte as json.dumps
+        # writes each record of the document.
+        _, doc = _run_json(capsys, ["prop42", "--from", "7", "--to", "60"])
+        assert main(["prop42", "--from", "7", "--to", "60", "--jsonl"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines == [json.dumps(record) for record in doc["records"]]
+
     def test_thm21_example(self, capsys):
         code, doc = _run_json(capsys, ["thm21", "--family", "linear", "--rank", "4", "--q", "2"])
         assert code == 0
@@ -267,6 +275,12 @@ class TestContract:
         code, doc = _run_json(capsys, argv.split())
         assert code == 2 and doc["status"] == "error"
         assert "entries" not in doc
+
+    @pytest.mark.parametrize("families", ["", ","])
+    def test_empty_family_list_is_refused(self, families, capsys):
+        code, doc = _run_json(capsys, ["sweep", "--families", families])
+        assert code == 2
+        assert doc == {"status": "error", "error": f"--families {families!r} names no family"}
 
     @pytest.mark.parametrize(
         "command, tsv, reason",
@@ -709,11 +723,21 @@ class TestStartup:
                 "chardeg.structure_bounds",
                 {"fractions", "decimal"},
             ),
+            # JSON lines and CSV rows are rendered without json
+            ("prop42 --from 7 --to 9 --jsonl", "chardeg.alternating", {"json"}),
+            ("sweep --families E8 --q-max 8 --jsonl", "chardeg.lie_type", {"json"}),
+            ("sweep --families E8 --q-max 8 --csv", "chardeg.lie_type", {"json"}),
         ],
     )
     def test_loads_only_its_layer(self, argv, layer, absent):
         code, out, modules = _fresh_run(argv.split())
-        assert code == 0 and json.loads(out)["status"] == "pass"
+        assert code == 0
+        if "--csv" in argv:
+            assert out.startswith("family,rank,q,status,")
+        elif "--jsonl" in argv:
+            assert all(isinstance(json.loads(line), dict) for line in out.splitlines())
+        else:
+            assert json.loads(out)["status"] == "pass"
         assert layer in modules
         assert not absent & modules
 
