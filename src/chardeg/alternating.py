@@ -4,21 +4,21 @@ For every n >= 7 there is a non-self-conjugate partition lam of n with
 
     (n!)**13 > (H_lam * (n-1))**14,
 
-equivalently chi_lam(1) > (n!)**(1/14) * (n-1).  The search is exact: the
-verdict for a candidate is a single big-integer comparison, and the margin
-evidence fingerprints the same two integers.  witness_range searches a range
-of n and carries both sides from n-1 to n: it raises (lo-1)! to the 13th
-power once and multiplies in n**13 for each n, and it raises x = H*(n-1) to
-the 14th power only at n = lo, then builds each candidate's x**14 from the
-previous n's reported x_prev**14 with g = gcd(x, x_prev), one exact division
-by (x_prev/g)**14 and one multiplication by (x/g)**14.  check_witness is the
-range of one n.  The supporting analytic bounds (which involve e and pi) are
-decided by cmp_power on integer enclosures lo <= c * 2**b <= hi of the
-constants and are advisory; they can return None (inconclusive) without
-affecting any witness certificate.  Their one precision rule is the digit
-ladder d, 2d, 4d, ... up to MAX_DIGITS, starting at the requested digits:
-one enclosure per rung, at b = ceil(3.322 * d) + 2 bits, so that it is
-narrower than 10**-d.
+equivalently chi_lam(1) > (n!)**(1/14) * (n-1).  The search is exact: each
+candidate is decided by one cmp_power of (n!)**13 against the factor
+(H*(n-1), 14), not a built 14th power.  witness_range searches a range
+of n and builds the margin evidence of each reported witness: it raises
+(lo-1)! to the 13th power once and multiplies in n**13 for each n, and it
+raises the reported x = H*(n-1) to the 14th power only at n = lo, then
+builds each next report's x**14 from the previous x_prev**14 with
+g = gcd(x, x_prev), one exact division by (x_prev/g)**14 and one
+multiplication by (x/g)**14.  check_witness is the range of one n.  The
+supporting analytic bounds (which involve e and pi) are decided by cmp_power
+on integer enclosures lo <= c * 2**b <= hi of the constants and are
+advisory; they can return None (inconclusive) without affecting any witness
+certificate.  Their one precision rule is the digit ladder d, 2d, 4d, ... up
+to MAX_DIGITS, starting at the requested digits: one enclosure per rung, at
+b = ceil(3.322 * d) + 2 bits, so that it is narrower than 10**-d.
 """
 
 import math
@@ -124,7 +124,7 @@ def _evidence(lhs: int, rhs: int) -> MarginEvidence:
 
 def _carry(x: int, x_prev: int, rhs_prev: int) -> int:
     # x**14 from rhs_prev = x_prev**14: with g = gcd(x, x_prev), divide out
-    # (x_prev/g)**14 and multiply in (x/g)**14.  Consecutive witnesses differ
+    # (x_prev/g)**14 and multiply in (x/g)**14.  Consecutive reports differ
     # by one box, so both quotients are small and no 14th power of x is built.
     g = math.gcd(x, x_prev)
     q, r = divmod(rhs_prev, (x_prev // g) ** 14)
@@ -133,28 +133,22 @@ def _carry(x: int, x_prev: int, rhs_prev: int) -> int:
     return q * (x // g) ** 14
 
 
-def _search(
-    n: int, lhs: int, best: bool, carried: tuple[int, int] | None
-) -> tuple[WitnessReport, tuple[int, int]]:
-    # The verdict lhs = (n!)**13 > (H*(n-1))**14 and its margin evidence are
-    # both taken from these integers: rhs is built once per candidate, carried
-    # from the (x, rhs) of the previous n's report, or raised directly when
-    # carried is None.  The reported (x, rhs) is returned to carry on.
+def _search(n: int, lhs: int, best: bool) -> tuple[bool, Partition, int, int]:
+    # (passed, lam, H, tried) of the reported candidate: each candidate is
+    # decided by cmp_power of lhs = (n!)**13 against the factor (H*(n-1), 14)
+    # and ranked by (passed, -H); witness_range builds the reported power.
     cands = _exhaustive_candidates(n) if n <= EXHAUSTIVE_MAX else _gamma_candidates(n)
-    found = None  # (passed, lam, H, x, rhs), ranked by (passed, -H)
+    found = None  # (passed, lam, H)
     tried = 0
     for lam in cands:
         tried += 1
         h = hook_product(lam)
-        x = h * (n - 1)
-        rhs = x**14 if carried is None else _carry(x, *carried)
-        passed = lhs > rhs
+        passed = cmp_power(((lhs, 1),), ((h * (n - 1), 14),)) > 0
         if found is None or (passed, -h) > (found[0], -found[2]):
-            found = (passed, lam, h, x, rhs)
+            found = (passed, lam, h)
         if passed and not best:
             break
-    passed, lam, h, x, rhs = found
-    return WitnessReport(n, lam, h, passed, _evidence(lhs, rhs), tried), (x, rhs)
+    return (*found, tried)
 
 
 def witness_range(lo: int, hi: int, best: bool = False) -> Iterator[WitnessReport]:
@@ -173,11 +167,13 @@ def witness_range(lo: int, hi: int, best: bool = False) -> Iterator[WitnessRepor
     if hi > MAX_N:
         raise ValueError(f"check_witness requires n <= {MAX_N}, got {hi}")
     lhs = math.factorial(lo - 1) ** 13
-    carried = None
+    x = rhs = None
     for n in range(lo, hi + 1):
         lhs *= n**13
-        report, carried = _search(n, lhs, best, carried)
-        yield report
+        passed, lam, h, tried = _search(n, lhs, best)
+        x, x_prev = h * (n - 1), x
+        rhs = x**14 if rhs is None else _carry(x, x_prev, rhs)
+        yield WitnessReport(n, lam, h, passed, _evidence(lhs, rhs), tried)
 
 
 def check_witness(n: int, best: bool = False) -> WitnessReport:

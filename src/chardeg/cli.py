@@ -4,11 +4,11 @@ Every verifier and calculator is one row of the subcommand table in
 build_parser, with JSON output on stdout (JSON-lines with --jsonl on prop42
 and sweep, CSV with sweep --csv).  This module alone renders output, and main
 writes it to stdout in one write.  A status other than "pass" of pre-rendered
-output (--jsonl, --csv or the sweep document) also goes to stderr as
-"status: <s>", since JSON lines and CSV rows do not hold it.  Big integers
-are serialized as decimal strings.  JSON lines are written with f-strings,
-byte for byte as json.dumps writes them, and json is imported only where a
-JSON document is rendered, so --jsonl, --csv and --help do not load it.
+output (--jsonl, --csv, or the sweep or prop42 document) also goes to
+stderr as "status: <s>", since JSON lines and CSV rows do not hold it.  Big
+integers are decimal strings.  JSON lines and the prop42 document are
+f-strings, byte for byte as json.dumps writes them; json is imported only
+for another JSON document, so prop42, --jsonl, --csv and --help skip it.
 Exit codes: 0 pass, 1 fail, 2 error (usage errors such as conflicting flags
 included, with the same JSON error document, and a stdout closed by its
 reader), 3 inconclusive.  --digits (1 to 400, default 50) sets the starting
@@ -153,11 +153,12 @@ def _cmd_prop42(args) -> CommandResult:
     records = list(alternating.witness_range(lo, hi, best=args.best))
     all_passed = all(r.passed for r in records)
     status, payload = _verdict_status(all_passed), {"from": lo, "to": hi, "all_passed": all_passed}
+    lines = map(_witness_json, records)
     if args.jsonl:
-        return CommandResult(status, payload, "\n".join(map(_witness_json, records)))
-    payload["records"] = [{"n": r.n, "witness": str(r.witness), "hook_product": str(r.hook_product),
-                           "passed": r.passed, "margin": r.margin._asdict()} for r in records]
-    return CommandResult(status, payload)
+        return CommandResult(status, payload, "\n".join(lines))
+    head = (f'"status": "{status}", "from": {lo}, "to": {hi}, '
+            f'"all_passed": {str(all_passed).lower()}')
+    return CommandResult(status, payload, f'{{{head}, "records": [{", ".join(lines)}]}}')
 
 
 def _cmd_lemma43(args) -> CommandResult:
@@ -275,10 +276,16 @@ def _parse_families(text: str) -> "list[lie_type.Family]":
         return [f for f in lie_type.Family if f in lie_type.CLASSICAL_FAMILIES]
     if text == "exceptional":
         return [f for f in lie_type.Family if f in lie_type.EXCEPTIONAL_FAMILIES]
-    families = [lie_type.Family(part.strip()) for part in text.split(",") if part.strip()]
-    if not families:
+    names = [part.strip() for part in text.split(",") if part.strip()]
+    if not names:
         raise ValueError(f"--families {text!r} names no family")
-    return families
+    values = [f.value for f in lie_type.Family]
+    if not set(names) <= set(values):
+        raise ValueError(
+            f"--families {text!r} is not all, classical, exceptional or a comma-separated "
+            f"list of families from {', '.join(values)}"
+        )
+    return [lie_type.Family(name) for name in names]
 
 
 def _sweep_json(entries: list) -> list[str]:

@@ -71,10 +71,9 @@ def check_power_bits(caller: str, bits: int) -> None:
 
 def _bit_bounds(factors: Sequence[tuple[int, int]]) -> tuple[int | None, int, bool]:
     # One pass over the factors: validates them, and bounds their product P
-    # without raising anything to a power.  An integer x >= 1 of bit length L
-    # lies in [2**(L-1), 2**L) and is 2**(L-1) when it is a power of two, so
-    # (lo, hi) give 2**lo <= P <= 2**hi; lo is None when a zero base has a
-    # nonzero exponent.  The flag is whether any exponent is nonzero.
+    # from bit lengths alone.  An integer x >= 1 of bit length L lies in
+    # [2**(L-1), 2**L), so (lo, hi) give 2**lo <= P <= 2**hi; lo is None when
+    # a zero base has a nonzero exponent.  The flag: any exponent is nonzero.
     lo = hi = 0
     zero = used = False
     for base, exp in factors:
@@ -91,7 +90,7 @@ def _bit_bounds(factors: Sequence[tuple[int, int]]) -> tuple[int | None, int, bo
             if base:
                 bits = base.bit_length()
                 lo += (bits - 1) * exp
-                hi += (bits - (base & (base - 1) == 0)) * exp
+                hi += bits * exp
             else:
                 zero = True
     return (None if zero else lo), hi, used
@@ -162,8 +161,8 @@ def cmp_power(lhs: Sequence[tuple[int, int]], rhs: Sequence[tuple[int, int]]) ->
     each ratio's numerator on its own side and its denominator on the other.
     Three stages, the first that separates the two sides deciding:
 
-    1. bit lengths: the bit lengths of the bases bound both products, in the
-       same pass over each side that validates it;
+    1. bit lengths: a base of bit length L lies in [2**(L-1), 2**L), which
+       bounds both products in the same pass over each side that validates it;
     2. leading bits: each base is cut to its top 64 bits, rounded down for a
        lower bound and up for an upper bound, and raised and multiplied by
        square-and-multiply with every intermediate mantissa rounded the same

@@ -171,6 +171,8 @@ class TestCheckWitness:
             # from a chunk boundary of the witness benchmark
             (743, 822, False),
             (1990, 2000, False),
+            # --best above 48, where every window member is decided at each n
+            (1500, 1510, True),
         ],
     )
     def test_range_matches_single_calls(self, lo, hi, best):
@@ -188,24 +190,45 @@ class TestCheckWitness:
     def test_inconsistent_carry_raises(self):
         # The carried power is divided exactly or not at all: a carried x
         # that is not the root of the carried power is refused.
-        lhs = math.factorial(50) ** 13
-        x = hook_product(square_fix(7)) * 48
-        r, carried = alternating._search(50, lhs, False, (x, x**14))
-        assert carried == (hook_product(r.witness) * 49, (hook_product(r.witness) * 49) ** 14)
+        x_prev = hook_product(square_fix(7)) * 48
+        x = hook_product(check_witness(50).witness) * 49
+        assert alternating._carry(x, x_prev, x_prev**14) == x**14
         # 2**61 - 1 is a prime above every hook length, so it divides no power
         with pytest.raises(ArithmeticError):
-            alternating._search(50, lhs, False, (2**61 - 1, x**14))
+            alternating._carry(x, 2**61 - 1, x_prev**14)
 
     def test_no_passer_reports_smallest_failure_quickly(self):
         # With (n!)**13 replaced by 1 nothing passes: the report is the
         # window member with the smallest hook product, found in one scan of
         # the window family (no search over the p(101) ~ 2e8 partitions).
         start = time.perf_counter()
-        r, _ = alternating._search(101, 1, False, None)
+        passed, lam, h, tried = alternating._search(101, 1, False)
         assert time.perf_counter() - start < 1.0
         members = list(alternating._gamma_candidates(101))
-        assert not r.passed and r.candidates_tried == len(members)
-        assert r.witness == min(members, key=lambda lam: hooks(lam).product)
+        assert not passed and tried == len(members)
+        assert lam == min(members, key=lambda lam: hooks(lam).product)
+        assert h == hooks(lam).product
+
+    @pytest.mark.parametrize("lo, hi, best", [(7, 60, False), (49, 60, True)])
+    def test_search_decides_by_cmp_power_alone(self, monkeypatch, lo, hi, best):
+        # Every candidate is one cmp_power call, and none of them builds a
+        # product: the bit lengths or leading bits decide each, and the only
+        # 14th powers built are the reported ones, for the margin evidence.
+        calls = 0
+
+        def counted(lhs, rhs):
+            nonlocal calls
+            calls += 1
+            return exact_arith.cmp_power(lhs, rhs)
+
+        def refuse(factors):
+            raise AssertionError("built a product")
+
+        monkeypatch.setattr(alternating, "cmp_power", counted)
+        monkeypatch.setattr(exact_arith, "_product", refuse)
+        reports = list(witness_range(lo, hi, best))
+        assert calls == sum(r.candidates_tried for r in reports)
+        assert all(r.passed for r in reports)
 
     def test_whole_window_family_passes_for_large_index(self):
         # for window index >= 8 every candidate (with the square replaced)

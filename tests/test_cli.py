@@ -104,6 +104,12 @@ class TestVerifierCommands:
         lines = capsys.readouterr().out.splitlines()
         assert lines == [json.dumps(record) for record in doc["records"]]
 
+    def test_prop42_document_is_json_dumps_of_itself(self, capsys):
+        # The document is rendered from the same lines, without json.
+        assert main(["prop42", "--from", "7", "--to", "60"]) == 0
+        out = capsys.readouterr().out
+        assert out == json.dumps(json.loads(out)) + "\n"
+
     def test_thm21_example(self, capsys):
         code, doc = _run_json(capsys, ["thm21", "--family", "linear", "--rank", "4", "--q", "2"])
         assert code == 0
@@ -282,6 +288,19 @@ class TestContract:
         assert code == 2
         assert doc == {"status": "error", "error": f"--families {families!r} names no family"}
 
+    @pytest.mark.parametrize("families", ["E9", "all,E8"])
+    def test_unknown_family_is_refused_naming_the_flag(self, families, capsys):
+        # A keyword stands alone; anything else is a list of family names.
+        from chardeg.lie_type import Family
+
+        code, doc = _run_json(capsys, ["sweep", "--families", families])
+        assert code == 2
+        assert doc == {
+            "status": "error",
+            "error": f"--families {families!r} is not all, classical, exceptional or a "
+            f"comma-separated list of families from {', '.join(f.value for f in Family)}",
+        }
+
     @pytest.mark.parametrize(
         "command, tsv, reason",
         [
@@ -305,6 +324,7 @@ class TestContract:
         "argv",
         [
             "prop42 --from 7 --to 9 --jsonl",
+            "prop42 --from 7 --to 9",
             "sweep --families G2 --q-max 8 --csv",
             "sweep --families G2 --q-max 8 --jsonl",
             "sweep --families G2 --q-max 8",
@@ -312,7 +332,8 @@ class TestContract:
     )
     def test_prerendered_output_puts_a_fail_on_stderr(self, argv, capsys, monkeypatch):
         # JSON lines and CSV rows do not hold the status, so stderr does, and
-        # for the sweep document too; every witness and sweep point fails.
+        # for the prop42 and sweep documents too; every witness and sweep
+        # point fails.
         from chardeg import alternating, lie_type
 
         witness_range, sweep = alternating.witness_range, lie_type.sweep
@@ -696,7 +717,7 @@ class TestStartup:
                 "prop42 --n 7",
                 "chardeg.alternating",
                 {"chardeg.lie_type", "chardeg.degree_data", "chardeg.structure_bounds",
-                 "fractions", "decimal"},
+                 "fractions", "decimal", "json"},
             ),
             ("lemma43 --n 250", "chardeg.alternating", {"fractions", "decimal"}),
             ("lemma46 --n 55 --digits 1", "chardeg.alternating", {"fractions", "decimal"}),

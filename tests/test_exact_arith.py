@@ -177,6 +177,9 @@ class TestCmpPower:
         assert cmp_power(((2, 1585),), ((3, 1000),)) == 1
         assert cmp_power(((3, 1000),), ((2, 1584),)) == 1
         assert cmp_power(((2 ** 400 - 1, 50_000),), ((2 ** 400, 49_999), (2 ** 399, 1))) == 1
+        # the bit lengths bound 1**21 * 12345 only by 2**35, above 3**21's
+        # lower bound 2**21 (thmB --rat 3 --index 12345)
+        assert cmp_power(((3, 21),), ((1, 21), (12345, 1))) == 1
 
     def test_ties_and_equal_bit_lengths(self):
         # equal products, and products whose bit-length bounds coincide, are
