@@ -1,34 +1,35 @@
 """Command-line front end.
 
-Every verifier and calculator is one row of the subcommand table in
-build_parser, with JSON output on stdout (JSON-lines with --jsonl on prop42
-and sweep, CSV with sweep --csv).  This module alone renders output, and main
-writes it to stdout in one write.  A status other than "pass" of pre-rendered
-output (--jsonl, --csv, or the sweep or prop42 document) also goes to
-stderr as "status: <s>", since JSON lines and CSV rows do not hold it.  Big
-integers are decimal strings.  JSON lines and the prop42 document are
-f-strings, byte for byte as json.dumps writes them; json is imported only
-for another JSON document, so prop42, --jsonl, --csv and --help skip it.
-Exit codes: 0 pass, 1 fail, 2 error (usage errors such as conflicting flags
-included, with the same JSON error document, and a stdout closed by its
-reader), 3 inconclusive.  --digits (1 to 400, default 50) sets the starting
-interval precision for the checks involving e and pi.
+Every verifier and calculator is one row of command_table, with JSON output
+on stdout (JSON-lines with --jsonl on prop42 and sweep, CSV with sweep
+--csv).  This module alone renders output, and main writes it to stdout in
+one write.  A status other than "pass" of pre-rendered output (--jsonl,
+--csv, or the sweep or prop42 document) also goes to stderr as "status:
+<s>", since JSON lines and CSV rows do not hold it.  Big integers are
+decimal strings.  JSON lines and the prop42 document are f-strings, and
+every other document is written by _json, each byte for byte as json.dumps
+writes it.  Exit codes: 0 pass, 1 fail, 2 error (usage errors such as
+conflicting flags included, with the same JSON error document, and a stdout
+closed by its reader), 3 inconclusive.  --digits (1 to 400, default 50) sets
+the starting interval precision for the checks involving e and pi.
 
-A command builds only its own subparser and imports the layer module its
-handler runs, inside that handler, so it pays for neither the other rows nor
-the other layers.  A ratio is a pair of ints (a, b), reduced with one gcd.
+parse_args reads argv against the command table as argparse would, with
+argparse's usage errors, and imports nothing; a command imports the layer
+module its handler runs, inside that handler, so it pays for neither the
+other layers nor argparse, nor, unless it reads a JSON document, json.  A
+ratio is a pair of ints (a, b), reduced with one gcd.
 """
 
-import argparse
 import gc
 import math
 import os
 import re
 import sys
+from types import SimpleNamespace
 from typing import NamedTuple, NoReturn
 
 # exact_arith, imported here, lifts the int-to-str digit limit before
-# argparse converts a long integer argument.
+# parse_args converts a long integer argument.
 from .exact_arith import check_power_bits, cyclotomic, eval_poly
 
 EXIT_CODES = {"pass": 0, "fail": 1, "error": 2, "inconclusive": 3}
@@ -379,9 +380,7 @@ def _cmd_sweep(args) -> CommandResult:
     texts = _sweep_json(entries)
     if args.jsonl:
         return CommandResult(status, payload, "\n".join(texts))
-    import json  # only a JSON document is rendered with json
-
-    head = json.dumps({"status": status, **payload})
+    head = _json({"status": status, **payload})
     return CommandResult(status, payload, f'{head[:-1]}, "entries": [{", ".join(texts)}]}}')
 
 
@@ -542,38 +541,27 @@ def _cmd_validate_data(args) -> CommandResult:
 # ---------------------------------------------------------------------------
 
 
-class _ArgumentParser(argparse.ArgumentParser):
-    """Raises a usage error as ValueError, so that run reports it as the same
-    JSON error document (exit 2) as a handler error; the usage line still
-    goes to stderr.  Subparsers inherit the class; --help still exits 0."""
-
-    def error(self, message: str) -> NoReturn:
-        self.print_usage(sys.stderr)
-        raise ValueError(f"{self.prog}: {message}")
-
-
 _REQ_INT = {"type": int, "required": True}
 _OPT_INT = {"type": int}
 _REQ_STR = {"required": True}
 _FLAG = {"action": "store_true"}
+# -h and --help, on every row and at the top.
+_HELP = {"-h": None, "--help": None}
 
 
-def build_parser(argv: list[str] | None = None) -> argparse.ArgumentParser:
-    """One subparser per row (name, handler, help, arguments, mutually
-    exclusive groups) of the command table.  The table is built here, not at
-    import, so each row takes the module-level _cmd_* handler bound now.
-
-    When argv[0] names a row, only that row's subparser is built: parsing
-    argv can reach no other.  Otherwise (no argv, --help, no or an unknown
-    command) every row is.  Usage lines name every command either way, so
-    usage errors read the same."""
+def command_table() -> list[tuple]:
+    """One row (name, handler, help, arguments, mutually exclusive groups)
+    per subcommand, each argument a (flag, spec) pair that parse_args reads:
+    spec keys type, required, action ("store_true"), default, dest and help.
+    The table is built here, not at import, so each row takes the
+    module-level _cmd_* handler bound now."""
     partition = [("--partition", _REQ_STR)]
     lie = [("--family", _REQ_STR), ("--rank", _OPT_INT), ("--q", _REQ_INT)]
     data = [("--data", {"default": "data"})]
     # None stands for alternating.DEFAULT_DIGITS, which _precision reads.
     digits = ("--digits", {"type": int})
     jsonl = ("--jsonl", _FLAG)
-    commands = [
+    return [
         ("hook", _cmd_hook, "hook lengths, hook product and degree of a partition", partition, ()),
         ("degree", _cmd_degree, "exact degree n!/H of a partition", partition, ()),
         ("conjugate", _cmd_conjugate, "conjugate partition", partition, ()),
@@ -623,33 +611,199 @@ def build_parser(argv: list[str] | None = None) -> argparse.ArgumentParser:
          [("--p", _REQ_INT), ("--i", _REQ_INT)], ()),
         ("validate-data", _cmd_validate_data, "parse and validate a data directory", data, ()),
     ]
-    parser = _ArgumentParser(
-        prog="chardeg",
-        description="Exact character-degree computations and inequality certification.",
-    )
-    rows = [row for row in commands if argv and row[0] == argv[0]]
-    # A one-row parser lists every command in its usage line, as the full
-    # parser does; the full parser sets no metavar, since its errors would
-    # then name the argument by it instead of "command".
-    metavar = "{" + ",".join(row[0] for row in commands) + "}" if rows else None
-    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
-    for name, handler, help_text, arguments, exclusive in rows or commands:
-        p = sub.add_parser(name, help=help_text)
-        p.set_defaults(handler=handler)
-        for flag, kw in arguments:
-            p.add_argument(flag, **kw)
-        for group in exclusive:
-            g = p.add_mutually_exclusive_group()
-            for flag, kw in group:
-                g.add_argument(flag, **kw)
-    return parser
+
+
+def _dest(flag: str, spec: dict) -> str:
+    return spec.get("dest", flag[2:].replace("-", "_"))
+
+
+def _shown(flag: str, spec: dict) -> str:
+    # A flag as usage and help write it: "--flag" or "--flag DEST".
+    return flag if "action" in spec else f"{flag} {_dest(flag, spec).upper()}"
+
+
+def _help(usage: str, description: str, rows: list[tuple[str, str]]) -> str:
+    width = max(len(left) for left, _ in rows) + 2
+    lines = [f"  {left:<{width}}{text}".rstrip() for left, text in rows]
+    return "\n".join([usage, "", description, "", *lines])
+
+
+def _usage_error(usage: str, prog: str, message: str) -> NoReturn:
+    # run reports it as the same JSON error document (exit 2) as a handler
+    # error; the usage line goes to stderr.
+    print(usage, file=sys.stderr)
+    raise ValueError(f"{prog}: {message}")
+
+
+def _match(token: str, flags: dict, error) -> tuple[str | None, str | None] | None:
+    """How argparse reads token against flags: None for a value, (flag, text
+    after "=" or None) for a flag or the unique prefix of one, and (None,
+    None) for an unknown flag.  A negative number is a value."""
+    if token[:1] != "-" or token == "-":
+        return None
+    if token in flags:
+        return token, None
+    if token == "--":
+        return None, None
+    name, eq, text = token.partition("=")
+    if eq and name in flags:
+        return name, text
+    if token[1] == "-":
+        found = [(flag, text if eq else None) for flag in flags if flag.startswith(name)]
+    else:
+        found = [(flag, token[2:]) for flag in flags if flag == token[:2]]
+    if len(found) > 1:
+        error(f"ambiguous option: {token} could match {', '.join(flag for flag, _ in found)}")
+    if found:
+        return found[0]
+    if re.fullmatch(r"-\d+|-\d*\.\d+", token) or " " in token:
+        return None
+    return None, None
+
+
+def _read(tokens: list[str], specs: dict, groups: list, error, help_text, extras: list,
+          stop: bool = False) -> tuple[dict, list[str], int]:
+    """Reads tokens as argparse does: the values by dest, the flags seen and
+    the index of the first value no flag takes (with stop) or len(tokens).
+    Unknown flags, and values no flag takes without stop, go to extras; -h
+    or --help prints help_text() and exits 0."""
+    flags = {**_HELP, **specs}
+    # Every token is read before any is taken, so an ambiguous prefix is
+    # the first error wherever it stands.
+    found = [_match(token, flags, error) for token in tokens]
+    values, seen, i = {}, [], 0
+    while i < len(tokens):
+        if stop and (found[i] is None or tokens[i] == "--"):
+            # argparse takes "--" itself as the command
+            return values, seen, i
+        i += 1
+        if found[i - 1] is None or found[i - 1][0] is None:
+            extras.append(tokens[i - 1])
+            continue
+        flag, text = found[i - 1]
+        spec = flags[flag]
+        if spec is None or "action" in spec:
+            if text is not None:
+                name = "-h/--help" if spec is None else flag
+                error(f"argument {name}: ignored explicit argument {text!r}")
+            if spec is None:
+                print(help_text())
+                raise SystemExit(0)
+            value = True
+        else:
+            if text is None:
+                if i == len(tokens) or found[i] is not None:
+                    error(f"argument {flag}: expected one argument")
+                text, i = tokens[i], i + 1
+            convert = spec.get("type", str)
+            try:
+                value = convert(text)
+            except ValueError:
+                error(f"argument {flag}: invalid {convert.__name__} value: {text!r}")
+        for group in groups:
+            if flag in group:
+                for other in group:
+                    if other != flag and other in seen:
+                        error(f"argument {flag}: not allowed with argument {other}")
+        seen.append(flag)
+        values[_dest(flag, spec)] = value
+    return values, seen, i
+
+
+def parse_args(argv: list[str]) -> SimpleNamespace:
+    """argv read as argparse reads it against command_table(): flags as
+    --flag VALUE or --flag=VALUE, a unique prefix for a flag, the last of a
+    repeated flag, a negative number as a value.  The namespace holds
+    command, handler and each of the command's flags by dest.  A usage error
+    raises ValueError with argparse's message; -h or --help, at the top or
+    after a command, prints help to stdout and raises SystemExit(0)."""
+    table = command_table()
+    names = [row[0] for row in table]
+    usage = f"usage: chardeg [-h] {{{','.join(names)}}} ..."
+
+    def error(message: str) -> NoReturn:
+        _usage_error(usage, "chardeg", message)
+
+    def top_help() -> str:
+        rows = [("-h, --help", "show this help message and exit")]
+        return _help(usage, "Exact character-degree computations and inequality certification.",
+                     rows + [(row[0], row[2]) for row in table])
+
+    extras = []
+    _, _, i = _read(argv, {}, [], error, top_help, extras, stop=True)
+    if i == len(argv):
+        error("the following arguments are required: command")
+    if argv[i] not in names:
+        choices = ", ".join(map(repr, names))
+        error(f"argument command: invalid choice: {argv[i]!r} (choose from {choices})")
+    name, handler, description, arguments, exclusive = table[names.index(argv[i])]
+    specs = dict([*arguments, *(a for group in exclusive for a in group)])
+    groups = [[flag for flag, _ in group] for group in exclusive]
+    parts = [_shown(f, s) if s.get("required") else f"[{_shown(f, s)}]" for f, s in arguments]
+    parts += [f"[{' | '.join(_shown(f, s) for f, s in group)}]" for group in exclusive]
+    row_usage = " ".join([f"usage: chardeg {name} [-h]", *parts])
+
+    def row_error(message: str) -> NoReturn:
+        _usage_error(row_usage, f"chardeg {name}", message)
+
+    def row_help() -> str:
+        rows = [("-h, --help", "show this help message and exit")]
+        rows += [(_shown(f, s), s.get("help", "")) for f, s in specs.items()]
+        return _help(row_usage, description, rows)
+
+    values, seen, _ = _read(argv[i + 1:], specs, groups, row_error, row_help, extras)
+    missing = [f for f, s in specs.items() if s.get("required") and f not in seen]
+    if missing:
+        row_error(f"the following arguments are required: {', '.join(missing)}")
+    if extras:
+        error(f"unrecognized arguments: {' '.join(extras)}")
+    defaults = {_dest(f, s): s.get("default", False if "action" in s else None)
+                for f, s in specs.items()}
+    return SimpleNamespace(command=name, handler=handler, **{**defaults, **values})
+
+
+# ---------------------------------------------------------------------------
+# Output
+# ---------------------------------------------------------------------------
+
+
+_ESCAPES = {"\\": "\\\\", '"': '\\"', "\b": "\\b", "\f": "\\f", "\n": "\\n", "\r": "\\r",
+            "\t": "\\t"}
+
+
+def _escape(match: "re.Match") -> str:
+    c = match.group()
+    if c in _ESCAPES:
+        return _ESCAPES[c]
+    n = ord(c)
+    if n < 0x10000:
+        return f"\\u{n:04x}"
+    n -= 0x10000  # a surrogate pair, as json writes a character outside the BMP
+    return f"\\u{0xD800 | n >> 10:04x}\\u{0xDC00 | n & 0x3FF:04x}"
+
+
+def _json(value) -> str:
+    """value as json.dumps(value) writes it (ASCII only, ", " and ": "
+    separators), for a dict with str keys, list, tuple, str, int, bool or
+    None; any other type raises TypeError."""
+    if type(value) is str:
+        return '"' + re.sub(r'[\\"]|[^ -~]', _escape, value) + '"'
+    if value is None or type(value) is bool:
+        return "null" if value is None else "true" if value else "false"
+    if type(value) is int:
+        return str(value)
+    if type(value) in (list, tuple):
+        return f"[{', '.join(map(_json, value))}]"
+    if type(value) is dict and all(type(key) is str for key in value):
+        return f"{{{', '.join(f'{_json(k)}: {_json(v)}' for k, v in value.items())}}}"
+    raise TypeError(f"{type(value).__name__} is not written as JSON")
 
 
 def run(argv: list[str] | None = None) -> CommandResult:
     if argv is None:
         argv = sys.argv[1:]
     try:
-        args = build_parser(argv).parse_args(argv)
+        args = parse_args(argv)
         return args.handler(args)
     except (ValueError, ArithmeticError, OSError, KeyError) as exc:
         return CommandResult("error", {"error": str(exc)})
@@ -661,9 +815,7 @@ def main(argv: list[str] | None = None) -> int:
     result = run(argv)
     text = result.text
     if text is None:
-        import json
-
-        text = json.dumps({"status": result.status, **result.payload})
+        text = _json({"status": result.status, **result.payload})
     try:
         # Flushed here, so that a closed stdout raises inside this try.
         print(text, flush=True)

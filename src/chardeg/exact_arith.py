@@ -30,7 +30,7 @@ import sys
 from itertools import compress
 from typing import Sequence
 
-# Lift the interpreter's 4300-digit int/str guard: argparse's int() reads
+# Lift the interpreter's 4300-digit int/str guard: the CLI's int() reads
 # integer flags longer than that, and the CLI prints integers (orders,
 # bounds, hook products) as decimal strings that can be longer.
 if hasattr(sys, "set_int_max_str_digits"):

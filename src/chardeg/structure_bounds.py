@@ -10,7 +10,6 @@ series is a tuple of ChiefFactorDescriptor, an immutable NamedTuple compared
 by value that checks its fields in __new__.
 """
 
-import json
 import math
 from typing import NamedTuple
 
@@ -76,6 +75,8 @@ def _parse_int(text: str) -> int | _NumberText:
 
 def _shown(value) -> str:
     # value as JSON text, each number literal as the document wrote it.
+    import json
+
     if type(value) is list:
         return f"[{', '.join(map(_shown, value))}]"
     if type(value) is dict:
@@ -112,9 +113,13 @@ def series_from_json(text: str) -> tuple[ChiefFactorDescriptor, ...]:
     ValueError naming the factor and key, rather than reading "false" as
     true, truncating 20160.9 or spending seconds converting a million digits.
     """
+    import json  # only reading a chief series needs json
+
     doc = json.loads(text, parse_int=_parse_int, parse_float=_NumberText)
     if not isinstance(doc, dict) or not isinstance(doc.get("factors"), list):
         raise ValueError('a chief series is a JSON object {"factors": [...]}')
+    if not doc["factors"]:
+        raise ValueError("a chief series has at least one factor; 'factors' is empty")
     factors = []
     for i, f in enumerate(doc["factors"]):
         where = f"chief factor {i}"

@@ -1,4 +1,3 @@
-import argparse
 import csv
 import json
 import os
@@ -8,10 +7,13 @@ import sys
 import time
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from chardeg import cli
-from chardeg.cli import _poly_text, build_parser, main, run
+from chardeg.cli import _poly_text, main, parse_args, run
 from chardeg.exact_arith import cyclotomic
+from argparse_reference import build_parser as build_reference
 from conftest import REPO_ROOT, load_workloads, readme_command_lines
 
 
@@ -494,6 +496,8 @@ class TestContract:
                 '{"factors": [{"order": "-60"}]}',
                 "chief factor 0: 'order' must be a JSON integer or a decimal string, got \"-60\"",
             ),
+            # No chief factors: no group to certify, not a bound of 1.
+            ('{"factors": []}', "a chief series has at least one factor; 'factors' is empty"),
         ],
     )
     def test_malformed_chief_series_rejected(self, document, reason, capsys):
@@ -604,43 +608,53 @@ def test_readme_command_lines_parse():
     lines = readme_command_lines()
     assert len(lines) > 20
     for argv in lines:
-        args = build_parser().parse_args(argv)
+        args = parse_args(argv)
         assert callable(args.handler), argv
 
 
-def _subcommands(parser) -> list[str]:
-    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
-    return list(sub.choices)
-
-
-def _outcome(parser, argv, capsys):
+def _outcome(parse, argv, capsys):
     # What parsing argv and running its handler gives: the result or the
-    # error text, with the usage lines written to stderr.
+    # error text.  A usage error also writes a usage line to stderr.
     try:
-        args = parser.parse_args(argv)
+        args = parse(argv)
         result = args.handler(args)
     except ValueError as exc:
-        return "error", str(exc), capsys.readouterr().err
-    return "ran", result, capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("usage: chardeg") or not str(exc).startswith("chardeg"), argv
+        return "error", str(exc)
+    return "ran", result
 
 
 class TestSingleRowParser:
-    """build_parser(argv) builds only the subparser argv[0] names; it must
-    parse, and fail, as the full parser build_parser() does."""
-
-    def test_builds_only_the_named_row(self):
-        assert _subcommands(build_parser(["prop42", "--n", "7"])) == ["prop42"]
-        full = _subcommands(build_parser())
-        assert len(full) == 26
-        for argv in ([], ["--help"], ["no-such-command"], ["--bogus", "prop42"]):
-            assert _subcommands(build_parser(argv)) == full
+    """parse_args must parse, and fail, as the argparse reference built from
+    the same command table does."""
 
     def test_same_namespace_as_full_parser(self):
         argvs = [list(a) for a in load_workloads().all_query_variants()] + readme_command_lines()
         assert len(argvs) > 160
+        reference = build_reference()
         for argv in argvs:
-            one, full = build_parser(argv).parse_args(argv), build_parser().parse_args(argv)
-            assert vars(one) == vars(full), argv
+            one, full = vars(parse_args(argv)), vars(reference.parse_args(argv))
+            assert one.pop("handler") is full.pop("handler"), argv
+            assert one == full, argv
+
+    @pytest.mark.parametrize(
+        "argv, field, value",
+        [
+            ("prop42 --fr 7 --to 9", "start", 7),
+            ("thm21 --fam E8 --q 2", "family", "E8"),
+            ("prop42 --n=7", "n", 7),
+            ("prop42 --n 7 --n 8", "n", 8),
+            ("lemma46 --n 64 --digits -1", "digits", -1),
+            ("thmB --rat= --index 2", "rat", ""),
+        ],
+    )
+    def test_same_namespace_on_flag_forms(self, argv, field, value):
+        # A unique prefix, "=", a repeated flag (the last wins) and a
+        # negative number as a value.
+        one, full = parse_args(argv.split()), build_reference().parse_args(argv.split())
+        assert vars(one) == vars(full)
+        assert getattr(one, field) == value
 
     @pytest.mark.parametrize(
         "argv",
@@ -650,33 +664,80 @@ class TestSingleRowParser:
             "order --family linear",
             "prop42 --n 7 --bogus",
             "lemma46 --n x",
+            "",
+            "no-such-command",
+            "--bogus prop42 --n 7 extra",
+            "prop42 --n 7 extra",
+            "prop42 --n",
+            "sweep --families --jsonl",
+            "lemma43 --constant --n 20",
+            "lemma43 --n 20 --constant",
+            "chiefseries-bound --file a --json {}",
+            "out-bound --x 2 --bogus",
+            "prop23 --rat 2 --rat-gn 1 --order-n 3",
+            "prop42 --jsonl=1",
+            "sweep --help=x",
+            "prop42 --n 7 -- 8",
+            "-- prop42",
+            "lemma46 --n 1x --n 2",
+            "gamma --m -x",
         ],
     )
     def test_same_usage_errors(self, argv, capsys):
         argv = argv.split()
-        one = _outcome(build_parser(argv), argv, capsys)
+        one = _outcome(parse_args, argv, capsys)
         assert one[0] == "error"
-        assert one == _outcome(build_parser(), argv, capsys)
+        assert one == _outcome(build_reference().parse_args, argv, capsys)
 
-    def test_subcommand_help_unchanged(self, capsys):
-        for name in _subcommands(build_parser()):
-            texts = []
-            for parser in (build_parser([name, "--help"]), build_parser()):
-                with pytest.raises(SystemExit) as err:
-                    parser.parse_args([name, "--help"])
-                assert err.value.code == 0
-                texts.append(capsys.readouterr().out)
-            assert texts[0] == texts[1], name
+    def test_subcommand_help_names_every_flag(self, capsys):
+        for name, _, help_text, arguments, exclusive in cli.command_table():
+            with pytest.raises(SystemExit) as err:
+                main([name, "--help"])
+            assert err.value.code == 0
+            out = capsys.readouterr().out
+            assert help_text in out, name
+            for flag, spec in [*arguments, *(a for group in exclusive for a in group)]:
+                assert flag in out and spec.get("help", "") in out, (name, flag)
 
     def test_top_level_help_lists_every_command(self, capsys):
         with pytest.raises(SystemExit) as err:
             main(["--help"])
         assert err.value.code == 0
         out = capsys.readouterr().out
-        names = _subcommands(build_parser())
+        names = [row[0] for row in cli.command_table()]
         assert "{" + ",".join(names) + "}" in out
         for name in names:
             assert re.search(rf"^ +{re.escape(name)}( |$)", out, re.M), name
+
+
+# Strings with what JSON escapes: quotes, backslashes, control characters,
+# DEL, non-ASCII, astral characters and lone surrogates.
+_TEXT = st.text(
+    st.one_of(
+        st.characters(exclude_categories=()),
+        st.sampled_from('"\\/\x00\x1f\x7f\x80\u2028\ud800\udfff\U0001f600\U0010ffff'),
+    )
+)
+_SCALAR = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.integers(10 ** 4300, 10 ** 4400).map(lambda x: -x),
+    _TEXT,
+)
+
+
+class TestJsonWriter:
+    """cli._json writes a document byte for byte as json.dumps does."""
+
+    @given(st.recursive(_SCALAR, lambda inner: st.lists(inner) | st.dictionaries(_TEXT, inner)))
+    def test_matches_json_dumps(self, value):
+        assert cli._json(value) == json.dumps(value)
+
+    def test_tuple_is_a_list(self):
+        assert cli._json({"a": (1, "b", None)}) == json.dumps({"a": (1, "b", None)})
+
+    @pytest.mark.parametrize("value", [1.5, {1: 2}, {"a": {2}}, [b"x"], cli.CommandResult("pass", {})])
+    def test_other_types_raise(self, value):
+        with pytest.raises(TypeError):
+            cli._json(value)
 
 
 def _fresh_env() -> dict[str, str]:
@@ -716,41 +777,31 @@ class TestStartup:
             (
                 "prop42 --n 7",
                 "chardeg.alternating",
-                {"chardeg.lie_type", "chardeg.degree_data", "chardeg.structure_bounds",
-                 "fractions", "decimal", "json"},
+                {"chardeg.lie_type", "chardeg.degree_data", "chardeg.structure_bounds"},
             ),
-            ("lemma43 --n 250", "chardeg.alternating", {"fractions", "decimal"}),
-            ("lemma46 --n 55 --digits 1", "chardeg.alternating", {"fractions", "decimal"}),
+            ("lemma43 --n 250", "chardeg.alternating", set()),
+            ("lemma46 --n 55 --digits 1", "chardeg.alternating", set()),
             (
                 "sweep --families G2 --q-max 8",
                 "chardeg.lie_type",
-                {"chardeg.alternating", "chardeg.partitions", "fractions", "decimal"},
+                {"chardeg.alternating", "chardeg.partitions"},
             ),
-            ("maroti --n 5 --d 4", "chardeg.structure_bounds", {"fractions", "decimal"}),
-            ("sporadic-check --data data", "chardeg.degree_data", {"fractions", "decimal"}),
-            (
-                "thmB --rat 16/5 --index 20000000000",
-                "chardeg.structure_bounds",
-                {"fractions", "decimal"},
-            ),
-            (
-                "prop23 --rat-g 16/5 --rat-gn 1 --order-n 20160",
-                "chardeg.structure_bounds",
-                {"fractions", "decimal"},
-            ),
-            ("rat --degrees 1,20,35,45,63,64", "chardeg.degree_data", {"fractions", "decimal"}),
-            (
-                "example-frobenius --p 7 --m 3",
-                "chardeg.structure_bounds",
-                {"fractions", "decimal"},
-            ),
-            # JSON lines and CSV rows are rendered without json
-            ("prop42 --from 7 --to 9 --jsonl", "chardeg.alternating", {"json"}),
-            ("sweep --families E8 --q-max 8 --jsonl", "chardeg.lie_type", {"json"}),
-            ("sweep --families E8 --q-max 8 --csv", "chardeg.lie_type", {"json"}),
+            ("maroti --n 5 --d 4", "chardeg.structure_bounds", set()),
+            ("sporadic-check --data data", "chardeg.degree_data", set()),
+            ("thmB --rat 16/5 --index 20000000000", "chardeg.structure_bounds", set()),
+            ("prop23 --rat-g 16/5 --rat-gn 1 --order-n 20160", "chardeg.structure_bounds", set()),
+            ("rat --degrees 1,20,35,45,63,64", "chardeg.degree_data", set()),
+            ("example-frobenius --p 7 --m 3", "chardeg.structure_bounds", set()),
+            ("prop42 --from 7 --to 9 --jsonl", "chardeg.alternating", set()),
+            ("sweep --families E8 --q-max 8 --jsonl", "chardeg.lie_type", set()),
+            ("sweep --families E8 --q-max 8 --csv", "chardeg.lie_type", set()),
         ],
     )
     def test_loads_only_its_layer(self, argv, layer, absent):
+        # No command parses argv with argparse, and only chiefseries-bound,
+        # which reads a JSON document, imports json: documents, JSON lines
+        # and CSV rows are written without it.
+        absent = absent | {"fractions", "decimal", "argparse", "json"}
         code, out, modules = _fresh_run(argv.split())
         assert code == 0
         if "--csv" in argv:
@@ -764,7 +815,7 @@ class TestStartup:
 
     def test_long_integer_arguments_convert(self):
         # 5001 digits is over the interpreter's default int-to-str limit of
-        # 4300, so argparse's int() conversion needs exact_arith's lifted one.
+        # 4300, so the parser's int() conversion needs exact_arith's lifted one.
         big = "1" * 5001
         code, out, _ = _fresh_run(["thmB", "--rat", "3", "--index", big])
         assert code == 1 and json.loads(out) == {"status": "fail", "holds": False}
@@ -789,9 +840,7 @@ class TestFreshProcessExit:
             ("--help", 0),
         ],
     )
-    def test_matches_in_process_main(self, argv, code, capsys, monkeypatch):
-        # argparse wraps --help to COLUMNS, so both runs get the same width
-        monkeypatch.setenv("COLUMNS", "80")
+    def test_matches_in_process_main(self, argv, code, capsys):
         try:
             in_code = main(argv.split())
         except SystemExit as exc:

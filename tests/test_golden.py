@@ -3,7 +3,6 @@ exit code and stdout SHA-256 digest recorded in perfbench/golden.json, and so
 must the witness range, run in chunks, and each sweep of the lie-sweep
 workload, with its point counts."""
 
-import argparse
 import contextlib
 import hashlib
 import io
@@ -30,8 +29,7 @@ def _run(argv) -> tuple[int, str]:
 
 
 def test_every_subcommand_has_a_golden_query():
-    (sub,) = [a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
-    assert set(sub.choices) == {argv[0] for argv in VARIANTS}
+    assert {row[0] for row in cli.command_table()} == {argv[0] for argv in VARIANTS}
 
 
 @pytest.mark.parametrize("argv", VARIANTS, ids=[" ".join(a)[:60] for a in VARIANTS])

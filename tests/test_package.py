@@ -46,27 +46,38 @@ def test_no_module_state():
     assert found == set()
 
 
-def test_no_fractions_or_decimal_import():
-    # A ratio is a pair of ints from parse to verdict: no chardeg module
-    # imports fractions or decimal, at the top or inside a function.
+def _imports(roots: set[str]) -> set[str]:
+    # "module:line:root" for each import of a root module in roots, at the
+    # top of a chardeg module or inside a function.
     found = set()
     for name in MODULES:
         tree = ast.parse((REPO_ROOT / "src" / "chardeg" / f"{name}.py").read_text())
         for node in ast.walk(tree):
             if isinstance(node, ast.Import):
-                roots = {alias.name.split(".")[0] for alias in node.names}
+                imported = {alias.name.split(".")[0] for alias in node.names}
             elif isinstance(node, ast.ImportFrom) and node.level == 0:
-                roots = {node.module.split(".")[0]}
+                imported = {node.module.split(".")[0]}
             else:
                 continue
-            found |= {f"{name}:{node.lineno}:{root}" for root in roots & {"fractions", "decimal"}}
-    assert found == set()
+            found |= {f"{name}:{node.lineno}:{root}" for root in imported & roots}
+    return found
+
+
+def test_no_fractions_or_decimal_import():
+    # A ratio is a pair of ints from parse to verdict.
+    assert _imports({"fractions", "decimal"}) == set()
+
+
+def test_no_argparse_import():
+    # cli reads argv against its own command table.
+    assert _imports({"argparse"}) == set()
 
 
 # Names perfbench/tracer.py wraps that the package no longer has: the
 # tracer lists each as absent and its metrics read 0.  A refactor that drops
 # another traced name fails test_tracer_spans_resolve until it is named here.
 STALE_SPANS = {
+    "cli.build_parser",
     "cli.hooks",
     "cli.partition_degree",
     "cli.parse_partition",
@@ -130,7 +141,8 @@ def test_records_are_immutable(record, field):
 
 def test_cli_start_up_imports():
     # Every command pays for what importing chardeg.cli loads: dataclasses
-    # (with inspect, ast and dis) and hashlib cost about 17 ms a process.
+    # (with inspect, ast and dis) and hashlib cost about 17 ms a process,
+    # argparse (with gettext and locale) about 3 ms and json about 1.5 ms.
     code = (
         "import json, sys; base = set(sys.modules); import chardeg.cli; "
         "print(json.dumps(sorted(set(sys.modules) - base)))"
@@ -141,7 +153,8 @@ def test_cli_start_up_imports():
     ).stdout
     loaded = set(json.loads(out))
     assert "chardeg.cli" in loaded
-    assert not loaded & {"dataclasses", "inspect", "hashlib"}
+    assert not loaded & {"dataclasses", "inspect", "hashlib", "argparse", "gettext",
+                         "locale", "json"}
 
 
 def test_imports_make_no_compile_calls():
