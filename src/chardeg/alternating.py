@@ -9,15 +9,15 @@ candidate is decided by one cmp_power of (n!)**13 against the factor
 (H*(n-1), 14), not a built 14th power.  witness_range searches a range
 of n and builds the margin evidence of each reported witness: it raises
 (lo-1)! to the 13th power once and multiplies in n**13 for each n, and it
-raises the reported x = H*(n-1) to the 14th power only at n = lo, then
-builds each next report's x**14 from the previous x_prev**14 with
-g = gcd(x, x_prev), one exact division by (x_prev/g)**14 and one
-multiplication by (x/g)**14.  check_witness is the range of one n.  The
-supporting analytic bounds (which involve e and pi) are decided by cmp_power
-on integer enclosures lo <= c * 2**b <= hi of the constants and are
-advisory; they can return None (inconclusive) without affecting any witness
-certificate.  Their one precision rule is the digit ladder d, 2d, 4d, ... up
-to MAX_DIGITS, starting at the requested digits: one enclosure per rung, at
+builds each report's x**14, for the reported x = H*(n-1), from the previous
+x_prev**14 (from 1**14 at n = lo) with g = gcd(x, x_prev), one exact
+division by (x_prev/g)**14 and one multiplication by (x/g)**14.
+check_witness is the range of one n.  The supporting analytic bounds
+(which involve e and pi) are decided by cmp_power on integer enclosures
+lo <= c * 2**b <= hi of the constants and are advisory; they can return
+None (inconclusive) without affecting any witness certificate.  Their one
+precision rule is the digit ladder d, 2d, 4d, ... up to MAX_DIGITS,
+starting at the requested digits: one enclosure per rung, at
 b = ceil(3.322 * d) + 2 bits, so that it is narrower than 10**-d.
 """
 
@@ -123,9 +123,9 @@ def _evidence(lhs: int, rhs: int) -> MarginEvidence:
 
 
 def _carry(x: int, x_prev: int, rhs_prev: int) -> int:
-    # x**14 from rhs_prev = x_prev**14: with g = gcd(x, x_prev), divide out
-    # (x_prev/g)**14 and multiply in (x/g)**14.  Consecutive reports differ
-    # by one box, so both quotients are small and no 14th power of x is built.
+    # x**14 from rhs_prev = x_prev**14 (x_prev = 1 at a range's first n):
+    # with g = gcd(x, x_prev), divide out (x_prev/g)**14 and multiply in
+    # (x/g)**14, both small when consecutive reports differ by one box.
     g = math.gcd(x, x_prev)
     q, r = divmod(rhs_prev, (x_prev // g) ** 14)
     if r:
@@ -167,12 +167,12 @@ def witness_range(lo: int, hi: int, best: bool = False) -> Iterator[WitnessRepor
     if hi > MAX_N:
         raise ValueError(f"check_witness requires n <= {MAX_N}, got {hi}")
     lhs = math.factorial(lo - 1) ** 13
-    x = rhs = None
+    x = rhs = 1  # 1**14, so that the first _carry builds x**14 itself
     for n in range(lo, hi + 1):
         lhs *= n**13
         passed, lam, h, tried = _search(n, lhs, best)
         x, x_prev = h * (n - 1), x
-        rhs = x**14 if rhs is None else _carry(x, x_prev, rhs)
+        rhs = _carry(x, x_prev, rhs)
         yield WitnessReport(n, lam, h, passed, _evidence(lhs, rhs), tried)
 
 

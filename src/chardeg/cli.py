@@ -6,18 +6,20 @@ on stdout (JSON-lines with --jsonl on prop42 and sweep, CSV with sweep
 one write.  A status other than "pass" of pre-rendered output (--jsonl,
 --csv, or the sweep or prop42 document) also goes to stderr as "status:
 <s>", since JSON lines and CSV rows do not hold it.  Big integers are
-decimal strings.  JSON lines and the prop42 document are f-strings, and
-every other document is written by _json, each byte for byte as json.dumps
-writes it.  Exit codes: 0 pass, 1 fail, 2 error (usage errors such as
-conflicting flags included, with the same JSON error document, and a stdout
-closed by its reader), 3 inconclusive.  --digits (1 to 400, default 50) sets
-the starting interval precision for the checks involving e and pi.
+decimal strings.  JSON lines, the records of the prop42 and sweep documents
+included, are f-strings, and _json writes every document around them, each
+byte for byte as json.dumps writes it.  Exit codes: 0 pass, 1 fail, 2 error
+(usage errors such as conflicting flags included, with the same JSON error
+document, and a stdout closed by its reader), 3 inconclusive.  --digits (1
+to 400, default 50) sets the starting interval precision for the checks
+involving e and pi.
 
 parse_args reads argv against the command table as argparse would, with
 argparse's usage errors, and imports nothing; a command imports the layer
 module its handler runs, inside that handler, so it pays for neither the
-other layers nor argparse, nor, unless it reads a JSON document, json.  A
-ratio is a pair of ints (a, b), reduced with one gcd.
+other layers nor argparse.  This module never imports json: only
+structure_bounds, reading a chief series, does.  A ratio is a pair of ints
+(a, b), reduced with one gcd.
 """
 
 import gc
@@ -25,8 +27,9 @@ import math
 import os
 import re
 import sys
+from functools import partial
 from types import SimpleNamespace
-from typing import NamedTuple, NoReturn
+from typing import Iterable, NamedTuple, NoReturn
 
 # exact_arith, imported here, lifts the int-to-str digit limit before
 # parse_args converts a long integer argument.
@@ -124,6 +127,16 @@ def _cmd_gamma(args) -> CommandResult:
     )
 
 
+def _listing(status: str, payload: dict, key: str, texts: Iterable[str],
+             jsonl: bool) -> CommandResult:
+    # The records' JSON texts as JSON lines, or as one last list under key
+    # in the document of status and payload that _json writes.
+    if jsonl:
+        return CommandResult(status, payload, "\n".join(texts))
+    head = _json({"status": status, **payload})
+    return CommandResult(status, payload, f'{head[:-1]}, "{key}": [{", ".join(texts)}]}}')
+
+
 def _witness_json(r: "alternating.WitnessReport") -> str:
     # The record's JSON text, as json.dumps writes the object of keys n,
     # witness, hook_product, passed and margin (lhs_bits, rhs_bits, lhs_sha256,
@@ -154,12 +167,7 @@ def _cmd_prop42(args) -> CommandResult:
     records = list(alternating.witness_range(lo, hi, best=args.best))
     all_passed = all(r.passed for r in records)
     status, payload = _verdict_status(all_passed), {"from": lo, "to": hi, "all_passed": all_passed}
-    lines = map(_witness_json, records)
-    if args.jsonl:
-        return CommandResult(status, payload, "\n".join(lines))
-    head = (f'"status": "{status}", "from": {lo}, "to": {hi}, '
-            f'"all_passed": {str(all_passed).lower()}')
-    return CommandResult(status, payload, f'{{{head}, "records": [{", ".join(lines)}]}}')
+    return _listing(status, payload, "records", map(_witness_json, records), args.jsonl)
 
 
 def _cmd_lemma43(args) -> CommandResult:
@@ -377,11 +385,7 @@ def _cmd_sweep(args) -> CommandResult:
     }
     if args.csv:
         return CommandResult(status, payload, "\n".join(_sweep_csv(entries)))
-    texts = _sweep_json(entries)
-    if args.jsonl:
-        return CommandResult(status, payload, "\n".join(texts))
-    head = _json({"status": status, **payload})
-    return CommandResult(status, payload, f'{head[:-1]}, "entries": [{", ".join(texts)}]}}')
+    return _listing(status, payload, "entries", _sweep_json(entries), args.jsonl)
 
 
 def _cmd_rat(args) -> CommandResult:
@@ -434,22 +438,15 @@ def _cmd_out_bound(args) -> CommandResult:
 
 
 def _cmd_chiefseries_bound(args) -> CommandResult:
-    import json
-
     from . import structure_bounds
 
     if args.json is not None:
-        source, text = "--json", args.json
+        series = structure_bounds.series_from_json(args.json, "--json")
     elif args.file is not None:
         with open(args.file) as fh:
-            source, text = f"--file {args.file!r}", fh.read()
+            series = structure_bounds.series_from_json(fh.read(), f"--file {args.file!r}")
     else:
         raise ValueError("chiefseries-bound requires --json or --file")
-    try:
-        series = structure_bounds.series_from_json(text)
-    except json.JSONDecodeError as exc:
-        expected = 'expected a JSON {"factors": [...]} document'
-        raise ValueError(f"{source}: {expected}: {exc}") from None
     bound = structure_bounds.rat14_lower_bound(series)
     return CommandResult("pass", {"factors": len(series), "rat14_lower_bound": str(bound)})
 
@@ -623,6 +620,7 @@ def _shown(flag: str, spec: dict) -> str:
 
 
 def _help(usage: str, description: str, rows: list[tuple[str, str]]) -> str:
+    rows = [("-h, --help", "show this help message and exit"), *rows]
     width = max(len(left) for left, _ in rows) + 2
     lines = [f"  {left:<{width}}{text}".rstrip() for left, text in rows]
     return "\n".join([usage, "", description, "", *lines])
@@ -643,8 +641,6 @@ def _match(token: str, flags: dict, error) -> tuple[str | None, str | None] | No
         return None
     if token in flags:
         return token, None
-    if token == "--":
-        return None, None
     name, eq, text = token.partition("=")
     if eq and name in flags:
         return name, text
@@ -668,12 +664,15 @@ def _read(tokens: list[str], specs: dict, groups: list, error, help_text, extras
     Unknown flags, and values no flag takes without stop, go to extras; -h
     or --help prints help_text() and exits 0."""
     flags = {**_HELP, **specs}
-    # Every token is read before any is taken, so an ambiguous prefix is
-    # the first error wherever it stands.
-    found = [_match(token, flags, error) for token in tokens]
+    # The tokens before "--" are read before any is taken, so an ambiguous
+    # prefix is the first error wherever it stands; "--" and every token
+    # after it are values.
+    end = tokens.index("--") if "--" in tokens else len(tokens)
+    found = [_match(token, flags, error) for token in tokens[:end]]
+    found += [None] * (len(tokens) - end)
     values, seen, i = {}, [], 0
     while i < len(tokens):
-        if stop and (found[i] is None or tokens[i] == "--"):
+        if stop and found[i] is None:
             # argparse takes "--" itself as the command
             return values, seen, i
         i += 1
@@ -692,7 +691,8 @@ def _read(tokens: list[str], specs: dict, groups: list, error, help_text, extras
             value = True
         else:
             if text is None:
-                if i == len(tokens) or found[i] is not None:
+                # A flag's value is never "--", nor a flag.
+                if i == end or found[i] is not None:
                     error(f"argument {flag}: expected one argument")
                 text, i = tokens[i], i + 1
             convert = spec.get("type", str)
@@ -713,25 +713,20 @@ def _read(tokens: list[str], specs: dict, groups: list, error, help_text, extras
 def parse_args(argv: list[str]) -> SimpleNamespace:
     """argv read as argparse reads it against command_table(): flags as
     --flag VALUE or --flag=VALUE, a unique prefix for a flag, the last of a
-    repeated flag, a negative number as a value.  The namespace holds
-    command, handler and each of the command's flags by dest.  A usage error
-    raises ValueError with argparse's message; -h or --help, at the top or
-    after a command, prints help to stdout and raises SystemExit(0)."""
+    repeated flag, a negative number as a value, no flag after "--".  The
+    namespace holds command, handler and each of the command's flags by
+    dest.  A usage error raises ValueError with argparse's message; -h or
+    --help, at the top or after a command, prints help to stdout and raises
+    SystemExit(0)."""
     table = command_table()
     names = [row[0] for row in table]
     usage = f"usage: chardeg [-h] {{{','.join(names)}}} ..."
-
-    def error(message: str) -> NoReturn:
-        _usage_error(usage, "chardeg", message)
-
-    def top_help() -> str:
-        rows = [("-h, --help", "show this help message and exit")]
-        return _help(usage, "Exact character-degree computations and inequality certification.",
-                     rows + [(row[0], row[2]) for row in table])
-
+    error = partial(_usage_error, usage, "chardeg")
+    top_help = partial(_help, usage, "Exact character-degree computations and inequality "
+                       "certification.", [(row[0], row[2]) for row in table])
     extras = []
     _, _, i = _read(argv, {}, [], error, top_help, extras, stop=True)
-    if i == len(argv):
+    if argv[i:] in ([], ["--"]):
         error("the following arguments are required: command")
     if argv[i] not in names:
         choices = ", ".join(map(repr, names))
@@ -742,15 +737,9 @@ def parse_args(argv: list[str]) -> SimpleNamespace:
     parts = [_shown(f, s) if s.get("required") else f"[{_shown(f, s)}]" for f, s in arguments]
     parts += [f"[{' | '.join(_shown(f, s) for f, s in group)}]" for group in exclusive]
     row_usage = " ".join([f"usage: chardeg {name} [-h]", *parts])
-
-    def row_error(message: str) -> NoReturn:
-        _usage_error(row_usage, f"chardeg {name}", message)
-
-    def row_help() -> str:
-        rows = [("-h, --help", "show this help message and exit")]
-        rows += [(_shown(f, s), s.get("help", "")) for f, s in specs.items()]
-        return _help(row_usage, description, rows)
-
+    row_error = partial(_usage_error, row_usage, f"chardeg {name}")
+    row_help = partial(_help, row_usage, description,
+                       [(_shown(f, s), s.get("help", "")) for f, s in specs.items()])
     values, seen, _ = _read(argv[i + 1:], specs, groups, row_error, row_help, extras)
     missing = [f for f, s in specs.items() if s.get("required") and f not in seen]
     if missing:
@@ -799,9 +788,7 @@ def _json(value) -> str:
     raise TypeError(f"{type(value).__name__} is not written as JSON")
 
 
-def run(argv: list[str] | None = None) -> CommandResult:
-    if argv is None:
-        argv = sys.argv[1:]
+def run(argv: list[str]) -> CommandResult:
     try:
         args = parse_args(argv)
         return args.handler(args)
@@ -812,6 +799,15 @@ def run(argv: list[str] | None = None) -> CommandResult:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Runs argv, writes its output and returns its exit code.  Called
+    without argv, as both entry points call it, it runs sys.argv[1:] and
+    calls gc.freeze() on every way out, --help's SystemExit included, so
+    that the collections the interpreter runs at teardown skip the heap."""
+    if argv is None:
+        try:
+            return main(sys.argv[1:])
+        finally:
+            gc.freeze()
     result = run(argv)
     text = result.text
     if text is None:
@@ -831,10 +827,4 @@ def main(argv: list[str] | None = None) -> int:
 
 
 if __name__ == "__main__":
-    # Frozen objects are skipped by the collections the interpreter runs at
-    # teardown; the output is flushed and atexit handlers run as before.
-    # main itself does not freeze, since tests call it in-process.
-    try:
-        sys.exit(main())
-    finally:
-        gc.freeze()
+    sys.exit(main())

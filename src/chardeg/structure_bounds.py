@@ -103,7 +103,7 @@ def _json_flag(value, key: str, where: str) -> bool:
     return value
 
 
-def series_from_json(text: str) -> tuple[ChiefFactorDescriptor, ...]:
+def series_from_json(text: str, source: str) -> tuple[ChiefFactorDescriptor, ...]:
     """Accepts {"factors": [{"label": ..., "order": "20160",
     "multiplicity": 2, "abelian": false, "psl2": false}, ...]}.
 
@@ -112,10 +112,20 @@ def series_from_json(text: str) -> tuple[ChiefFactorDescriptor, ...]:
     abelian and psl2 (default false) JSON booleans; any other shape raises
     ValueError naming the factor and key, rather than reading "false" as
     true, truncating 20160.9 or spending seconds converting a million digits.
+    Text that is not JSON or nests too deeply raises ValueError naming source.
     """
     import json  # only reading a chief series needs json
 
-    doc = json.loads(text, parse_int=_parse_int, parse_float=_NumberText)
+    try:
+        return _series(json.loads(text, parse_int=_parse_int, parse_float=_NumberText))
+    except json.JSONDecodeError as exc:
+        expected = 'expected a JSON {"factors": [...]} document'
+        raise ValueError(f"{source}: {expected}: {exc}") from None
+    except RecursionError:
+        raise ValueError(f"{source}: the document is nested too deeply to read") from None
+
+
+def _series(doc) -> tuple[ChiefFactorDescriptor, ...]:
     if not isinstance(doc, dict) or not isinstance(doc.get("factors"), list):
         raise ValueError('a chief series is a JSON object {"factors": [...]}')
     if not doc["factors"]:

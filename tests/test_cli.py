@@ -1,4 +1,6 @@
+import contextlib
 import csv
+import io
 import json
 import os
 import re
@@ -7,7 +9,7 @@ import sys
 import time
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chardeg import cli
@@ -498,6 +500,11 @@ class TestContract:
             ),
             # No chief factors: no group to certify, not a bound of 1.
             ('{"factors": []}', "a chief series has at least one factor; 'factors' is empty"),
+            pytest.param(
+                '{"factors": ' + "[" * 500 + "]" * 500 + "}",
+                "--json: the document is nested too deeply to read",
+                id="nested 500 deep",
+            ),
         ],
     )
     def test_malformed_chief_series_rejected(self, document, reason, capsys):
@@ -514,6 +521,18 @@ class TestContract:
             "status": "error",
             "error": f'--file {str(path)!r}: expected a JSON {{"factors": [...]}} document: '
             "Expecting value: line 2 column 1 (char 14)",
+        }
+
+    def test_deeply_nested_chief_series_file_refused(self, tmp_path):
+        # json.loads itself runs out of stack on this one: an error naming
+        # the source (exit 2), not a traceback and exit 1, a "fail" verdict.
+        path = tmp_path / "series.json"
+        path.write_text('{"factors": ' + "[" * 100_000 + "]" * 100_000 + "}")
+        code, out, _ = _fresh_run(["chiefseries-bound", "--file", str(path)])
+        assert code == 2
+        assert json.loads(out) == {
+            "status": "error",
+            "error": f"--file {str(path)!r}: the document is nested too deeply to read",
         }
 
     def test_chiefseries_bound_reads_no_stdin(self):
@@ -625,6 +644,33 @@ def _outcome(parse, argv, capsys):
     return "ran", result
 
 
+def _parse_outcome(parse, argv):
+    # The namespace, ("error", message) or ("exit", code) of parsing argv.
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return vars(parse(argv))
+        except ValueError as exc:
+            return "error", str(exc)
+        except SystemExit as exc:
+            return "exit", exc.code
+
+
+def _flag_words() -> list[str]:
+    # Every command name, and every flag as itself, its 4-character prefix
+    # and its "=" form.
+    words = set()
+    for name, _, _, arguments, exclusive in cli.command_table():
+        words.add(name)
+        for flag, _ in [*arguments, *(a for group in exclusive for a in group), ("--help", {})]:
+            words |= {flag, flag[:4], f"{flag}=1"}
+    return sorted(words)
+
+
+_WORDS = _flag_words()
+_ODD_TOKENS = ["--", "-", "-h", "--he", "-hx", "-1", "-2.5", "-.5", "7", "a b"]
+_REFERENCE = build_reference()
+
+
 class TestSingleRowParser:
     """parse_args must parse, and fail, as the argparse reference built from
     the same command table does."""
@@ -679,6 +725,9 @@ class TestSingleRowParser:
             "sweep --help=x",
             "prop42 --n 7 -- 8",
             "-- prop42",
+            "--",
+            "sweep -- -h",
+            "prop42 --n -- 7",
             "lemma46 --n 1x --n 2",
             "gamma --m -x",
         ],
@@ -688,6 +737,14 @@ class TestSingleRowParser:
         one = _outcome(parse_args, argv, capsys)
         assert one[0] == "error"
         assert one == _outcome(build_reference().parse_args, argv, capsys)
+
+    @settings(derandomize=True, max_examples=1000, deadline=None)
+    @given(st.lists(st.sampled_from(_WORDS) | st.sampled_from(_ODD_TOKENS), max_size=7))
+    def test_same_outcome_on_any_argv(self, argv):
+        # Commands, flags, prefixes and "=" forms mixed with "--", "-", help
+        # forms, negative numbers and a value with a space: the namespace,
+        # the usage error or the help exit is argparse's.
+        assert _parse_outcome(parse_args, argv) == _parse_outcome(_REFERENCE.parse_args, argv)
 
     def test_subcommand_help_names_every_flag(self, capsys):
         for name, _, help_text, arguments, exclusive in cli.command_table():
@@ -858,6 +915,34 @@ class TestFreshProcessExit:
         assert proc.stdout == captured.out.encode()
         assert proc.stderr == captured.err.encode()
         assert proc.stdout
+
+    @pytest.mark.parametrize("argv", ["lemma43 --n 15", "--help"])
+    def test_both_entry_points_freeze_the_heap(self, argv):
+        # The installed chardeg script calls its [project.scripts] target as
+        # sys.exit(target()); python -m runs the module as __main__.  Both
+        # leave the heap frozen for teardown, --help's SystemExit included.
+        tomllib = pytest.importorskip("tomllib")
+        with open(REPO_ROOT / "pyproject.toml", "rb") as fh:
+            target = tomllib.load(fh)["project"]["scripts"]["chardeg"]
+        module, _, attr = target.partition(":")
+        entries = [
+            f"from {module} import {attr}; sys.exit({attr}())",
+            "import runpy; runpy.run_module('chardeg.cli', run_name='__main__')",
+        ]
+        outputs = []
+        for entry in entries:
+            code = (
+                "import atexit, gc, sys\n"
+                "atexit.register(lambda: print(gc.get_freeze_count() > 0, file=sys.stderr))\n"
+                f"sys.argv = ['chardeg', *{argv.split()!r}]\n{entry}\n"
+            )
+            proc = subprocess.run(
+                [sys.executable, "-c", code], capture_output=True, text=True,
+                env=_fresh_env(), cwd=REPO_ROOT, stdin=subprocess.DEVNULL, timeout=60,
+            )
+            assert (proc.returncode, proc.stderr) == (0, "True\n"), entry
+            outputs.append(proc.stdout)
+        assert outputs[0] == outputs[1] and outputs[0]
 
     @pytest.mark.parametrize(
         "argv",

@@ -73,6 +73,12 @@ def test_no_argparse_import():
     assert _imports({"argparse"}) == set()
 
 
+def test_only_structure_bounds_imports_json():
+    # Reading a chief series is the one use of json; cli writes its
+    # documents with its own writer.
+    assert {found.split(":")[0] for found in _imports({"json"})} == {"structure_bounds"}
+
+
 # Names perfbench/tracer.py wraps that the package no longer has: the
 # tracer lists each as absent and its metrics read 0.  A refactor that drops
 # another traced name fails test_tracer_spans_resolve until it is named here.

@@ -82,13 +82,14 @@ class TestRat14LowerBound:
     def test_json_ingestion(self):
         series = series_from_json(
             '{"factors": [{"label": "x", "order": "20160", "multiplicity": 2,'
-            ' "abelian": false, "psl2": false}]}'
+            ' "abelian": false, "psl2": false}]}',
+            "--json",
         )
         assert rat14_lower_bound(series) == 20160 ** 2
         # order and multiplicity: a JSON integer or a decimal string
         for order, multiplicity in ((20160, 2), ("20160", "2"), (20160, "2")):
             doc = {"factors": [{"order": order, "multiplicity": multiplicity}]}
-            assert rat14_lower_bound(series_from_json(json.dumps(doc))) == 20160 ** 2
+            assert rat14_lower_bound(series_from_json(json.dumps(doc), "--json")) == 20160 ** 2
 
     def test_digit_cap(self):
         # The cap is the digit count of 2**POWER_MAX_BITS.  At the cap the
@@ -99,7 +100,7 @@ class TestRat14LowerBound:
         at_cap = "9" * cap
         for text in (f'"{at_cap}"', at_cap):
             doc = f'{{"factors": [{{"order": {text}, "abelian": true}}, {{"order": 60}}]}}'
-            series = series_from_json(doc)
+            series = series_from_json(doc, "--json")
             assert series[0].factor_order == 10 ** cap - 1
             assert rat14_lower_bound(series) == 60
         for key in ("order", "multiplicity"):
@@ -109,7 +110,7 @@ class TestRat14LowerBound:
                 with pytest.raises(
                     ValueError, match=f"^chief factor 1: '{key}' has more than {cap} digits$"
                 ):
-                    series_from_json(doc.replace('"PLACEHOLDER"', text))
+                    series_from_json(doc.replace('"PLACEHOLDER"', text), "--json")
 
 
 class TestQuotientPowerCheck:
