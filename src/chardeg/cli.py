@@ -14,12 +14,15 @@ document, and a stdout closed by its reader), 3 inconclusive.  --digits (1
 to 400, default 50) sets the starting interval precision for the checks
 involving e and pi.
 
-parse_args reads argv against the command table as argparse would, with
-argparse's usage errors, and imports nothing; a command imports the layer
-module its handler runs, inside that handler, so it pays for neither the
-other layers nor argparse.  This module never imports json: only
-structure_bounds, reading a chief series, does.  A ratio is a pair of ints
-(a, b), reduced with one gcd.
+parse_args reads the plain form "command --flag value ..." against the
+command table, and lists the commands for "chardeg --help", without
+importing argparse; it hands every other argv (a command's help, a flag's
+prefix, "=", "--", a value starting with "-", a usage error) to argparse
+over the same table.  A command imports the layer
+module its handler runs, inside that handler, so it pays for no other
+layer.  This module never imports json: only structure_bounds, reading a
+chief series, does.  A ratio is a pair of ints (a, b), reduced with one
+gcd.
 """
 
 import gc
@@ -27,7 +30,6 @@ import math
 import os
 import re
 import sys
-from functools import partial
 from types import SimpleNamespace
 from typing import Iterable, NamedTuple, NoReturn
 
@@ -542,14 +544,14 @@ _REQ_INT = {"type": int, "required": True}
 _OPT_INT = {"type": int}
 _REQ_STR = {"required": True}
 _FLAG = {"action": "store_true"}
-# -h and --help, on every row and at the top.
-_HELP = {"-h": None, "--help": None}
+_DESCRIPTION = "Exact character-degree computations and inequality certification."
 
 
 def command_table() -> list[tuple]:
     """One row (name, handler, help, arguments, mutually exclusive groups)
-    per subcommand, each argument a (flag, spec) pair that parse_args reads:
-    spec keys type, required, action ("store_true"), default, dest and help.
+    per subcommand, each argument a (flag, spec) pair, spec holding the
+    add_argument keywords type, required, action ("store_true"), default,
+    dest and help.
     The table is built here, not at import, so each row takes the
     module-level _cmd_* handler bound now."""
     partition = [("--partition", _REQ_STR)]
@@ -610,145 +612,87 @@ def command_table() -> list[tuple]:
     ]
 
 
-def _dest(flag: str, spec: dict) -> str:
-    return spec.get("dest", flag[2:].replace("-", "_"))
-
-
-def _shown(flag: str, spec: dict) -> str:
-    # A flag as usage and help write it: "--flag" or "--flag DEST".
-    return flag if "action" in spec else f"{flag} {_dest(flag, spec).upper()}"
-
-
-def _help(usage: str, description: str, rows: list[tuple[str, str]]) -> str:
-    rows = [("-h, --help", "show this help message and exit"), *rows]
-    width = max(len(left) for left, _ in rows) + 2
-    lines = [f"  {left:<{width}}{text}".rstrip() for left, text in rows]
-    return "\n".join([usage, "", description, "", *lines])
-
-
-def _usage_error(usage: str, prog: str, message: str) -> NoReturn:
-    # run reports it as the same JSON error document (exit 2) as a handler
-    # error; the usage line goes to stderr.
-    print(usage, file=sys.stderr)
-    raise ValueError(f"{prog}: {message}")
-
-
-def _match(token: str, flags: dict, error) -> tuple[str | None, str | None] | None:
-    """How argparse reads token against flags: None for a value, (flag, text
-    after "=" or None) for a flag or the unique prefix of one, and (None,
-    None) for an unknown flag.  A negative number is a value."""
-    if token[:1] != "-" or token == "-":
-        return None
-    if token in flags:
-        return token, None
-    name, eq, text = token.partition("=")
-    if eq and name in flags:
-        return name, text
-    if token[1] == "-":
-        found = [(flag, text if eq else None) for flag in flags if flag.startswith(name)]
-    else:
-        found = [(flag, token[2:]) for flag in flags if flag == token[:2]]
-    if len(found) > 1:
-        error(f"ambiguous option: {token} could match {', '.join(flag for flag, _ in found)}")
-    if found:
-        return found[0]
-    if re.fullmatch(r"-\d+|-\d*\.\d+", token) or " " in token:
-        return None
-    return None, None
-
-
-def _read(tokens: list[str], specs: dict, groups: list, error, help_text, extras: list,
-          stop: bool = False) -> tuple[dict, list[str], int]:
-    """Reads tokens as argparse does: the values by dest, the flags seen and
-    the index of the first value no flag takes (with stop) or len(tokens).
-    Unknown flags, and values no flag takes without stop, go to extras; -h
-    or --help prints help_text() and exits 0."""
-    flags = {**_HELP, **specs}
-    # The tokens before "--" are read before any is taken, so an ambiguous
-    # prefix is the first error wherever it stands; "--" and every token
-    # after it are values.
-    end = tokens.index("--") if "--" in tokens else len(tokens)
-    found = [_match(token, flags, error) for token in tokens[:end]]
-    found += [None] * (len(tokens) - end)
-    values, seen, i = {}, [], 0
-    while i < len(tokens):
-        if stop and found[i] is None:
-            # argparse takes "--" itself as the command
-            return values, seen, i
-        i += 1
-        if found[i - 1] is None or found[i - 1][0] is None:
-            extras.append(tokens[i - 1])
-            continue
-        flag, text = found[i - 1]
-        spec = flags[flag]
-        if spec is None or "action" in spec:
-            if text is not None:
-                name = "-h/--help" if spec is None else flag
-                error(f"argument {name}: ignored explicit argument {text!r}")
-            if spec is None:
-                print(help_text())
-                raise SystemExit(0)
+def _plain(row: tuple, tokens: list[str]) -> SimpleNamespace | None:
+    """The namespace of row's command for tokens in the plain form: each
+    flag of row written out in full, each value its own token not starting
+    with "-", every required flag present and at most one flag of each
+    mutually exclusive group.  None for anything else."""
+    name, handler, _, arguments, exclusive = row
+    specs = dict([*arguments, *(a for group in exclusive for a in group)])
+    dests = {f: s.get("dest", f[2:].replace("-", "_")) for f, s in specs.items()}
+    values = {dests[f]: s.get("default", False if "action" in s else None)
+              for f, s in specs.items()}
+    seen, rest = set(), iter(tokens)
+    for flag in rest:
+        spec = specs.get(flag)
+        if spec is None:
+            return None
+        if "action" in spec:
             value = True
         else:
-            if text is None:
-                # A flag's value is never "--", nor a flag.
-                if i == end or found[i] is not None:
-                    error(f"argument {flag}: expected one argument")
-                text, i = tokens[i], i + 1
-            convert = spec.get("type", str)
+            text = next(rest, "-")
+            if text[:1] == "-":
+                return None
             try:
-                value = convert(text)
+                value = spec.get("type", str)(text)
             except ValueError:
-                error(f"argument {flag}: invalid {convert.__name__} value: {text!r}")
-        for group in groups:
-            if flag in group:
-                for other in group:
-                    if other != flag and other in seen:
-                        error(f"argument {flag}: not allowed with argument {other}")
-        seen.append(flag)
-        values[_dest(flag, spec)] = value
-    return values, seen, i
+                return None
+        seen.add(flag)
+        values[dests[flag]] = value
+    missing = any(s.get("required") and f not in seen for f, s in arguments)
+    if missing or any(len(seen & {f for f, _ in group}) > 1 for group in exclusive):
+        return None
+    return SimpleNamespace(command=name, handler=handler, **values)
 
 
-def parse_args(argv: list[str]) -> SimpleNamespace:
-    """argv read as argparse reads it against command_table(): flags as
-    --flag VALUE or --flag=VALUE, a unique prefix for a flag, the last of a
-    repeated flag, a negative number as a value, no flag after "--".  The
-    namespace holds command, handler and each of the command's flags by
-    dest.  A usage error raises ValueError with argparse's message; -h or
-    --help, at the top or after a command, prints help to stdout and raises
-    SystemExit(0)."""
+def build_parser(table: list[tuple]) -> "argparse.ArgumentParser":
+    """argparse's parser over table, one subparser per row.  A usage error
+    prints the usage line on stderr and raises ValueError, which run reports
+    as the same JSON error document (exit 2) as a handler error; -h or
+    --help prints help and raises SystemExit(0)."""
+    import argparse
+
+    class ArgumentParser(argparse.ArgumentParser):
+        # Subparsers inherit the class.
+        def error(self, message: str) -> NoReturn:
+            self.print_usage(sys.stderr)
+            raise ValueError(f"{self.prog}: {message}")
+
+    parser = ArgumentParser(prog="chardeg", description=_DESCRIPTION)
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, handler, help_text, arguments, exclusive in table:
+        p = sub.add_parser(name, help=help_text, description=help_text)
+        p.set_defaults(handler=handler)
+        for flag, spec in arguments:
+            p.add_argument(flag, **spec)
+        for group in exclusive:
+            g = p.add_mutually_exclusive_group()
+            for flag, spec in group:
+                g.add_argument(flag, **spec)
+    return parser
+
+
+def parse_args(argv: list[str]) -> "SimpleNamespace | argparse.Namespace":
+    """argv read against command_table() into a namespace of command,
+    handler and each of the command's flags by dest: by _plain in the plain
+    form, without argparse, and by build_parser's parser otherwise (a
+    command's help, a prefix, "=", "--", a value starting with "-", every
+    usage error).  "chardeg -h" and "chardeg --help" print the commands
+    and raise SystemExit(0)."""
     table = command_table()
-    names = [row[0] for row in table]
-    usage = f"usage: chardeg [-h] {{{','.join(names)}}} ..."
-    error = partial(_usage_error, usage, "chardeg")
-    top_help = partial(_help, usage, "Exact character-degree computations and inequality "
-                       "certification.", [(row[0], row[2]) for row in table])
-    extras = []
-    _, _, i = _read(argv, {}, [], error, top_help, extras, stop=True)
-    if argv[i:] in ([], ["--"]):
-        error("the following arguments are required: command")
-    if argv[i] not in names:
-        choices = ", ".join(map(repr, names))
-        error(f"argument command: invalid choice: {argv[i]!r} (choose from {choices})")
-    name, handler, description, arguments, exclusive = table[names.index(argv[i])]
-    specs = dict([*arguments, *(a for group in exclusive for a in group)])
-    groups = [[flag for flag, _ in group] for group in exclusive]
-    parts = [_shown(f, s) if s.get("required") else f"[{_shown(f, s)}]" for f, s in arguments]
-    parts += [f"[{' | '.join(_shown(f, s) for f, s in group)}]" for group in exclusive]
-    row_usage = " ".join([f"usage: chardeg {name} [-h]", *parts])
-    row_error = partial(_usage_error, row_usage, f"chardeg {name}")
-    row_help = partial(_help, row_usage, description,
-                       [(_shown(f, s), s.get("help", "")) for f, s in specs.items()])
-    values, seen, _ = _read(argv[i + 1:], specs, groups, row_error, row_help, extras)
-    missing = [f for f, s in specs.items() if s.get("required") and f not in seen]
-    if missing:
-        row_error(f"the following arguments are required: {', '.join(missing)}")
-    if extras:
-        error(f"unrecognized arguments: {' '.join(extras)}")
-    defaults = {_dest(f, s): s.get("default", False if "action" in s else None)
-                for f, s in specs.items()}
-    return SimpleNamespace(command=name, handler=handler, **{**defaults, **values})
+    if argv in (["-h"], ["--help"]):
+        # perfbench's setup_s times start-up on this argv, so the commands are
+        # listed here, without argparse and its parser for every command
+        # (about 10 ms a process); the text starts at column 24, as
+        # argparse's does.
+        rows = [("-h, --help", "show this help message and exit")]
+        rows += [(name, text) for name, _, text, _, _ in table]
+        print(f"usage: chardeg [-h] {{{','.join(r[0] for r in table)}}} ...\n\n{_DESCRIPTION}\n")
+        print("\n".join(f"  {left:<22}{text}" for left, text in rows))
+        raise SystemExit(0)
+    row = next((row for row in table if argv[:1] == [row[0]]), None)
+    args = None if row is None else _plain(row, argv[1:])
+    return args or build_parser(table).parse_args(argv)
 
 
 # ---------------------------------------------------------------------------

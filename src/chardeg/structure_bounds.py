@@ -74,14 +74,18 @@ def _parse_int(text: str) -> int | _NumberText:
 
 
 def _shown(value) -> str:
-    # value as JSON text, each number literal as the document wrote it.
+    # value as JSON text, each number literal as the document wrote it, and
+    # each list, object and literal cut to 500 characters, so that a message
+    # does not grow with the input.
     import json
 
     if type(value) is list:
-        return f"[{', '.join(map(_shown, value))}]"
-    if type(value) is dict:
-        return f"{{{', '.join(f'{json.dumps(k)}: {_shown(v)}' for k, v in value.items())}}}"
-    return value if type(value) is _NumberText else json.dumps(value)
+        text = f"[{', '.join(map(_shown, value))}]"
+    elif type(value) is dict:
+        text = f"{{{', '.join(f'{_shown(k)}: {_shown(v)}' for k, v in value.items())}}}"
+    else:
+        text = value if type(value) is _NumberText else json.dumps(value)
+    return text if len(text) <= 500 else f"{text[:500]}..."
 
 
 def _json_count(value, key: str, where: str) -> int:
@@ -97,9 +101,11 @@ def _json_count(value, key: str, where: str) -> int:
     )
 
 
-def _json_flag(value, key: str, where: str) -> bool:
-    if type(value) is not bool:
-        raise ValueError(f"{where}: {key!r} must be true or false, got {_shown(value)}")
+def _json_typed(value, kind: type, key: str, where: str):
+    # value, which must be a JSON string (kind str) or true or false (bool).
+    if type(value) is not kind:
+        wanted = "a JSON string" if kind is str else "true or false"
+        raise ValueError(f"{where}: {key!r} must be {wanted}, got {_shown(value)}")
     return value
 
 
@@ -109,9 +115,10 @@ def series_from_json(text: str, source: str) -> tuple[ChiefFactorDescriptor, ...
 
     order (required) and multiplicity (default 1) are each a JSON integer
     or a string of decimal digits, of at most POWER_MAX_DIGITS digits,
-    abelian and psl2 (default false) JSON booleans; any other shape raises
-    ValueError naming the factor and key, rather than reading "false" as
-    true, truncating 20160.9 or spending seconds converting a million digits.
+    abelian and psl2 (default false) JSON booleans, label (default "") a
+    JSON string; any other shape or key raises ValueError naming the factor
+    and key, rather than reading "false" as true, truncating 20160.9,
+    dropping a mistyped key or spending seconds converting a million digits.
     Text that is not JSON or nests too deeply raises ValueError naming source.
     """
     import json  # only reading a chief series needs json
@@ -125,6 +132,9 @@ def series_from_json(text: str, source: str) -> tuple[ChiefFactorDescriptor, ...
         raise ValueError(f"{source}: the document is nested too deeply to read") from None
 
 
+_FACTOR_KEYS = ("label", "order", "multiplicity", "abelian", "psl2")
+
+
 def _series(doc) -> tuple[ChiefFactorDescriptor, ...]:
     if not isinstance(doc, dict) or not isinstance(doc.get("factors"), list):
         raise ValueError('a chief series is a JSON object {"factors": [...]}')
@@ -135,15 +145,19 @@ def _series(doc) -> tuple[ChiefFactorDescriptor, ...]:
         where = f"chief factor {i}"
         if not isinstance(f, dict):
             raise ValueError(f"{where} must be a JSON object, got {_shown(f)}")
+        unknown = [key for key in f if key not in _FACTOR_KEYS]
+        if unknown:
+            raise ValueError(f"{where} has the unknown key {_shown(unknown[0])}; a chief "
+                             f"factor takes only {', '.join(_FACTOR_KEYS)}")
         if "order" not in f:
             raise ValueError(f"{where} has no 'order'")
         factors.append(
             ChiefFactorDescriptor(
-                label=str(f.get("label", "")),
+                label=_json_typed(f.get("label", ""), str, "label", where),
                 factor_order=_json_count(f["order"], "order", where),
                 multiplicity=_json_count(f.get("multiplicity", 1), "multiplicity", where),
-                is_abelian=_json_flag(f.get("abelian", False), "abelian", where),
-                is_psl2=_json_flag(f.get("psl2", False), "psl2", where),
+                is_abelian=_json_typed(f.get("abelian", False), bool, "abelian", where),
+                is_psl2=_json_typed(f.get("psl2", False), bool, "psl2", where),
             )
         )
     return tuple(factors)

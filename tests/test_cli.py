@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 from chardeg import cli
 from chardeg.cli import _poly_text, main, parse_args, run
 from chardeg.exact_arith import cyclotomic
-from argparse_reference import build_parser as build_reference
 from conftest import REPO_ROOT, load_workloads, readme_command_lines
 
 
@@ -500,6 +499,25 @@ class TestContract:
             ),
             # No chief factors: no group to certify, not a bound of 1.
             ('{"factors": []}', "a chief series has at least one factor; 'factors' is empty"),
+            (
+                '{"factors": [{"order": 60, "label": {"a": [1, 2]}}]}',
+                "chief factor 0: 'label' must be a JSON string, got {\"a\": [1, 2]}",
+            ),
+            (
+                '{"factors": [{"order": 60, "label": null}]}',
+                "chief factor 0: 'label' must be a JSON string, got null",
+            ),
+            # A mistyped key is refused, not dropped.
+            (
+                '{"factors": [{"order": "60", "psl_2": true}]}',
+                'chief factor 0 has the unknown key "psl_2"; a chief factor takes only '
+                "label, order, multiplicity, abelian, psl2",
+            ),
+            (
+                '{"factors": [{"order": "2", "abelian": true}, {"label": "A8", "ordr": 20160}]}',
+                'chief factor 1 has the unknown key "ordr"; a chief factor takes only '
+                "label, order, multiplicity, abelian, psl2",
+            ),
             pytest.param(
                 '{"factors": ' + "[" * 500 + "]" * 500 + "}",
                 "--json: the document is nested too deeply to read",
@@ -534,6 +552,17 @@ class TestContract:
             "status": "error",
             "error": f"--file {str(path)!r}: the document is nested too deeply to read",
         }
+
+    def test_long_chief_factor_echo_is_capped(self, capsys, tmp_path):
+        # The message shows the start of a malformed value, so the error
+        # document does not grow with the input (1.3 MB here).
+        path = tmp_path / "series.json"
+        path.write_text(json.dumps({"factors": [list(range(200_000))]}))
+        code = main(["chiefseries-bound", "--file", str(path)])
+        out = capsys.readouterr().out
+        assert code == 2 and len(out.encode()) < 1024
+        error = json.loads(out)["error"]
+        assert error.startswith("chief factor 0 must be a JSON object, got [0, 1, 2, 3")
 
     def test_chiefseries_bound_reads_no_stdin(self):
         # Without --json or --file it is refused at once, even with stdin
@@ -668,19 +697,35 @@ def _flag_words() -> list[str]:
 
 _WORDS = _flag_words()
 _ODD_TOKENS = ["--", "-", "-h", "--he", "-hx", "-1", "-2.5", "-.5", "7", "a b"]
-_REFERENCE = build_reference()
+# argparse's reading of the same command table, which parse_args hands
+# every argv that is not in the plain form.
+_REFERENCE = cli.build_parser(cli.command_table())
 
 
 class TestSingleRowParser:
-    """parse_args must parse, and fail, as the argparse reference built from
-    the same command table does."""
+    """parse_args must parse, and fail, as argparse over the same command
+    table does."""
 
-    def test_same_namespace_as_full_parser(self):
-        argvs = [list(a) for a in load_workloads().all_query_variants()] + readme_command_lines()
+    def test_same_namespace_as_full_parser(self, monkeypatch):
+        # Every argv the benchmark runs, and every README example, is in the
+        # plain form, which parse_args reads without building argparse's
+        # parser: every query variant, one pass of each workload at a fixed
+        # seed and every README command line.
+        workloads = load_workloads()
+        golden = workloads.load_golden()
+        argvs = [list(a) for a in workloads.all_query_variants()] + readme_command_lines()
         assert len(argvs) > 160
-        reference = build_reference()
-        for argv in argvs:
-            one, full = vars(parse_args(argv)), vars(reference.parse_args(argv))
+        for workload in workloads.WORKLOADS.values():
+            commands, _ = workload.make_pass(golden, 7, 0)
+            argvs += [list(command.argv) for command in commands]
+        expected = [vars(_REFERENCE.parse_args(argv)) for argv in argvs]
+
+        def refuse(table):
+            raise AssertionError("build_parser called")
+
+        monkeypatch.setattr(cli, "build_parser", refuse)
+        for argv, full in zip(argvs, expected):
+            one = vars(parse_args(argv))
             assert one.pop("handler") is full.pop("handler"), argv
             assert one == full, argv
 
@@ -698,7 +743,7 @@ class TestSingleRowParser:
     def test_same_namespace_on_flag_forms(self, argv, field, value):
         # A unique prefix, "=", a repeated flag (the last wins) and a
         # negative number as a value.
-        one, full = parse_args(argv.split()), build_reference().parse_args(argv.split())
+        one, full = parse_args(argv.split()), _REFERENCE.parse_args(argv.split())
         assert vars(one) == vars(full)
         assert getattr(one, field) == value
 
@@ -736,7 +781,7 @@ class TestSingleRowParser:
         argv = argv.split()
         one = _outcome(parse_args, argv, capsys)
         assert one[0] == "error"
-        assert one == _outcome(build_reference().parse_args, argv, capsys)
+        assert one == _outcome(_REFERENCE.parse_args, argv, capsys)
 
     @settings(derandomize=True, max_examples=1000, deadline=None)
     @given(st.lists(st.sampled_from(_WORDS) | st.sampled_from(_ODD_TOKENS), max_size=7))
@@ -751,10 +796,12 @@ class TestSingleRowParser:
             with pytest.raises(SystemExit) as err:
                 main([name, "--help"])
             assert err.value.code == 0
-            out = capsys.readouterr().out
-            assert help_text in out, name
+            # Compared without whitespace, as argparse wraps help text (at
+            # hyphens too).
+            out = "".join(capsys.readouterr().out.split())
+            assert "".join(help_text.split()) in out, name
             for flag, spec in [*arguments, *(a for group in exclusive for a in group)]:
-                assert flag in out and spec.get("help", "") in out, (name, flag)
+                assert flag in out and "".join(spec.get("help", "").split()) in out, (name, flag)
 
     def test_top_level_help_lists_every_command(self, capsys):
         with pytest.raises(SystemExit) as err:
@@ -869,6 +916,14 @@ class TestStartup:
             assert json.loads(out)["status"] == "pass"
         assert layer in modules
         assert not absent & modules
+
+    @pytest.mark.parametrize("flag", ["-h", "--help"])
+    def test_top_level_help_skips_argparse(self, flag):
+        # perfbench's setup_s times start-up on "chardeg --help", so the
+        # commands are listed without building argparse's parsers.
+        code, out, modules = _fresh_run([flag])
+        assert code == 0 and "validate-data" in out
+        assert not {"argparse", "json"} & modules
 
     def test_long_integer_arguments_convert(self):
         # 5001 digits is over the interpreter's default int-to-str limit of

@@ -68,9 +68,18 @@ def test_no_fractions_or_decimal_import():
     assert _imports({"fractions", "decimal"}) == set()
 
 
-def test_no_argparse_import():
-    # cli reads argv against its own command table.
-    assert _imports({"argparse"}) == set()
+def test_only_build_parser_imports_argparse():
+    # cli reads the plain form itself and imports argparse only inside
+    # build_parser, for every other argv.
+    tree = ast.parse((REPO_ROOT / "src" / "chardeg" / "cli.py").read_text())
+    build = next(
+        node for node in tree.body
+        if isinstance(node, ast.FunctionDef) and node.name == "build_parser"
+    )
+    found = _imports({"argparse"})
+    assert len(found) == 1
+    name, line, _ = found.pop().split(":")
+    assert name == "cli" and build.lineno < int(line) <= build.end_lineno
 
 
 def test_only_structure_bounds_imports_json():
@@ -83,7 +92,6 @@ def test_only_structure_bounds_imports_json():
 # tracer lists each as absent and its metrics read 0.  A refactor that drops
 # another traced name fails test_tracer_spans_resolve until it is named here.
 STALE_SPANS = {
-    "cli.build_parser",
     "cli.hooks",
     "cli.partition_degree",
     "cli.parse_partition",
