@@ -15,7 +15,7 @@ to 400, default 50) sets the starting interval precision for the checks
 involving e and pi.
 
 parse_args reads the plain form "command --flag value ..." against the
-command table, and lists the commands for "chardeg --help", without
+command table, and prints the top-level help for "chardeg --help", without
 importing argparse; it hands every other argv (a command's help, a flag's
 prefix, "=", "--", a value starting with "-", a usage error) to argparse
 over the same table.  A command imports the layer
@@ -544,7 +544,6 @@ _REQ_INT = {"type": int, "required": True}
 _OPT_INT = {"type": int}
 _REQ_STR = {"required": True}
 _FLAG = {"action": "store_true"}
-_DESCRIPTION = "Exact character-degree computations and inequality certification."
 
 
 def command_table() -> list[tuple]:
@@ -645,11 +644,25 @@ def _plain(row: tuple, tokens: list[str]) -> SimpleNamespace | None:
     return SimpleNamespace(command=name, handler=handler, **values)
 
 
+def _top_help(table: list[tuple]) -> str:
+    """chardeg's help, for -h and --help in every form: its commands, listed
+    without argparse's parser for each of them."""
+    rows = [("-h, --help", "show this help message and exit")]
+    rows += [(name, text) for name, _, text, _, _ in table]
+    width = max(len(left) for left, _ in rows) + 2
+    return "\n".join([
+        f"usage: chardeg [-h] {{{','.join(row[0] for row in table)}}} ...", "",
+        "Exact character-degree computations and inequality certification.", "",
+        *(f"  {left:<{width}}{text}" for left, text in rows), "",
+    ])
+
+
 def build_parser(table: list[tuple]) -> "argparse.ArgumentParser":
     """argparse's parser over table, one subparser per row.  A usage error
     prints the usage line on stderr and raises ValueError, which run reports
     as the same JSON error document (exit 2) as a handler error; -h or
-    --help prints help and raises SystemExit(0)."""
+    --help prints help (_top_help's before a command) and raises
+    SystemExit(0)."""
     import argparse
 
     class ArgumentParser(argparse.ArgumentParser):
@@ -658,7 +671,8 @@ def build_parser(table: list[tuple]) -> "argparse.ArgumentParser":
             self.print_usage(sys.stderr)
             raise ValueError(f"{self.prog}: {message}")
 
-    parser = ArgumentParser(prog="chardeg", description=_DESCRIPTION)
+    parser = ArgumentParser(prog="chardeg")
+    parser.format_help = lambda: _top_help(table)
     sub = parser.add_subparsers(dest="command", required=True)
     for name, handler, help_text, arguments, exclusive in table:
         p = sub.add_parser(name, help=help_text, description=help_text)
@@ -675,20 +689,16 @@ def build_parser(table: list[tuple]) -> "argparse.ArgumentParser":
 def parse_args(argv: list[str]) -> "SimpleNamespace | argparse.Namespace":
     """argv read against command_table() into a namespace of command,
     handler and each of the command's flags by dest: by _plain in the plain
-    form, without argparse, and by build_parser's parser otherwise (a
-    command's help, a prefix, "=", "--", a value starting with "-", every
-    usage error).  "chardeg -h" and "chardeg --help" print the commands
-    and raise SystemExit(0)."""
+    form, without argparse, and by build_parser's parser otherwise (help, a
+    prefix, "=", "--", a value starting with "-", every usage error).
+    "chardeg -h" and "chardeg --help" print _top_help's text, as argparse
+    does for every other help form before a command, and raise
+    SystemExit(0)."""
     table = command_table()
     if argv in (["-h"], ["--help"]):
-        # perfbench's setup_s times start-up on this argv, so the commands are
-        # listed here, without argparse and its parser for every command
-        # (about 10 ms a process); the text starts at column 24, as
-        # argparse's does.
-        rows = [("-h, --help", "show this help message and exit")]
-        rows += [(name, text) for name, _, text, _, _ in table]
-        print(f"usage: chardeg [-h] {{{','.join(r[0] for r in table)}}} ...\n\n{_DESCRIPTION}\n")
-        print("\n".join(f"  {left:<22}{text}" for left, text in rows))
+        # perfbench's setup_s times "chardeg --help"; building argparse's
+        # parsers would add about 6 ms a process, over 20 % of it.
+        sys.stdout.write(_top_help(table))
         raise SystemExit(0)
     row = next((row for row in table if argv[:1] == [row[0]]), None)
     args = None if row is None else _plain(row, argv[1:])

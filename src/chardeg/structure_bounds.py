@@ -101,11 +101,9 @@ def _json_count(value, key: str, where: str) -> int:
     )
 
 
-def _json_typed(value, kind: type, key: str, where: str):
-    # value, which must be a JSON string (kind str) or true or false (bool).
-    if type(value) is not kind:
-        wanted = "a JSON string" if kind is str else "true or false"
-        raise ValueError(f"{where}: {key!r} must be {wanted}, got {_shown(value)}")
+def _json_flag(value, key: str, where: str) -> bool:
+    if type(value) is not bool:
+        raise ValueError(f"{where}: {key!r} must be true or false, got {_shown(value)}")
     return value
 
 
@@ -151,13 +149,16 @@ def _series(doc) -> tuple[ChiefFactorDescriptor, ...]:
                              f"factor takes only {', '.join(_FACTOR_KEYS)}")
         if "order" not in f:
             raise ValueError(f"{where} has no 'order'")
+        label = f.get("label", "")
+        if type(label) is not str:
+            raise ValueError(f"{where}: 'label' must be a JSON string, got {_shown(label)}")
         factors.append(
             ChiefFactorDescriptor(
-                label=_json_typed(f.get("label", ""), str, "label", where),
+                label=label,
                 factor_order=_json_count(f["order"], "order", where),
                 multiplicity=_json_count(f.get("multiplicity", 1), "multiplicity", where),
-                is_abelian=_json_typed(f.get("abelian", False), bool, "abelian", where),
-                is_psl2=_json_typed(f.get("psl2", False), bool, "psl2", where),
+                is_abelian=_json_flag(f.get("abelian", False), "abelian", where),
+                is_psl2=_json_flag(f.get("psl2", False), "psl2", where),
             )
         )
     return tuple(factors)

@@ -783,6 +783,24 @@ class TestSingleRowParser:
         assert one[0] == "error"
         assert one == _outcome(_REFERENCE.parse_args, argv, capsys)
 
+    @pytest.mark.parametrize(
+        "argv, words",
+        [
+            ("hook", ["chardeg hook", "--partition"]),
+            ("sweep --jsonl --csv", ["chardeg sweep", "not allowed with", "--jsonl", "--csv"]),
+            ("lemma46 --n x", ["chardeg lemma46", "--n", "'x'"]),
+        ],
+    )
+    def test_usage_error_document(self, argv, words, capsys):
+        # build_parser's own reading of the table, in words every argparse
+        # version writes: the usage line on stderr, exit 2 and the JSON error
+        # document naming the command and the flags.
+        assert main(argv.split()) == 2
+        out, err = capsys.readouterr()
+        assert err.startswith(f"usage: {words[0]} [-h]")
+        doc = json.loads(out)
+        assert doc["status"] == "error" and all(w in doc["error"] for w in words), doc
+
     @settings(derandomize=True, max_examples=1000, deadline=None)
     @given(st.lists(st.sampled_from(_WORDS) | st.sampled_from(_ODD_TOKENS), max_size=7))
     def test_same_outcome_on_any_argv(self, argv):
@@ -812,6 +830,17 @@ class TestSingleRowParser:
         assert "{" + ",".join(names) + "}" in out
         for name in names:
             assert re.search(rf"^ +{re.escape(name)}( |$)", out, re.M), name
+
+    @pytest.mark.parametrize("argv", ["-h", "--he", "--help --help", "-h prop42", "--h prop42"])
+    def test_top_level_help_is_one_text(self, argv, capsys):
+        # "chardeg --help" is printed without argparse; argparse prints the
+        # same text for every other help form before a command.
+        with pytest.raises(SystemExit):
+            main(["--help"])
+        text = capsys.readouterr().out
+        with pytest.raises(SystemExit) as err:
+            main(argv.split())
+        assert err.value.code == 0 and capsys.readouterr().out == text
 
 
 # Strings with what JSON escapes: quotes, backslashes, control characters,
