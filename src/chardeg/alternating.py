@@ -4,21 +4,24 @@ For every n >= 7 there is a non-self-conjugate partition lam of n with
 
     (n!)**13 > (H_lam * (n-1))**14,
 
-equivalently chi_lam(1) > (n!)**(1/14) * (n-1).  The search is exact: each
-candidate is decided by one cmp_power of (n!)**13 against the factor
-(H*(n-1), 14), not a built 14th power.  witness_range searches a range
-of n and builds the margin evidence of each reported witness: it raises
-(lo-1)! to the 13th power once and multiplies in n**13 for each n, and it
-builds each report's x**14, for the reported x = H*(n-1), from the previous
-x_prev**14 (from 1**14 at n = lo) with g = gcd(x, x_prev), one exact
-division by (x_prev/g)**14 and one multiplication by (x/g)**14.
-check_witness is the range of one n.  The supporting analytic bounds
-(which involve e and pi) are decided by cmp_power on integer enclosures
-lo <= c * 2**b <= hi of the constants and are advisory; they can return
-None (inconclusive) without affecting any witness certificate.  Their one
-precision rule is the digit ladder d, 2d, 4d, ... up to MAX_DIGITS,
-starting at the requested digits: one enclosure per rung, at
-b = ceil(3.322 * d) + 2 bits, so that it is narrower than 10**-d.
+equivalently H_lam < (n!)**(13/14) / (n-1): a candidate passes exactly when
+its hook product H is below one bound, so the candidate of least H passes
+when any does, and is then the passer of least H.  The reported candidate
+is the first that passes or, with best=True or when none passes, the one of
+least H (the first of equals).  The search is exact: each decision is one
+cmp_power of (n!)**13 against the factor (H*(n-1), 14), not a built 14th
+power.  witness_range searches a range of n and builds the margin evidence
+of each reported witness: it raises (lo-1)! to the 13th power once and
+multiplies in n**13 for each n, and it builds each report's x**14, for the
+reported x = H*(n-1), from the previous x_prev**14 (from 1**14 at n = lo)
+with g = gcd(x, x_prev), one exact division by (x_prev/g)**14 and one
+multiplication by (x/g)**14.  check_witness is the range of one n.  The
+supporting analytic bounds (which involve e and pi) are decided by
+cmp_power on integer enclosures lo <= c * 2**b <= hi of the constants and
+are advisory; they can return None (inconclusive) without affecting any
+witness certificate.  Their one precision rule is the digit ladder d, 2d,
+4d, ... up to MAX_DIGITS, starting at the requested digits: one enclosure
+per rung, at b = ceil(3.322 * d) + 2 bits, narrower than 10**-d.
 """
 
 import math
@@ -51,10 +54,9 @@ MAX_DIGITS = 400
 # processes on the same box, shared).
 MAX_N = 2000
 
-# Below this n the witness search is exhaustive over all partitions of n;
-# for larger n the three-parts-window family around the square (m**2 <= n)
-# is searched instead.  The two named witnesses for n = 7 and 8 are tried
-# first so they are the ones reported.
+# Up to this n the witness candidates are all partitions of n; above it, the
+# three-parts-window family around the square (m**2 <= n).  The named
+# witnesses for n = 7 and 8 come first, so they are the ones reported.
 EXHAUSTIVE_MAX = 48
 PREFERRED_WITNESSES = {
     7: Partition((3, 2, 2)),
@@ -77,7 +79,6 @@ class WitnessReport(NamedTuple):
     hook_product: int
     passed: bool
     margin: MarginEvidence
-    candidates_tried: int
 
 
 def square_fix(m: int) -> Partition:
@@ -88,23 +89,18 @@ def square_fix(m: int) -> Partition:
     return Partition((m + 1,) + (m,) * (m - 2) + (m - 1,))
 
 
-def _gamma_candidates(n: int) -> Iterator[Partition]:
+def _candidates(n: int) -> Iterator[Partition]:
+    if n <= EXHAUSTIVE_MAX:
+        preferred = PREFERRED_WITNESSES.get(n)
+        if preferred is not None:
+            yield preferred
+        yield from (lam for lam in partitions_of(n)
+                    if lam != preferred and not lam.is_self_conjugate())
+        return
     m = math.isqrt(n)  # the window index: m*m <= n <= m*m + 2m
-    for lam in enumerate_gamma(m, size=n):
-        # A self-conjugate member has as many parts, m, as its largest part,
-        # so it is (m**m), the only member of size n = m*m; substitute the
-        # fixed square witness.
-        yield square_fix(m) if n == m * m else lam
-
-
-def _exhaustive_candidates(n: int) -> Iterator[Partition]:
-    preferred = PREFERRED_WITNESSES.get(n)
-    if preferred is not None:
-        yield preferred
-    for lam in partitions_of(n):
-        if lam == preferred or lam.is_self_conjugate():
-            continue
-        yield lam
+    # A self-conjugate member has m parts and largest part m, so it is (m**m),
+    # the only member of size n = m*m; the fixed square stands in for it.
+    yield from [square_fix(m)] if n == m * m else enumerate_gamma(m, size=n)
 
 
 def _sha256_int(x: int) -> str:
@@ -133,34 +129,30 @@ def _carry(x: int, x_prev: int, rhs_prev: int) -> int:
     return q * (x // g) ** 14
 
 
-def _search(n: int, lhs: int, best: bool) -> tuple[bool, Partition, int, int]:
-    # (passed, lam, H, tried) of the reported candidate: each candidate is
-    # decided by cmp_power of lhs = (n!)**13 against the factor (H*(n-1), 14)
-    # and ranked by (passed, -H); witness_range builds the reported power.
-    cands = _exhaustive_candidates(n) if n <= EXHAUSTIVE_MAX else _gamma_candidates(n)
-    found = None  # (passed, lam, H)
-    tried = 0
-    for lam in cands:
-        tried += 1
-        h = hook_product(lam)
-        passed = cmp_power(((lhs, 1),), ((h * (n - 1), 14),)) > 0
-        if found is None or (passed, -h) > (found[0], -found[2]):
-            found = (passed, lam, h)
-        if passed and not best:
-            break
-    return (*found, tried)
+def _search(n: int, lhs: int, best: bool) -> tuple[bool, Partition, int]:
+    # (passed, lam, H) of the reported candidate; witness_range builds the
+    # reported power.
+    def passes(h: int) -> bool:
+        return cmp_power(((lhs, 1),), ((h * (n - 1), 14),)) > 0
+
+    if not best:
+        for lam in _candidates(n):
+            h = hook_product(lam)
+            if passes(h):
+                return True, lam, h
+    lam = min(_candidates(n), key=hook_product)
+    h = hook_product(lam)
+    return passes(h), lam, h
 
 
 def witness_range(lo: int, hi: int, best: bool = False) -> Iterator[WitnessReport]:
-    """The report of each n in lo..hi, in order.
+    """The report of each n in lo..hi, in order, by the module's rule.
 
-    The candidates are every non-self-conjugate partition of n up to 48
-    (the named small witnesses first); above 48, the window family of index
-    floor(sqrt(n)) only.  The first passer is reported, or with best=True
-    the candidate passer of least hook product (above 48 not always the
-    least over all partitions of n); with no passer, the failing candidate
-    of least hook product.  Of equal candidates the first is kept.  The
-    range is refused before its first n if it reaches below 7 or above MAX_N.
+    The candidates are every non-self-conjugate partition of n up to
+    EXHAUSTIVE_MAX = 48 (the named small witnesses first); above 48, the
+    window family of index floor(sqrt(n)) only, so there the least H is
+    not always the least over all partitions of n.  The range is refused
+    before its first n if it reaches below 7 or above MAX_N.
     """
     if lo < 7:
         raise ValueError("check_witness requires n >= 7")
@@ -170,10 +162,10 @@ def witness_range(lo: int, hi: int, best: bool = False) -> Iterator[WitnessRepor
     x = rhs = 1  # 1**14, so that the first _carry builds x**14 itself
     for n in range(lo, hi + 1):
         lhs *= n**13
-        passed, lam, h, tried = _search(n, lhs, best)
+        passed, lam, h = _search(n, lhs, best)
         x, x_prev = h * (n - 1), x
         rhs = _carry(x, x_prev, rhs)
-        yield WitnessReport(n, lam, h, passed, _evidence(lhs, rhs), tried)
+        yield WitnessReport(n, lam, h, passed, _evidence(lhs, rhs))
 
 
 def check_witness(n: int, best: bool = False) -> WitnessReport:
@@ -238,11 +230,8 @@ def check_hook_upper(m: int) -> bool:
     product strictly below (m+1)**((m+1)**2); exact."""
     if m < 1:
         raise ValueError("check_hook_upper requires m >= 1")
-    bound = ((m + 1, (m + 1) ** 2),)
-    return all(
-        cmp_power(((hook_product(lam), 1),), bound) < 0
-        for lam in enumerate_gamma(m)
-    )
+    largest = max(map(hook_product, enumerate_gamma(m)))
+    return cmp_power(((largest, 1),), ((m + 1, (m + 1) ** 2),)) < 0
 
 
 def check_growth(n: int, digits: int = DEFAULT_DIGITS) -> bool | None:

@@ -439,6 +439,11 @@ def _cmd_out_bound(args) -> CommandResult:
     )
 
 
+# chiefseries-bound reads at most this much of a --file (a device or an
+# endless pipe included): room for 400 factors of POWER_MAX_DIGITS digits.
+SERIES_FILE_MAX_CHARS = 2**24
+
+
 def _cmd_chiefseries_bound(args) -> CommandResult:
     from . import structure_bounds
 
@@ -446,7 +451,11 @@ def _cmd_chiefseries_bound(args) -> CommandResult:
         series = structure_bounds.series_from_json(args.json, "--json")
     elif args.file is not None:
         with open(args.file) as fh:
-            series = structure_bounds.series_from_json(fh.read(), f"--file {args.file!r}")
+            text = fh.read(SERIES_FILE_MAX_CHARS + 1)
+        if len(text) > SERIES_FILE_MAX_CHARS:
+            raise ValueError(f"--file {args.file!r} is longer than {SERIES_FILE_MAX_CHARS} "
+                             "characters")
+        series = structure_bounds.series_from_json(text, f"--file {args.file!r}")
     else:
         raise ValueError("chiefseries-bound requires --json or --file")
     bound = structure_bounds.rat14_lower_bound(series)

@@ -197,21 +197,31 @@ class TestCheckWitness:
         with pytest.raises(ArithmeticError):
             alternating._carry(x, 2**61 - 1, x_prev**14)
 
-    def test_no_passer_reports_smallest_failure_quickly(self):
+    def test_no_passer_reports_smallest_failure_quickly(self, monkeypatch):
         # With (n!)**13 replaced by 1 nothing passes: the report is the
-        # window member with the smallest hook product, found in one scan of
-        # the window family (no search over the p(101) ~ 2e8 partitions).
+        # window member with the smallest hook product, found in one more
+        # scan of the window family (no search over the p(101) ~ 2e8
+        # partitions), and decided by one more comparison.
+        calls = 0
+
+        def counted(lhs, rhs):
+            nonlocal calls
+            calls += 1
+            return exact_arith.cmp_power(lhs, rhs)
+
+        monkeypatch.setattr(alternating, "cmp_power", counted)
         start = time.perf_counter()
-        passed, lam, h, tried = alternating._search(101, 1, False)
+        passed, lam, h = alternating._search(101, 1, False)
         assert time.perf_counter() - start < 1.0
-        members = list(alternating._gamma_candidates(101))
-        assert not passed and tried == len(members)
+        members = list(alternating._candidates(101))
+        assert not passed and calls == len(members) + 1
         assert lam == min(members, key=lambda lam: hooks(lam).product)
         assert h == hooks(lam).product
 
     @pytest.mark.parametrize("lo, hi, best", [(7, 60, False), (49, 60, True)])
     def test_search_decides_by_cmp_power_alone(self, monkeypatch, lo, hi, best):
-        # Every candidate is one cmp_power call, and none of them builds a
+        # Each candidate up to the first passer is one cmp_power call, and
+        # with best the least-H candidate alone is; none of them builds a
         # product: the bit lengths or leading bits decide each, and the only
         # 14th powers built are the reported ones, for the margin evidence.
         calls = 0
@@ -227,8 +237,14 @@ class TestCheckWitness:
         monkeypatch.setattr(alternating, "cmp_power", counted)
         monkeypatch.setattr(exact_arith, "_product", refuse)
         reports = list(witness_range(lo, hi, best))
-        assert calls == sum(r.candidates_tried for r in reports)
         assert all(r.passed for r in reports)
+        if best:
+            assert calls == len(reports)
+        else:
+            assert calls == sum(
+                next(i for i, lam in enumerate(alternating._candidates(r.n), 1) if lam == r.witness)
+                for r in reports
+            )
 
     def test_whole_window_family_passes_for_large_index(self):
         # for window index >= 8 every candidate (with the square replaced)
@@ -243,7 +259,7 @@ class TestCheckWitness:
 
     def test_window_candidates_never_self_conjugate(self):
         for n in range(49, alternating.MAX_N + 1):
-            members = list(alternating._gamma_candidates(n))
+            members = list(alternating._candidates(n))
             assert members and all(lam.n == n for lam in members), n
             assert not any(lam.is_self_conjugate() for lam in members), n
 
@@ -263,8 +279,17 @@ class TestClosedFormWitness:
     # n = m*m + e, 0 <= e <= 2m: the first window candidate, and the witness
     # reported above EXHAUSTIVE_MAX, is the closed form _closed_form_witness.
     def test_first_window_candidate(self):
+        # The first window member, with square_fix(m) in place of (m^m), and
+        # above EXHAUSTIVE_MAX the first candidate of the search.
         for n in range(9, alternating.MAX_N + 1):
-            assert next(alternating._gamma_candidates(n)) == _closed_form_witness(n), n
+            m = math.isqrt(n)
+            first = next(enumerate_gamma(m, size=n))
+            if n == m * m:
+                assert first == Partition((m,) * m) and first.is_self_conjugate(), n
+                first = square_fix(m)
+            assert first == _closed_form_witness(n), n
+            if n > alternating.EXHAUSTIVE_MAX:
+                assert next(alternating._candidates(n)) == first, n
 
     def test_range_reports_closed_form(self):
         reports = witness_range(alternating.EXHAUSTIVE_MAX + 1, alternating.MAX_N)

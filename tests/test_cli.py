@@ -7,6 +7,7 @@ import re
 import subprocess
 import sys
 import time
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -564,6 +565,24 @@ class TestContract:
         error = json.loads(out)["error"]
         assert error.startswith("chief factor 0 must be a JSON object, got [0, 1, 2, 3")
 
+    def test_long_chief_series_file_refused_quickly(self, capsys, tmp_path):
+        # The file is read up to one character past the cap, so a longer one
+        # is refused without being read to its end; at the cap it is parsed.
+        path = tmp_path / "series.json"
+        path.write_text(" " * (cli.SERIES_FILE_MAX_CHARS + 1))
+        start = time.perf_counter()
+        code, doc = _run_json(capsys, ["chiefseries-bound", "--file", str(path)])
+        assert time.perf_counter() - start < 1.0
+        assert code == 2
+        assert doc == {
+            "status": "error",
+            "error": f"--file {str(path)!r} is longer than {2**24} characters",
+        }
+        path.write_text(" " * cli.SERIES_FILE_MAX_CHARS)
+        code, doc = _run_json(capsys, ["chiefseries-bound", "--file", str(path)])
+        assert code == 2 and doc["error"].startswith(f"--file {str(path)!r}: expected a JSON")
+        path.unlink()
+
     def test_chiefseries_bound_reads_no_stdin(self):
         # Without --json or --file it is refused at once, even with stdin
         # left open: no input is read from anywhere else.
@@ -806,8 +825,12 @@ class TestSingleRowParser:
     def test_same_outcome_on_any_argv(self, argv):
         # Commands, flags, prefixes and "=" forms mixed with "--", "-", help
         # forms, negative numbers and a value with a space: the namespace,
-        # the usage error or the help exit is argparse's.
-        assert _parse_outcome(parse_args, argv) == _parse_outcome(_REFERENCE.parse_args, argv)
+        # the usage error or the help exit is argparse's.  parse_args gets
+        # _REFERENCE instead of a new parser for each example that is not in
+        # the plain form: building the 26 subparsers dominated this test.
+        with mock.patch.object(cli, "build_parser", lambda table: _REFERENCE):
+            one = _parse_outcome(parse_args, argv)
+        assert one == _parse_outcome(_REFERENCE.parse_args, argv)
 
     def test_subcommand_help_names_every_flag(self, capsys):
         for name, _, help_text, arguments, exclusive in cli.command_table():

@@ -194,3 +194,12 @@ def test_imports_make_no_compile_calls():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     ).stdout
     assert json.loads(out) == []
+
+
+def test_bench_files_keep_summaries_only():
+    # A BENCH_*.json file keeps the summary of its runs; the raw per-run
+    # records, which no code reads, stay in git history.
+    paths = sorted(REPO_ROOT.glob("BENCH_*.json"))
+    assert paths
+    with_records = [p.name for p in paths if "records" in json.loads(p.read_text())]
+    assert with_records == []
