@@ -101,8 +101,11 @@ def parse_table(text: str, line_number: int | None = None) -> DegreeTable:
     cols = text.rstrip("\n").split("\t")
     if len(cols) < 3:
         raise TableError("expected at least name, order, degrees columns", line_number)
+    if len(cols) > 6:
+        raise TableError(f"expected at most 6 columns (name, order, degrees, out, "
+                         f"alpha,beta, fitting), got {len(cols)}", line_number)
     cols += [""] * (6 - len(cols))
-    name, order_s, degrees_s, out_s, pair_s, fit_s = cols[:6]
+    name, order_s, degrees_s, out_s, pair_s, fit_s = cols
     name = name.strip()
     if not name:
         raise TableError("empty group name", line_number)

@@ -295,15 +295,23 @@ def _rows(family: Family, rank: int | None) -> tuple[_Value, _Value]:
 
 
 def _factor_prime_power(q: int) -> tuple[int, int]:
-    """(p, e) with q = p**e and p prime.
-
-    q is reduced to r**e with r not a perfect power by exact ell-th roots,
-    ell prime and ascending.  A root is taken only when r passes the residue
-    test for a prime m = 1 (mod ell): an ell-th power r has
-    r**((m-1)/ell) = 0 or 1 (mod m), and most other r fail it, so a large q
-    costs about one modular power per prime ell below its bit length."""
+    """(p, e) with q = p**e and p prime."""
     if q < 2:
         raise ValueError("q must be at least 2")
+    r, e = _perfect_power_root(q)
+    if is_prime(r):
+        return r, e
+    raise ValueError(f"q = {q} is not a prime power")
+
+
+def _perfect_power_root(q: int) -> tuple[int, int]:
+    """(r, e) with q = r**e, q >= 2, and r not a perfect power.
+
+    q is reduced by exact ell-th roots, ell prime and ascending.  A root is
+    taken only when r passes the residue test for a prime m = 1 (mod ell):
+    an ell-th power r has r**((m-1)/ell) = 0 or 1 (mod m), and most other r
+    fail it, so a large q costs about one modular power per prime ell below
+    its bit length."""
     r, e = q, 1
     for ell in primes(q.bit_length()):
         if ell >= r.bit_length():
@@ -316,9 +324,7 @@ def _factor_prime_power(q: int) -> tuple[int, int]:
             if root ** ell != r:
                 break
             r, e = root, e * ell
-    if is_prime(r):
-        return r, e
-    raise ValueError(f"q = {q} is not a prime power")
+    return r, e
 
 
 def _degree(v: _Value) -> int:

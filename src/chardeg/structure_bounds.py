@@ -164,15 +164,40 @@ def _series(doc) -> tuple[ChiefFactorDescriptor, ...]:
     return tuple(factors)
 
 
+def _refuse_psl2_order(order: int, where: str) -> None:
+    """Refuse an order q*(q**2 - 1)/gcd(2, q - 1) = |PSL_2(q)| for a prime
+    power q >= 4: rat(PSL_2(q)) <= 3 there, so the product bound cannot count
+    the factor.  For q >= 2, (q-1)**3 < q**3 - q < q**3, so q is one more than
+    the integer cube root of the order (q even) or of twice the order (q odd),
+    and only a q that matches is factored."""
+    for q in (nth_root_floor(order, 3) + 1, nth_root_floor(2 * order, 3) + 1):
+        if q < 4 or q * (q * q - 1) // math.gcd(2, q - 1) != order:
+            continue
+        from .lie_type import _perfect_power_root
+
+        try:
+            prime_power = is_prime(_perfect_power_root(q)[0])
+        except ValueError as exc:
+            raise ValueError(f"{where}: whether its order is that of PSL_2(q), for a q of "
+                             f"{q.bit_length()} bits, is not decided: {exc}") from None
+        if prime_power:
+            raise ValueError(f'{where} has the order of PSL_2({q}) but is not flagged "psl2": '
+                             "rat(PSL_2(q)) <= 3 for q >= 4, so no product bound counts it")
+
+
 def rat14_lower_bound(series: tuple[ChiefFactorDescriptor, ...]) -> int:
     """Product of |S|**k over the nonabelian, non-PSL_2 chief factors; the
     caller reads the result P as the certified bound rat(G)**14 >= P.
-    Raises ValueError when P could exceed POWER_MAX_BITS bits."""
-    counted = [f for f in series if not f.is_abelian and not f.is_psl2]
+    Raises ValueError when P could exceed POWER_MAX_BITS bits, and then when
+    a factor flagged neither abelian nor psl2 has the order of PSL_2(q),
+    q >= 4 (the only orders this checks)."""
+    counted = [(i, f) for i, f in enumerate(series) if not f.is_abelian and not f.is_psl2]
     check_power_bits(
-        "rat14_lower_bound", sum(f.multiplicity * f.factor_order.bit_length() for f in counted)
+        "rat14_lower_bound", sum(f.multiplicity * f.factor_order.bit_length() for _, f in counted)
     )
-    return math.prod(f.factor_order ** f.multiplicity for f in counted)
+    for i, f in counted:
+        _refuse_psl2_order(f.factor_order, f"chief factor {i}")
+    return math.prod(f.factor_order ** f.multiplicity for _, f in counted)
 
 
 def quotient_power_check(rat_g: tuple[int, int], rat_gn: tuple[int, int], order_n: int) -> bool:

@@ -31,6 +31,15 @@ def readme_command_lines() -> list[list[str]]:
     ]
 
 
+def poly_mul(a, b):
+    """Schoolbook convolution of two coefficient tuples, constant term first."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, c in enumerate(a):
+        for j, d in enumerate(b):
+            out[i + j] += c * d
+    return tuple(out)
+
+
 @pytest.fixture(scope="session")
 def data_dir() -> Path:
     return REPO_ROOT / "data"

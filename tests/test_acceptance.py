@@ -33,6 +33,7 @@ from chardeg.structure_bounds import (
     quotient_power_check,
     solvable_index_bound,
 )
+from conftest import poly_mul
 
 
 def _report(label: str, ok: bool) -> None:
@@ -147,22 +148,13 @@ def test_criterion_07_ratio_values(data_dir):
     _report("7 ratio values for the four-degree family and PSL3(4)", ok)
 
 
-def _poly_mul(a, b):
-    # Schoolbook convolution of two coefficient tuples, constant term first.
-    out = [0] * (len(a) + len(b) - 1)
-    for i, c in enumerate(a):
-        for j, d in enumerate(b):
-            out[i + j] += c * d
-    return tuple(out)
-
-
 def test_criterion_08_cyclotomic_identities():
     ok = True
     for n in range(1, 201):
         prod = (1,)
         for d in range(1, n + 1):
             if n % d == 0:
-                prod = _poly_mul(prod, cyclotomic(d))
+                prod = poly_mul(prod, cyclotomic(d))
         ok = ok and prod == (-1,) + (0,) * (n - 1) + (1,)
     for n in range(1, 105):
         ok = ok and all(c in (-1, 0, 1) for c in cyclotomic(n))

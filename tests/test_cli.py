@@ -7,7 +7,6 @@ import re
 import subprocess
 import sys
 import time
-from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -168,6 +167,10 @@ class TestVerifierCommands:
         )
         code, doc = _run_json(capsys, ["chiefseries-bound", "--json", series])
         assert code == 0 and doc["rat14_lower_bound"] == "25920"
+        # 1073740800 = |PSL_2(1024)|, whose rat**14 is about 1.03
+        series = '{"factors": [{"order": "1073740800", "psl2": false}]}'
+        code, doc = _run_json(capsys, ["chiefseries-bound", "--json", series])
+        assert code == 2 and "chief factor 0 has the order of PSL_2(1024)" in doc["error"]
 
     def test_examples_commands(self, capsys):
         code, doc = _run_json(capsys, ["example-frobenius", "--p", "7", "--m", "3"])
@@ -721,6 +724,21 @@ _ODD_TOKENS = ["--", "-", "-h", "--he", "-hx", "-1", "-2.5", "-.5", "7", "a b"]
 _REFERENCE = cli.build_parser(cli.command_table())
 
 
+def _near_plain(row):
+    # (row, argv after the command): the row's required flags or none, then
+    # up to three items, each a flag of the row alone or with a value (7 if
+    # typed, else x or "a b"), or any word above.
+    flags = [*row[3], *(a for group in row[4] for a in group)]
+    items = [[flag] for flag, _ in flags] + [
+        [flag, v] for flag, spec in flags if "action" not in spec
+        for v in (["7"] if "type" in spec else ["x", "a b"])]
+    required = [[flag, "7" if "type" in spec else "x"]
+                for flag, spec in row[3] if spec.get("required")]
+    words = st.sampled_from(items) | st.sampled_from(_WORDS + _ODD_TOKENS).map(lambda w: [w])
+    return st.builds(lambda head, rest: (row, sum(head + rest, [])),
+                     st.sampled_from([required, []]), st.lists(words, max_size=3))
+
+
 class TestSingleRowParser:
     """parse_args must parse, and fail, as argparse over the same command
     table does."""
@@ -821,16 +839,14 @@ class TestSingleRowParser:
         assert doc["status"] == "error" and all(w in doc["error"] for w in words), doc
 
     @settings(derandomize=True, max_examples=1000, deadline=None)
-    @given(st.lists(st.sampled_from(_WORDS) | st.sampled_from(_ODD_TOKENS), max_size=7))
-    def test_same_outcome_on_any_argv(self, argv):
-        # Commands, flags, prefixes and "=" forms mixed with "--", "-", help
-        # forms, negative numbers and a value with a space: the namespace,
-        # the usage error or the help exit is argparse's.  parse_args gets
-        # _REFERENCE instead of a new parser for each example that is not in
-        # the plain form: building the 26 subparsers dominated this test.
-        with mock.patch.object(cli, "build_parser", lambda table: _REFERENCE):
-            one = _parse_outcome(parse_args, argv)
-        assert one == _parse_outcome(_REFERENCE.parse_args, argv)
+    @given(st.one_of([_near_plain(row) for row in cli.command_table()]))
+    def test_same_outcome_on_any_argv(self, row_argv):
+        # Wherever _plain reads an argv, its namespace is argparse's;
+        # parse_args hands every other argv to argparse itself.
+        row, argv = row_argv
+        one = cli._plain(row, argv)
+        if one is not None:
+            assert vars(one) == _parse_outcome(_REFERENCE.parse_args, [row[0], *argv]), argv
 
     def test_subcommand_help_names_every_flag(self, capsys):
         for name, _, help_text, arguments, exclusive in cli.command_table():

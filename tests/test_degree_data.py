@@ -45,6 +45,15 @@ class TestParsing:
             parse_tables(text)
         assert "line 3" in str(err.value)
 
+    def test_extra_column_refused(self, tmp_path, capsys):
+        # a seventh column is refused with its line number, in parse_tables
+        # and in validate-data, rather than dropped
+        with pytest.raises(TableError, match=r"^line 2: expected at most 6 columns .* got 7$"):
+            parse_tables("# comment\nA5\t60\t1,3,3,4,5\t1\t\t\textra\n")
+        (tmp_path / "extra.tsv").write_text("A5\t60\t1,3,3,4,5\t1\t\t\textra\n")
+        assert main(["validate-data", "--data", str(tmp_path)]) == 2
+        assert "line 1: expected at most 6 columns" in json.loads(capsys.readouterr().out)["error"]
+
     def test_integer_digit_cap(self):
         # The cap is the digit count of 2**POWER_MAX_BITS: at the cap a field
         # converts, and one digit more is refused, naming the field and line.

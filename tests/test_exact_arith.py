@@ -18,6 +18,7 @@ from chardeg.exact_arith import (
     nth_root_floor,
     primes,
 )
+from conftest import poly_mul
 
 # 50-digit truncations of e and pi, a second oracle for const_interval.
 E_50 = Fraction(27182818284590452353602874713526624977572470936999, 10 ** 49)
@@ -331,15 +332,6 @@ def test_is_prime_small_factor_decides_any_size():
         assert is_prime(n) is False
 
 
-def _poly_mul(a, b):
-    # Schoolbook convolution of two coefficient tuples, constant term first.
-    out = [0] * (len(a) + len(b) - 1)
-    for i, c in enumerate(a):
-        for j, d in enumerate(b):
-            out[i + j] += c * d
-    return tuple(out)
-
-
 class TestCyclotomic:
     def test_small(self):
         assert cyclotomic(1) == (-1, 1)
@@ -360,7 +352,7 @@ class TestCyclotomic:
             prod = (1,)
             for d in range(1, n + 1):
                 if n % d == 0:
-                    prod = _poly_mul(prod, cyclotomic(d))
+                    prod = poly_mul(prod, cyclotomic(d))
             assert prod == (-1,) + (0,) * (n - 1) + (1,)
 
     def test_product_of_values_up_to_cap(self):

@@ -58,14 +58,35 @@ class TestRat14LowerBound:
             assert rat14_lower_bound(joined) == rat14_lower_bound(a) * rat14_lower_bound(b)
 
     def test_size_cap_counts_only_the_product_factors(self):
-        # 60 has 6 bits: 21845 copies stay within POWER_MAX_BITS, one more does
-        # not; abelian and PSL_2 factors are left out of the product and the cap
-        cap = exact_arith.POWER_MAX_BITS // 6
-        assert rat14_lower_bound((_factor(60, mult=cap),)) == 60 ** cap
+        # 20160 has 15 bits: 8738 copies stay within POWER_MAX_BITS, one more
+        # does not; abelian and PSL_2 factors are left out of the product and
+        # the cap
+        cap = exact_arith.POWER_MAX_BITS // 15
+        assert rat14_lower_bound((_factor(20160, mult=cap),)) == 20160 ** cap
         exempt = (_factor(2, mult=10 ** 9, abelian=True), _factor(60, mult=10 ** 9, psl2=True))
-        assert rat14_lower_bound(exempt + (_factor(60),)) == 60
+        assert rat14_lower_bound(exempt + (_factor(20160),)) == 20160
         with pytest.raises(ValueError, match="rat14_lower_bound would build"):
-            rat14_lower_bound((_factor(60, mult=cap + 1),))
+            rat14_lower_bound((_factor(20160, mult=cap + 1),))
+
+    def test_unflagged_psl2_order_refused(self):
+        # |PSL_2(q)| = q(q**2 - 1)/gcd(2, q - 1) is refused for each prime
+        # power q >= 4 unless flagged psl2 (PSL_2(4) and PSL_2(5) share 60),
+        # and passes for any other q.
+        for q in range(4, 400):
+            order = q * (q * q - 1) // math.gcd(2, q - 1)
+            p = next(d for d in range(2, q + 1) if q % d == 0)
+            series = (_factor(2, abelian=True), _factor(order))
+            if q == p ** round(math.log(q, p)):
+                with pytest.raises(ValueError, match=rf"^chief factor 1 has the order of "
+                                   rf"PSL_2\({4 if q == 5 else q}\) but is not flagged"):
+                    rat14_lower_bound(series)
+                assert rat14_lower_bound((_factor(order, psl2=True),)) == 1
+            else:
+                assert rat14_lower_bound(series) == order, q
+        # q = 2**89 - 1 is prime, but past what is_prime decides exactly
+        q = 2 ** 89 - 1
+        with pytest.raises(ValueError, match="for a q of 89 bits, is not decided"):
+            rat14_lower_bound((_factor(q * (q * q - 1) // 2),))
 
     def test_flag_validation(self):
         with pytest.raises(ValueError):
@@ -99,10 +120,10 @@ class TestRat14LowerBound:
         assert cap == len(str(2 ** exact_arith.POWER_MAX_BITS))
         at_cap = "9" * cap
         for text in (f'"{at_cap}"', at_cap):
-            doc = f'{{"factors": [{{"order": {text}, "abelian": true}}, {{"order": 60}}]}}'
+            doc = f'{{"factors": [{{"order": {text}, "abelian": true}}, {{"order": 20160}}]}}'
             series = series_from_json(doc, "--json")
             assert series[0].factor_order == 10 ** cap - 1
-            assert rat14_lower_bound(series) == 60
+            assert rat14_lower_bound(series) == 20160
         for key in ("order", "multiplicity"):
             for text in (f'"{at_cap}9"', f"{at_cap}9", f"-{at_cap}", f"{at_cap}.5"):
                 factor = {"order": "60", key: "PLACEHOLDER"}
