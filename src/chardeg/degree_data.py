@@ -11,7 +11,7 @@ The on-disk format is TSV, one group per line:
     name <TAB> order <TAB> degrees <TAB> out <TAB> alpha,beta <TAB> fitting
 
 with '#' comment lines, empty optional fields, comma-separated degrees, and
-all integers in plain decimal of at most POWER_MAX_DIGITS digits.
+all integers as ASCII decimal digits, at most POWER_MAX_DIGITS of them.
 
 DegreeTable and PairCheck are immutable NamedTuples compared by value;
 DegreeTable checks its fields and sorts its degrees in __new__.
@@ -36,11 +36,7 @@ __all__ = [
 
 
 class TableError(ValueError):
-    """Parse or validation failure, with a line number when available."""
-
-    def __init__(self, message: str, line: int | None = None):
-        self.line = line
-        super().__init__(message if line is None else f"line {line}: {message}")
+    """Parse or validation failure; parse_tables prefixes "line N: ", load_dir the file."""
 
 
 class _DegreeTableFields(NamedTuple):
@@ -87,52 +83,39 @@ class DegreeTable(_DegreeTableFields):
         return self
 
 
-def _parse_int(text: str, what: str, line: int | None) -> int:
+def _parse_int(text: str, what: str) -> int:
     if len(text) > POWER_MAX_DIGITS:
-        raise TableError(f"{what} has more than {POWER_MAX_DIGITS} digits", line)
-    try:
-        return int(text)
-    except ValueError:
-        raise TableError(f"bad {what} {text!r}", line) from None
+        raise TableError(f"{what} has more than {POWER_MAX_DIGITS} digits")
+    if not (text.isascii() and text.isdigit()):
+        raise TableError(f"bad {what} {text!r}")
+    return int(text)
 
 
-def parse_table(text: str, line_number: int | None = None) -> DegreeTable:
+def parse_table(text: str) -> DegreeTable:
     """Parse a single TSV line into a DegreeTable."""
     cols = text.rstrip("\n").split("\t")
     if len(cols) < 3:
-        raise TableError("expected at least name, order, degrees columns", line_number)
+        raise TableError("expected at least name, order, degrees columns")
     if len(cols) > 6:
         raise TableError(f"expected at most 6 columns (name, order, degrees, out, "
-                         f"alpha,beta, fitting), got {len(cols)}", line_number)
+                         f"alpha,beta, fitting), got {len(cols)}")
     cols += [""] * (6 - len(cols))
-    name, order_s, degrees_s, out_s, pair_s, fit_s = cols
-    name = name.strip()
+    name, order_s, degrees_s, out_s, pair_s, fit_s = (c.strip() for c in cols)
     if not name:
-        raise TableError("empty group name", line_number)
-    degrees_s = degrees_s.strip()
+        raise TableError("empty group name")
     if not degrees_s:
-        raise TableError("empty degrees field", line_number)
-    degrees = tuple(
-        _parse_int(d.strip(), "degree", line_number) for d in degrees_s.split(",")
-    )
-    order = _parse_int(order_s.strip(), "order", line_number) if order_s.strip() else None
-    out = _parse_int(out_s.strip(), "out order", line_number) if out_s.strip() else None
+        raise TableError("empty degrees field")
+    degrees = tuple(_parse_int(d.strip(), "degree") for d in degrees_s.split(","))
+    order = _parse_int(order_s, "order") if order_s else None
+    out = _parse_int(out_s, "out order") if out_s else None
     pair = None
-    if pair_s.strip():
+    if pair_s:
         bits = pair_s.split(",")
         if len(bits) != 2:
-            raise TableError(f"bad pair {pair_s!r}", line_number)
-        pair = (
-            _parse_int(bits[0].strip(), "alpha", line_number),
-            _parse_int(bits[1].strip(), "beta", line_number),
-        )
-    fitting = _parse_int(fit_s.strip(), "fitting index", line_number) if fit_s.strip() else None
-    try:
-        return DegreeTable(name, degrees, order, out, pair, fitting)
-    except TableError as exc:
-        if exc.line is None and line_number is not None:
-            raise TableError(str(exc), line_number) from None
-        raise
+            raise TableError(f"bad pair {pair_s!r}")
+        pair = (_parse_int(bits[0].strip(), "alpha"), _parse_int(bits[1].strip(), "beta"))
+    fitting = _parse_int(fit_s, "fitting index") if fit_s else None
+    return DegreeTable(name, degrees, order, out, pair, fitting)
 
 
 def parse_tables(text: str) -> list[DegreeTable]:
@@ -141,20 +124,26 @@ def parse_tables(text: str) -> list[DegreeTable]:
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        out.append(parse_table(raw, line_number=i))
+        try:
+            out.append(parse_table(raw))
+        except TableError as exc:
+            raise TableError(f"line {i}: {exc}") from None
     return out
 
 
 def load_dir(path: str | Path) -> list[DegreeTable]:
     """All tables from the *.tsv files of a data directory, in filename
-    order; raises FileNotFoundError when the directory does not exist and
-    TableError when two tables share a name."""
+    order; raises FileNotFoundError for a missing directory, and TableError
+    for a bad line ("<file>: line N: ...") or a name two tables share."""
     p = Path(path)
     if not p.is_dir():
         raise FileNotFoundError(f"data directory {p} not found")
     tables = []
     for f in sorted(p.glob("*.tsv")):
-        tables.extend(parse_tables(f.read_text()))
+        try:
+            tables.extend(parse_tables(f.read_text()))
+        except TableError as exc:
+            raise TableError(f"{f}: {exc}") from None
     names = [t.name for t in tables]
     if len(set(names)) != len(names):
         raise TableError(f"duplicate table names in data directory {p}")

@@ -9,17 +9,18 @@ the two products; and otherwise the two products, built and compared
 exactly.  Integer k-th roots by Newton from a half-precision root; primes,
 the package's one sieve; is_prime, trial division by the primes below 256
 and then Miller-Rabin with the first 13 primes as bases, exact below psi_13;
-cyclotomic, the coefficient tuple of a cyclotomic polynomial by its Moebius
-product, and eval_poly, Horner evaluation of such a tuple; const_interval,
-integer bounds lo <= c * 2**b <= hi for the constants e and 2*pi, at most 3
-apart, from exact series sums rounded outward; and POWER_MAX_BITS with
-check_power_bits, the size cap callers apply before building a large power
-from their inputs, with POWER_MAX_DIGITS, the cap on decimal text they
-apply before int() converts it.  Factorials and integer square roots are
-math.factorial and math.isqrt, which callers take from math directly.
-Nothing in this module handles a rational: a caller that compares rationals
-splits each ratio, its numerator on one side of cmp_power and its
-denominator on the other, and fractions is never imported.
+prime_power, (p, e) for q = p**e by exact roots and is_prime; cyclotomic,
+the coefficient tuple of a cyclotomic polynomial by its Moebius product, and
+eval_poly, Horner evaluation of such a tuple; const_interval, integer bounds
+lo <= c * 2**b <= hi for the constants e and 2*pi, at most 3 apart, from
+exact series sums rounded outward; and POWER_MAX_BITS with check_power_bits,
+the size cap callers apply before building a large power from their inputs,
+with POWER_MAX_DIGITS, the cap on decimal text they apply before int()
+converts it.  Factorials and integer square roots are math.factorial and
+math.isqrt, which callers take from math directly.  Nothing in this module
+handles a rational: a caller that compares rationals splits each ratio, its
+numerator on one side of cmp_power and its denominator on the other, and
+fractions is never imported.
 
 Every verdict produced by this module reduces to a comparison of Python
 integers; floats never participate.  Magnitudes like 2000!**14 are routine.
@@ -41,6 +42,7 @@ __all__ = [
     "nth_root_floor",
     "primes",
     "is_prime",
+    "prime_power",
     "POWER_MAX_BITS",
     "POWER_MAX_DIGITS",
     "check_power_bits",
@@ -64,8 +66,9 @@ def check_power_bits(caller: str, bits: int) -> None:
     """Raise ValueError when bits, a bound on the size of an integer the
     caller is about to build, is above POWER_MAX_BITS."""
     if bits > POWER_MAX_BITS:
+        shown = bits if bits < 2 ** 64 else f"2**{bits.bit_length()}"  # no long decimal
         raise ValueError(
-            f"{caller} would build an integer of up to {bits} bits, more than {POWER_MAX_BITS}"
+            f"{caller} would build an integer of up to {shown} bits, more than {POWER_MAX_BITS}"
         )
 
 
@@ -274,6 +277,30 @@ def is_prime(n: int) -> bool:
         else:
             return False
     return True
+
+
+def prime_power(q: int) -> tuple[int, int] | None:
+    """(p, e) with q = p**e and p prime, or None, for any q < 2 too; raises
+    ValueError where is_prime cannot decide the root.  q is reduced by exact
+    ell-th roots, ell prime and ascending.  A root is taken only when r passes
+    the residue test for a prime m = 1 (mod ell): an ell-th power r has
+    r**((m-1)/ell) = 0 or 1 (mod m), and most other r fail it, so a large q
+    costs about one modular power per prime ell below its bit length."""
+    if q < 2:
+        return None
+    r, e = q, 1
+    for ell in primes(q.bit_length()):
+        if ell >= r.bit_length():
+            break
+        m = 2 * ell + 1
+        while not is_prime(m):
+            m += 2 * ell
+        while pow(r, (m - 1) // ell, m) <= 1:
+            root = nth_root_floor(r, ell)
+            if root ** ell != r:
+                break
+            r, e = root, e * ell
+    return (r, e) if is_prime(r) else None
 
 
 # cyclotomic(k) takes about k * 2**omega(k) steps and the CLI prints its phi(k) + 1

@@ -46,7 +46,7 @@ from functools import partial
 from math import gcd, isqrt
 from typing import Callable, Iterable, Mapping, NamedTuple
 
-from .exact_arith import check_power_bits, cmp_power, is_prime, nth_root_floor, primes
+from .exact_arith import check_power_bits, cmp_power, is_prime, prime_power, primes
 
 __all__ = [
     "Family",
@@ -294,39 +294,6 @@ def _rows(family: Family, rank: int | None) -> tuple[_Value, _Value]:
 # ---------------------------------------------------------------------------
 
 
-def _factor_prime_power(q: int) -> tuple[int, int]:
-    """(p, e) with q = p**e and p prime."""
-    if q < 2:
-        raise ValueError("q must be at least 2")
-    r, e = _perfect_power_root(q)
-    if is_prime(r):
-        return r, e
-    raise ValueError(f"q = {q} is not a prime power")
-
-
-def _perfect_power_root(q: int) -> tuple[int, int]:
-    """(r, e) with q = r**e, q >= 2, and r not a perfect power.
-
-    q is reduced by exact ell-th roots, ell prime and ascending.  A root is
-    taken only when r passes the residue test for a prime m = 1 (mod ell):
-    an ell-th power r has r**((m-1)/ell) = 0 or 1 (mod m), and most other r
-    fail it, so a large q costs about one modular power per prime ell below
-    its bit length."""
-    r, e = q, 1
-    for ell in primes(q.bit_length()):
-        if ell >= r.bit_length():
-            break
-        m = 2 * ell + 1
-        while not is_prime(m):
-            m += 2 * ell
-        while pow(r, (m - 1) // ell, m) <= 1:
-            root = nth_root_floor(r, ell)
-            if root ** ell != r:
-                break
-            r, e = root, e * ell
-    return r, e
-
-
 def _degree(v: _Value) -> int:
     # The q-degree of a row: its value has at most that times bitlen(q) bits.
     return v.a + v.h + sum(d for d, _ in v.num) - sum(d for d, _ in v.den)
@@ -350,8 +317,11 @@ def make_spec(family: Family, q: int, rank: int | None = None) -> GroupSpec:
         if rank > MAX_RANK:
             raise ValueError(f"rank {rank} is above the maximum {MAX_RANK}")
     _check_order_bits(family, rank, q)
-    p, e = _factor_prime_power(q)
-    return GroupSpec(family, rank, q, p, e)
+    if q < 2:
+        raise ValueError("q must be at least 2")
+    if (pe := prime_power(q)) is None:
+        raise ValueError(f"q = {q} is not a prime power")
+    return GroupSpec(family, rank, q, *pe)
 
 
 def validate(fam: Family, n: int | None, q: int, p: int, e: int) -> str | None:

@@ -13,7 +13,8 @@ by value that checks its fields in __new__.
 import math
 from typing import NamedTuple
 
-from .exact_arith import POWER_MAX_DIGITS, check_power_bits, cmp_power, is_prime, nth_root_floor
+from .exact_arith import POWER_MAX_DIGITS, check_power_bits, cmp_power, is_prime
+from .exact_arith import nth_root_floor, prime_power
 from .degree_data import DegreeTable
 
 __all__ = [
@@ -173,31 +174,43 @@ def _refuse_psl2_order(order: int, where: str) -> None:
     for q in (nth_root_floor(order, 3) + 1, nth_root_floor(2 * order, 3) + 1):
         if q < 4 or q * (q * q - 1) // math.gcd(2, q - 1) != order:
             continue
-        from .lie_type import _perfect_power_root
-
         try:
-            prime_power = is_prime(_perfect_power_root(q)[0])
+            psl2 = prime_power(q) is not None
         except ValueError as exc:
             raise ValueError(f"{where}: whether its order is that of PSL_2(q), for a q of "
                              f"{q.bit_length()} bits, is not decided: {exc}") from None
-        if prime_power:
+        if psl2:
             raise ValueError(f'{where} has the order of PSL_2({q}) but is not flagged "psl2": '
                              "rat(PSL_2(q)) <= 3 for q >= 4, so no product bound counts it")
+
+
+def _refuse_abelian_order(order: int, where: str) -> None:
+    try:
+        if prime_power(order) is not None:
+            return
+        reason = f"its order {_shown(order)} is not a prime power"
+    except ValueError as exc:
+        reason = f"whether its order {_shown(order)} is a prime power is not decided: {exc}"
+    raise ValueError(f'{where} is flagged "abelian" (elementary, of order p**k), but {reason}')
 
 
 def rat14_lower_bound(series: tuple[ChiefFactorDescriptor, ...]) -> int:
     """Product of |S|**k over the nonabelian, non-PSL_2 chief factors; the
     caller reads the result P as the certified bound rat(G)**14 >= P.
     Raises ValueError when P could exceed POWER_MAX_BITS bits, and then when
-    a factor flagged neither abelian nor psl2 has the order of PSL_2(q),
-    q >= 4 (the only orders this checks)."""
-    counted = [(i, f) for i, f in enumerate(series) if not f.is_abelian and not f.is_psl2]
+    a factor flagged abelian does not have prime-power order, or a factor
+    flagged neither abelian nor psl2 has the order of PSL_2(q), q >= 4 (the
+    only orders this checks)."""
+    counted = [f for f in series if not f.is_abelian and not f.is_psl2]
     check_power_bits(
-        "rat14_lower_bound", sum(f.multiplicity * f.factor_order.bit_length() for _, f in counted)
+        "rat14_lower_bound", sum(f.multiplicity * f.factor_order.bit_length() for f in counted)
     )
-    for i, f in counted:
-        _refuse_psl2_order(f.factor_order, f"chief factor {i}")
-    return math.prod(f.factor_order ** f.multiplicity for _, f in counted)
+    for i, f in enumerate(series):
+        if f.is_abelian:
+            _refuse_abelian_order(f.factor_order, f"chief factor {i}")
+        elif not f.is_psl2:
+            _refuse_psl2_order(f.factor_order, f"chief factor {i}")
+    return math.prod(f.factor_order ** f.multiplicity for f in counted)
 
 
 def quotient_power_check(rat_g: tuple[int, int], rat_gn: tuple[int, int], order_n: int) -> bool:

@@ -430,6 +430,17 @@ class TestContract:
                 'chiefseries-bound --json {"factors":[{"order":"60","multiplicity":10000000}]}',
                 "rat14_lower_bound would build an integer of up to 60000000 bits",
             ),
+            # A bound from 2**64 up is written as the power of two above it.
+            pytest.param(
+                f"maroti --n {10 ** 130000} --d 5",
+                "maroti_bound would build an integer of up to 2**431855 bits, more than 131072",
+                id="maroti --n 10**130000 --d 5",
+            ),
+            pytest.param(
+                f"out-bound --x 2 --y 60 --num 259 --den {10 ** 130000}",
+                "check_exponent_bound would build an integer of up to 2**431852 bits",
+                id="out-bound --x 2 --y 60 --num 259 --den 10**130000",
+            ),
             ("conjugate --partition 100000000^3", "partition size is above the maximum 10000"),
             ("hook --partition 3000^3000", "partition size is above the maximum 10000"),
             ("gamma --m 3000", "enumerate_gamma requires m <= 50, got 3000"),
@@ -454,6 +465,8 @@ class TestContract:
         assert time.perf_counter() - start < 1.0
         assert code == 2 and doc["status"] == "error"
         assert reason in doc["error"]
+        # Under 1 KB beyond what the reason itself quotes of a long input.
+        assert len(json.dumps(doc)) < 1024 + len(reason)
 
     @pytest.mark.parametrize(
         "document, reason",
@@ -521,6 +534,12 @@ class TestContract:
                 '{"factors": [{"order": "2", "abelian": true}, {"label": "A8", "ordr": 20160}]}',
                 'chief factor 1 has the unknown key "ordr"; a chief factor takes only '
                 "label, order, multiplicity, abelian, psl2",
+            ),
+            # An abelian chief factor is elementary abelian, of order p**k.
+            (
+                '{"factors": [{"order": "20160"}, {"order": "6", "abelian": true}]}',
+                'chief factor 1 is flagged "abelian" (elementary, of order p**k), '
+                "but its order 6 is not a prime power",
             ),
             pytest.param(
                 '{"factors": ' + "[" * 500 + "]" * 500 + "}",
@@ -661,7 +680,8 @@ class TestContract:
         code, doc = _run_json(capsys, [command, "--data", str(tmp_path)])
         assert time.perf_counter() - start < 0.1
         assert code == 2
-        assert doc == {"status": "error", "error": "line 2: order has more than 39457 digits"}
+        assert doc == {"status": "error",
+                       "error": f"{tmp_path / 'big.tsv'}: line 2: order has more than 39457 digits"}
 
     @pytest.mark.parametrize("command", ["validate-data", "sporadic-check"])
     def test_duplicate_table_names_rejected(self, command, capsys, tmp_path):

@@ -1,4 +1,5 @@
 import json
+import re
 from fractions import Fraction
 
 import pytest
@@ -54,16 +55,30 @@ class TestParsing:
         assert main(["validate-data", "--data", str(tmp_path)]) == 2
         assert "line 1: expected at most 6 columns" in json.loads(capsys.readouterr().out)["error"]
 
+    @pytest.mark.parametrize("line, reason", [
+        ("X\t6_0\t1,2,3\t\t\t", "bad order '6_0'"),  # int() reads 60
+        ("X\t60\t1,\u0665\t\t\t", "bad degree '\u0665'"),  # int() reads 5
+        ("X\t-6\t1\t\t\t", "bad order '-6'"),
+    ])
+    def test_integers_are_ascii_digits(self, line, reason, tmp_path, capsys):
+        # A field takes only the digits 0-9, and load_dir names the file and line.
+        with pytest.raises(TableError, match=f"^{re.escape(reason)}$"):
+            parse_table(line)
+        (tmp_path / "x.tsv").write_text(f"# one table\n{line}\n")
+        assert main(["validate-data", "--data", str(tmp_path)]) == 2
+        error = json.loads(capsys.readouterr().out)["error"]
+        assert error == f"{tmp_path / 'x.tsv'}: line 2: {reason}"
+
     def test_integer_digit_cap(self):
         # The cap is the digit count of 2**POWER_MAX_BITS: at the cap a field
         # converts, and one digit more is refused, naming the field and line.
         at_cap = "9" * 39_457
-        assert parse_table(f"X\t{at_cap}\t1,3\t\t\t", 4).order == 10 ** 39_457 - 1
+        assert parse_table(f"X\t{at_cap}\t1,3\t\t\t").order == 10 ** 39_457 - 1
         for line, field in ((f"X\t{'7' * 40_000}\t1\t\t\t", "order"),
                             (f"X\t\t1,{at_cap}9\t\t\t", "degree"),
                             (f"X\t6\t1\t\t\t{'1' * 40_000}", "fitting index")):
             with pytest.raises(TableError, match=f"^line 4: {field} has more than 39457 digits$"):
-                parse_table(line, 4)
+                parse_tables("#\n" * 3 + line)
 
     def test_pair_must_appear_in_degrees(self):
         with pytest.raises(TableError):
@@ -87,10 +102,8 @@ class TestParsing:
         assert positional == keyword
 
     def test_degree_must_divide_order(self):
-        with pytest.raises(TableError) as err:
-            parse_table("X\t10\t1,2,3\t\t\t", line_number=4)
-        assert "line 4" in str(err.value)
-        assert "X: degree 3 does not divide the order 10" in str(err.value)
+        with pytest.raises(TableError, match="^line 4: X: degree 3 does not divide the order 10$"):
+            parse_tables("#\n" * 3 + "X\t10\t1,2,3\t\t\t")
         # every degree divides 0, so a nonpositive order is rejected first
         for order in (0, -6):
             with pytest.raises(TableError):
@@ -98,10 +111,10 @@ class TestParsing:
 
     def test_squared_degrees_must_not_exceed_order(self):
         # every degree divides 24, but 1 + 4 + 9 + 16 = 30 > 24
-        with pytest.raises(TableError) as err:
-            parse_table("X\t24\t1,2,3,4\t\t\t", line_number=7)
-        assert "line 7" in str(err.value)
-        assert "X: the squared degrees sum to 30, more than the order 24" in str(err.value)
+        with pytest.raises(
+            TableError, match="^line 7: X: the squared degrees sum to 30, more than the order 24$"
+        ):
+            parse_tables("#\n" * 6 + "X\t24\t1,2,3,4\t\t\t")
         # equality is the complete table, and a partial one stays below it
         assert parse_table("S3\t6\t1,1,2\t\t\t").order == 6
         assert parse_table("S3\t6\t1,2\t\t\t").order == 6

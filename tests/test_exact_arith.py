@@ -16,6 +16,7 @@ from chardeg.exact_arith import (
     eval_poly,
     is_prime,
     nth_root_floor,
+    prime_power,
     primes,
 )
 from conftest import poly_mul
@@ -330,6 +331,18 @@ def test_is_prime_small_factor_decides_any_size():
     psi_13 = 3317044064679887385961981
     for n in (2 * psi_13, 251 * (2 ** 127 - 1), 6 ** 4000, 2 * 10 ** 30):
         assert is_prime(n) is False
+
+
+def test_prime_power_matches_the_sieve():
+    limit = 5000
+    expected = {p ** e: (p, e) for p in primes(limit) for e in range(1, 13) if p ** e < limit}
+    assert [prime_power(q) for q in range(-2, limit)] == [expected.get(q) for q in range(-2, limit)]
+    assert prime_power((2 ** 61 - 1) ** 2) == (2 ** 61 - 1, 2)
+    assert prime_power(3 ** 6930) == (3, 6930)
+    assert prime_power(3 ** 6930 * 2) is None
+    # a root past psi_13 with no small factor is not decided
+    with pytest.raises(ValueError, match="is_prime is exact only below"):
+        prime_power((2 ** 127 - 1) ** 2)
 
 
 class TestCyclotomic:

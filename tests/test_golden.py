@@ -1,17 +1,22 @@
 """Every fixed CLI query of the benchmark, run in-process, must reproduce the
 exit code and stdout SHA-256 digest recorded in perfbench/golden.json, and so
 must the witness range, run in chunks, and each sweep of the lie-sweep
-workload, with its point counts."""
+workload, with its point counts.  The verdicts of the sweeps and of the
+sweep, thm21, lemma61, sporadic-check and prop42 queries also replay from
+their printed numbers (tests/replay.py)."""
 
+import ast
 import contextlib
 import hashlib
 import io
 import json
+import re
 
 import pytest
 
 from chardeg import cli
 
+import replay
 from conftest import REPO_ROOT, load_workloads
 
 WORKLOADS = load_workloads()
@@ -39,6 +44,32 @@ def test_query_matches_golden(argv, monkeypatch):
     expected = GOLDEN[" ".join(argv)]
     assert rc == expected["rc"]
     assert hashlib.sha256(out.encode()).hexdigest() == expected["sha256"]
+    if rc == 0 and argv[0] in replay.COMMANDS:  # an error document has no verdict
+        replay.query(argv, out)
+
+
+def test_replay_imports_no_chardeg():
+    tree = ast.parse((REPO_ROOT / "tests" / "replay.py").read_text())
+    roots = {alias.name.split(".")[0] for node in ast.walk(tree) if isinstance(node, ast.Import)
+             for alias in node.names}
+    roots |= {node.module.split(".")[0] for node in ast.walk(tree)
+              if isinstance(node, ast.ImportFrom)}
+    assert roots == {"csv", "io", "json", "math"}
+
+
+def test_replay_fails_on_one_changed_digit():
+    # Each digit of the E8 alpha, of a sweep entry's alpha and of a witness's
+    # hook product, changed alone, breaks the replay.
+    for argv, key in ((["thm21", "--family", "E8", "--q", "2"], "alpha"),
+                      (["sweep", "--families", "E8", "--q-max", "2"], "alpha"),
+                      (["prop42", "--n", "40"], "hook_product")):
+        rc, out = _run(argv)
+        replay.query(argv, out)
+        (value,) = re.findall(f'"{key}": "([0-9]+)"', out)
+        for i, digit in enumerate(value):
+            changed = f"{value[:i]}{(int(digit) + 1) % 10}{value[i + 1:]}"
+            with pytest.raises(AssertionError):
+                replay.query(argv, out.replace(f'"{key}": "{value}"', f'"{key}": "{changed}"'))
 
 
 @pytest.mark.parametrize("order", ["in-order", "reversed"])
@@ -63,6 +94,7 @@ def test_lie_sweep_matches_golden(family):
     expected = GOLDEN[" ".join(argv)]
     assert rc == expected["rc"]
     assert hashlib.sha256(out.encode()).hexdigest() == expected["sha256"]
+    replay.sweep(out, "jsonl")
     lines = out.splitlines()
     checked = sum('"status": "ok"' in line for line in lines)
     assert {"points": len(lines), "checked": checked, "excluded": len(lines) - checked} == (

@@ -63,6 +63,26 @@ def _imports(roots: set[str]) -> set[str]:
     return found
 
 
+def test_no_private_name_crosses_modules():
+    # Each module keeps its underscore names to itself: no chardeg module
+    # imports one from, or reads one off, another.  Prime powers, say, are
+    # decided once, by exact_arith.prime_power.
+    found = set()
+    for name in MODULES:
+        tree = ast.parse((REPO_ROOT / "src" / "chardeg" / f"{name}.py").read_text())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (node.level or node.module == "chardeg"
+                                                      or node.module.startswith("chardeg.")):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.Attribute) and getattr(node.value, "id", None) in MODULES:
+                names = [node.attr]
+            else:
+                continue
+            found |= {f"{name}:{node.lineno}:{n}" for n in names if n.startswith("_")}
+    assert found == set()
+    assert not {"_factor_prime_power", "_perfect_power_root"} & set(vars(lie_type))
+
+
 def test_no_fractions_or_decimal_import():
     # A ratio is a pair of ints from parse to verdict.
     assert _imports({"fractions", "decimal"}) == set()

@@ -1,6 +1,7 @@
 import json
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -44,9 +45,12 @@ class TestRat14LowerBound:
                 factors = []
                 for _ in range(k):
                     kind = rng.choice(["abelian", "psl2", "other"])
+                    # an abelian factor has prime-power order
+                    order = (rng.choice((2, 3, 5, 7, 101)) ** rng.randrange(1, 9)
+                             if kind == "abelian" else rng.randrange(2, 10 ** 6))
                     factors.append(
                         _factor(
-                            rng.randrange(2, 10 ** 6),
+                            order,
                             mult=rng.randrange(1, 4),
                             abelian=kind == "abelian",
                             psl2=kind == "psl2",
@@ -88,6 +92,27 @@ class TestRat14LowerBound:
         with pytest.raises(ValueError, match="for a q of 89 bits, is not decided"):
             rat14_lower_bound((_factor(q * (q * q - 1) // 2),))
 
+    def test_abelian_order_must_be_a_prime_power(self):
+        # An abelian chief factor is elementary abelian, of order p**k.
+        for order in (2, 125, 2 ** 20, 101 ** 7):
+            assert rat14_lower_bound((_factor(order, abelian=True), _factor(20160))) == 20160
+        for order in (6, 10 ** 6, 2 ** 20 * 3):
+            with pytest.raises(ValueError, match=rf'^chief factor 1 is flagged "abelian" '
+                               rf"\(elementary, of order p\*\*k\), but its order {order} "
+                               "is not a prime power$"):
+                rat14_lower_bound((_factor(20160), _factor(order, abelian=True)))
+        # an order past what is_prime decides, at the JSON digit cap, is
+        # refused as not decided, in bounded time, quoting 500 of its digits
+        order = 10 ** (exact_arith.POWER_MAX_DIGITS - 1) + 19
+        assert len(str(order)) == exact_arith.POWER_MAX_DIGITS
+        assert math.gcd(order, math.prod(exact_arith.primes(255))) == 1
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="is a prime power is not decided") as err:
+            rat14_lower_bound((_factor(order, abelian=True),))
+        assert time.perf_counter() - start < 2.0
+        assert f"its order 1{'0' * 499}... is a prime power" in str(err.value)
+        assert len(str(err.value)) < 1000
+
     def test_flag_validation(self):
         with pytest.raises(ValueError):
             _factor(60, abelian=True, psl2=True)
@@ -120,7 +145,7 @@ class TestRat14LowerBound:
         assert cap == len(str(2 ** exact_arith.POWER_MAX_BITS))
         at_cap = "9" * cap
         for text in (f'"{at_cap}"', at_cap):
-            doc = f'{{"factors": [{{"order": {text}, "abelian": true}}, {{"order": 20160}}]}}'
+            doc = f'{{"factors": [{{"order": {text}, "psl2": true}}, {{"order": 20160}}]}}'
             series = series_from_json(doc, "--json")
             assert series[0].factor_order == 10 ** cap - 1
             assert rat14_lower_bound(series) == 20160
