@@ -52,16 +52,6 @@ class CommandResult(NamedTuple):
         return EXIT_CODES[self.status]
 
 
-def _precision(args) -> int:
-    from . import alternating
-
-    if args.digits is None:
-        return alternating.DEFAULT_DIGITS
-    if not 1 <= args.digits <= alternating.MAX_DIGITS:
-        raise ValueError(f"--digits must be in 1..{alternating.MAX_DIGITS}, got {args.digits}")
-    return args.digits
-
-
 def _verdict_status(verdict: bool | None) -> str:
     if verdict is None:
         return "inconclusive"
@@ -175,7 +165,7 @@ def _cmd_prop42(args) -> CommandResult:
 def _cmd_lemma43(args) -> CommandResult:
     from . import alternating
 
-    digits = _precision(args)
+    digits = alternating.DEFAULT_DIGITS if args.digits is None else args.digits
     if args.constant:
         verdict = alternating.check_constant(digits)
         return CommandResult(
@@ -199,7 +189,7 @@ def _cmd_lemma45(args) -> CommandResult:
 def _cmd_lemma46(args) -> CommandResult:
     from . import alternating
 
-    digits = _precision(args)
+    digits = alternating.DEFAULT_DIGITS if args.digits is None else args.digits
     verdict = alternating.check_growth(args.n, digits)
     return CommandResult(
         _verdict_status(verdict), {"n": args.n, "holds": verdict, "digits": digits}
@@ -565,7 +555,7 @@ def command_table() -> list[tuple]:
     partition = [("--partition", _REQ_STR)]
     lie = [("--family", _REQ_STR), ("--rank", _OPT_INT), ("--q", _REQ_INT)]
     data = [("--data", {"default": "data"})]
-    # None stands for alternating.DEFAULT_DIGITS, which _precision reads.
+    # None stands for alternating.DEFAULT_DIGITS, and alternating judges the range.
     digits = ("--digits", {"type": int})
     jsonl = ("--jsonl", _FLAG)
     return [

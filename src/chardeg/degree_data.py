@@ -60,6 +60,9 @@ class DegreeTable(_DegreeTableFields):
         if 1 not in self.degrees:
             raise TableError(f"{self.name}: degree 1 missing")
         self = self._replace(degrees=tuple(sorted(self.degrees)))
+        for what, value in (("out order", self.out_order), ("fitting index", self.fitting_index)):
+            if value is not None and value < 1:
+                raise TableError(f"{self.name}: {what} must be at least 1, got {value}")
         if self.order is not None:
             if self.order < 1:
                 raise TableError(f"{self.name}: order must be positive")

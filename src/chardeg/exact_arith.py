@@ -9,18 +9,19 @@ the two products; and otherwise the two products, built and compared
 exactly.  Integer k-th roots by Newton from a half-precision root; primes,
 the package's one sieve; is_prime, trial division by the primes below 256
 and then Miller-Rabin with the first 13 primes as bases, exact below psi_13;
-prime_power, (p, e) for q = p**e by exact roots and is_prime; cyclotomic,
-the coefficient tuple of a cyclotomic polynomial by its Moebius product, and
-eval_poly, Horner evaluation of such a tuple; const_interval, integer bounds
-lo <= c * 2**b <= hi for the constants e and 2*pi, at most 3 apart, from
-exact series sums rounded outward; and POWER_MAX_BITS with check_power_bits,
-the size cap callers apply before building a large power from their inputs,
-with POWER_MAX_DIGITS, the cap on decimal text they apply before int()
-converts it.  Factorials and integer square roots are math.factorial and
-math.isqrt, which callers take from math directly.  Nothing in this module
-handles a rational: a caller that compares rationals splits each ratio, its
-numerator on one side of cmp_power and its denominator on the other, and
-fractions is never imported.
+prime_power, (p, e) for q = p**e, by one gcd and one modular power when q
+has a prime factor below 256 and otherwise by exact roots and is_prime;
+cyclotomic, the coefficient tuple of a cyclotomic polynomial by its Moebius
+product, and eval_poly, Horner evaluation of such a tuple; const_interval,
+integer bounds lo <= c * 2**b <= hi for the constants e and 2*pi, at most 3
+apart, from exact series sums rounded outward; and POWER_MAX_BITS with
+check_power_bits, the size cap callers apply before building a large power
+from their inputs, with POWER_MAX_DIGITS, the cap on decimal text they apply
+before int() converts it.  Factorials and integer square roots are
+math.factorial and math.isqrt, which callers take from math directly.
+Nothing in this module handles a rational: a caller that compares rationals
+splits each ratio, its numerator on one side of cmp_power and its
+denominator on the other, and fractions is never imported.
 
 Every verdict produced by this module reduces to a comparison of Python
 integers; floats never participate.  Magnitudes like 2000!**14 are routine.
@@ -281,16 +282,27 @@ def is_prime(n: int) -> bool:
 
 def prime_power(q: int) -> tuple[int, int] | None:
     """(p, e) with q = p**e and p prime, or None, for any q < 2 too; raises
-    ValueError where is_prime cannot decide the root.  q is reduced by exact
-    ell-th roots, ell prime and ascending.  A root is taken only when r passes
-    the residue test for a prime m = 1 (mod ell): an ell-th power r has
-    r**((m-1)/ell) = 0 or 1 (mod m), and most other r fail it, so a large q
-    costs about one modular power per prime ell below its bit length."""
+    ValueError where is_prime cannot decide the root.  A q with a factor p
+    below 256 is a power of p when p is its gcd with their product and q
+    divides p**bitlen(q), and e is bisected by cmp_power.  Any other q is
+    reduced by exact ell-th roots, ell prime, ascending and below an eighth
+    of its bit length, since each root is above 256.  A root is taken only
+    when r passes the residue test for a prime m = 1 (mod ell): an ell-th
+    power r has r**((m-1)/ell) = 0 or 1 (mod m), and most other r fail it."""
     if q < 2:
         return None
+    p = math.gcd(q, _SMALL_PRIMES_PRODUCT)
+    if p > 1:
+        if p not in _SMALL_PRIMES or pow(p, q.bit_length(), q):
+            return None
+        lo, hi = 1, q.bit_length()
+        while lo < hi:  # the least e with p**e >= q
+            mid = (lo + hi) // 2
+            lo, hi = (mid + 1, hi) if cmp_power(((p, mid),), ((q, 1),)) < 0 else (lo, mid)
+        return p, lo
     r, e = q, 1
-    for ell in primes(q.bit_length()):
-        if ell >= r.bit_length():
+    for ell in primes(q.bit_length() // 8):
+        if 8 * ell >= r.bit_length():  # an ell-th power of a root above 256 is longer
             break
         m = 2 * ell + 1
         while not is_prime(m):

@@ -33,12 +33,12 @@ Steinberg pair and both verdicts.  It and sweep share one kernel, which takes
 the point's family row as its caller read it, builds alpha = q**a once, as
 the Steinberg degree and as the leading factor of the order, and decides
 both checks.  A sweep reads each (family, rank) row once and evaluates each
-point of its grid once, through that kernel; a point validate rejects
-becomes an Exclusion without raising.
+point of its grid once, through that kernel; a point GroupSpec refuses
+becomes an Exclusion with the reason of its InvalidSpec.
 
 GroupSpec, CharPair, Exclusion and SweepRecord are immutable NamedTuples
-compared by value; GroupSpec validates its point in __new__, and sweep builds
-a spec only from a point it has just validated.
+compared by value; GroupSpec validates its point in __new__, the one gate
+every point passes, make_spec's and sweep's alike.
 """
 
 from enum import Enum
@@ -442,11 +442,10 @@ def sweep(
     for fam, rank, rows in grid:
         row = _FAMILIES[fam]
         for q, p, e in pps:
-            reason = validate(fam, rank, q, p, e)
-            if reason is None:
-                # Built as a tuple: GroupSpec(...) would validate it again.
-                spec = tuple.__new__(GroupSpec, (fam, rank, q, p, e))
-                out.append(_check(spec, row, rows))
+            try:
+                spec = GroupSpec(fam, rank, q, p, e)
+            except InvalidSpec as exc:
+                out.append(Exclusion(fam, rank, q, exc.reason))
             else:
-                out.append(Exclusion(fam, rank, q, reason))
+                out.append(_check(spec, row, rows))
     return out

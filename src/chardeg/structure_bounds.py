@@ -45,7 +45,8 @@ class _ChiefFactorFields(NamedTuple):
 
 class ChiefFactorDescriptor(_ChiefFactorFields):
     """One chief factor S^k: the simple (or abelian) factor order, the number
-    of copies, and the two flags that exempt a factor from the product bound."""
+    of copies, and the two flags that exempt a factor from the product bound.
+    An abelian factor is elementary abelian: its order must be a prime power."""
 
     __slots__ = ()
 
@@ -58,6 +59,14 @@ class ChiefFactorDescriptor(_ChiefFactorFields):
             raise ValueError("multiplicity must be at least 1")
         if is_abelian and is_psl2:
             raise ValueError("a chief factor cannot be both abelian and PSL_2-type")
+        if is_abelian:
+            try:
+                reason = "" if prime_power(factor_order) else "is not a prime power"
+            except ValueError as exc:
+                reason = f"is not decided to be a prime power: {exc}"
+            if reason:
+                raise ValueError(f'flagged "abelian" (elementary, of order p**k), but its '
+                                 f"order {_shown(factor_order)} {reason}")
         return super().__new__(cls, label, factor_order, multiplicity, is_abelian, is_psl2)
 
 
@@ -153,15 +162,14 @@ def _series(doc) -> tuple[ChiefFactorDescriptor, ...]:
         label = f.get("label", "")
         if type(label) is not str:
             raise ValueError(f"{where}: 'label' must be a JSON string, got {_shown(label)}")
-        factors.append(
-            ChiefFactorDescriptor(
-                label=label,
-                factor_order=_json_count(f["order"], "order", where),
-                multiplicity=_json_count(f.get("multiplicity", 1), "multiplicity", where),
-                is_abelian=_json_flag(f.get("abelian", False), "abelian", where),
-                is_psl2=_json_flag(f.get("psl2", False), "psl2", where),
-            )
-        )
+        fields = (label, _json_count(f["order"], "order", where),
+                  _json_count(f.get("multiplicity", 1), "multiplicity", where),
+                  _json_flag(f.get("abelian", False), "abelian", where),
+                  _json_flag(f.get("psl2", False), "psl2", where))
+        try:
+            factors.append(ChiefFactorDescriptor(*fields))
+        except ValueError as exc:
+            raise ValueError(f"{where}: {exc}") from None
     return tuple(factors)
 
 
@@ -184,33 +192,19 @@ def _refuse_psl2_order(order: int, where: str) -> None:
                              "rat(PSL_2(q)) <= 3 for q >= 4, so no product bound counts it")
 
 
-def _refuse_abelian_order(order: int, where: str) -> None:
-    try:
-        if prime_power(order) is not None:
-            return
-        reason = f"its order {_shown(order)} is not a prime power"
-    except ValueError as exc:
-        reason = f"whether its order {_shown(order)} is a prime power is not decided: {exc}"
-    raise ValueError(f'{where} is flagged "abelian" (elementary, of order p**k), but {reason}')
-
-
 def rat14_lower_bound(series: tuple[ChiefFactorDescriptor, ...]) -> int:
     """Product of |S|**k over the nonabelian, non-PSL_2 chief factors; the
     caller reads the result P as the certified bound rat(G)**14 >= P.
     Raises ValueError when P could exceed POWER_MAX_BITS bits, and then when
-    a factor flagged abelian does not have prime-power order, or a factor
-    flagged neither abelian nor psl2 has the order of PSL_2(q), q >= 4 (the
-    only orders this checks)."""
-    counted = [f for f in series if not f.is_abelian and not f.is_psl2]
+    a factor flagged neither abelian nor psl2 has the order of PSL_2(q),
+    q >= 4 (the only orders this checks)."""
+    counted = [(i, f) for i, f in enumerate(series) if not f.is_abelian and not f.is_psl2]
     check_power_bits(
-        "rat14_lower_bound", sum(f.multiplicity * f.factor_order.bit_length() for f in counted)
+        "rat14_lower_bound", sum(f.multiplicity * f.factor_order.bit_length() for _, f in counted)
     )
-    for i, f in enumerate(series):
-        if f.is_abelian:
-            _refuse_abelian_order(f.factor_order, f"chief factor {i}")
-        elif not f.is_psl2:
-            _refuse_psl2_order(f.factor_order, f"chief factor {i}")
-    return math.prod(f.factor_order ** f.multiplicity for f in counted)
+    for i, f in counted:
+        _refuse_psl2_order(f.factor_order, f"chief factor {i}")
+    return math.prod(f.factor_order ** f.multiplicity for _, f in counted)
 
 
 def quotient_power_check(rat_g: tuple[int, int], rat_gn: tuple[int, int], order_n: int) -> bool:

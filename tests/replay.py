@@ -1,7 +1,8 @@
-"""Every printed verdict re-decided from the decimals printed beside it, with
-Python ints, built powers, > and >=.  This module imports no chardeg module,
-so a fault in the kernel, the registry or the renderer cannot hide behind
-the same fault here.  Each function raises AssertionError on a mismatch.
+"""Every printed verdict re-decided from the decimals printed beside it, or
+from the integers of the command's argv, with Python ints, built powers, >
+and >=.  This module imports no chardeg module, so a fault in the kernel,
+the registry or the renderer cannot hide behind the same fault here.  Each
+function raises AssertionError on a mismatch.
 
 Beyond each verdict, every printed degree must divide the printed order, as
 a character degree divides the group order: the verdicts hold by margins of
@@ -13,8 +14,10 @@ import io
 import json
 import math
 
-# The subcommands whose golden output query() replays.
-COMMANDS = ("sweep", "thm21", "lemma61", "sporadic-check", "prop42")
+# The subcommands whose golden output query() replays; integer_query
+# replays the last five from their argv.
+INTEGER_COMMANDS = ("thmB", "prop23", "out-bound", "maroti", "prop32")
+COMMANDS = ("sweep", "thm21", "lemma61", "sporadic-check", "prop42", *INTEGER_COMMANDS)
 
 
 def _flag(value) -> bool:
@@ -121,6 +124,43 @@ def prop42(doc: dict) -> None:
     assert (doc["all_passed"], doc["status"]) == (all_passed, _status(all_passed))
 
 
+def _ratio(text: str) -> tuple[int, int]:
+    # "a" or "a/b"; a ratio's inequality holds or fails alike in any terms.
+    a, _, b = text.partition("/")
+    return int(a), int(b or 1)
+
+
+def integer_query(argv: list[str], doc: dict) -> None:
+    """A command whose inputs are the integers of its argv, re-decided from them.
+
+    thmB: a**21 >= b**21 * index; prop23: a**14 * d**14 >= c**14 * b**14 * N;
+    out-bound: x**den <= y**num; maroti: B**(d-1) <= (d!)**(n-1) < (B+1)**(d-1);
+    prop32: X**100 <= N**143 < (X+1)**100.
+    """
+    command, flags = argv[0], dict(zip(argv[1::2], argv[2::2]))
+    if command in ("maroti", "prop32"):
+        bound = int(doc["bound"])
+        if command == "maroti":
+            n, d = int(flags["--n"]), int(flags["--d"])
+            k, target = d - 1, math.factorial(d) ** (n - 1)
+        else:
+            k, target = 100, int(flags["--order"]) ** 143
+        assert bound ** k <= target < (bound + 1) ** k, doc
+        assert doc["status"] == "pass", doc
+        return
+    if command == "thmB":
+        (a, b), index = _ratio(flags["--rat"]), int(flags["--index"])
+        verdict = a ** 21 >= b ** 21 * index
+    elif command == "prop23":
+        (a, b), (c, d) = _ratio(flags["--rat-g"]), _ratio(flags["--rat-gn"])
+        verdict = a ** 14 * d ** 14 >= c ** 14 * b ** 14 * int(flags["--order-n"])
+    else:
+        x, y, num, den = (int(flags[f]) for f in ("--x", "--y", "--num", "--den"))
+        assert (doc["x"], doc["y"], doc["num"], doc["den"]) == (str(x), str(y), num, den), doc
+        verdict = x ** den <= y ** num
+    assert (doc["holds"], doc["status"]) == (verdict, _status(verdict)), doc
+
+
 def query(argv: list[str], out: str) -> None:
     """The stdout of one command whose name is in COMMANDS."""
     command = argv[0]
@@ -132,5 +172,7 @@ def query(argv: list[str], out: str) -> None:
         sporadic_check(json.loads(out))
     elif command == "prop42":
         prop42(json.loads(out))
+    elif command in INTEGER_COMMANDS:
+        integer_query(argv, json.loads(out))
     else:
         raise KeyError(f"no replay for {command}")

@@ -260,8 +260,13 @@ class TestContract:
     def test_digits_below_one_rejected(self, capsys):
         for digits in ("0", "-1"):
             code, doc = _run_json(capsys, ["lemma46", "--n", "64", "--digits", digits])
-            assert code == 2 and doc["status"] == "error"
-            assert "--digits" in doc["error"]
+            assert code == 2
+            assert doc["error"] == f"interval checks require 1 <= digits <= 400, got {digits}"
+
+    def test_partition_digits_are_ascii(self, capsys):
+        # int() reads the Arabic-Indic digits 3 and 2.
+        code, doc = _run_json(capsys, ["hook", "--partition", "\u0663,\u0662"])
+        assert code == 2 and doc["error"] == "bad partition term '\u0663'"
 
     @pytest.mark.parametrize(
         "argv",
@@ -447,8 +452,9 @@ class TestContract:
             ("lemma45 --m 300", "enumerate_gamma requires m <= 50, got 300"),
             ("lemma43 --n 200000", "check_factorial_lower requires n <= 2000, got 200000"),
             # Every rung from --digits up is built: 2pi at 30000 digits takes seconds.
-            ("lemma43 --constant --digits 30000", "--digits must be in 1..400, got 30000"),
-            ("lemma46 --n 55 --digits 401", "--digits must be in 1..400, got 401"),
+            ("lemma43 --constant --digits 30000",
+             "interval checks require 1 <= digits <= 400, got 30000"),
+            ("lemma46 --n 55 --digits 401", "interval checks require 1 <= digits <= 400, got 401"),
             ("prop42 --from 7 --to 100000000", "check_witness requires n <= 2000, got 100000000"),
             # Fraction would expand the exponent to 16 million digits first.
             ("thmB --rat 1e16000000 --index 2",
@@ -538,8 +544,14 @@ class TestContract:
             # An abelian chief factor is elementary abelian, of order p**k.
             (
                 '{"factors": [{"order": "20160"}, {"order": "6", "abelian": true}]}',
-                'chief factor 1 is flagged "abelian" (elementary, of order p**k), '
+                'chief factor 1: flagged "abelian" (elementary, of order p**k), '
                 "but its order 6 is not a prime power",
+            ),
+            # The descriptor's own refusals name the factor too.
+            ('{"factors": [{"order": "1"}]}', "chief factor 0: factor order must be at least 2"),
+            (
+                '{"factors": [{"order": 60}, {"order": 60, "multiplicity": "0"}]}',
+                "chief factor 1: multiplicity must be at least 1",
             ),
             pytest.param(
                 '{"factors": ' + "[" * 500 + "]" * 500 + "}",
@@ -552,6 +564,17 @@ class TestContract:
         code, doc = _run_json(capsys, ["chiefseries-bound", "--json", document])
         assert code == 2
         assert doc == {"status": "error", "error": reason}
+
+    def test_large_abelian_orders_are_decided_quickly(self, capsys, tmp_path):
+        # One gcd and one modular power decide 2**131071, where exact roots
+        # for every prime below its bit length take about a second each.
+        path = tmp_path / "series.json"
+        factor = {"order": str(2 ** 131071), "abelian": True}
+        path.write_text(json.dumps({"factors": [factor] * 10}))
+        start = time.perf_counter()
+        code, doc = _run_json(capsys, ["chiefseries-bound", "--file", str(path)])
+        assert time.perf_counter() - start < 1.0
+        assert (code, doc["rat14_lower_bound"]) == (0, "1")
 
     def test_truncated_chief_series_file_names_the_path(self, capsys, tmp_path):
         path = tmp_path / "series.json"

@@ -80,6 +80,16 @@ class TestParsing:
             with pytest.raises(TableError, match=f"^line 4: {field} has more than 39457 digits$"):
                 parse_tables("#\n" * 3 + line)
 
+    def test_out_order_and_fitting_index_at_least_one(self, tmp_path, capsys):
+        with pytest.raises(TableError, match="^Y: out order must be at least 1, got 0$"):
+            DegreeTable("Y", (1, 2), out_order=0)
+        with pytest.raises(TableError, match="^Y: fitting index must be at least 1, got -1$"):
+            DegreeTable("Y", (1, 2), out_order=1, fitting_index=-1)
+        (tmp_path / "x.tsv").write_text("X\t60\t1,3,3,4,5\t0\t\t0\n")
+        assert main(["validate-data", "--data", str(tmp_path)]) == 2
+        error = json.loads(capsys.readouterr().out)["error"]
+        assert error == f"{tmp_path / 'x.tsv'}: line 1: X: out order must be at least 1, got 0"
+
     def test_pair_must_appear_in_degrees(self):
         with pytest.raises(TableError):
             parse_table("X\t10\t1,2,3\t\t5,2\t")

@@ -340,6 +340,17 @@ def test_prime_power_matches_the_sieve():
     assert prime_power((2 ** 61 - 1) ** 2) == (2 ** 61 - 1, 2)
     assert prime_power(3 ** 6930) == (3, 6930)
     assert prime_power(3 ** 6930 * 2) is None
+    # a small factor: one gcd and one modular power decide, and e is exact
+    for p in (2, 3, 251):
+        for e in (1, 2, 3, 131071 // p.bit_length()):
+            assert prime_power(p ** e) == (p, e)
+            assert prime_power(p ** e * 257) is None
+            assert prime_power(p ** e * 7 ** 2) is None
+    # no factor below 256: roots are tried only while the root can be above 256
+    for p in (257, 263, 65537):
+        for e in (1, 2, 3, 4):
+            assert prime_power(p ** e) == (p, e)
+            assert prime_power(p ** e * 269) is None
     # a root past psi_13 with no small factor is not decided
     with pytest.raises(ValueError, match="is_prime is exact only below"):
         prime_power((2 ** 127 - 1) ** 2)

@@ -3,7 +3,8 @@ exit code and stdout SHA-256 digest recorded in perfbench/golden.json, and so
 must the witness range, run in chunks, and each sweep of the lie-sweep
 workload, with its point counts.  The verdicts of the sweeps and of the
 sweep, thm21, lemma61, sporadic-check and prop42 queries also replay from
-their printed numbers (tests/replay.py)."""
+their printed numbers, and those of the thmB, prop23, out-bound, maroti and
+prop32 queries from their argv (tests/replay.py)."""
 
 import ast
 import contextlib
@@ -58,11 +59,12 @@ def test_replay_imports_no_chardeg():
 
 
 def test_replay_fails_on_one_changed_digit():
-    # Each digit of the E8 alpha, of a sweep entry's alpha and of a witness's
-    # hook product, changed alone, breaks the replay.
+    # Each digit of the E8 alpha, of a sweep entry's alpha, of a witness's
+    # hook product and of a maroti bound, changed alone, breaks the replay.
     for argv, key in ((["thm21", "--family", "E8", "--q", "2"], "alpha"),
                       (["sweep", "--families", "E8", "--q-max", "2"], "alpha"),
-                      (["prop42", "--n", "40"], "hook_product")):
+                      (["prop42", "--n", "40"], "hook_product"),
+                      (["maroti", "--n", "30", "--d", "8"], "bound")):
         rc, out = _run(argv)
         replay.query(argv, out)
         (value,) = re.findall(f'"{key}": "([0-9]+)"', out)

@@ -54,7 +54,8 @@ class TestPartitionBasics:
         assert parse_partition("") == Partition(())
 
     def test_parse_rejects_garbage(self):
-        for bad in ("a", "3,-1", "3,,2", "2,3", "3^0"):
+        # int() reads the Arabic-Indic digits; a term takes only 0-9
+        for bad in ("a", "3,-1", "3,,2", "2,3", "3^0", "\u0663,\u0662", "3^\u0662"):
             with pytest.raises(ValueError):
                 parse_partition(bad)
 

@@ -93,24 +93,24 @@ class TestRat14LowerBound:
             rat14_lower_bound((_factor(q * (q * q - 1) // 2),))
 
     def test_abelian_order_must_be_a_prime_power(self):
-        # An abelian chief factor is elementary abelian, of order p**k.
+        # An abelian chief factor is elementary abelian, of order p**k, and
+        # the descriptor refuses any other order when it is built.
         for order in (2, 125, 2 ** 20, 101 ** 7):
             assert rat14_lower_bound((_factor(order, abelian=True), _factor(20160))) == 20160
         for order in (6, 10 ** 6, 2 ** 20 * 3):
-            with pytest.raises(ValueError, match=rf'^chief factor 1 is flagged "abelian" '
-                               rf"\(elementary, of order p\*\*k\), but its order {order} "
-                               "is not a prime power$"):
-                rat14_lower_bound((_factor(20160), _factor(order, abelian=True)))
+            with pytest.raises(ValueError, match=r'^flagged "abelian" \(elementary, of order '
+                               rf"p\*\*k\), but its order {order} is not a prime power$"):
+                _factor(order, abelian=True)
         # an order past what is_prime decides, at the JSON digit cap, is
         # refused as not decided, in bounded time, quoting 500 of its digits
         order = 10 ** (exact_arith.POWER_MAX_DIGITS - 1) + 19
         assert len(str(order)) == exact_arith.POWER_MAX_DIGITS
         assert math.gcd(order, math.prod(exact_arith.primes(255))) == 1
         start = time.perf_counter()
-        with pytest.raises(ValueError, match="is a prime power is not decided") as err:
-            rat14_lower_bound((_factor(order, abelian=True),))
+        with pytest.raises(ValueError, match="is not decided to be a prime power") as err:
+            _factor(order, abelian=True)
         assert time.perf_counter() - start < 2.0
-        assert f"its order 1{'0' * 499}... is a prime power" in str(err.value)
+        assert f"its order 1{'0' * 499}... is not decided" in str(err.value)
         assert len(str(err.value)) < 1000
 
     def test_flag_validation(self):
