@@ -10,18 +10,20 @@ when any does, and is then the passer of least H.  The reported candidate
 is the first that passes or, with best=True or when none passes, the one of
 least H (the first of equals).  The search is exact: each decision is one
 cmp_power of (n!)**13 against the factor (H*(n-1), 14), not a built 14th
-power.  witness_range searches a range of n and builds the margin evidence
-of each reported witness: it raises (lo-1)! to the 13th power once and
-multiplies in n**13 for each n, and it builds each report's x**14, for the
-reported x = H*(n-1), from the previous x_prev**14 (from 1**14 at n = lo)
-with g = gcd(x, x_prev), one exact division by (x_prev/g)**14 and one
-multiplication by (x/g)**14.  check_witness is the range of one n.  The
-supporting analytic bounds (which involve e and pi) are decided by
-cmp_power on integer enclosures lo <= c * 2**b <= hi of the constants and
-are advisory; they can return None (inconclusive) without affecting any
-witness certificate.  Their one precision rule is the digit ladder d, 2d,
-4d, ... up to MAX_DIGITS, starting at the requested digits: one enclosure
-per rung, at b = ceil(3.322 * d) + 2 bits, narrower than 10**-d.
+power.  witness_range searches a range of n, and each report carries the
+margin evidence of its witness as four fields of the one flat record: the
+bit lengths and SHA-256 digests of (n!)**13 and (H*(n-1))**14.  It raises
+(lo-1)! to the 13th power once and multiplies in n**13 for each n, and it
+builds each report's x**14, for the reported x = H*(n-1), from the previous
+x_prev**14 (from 1**14 at n = lo) with g = gcd(x, x_prev), one exact
+division by (x_prev/g)**14 and one multiplication by (x/g)**14.
+check_witness is the range of one n.  The supporting analytic bounds
+(which involve e and pi) are decided by cmp_power on integer enclosures
+lo <= c * 2**b <= hi of the constants and are advisory; they can return
+None (inconclusive) without affecting any witness certificate.  Their one
+precision rule is the digit ladder d, 2d, 4d, ... up to MAX_DIGITS,
+starting at the requested digits: one enclosure per rung, at
+b = ceil(3.322 * d) + 2 bits, narrower than 10**-d.
 """
 
 import math
@@ -32,7 +34,6 @@ from .partitions import Partition, enumerate_gamma, hook_product, partitions_of
 
 __all__ = [
     "WitnessReport",
-    "MarginEvidence",
     "square_fix",
     "check_witness",
     "witness_range",
@@ -64,21 +65,16 @@ PREFERRED_WITNESSES = {
 }
 
 
-class MarginEvidence(NamedTuple):
-    """Fingerprint of the two compared integers (n!)**13 and (H*(n-1))**14."""
-
-    lhs_bits: int
-    rhs_bits: int
-    lhs_sha256: str
-    rhs_sha256: str
-
-
 class WitnessReport(NamedTuple):
     n: int
     witness: Partition
     hook_product: int
     passed: bool
-    margin: MarginEvidence
+    # Fingerprint of the two compared integers (n!)**13 and (H*(n-1))**14.
+    lhs_bits: int
+    rhs_bits: int
+    lhs_sha256: str
+    rhs_sha256: str
 
 
 def square_fix(m: int) -> Partition:
@@ -109,13 +105,9 @@ def _sha256_int(x: int) -> str:
     return hashlib.sha256(x.to_bytes((x.bit_length() + 7) // 8 or 1, "big")).hexdigest()
 
 
-def _evidence(lhs: int, rhs: int) -> MarginEvidence:
-    return MarginEvidence(
-        lhs_bits=lhs.bit_length(),
-        rhs_bits=rhs.bit_length(),
-        lhs_sha256=_sha256_int(lhs),
-        rhs_sha256=_sha256_int(rhs),
-    )
+def _evidence(lhs: int, rhs: int) -> tuple[int, int, str, str]:
+    # The report's lhs_bits, rhs_bits, lhs_sha256 and rhs_sha256.
+    return lhs.bit_length(), rhs.bit_length(), _sha256_int(lhs), _sha256_int(rhs)
 
 
 def _carry(x: int, x_prev: int, rhs_prev: int) -> int:
@@ -165,7 +157,7 @@ def witness_range(lo: int, hi: int, best: bool = False) -> Iterator[WitnessRepor
         passed, lam, h = _search(n, lhs, best)
         x, x_prev = h * (n - 1), x
         rhs = _carry(x, x_prev, rhs)
-        yield WitnessReport(n, lam, h, passed, _evidence(lhs, rhs))
+        yield WitnessReport(n, lam, h, passed, *_evidence(lhs, rhs))
 
 
 def check_witness(n: int, best: bool = False) -> WitnessReport:

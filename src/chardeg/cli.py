@@ -83,16 +83,12 @@ def _cmd_hook(args) -> CommandResult:
     from . import partitions
 
     lam = partitions.parse_partition(args.partition)
-    data = partitions.hooks(lam)
-    return CommandResult(
-        "pass",
-        {
-            "partition": str(lam),
-            "hooks": [list(row) for row in data.rows],
-            "H": str(data.product),
-            "degree": str(partitions.degree(lam)),
-        },
-    )
+    return CommandResult("pass", {
+        "partition": str(lam),
+        "hooks": [list(row) for row in partitions.hooks(lam)],
+        "H": str(partitions.hook_product(lam)),
+        "degree": str(partitions.degree(lam)),
+    })
 
 
 def _cmd_degree(args) -> CommandResult:
@@ -131,14 +127,13 @@ def _listing(status: str, payload: dict, key: str, texts: Iterable[str],
 
 def _witness_json(r: "alternating.WitnessReport") -> str:
     # The record's JSON text, as json.dumps writes the object of keys n,
-    # witness, hook_product, passed and margin (lhs_bits, rhs_bits, lhs_sha256,
+    # witness, hook_product, passed and margin (the report's own lhs_bits to
     # rhs_sha256): a witness is digits and commas, and a digest is hex.
-    m = r.margin
     return (
         f'{{"n": {r.n}, "witness": "{r.witness}", "hook_product": "{r.hook_product}", '
         f'"passed": {"true" if r.passed else "false"}, '
-        f'"margin": {{"lhs_bits": {m.lhs_bits}, "rhs_bits": {m.rhs_bits}, '
-        f'"lhs_sha256": "{m.lhs_sha256}", "rhs_sha256": "{m.rhs_sha256}"}}}}'
+        f'"margin": {{"lhs_bits": {r.lhs_bits}, "rhs_bits": {r.rhs_bits}, '
+        f'"lhs_sha256": "{r.lhs_sha256}", "rhs_sha256": "{r.rhs_sha256}"}}}}'
     )
 
 
@@ -396,25 +391,25 @@ def _cmd_sporadic_check(args) -> CommandResult:
     from . import degree_data
 
     tables = degree_data.load_dir(args.data)
-    checks = [degree_data.check_extendible_pair(t) for t in tables]
-    checked = [c for c in checks if c.status == "checked"]
-    if not checked:
+    verdicts = [degree_data.check_extendible_pair(t) for t in tables]
+    if verdicts.count(None) == len(tables):
         # Nothing checked would certify nothing yet report a verdict.
         raise ValueError(
             f"sporadic-check checked 0 of {len(tables)} tables: none has both an order and a pair"
         )
-    failures = [c.name for c in checked if not c.passed]
+    failures = [t.name for t, v in zip(tables, verdicts) if v is False]
     return CommandResult(
         _verdict_status(not failures),
         {
             "tables": len(tables),
-            "checked": len(checked),
-            "unchecked": [c.name for c in checks if c.status == "unchecked"],
+            "checked": len(tables) - verdicts.count(None),
+            "unchecked": [t.name for t, v in zip(tables, verdicts) if v is None],
             "failures": failures,
-            "records": [{"name": c.name, "status": c.status, "passed": c.passed,
-                         "alpha": _decimal(c.alpha), "beta": _decimal(c.beta),
-                         "order": _decimal(c.order), "extendibility": "asserted by data"}
-                        for c in checks],
+            "records": [{"name": t.name, "status": "unchecked" if v is None else "checked",
+                         "passed": v, "alpha": None if v is None else str(t.extendible_pair[0]),
+                         "beta": None if v is None else str(t.extendible_pair[1]),
+                         "order": _decimal(t.order), "extendibility": "asserted by data"}
+                        for t, v in zip(tables, verdicts)],
         },
     )
 
@@ -539,8 +534,16 @@ def _cmd_validate_data(args) -> CommandResult:
 # ---------------------------------------------------------------------------
 
 
-_REQ_INT = {"type": int, "required": True}
-_OPT_INT = {"type": int}
+def integer(text: str) -> int:
+    """An integer flag's value: an optional "-", then the digits 0-9 only;
+    int() would also read "+", "_", spaces and non-ASCII digits."""
+    if not re.fullmatch(r"-?[0-9]+", text):
+        raise ValueError(f"not an integer: {text!r}")
+    return int(text)
+
+
+_REQ_INT = {"type": integer, "required": True}
+_OPT_INT = {"type": integer}
 _REQ_STR = {"required": True}
 _FLAG = {"action": "store_true"}
 
@@ -556,7 +559,7 @@ def command_table() -> list[tuple]:
     lie = [("--family", _REQ_STR), ("--rank", _OPT_INT), ("--q", _REQ_INT)]
     data = [("--data", {"default": "data"})]
     # None stands for alternating.DEFAULT_DIGITS, and alternating judges the range.
-    digits = ("--digits", {"type": int})
+    digits = ("--digits", _OPT_INT)
     jsonl = ("--jsonl", _FLAG)
     return [
         ("hook", _cmd_hook, "hook lengths, hook product and degree of a partition", partition, ()),
@@ -587,7 +590,8 @@ def command_table() -> list[tuple]:
         ("sweep", _cmd_sweep, "run both ratio checks over a parameter grid",
          [("--families",
            {"default": "all", "help": "all, classical, exceptional, or a comma list"}),
-          ("--rank-max", {"type": int, "default": 20}), ("--q-max", {"type": int, "default": 32})],
+          ("--rank-max", {**_OPT_INT, "default": 20}),
+          ("--q-max", {**_OPT_INT, "default": 32})],
          [[jsonl, ("--csv", _FLAG)]]),
         ("rat", _cmd_rat, "b/c from an explicit degree list", [("--degrees", _REQ_STR)], ()),
         ("sporadic-check", _cmd_sporadic_check, "pair inequality over a data directory", data, ()),

@@ -13,8 +13,10 @@ The on-disk format is TSV, one group per line:
 with '#' comment lines, empty optional fields, comma-separated degrees, and
 all integers as ASCII decimal digits, at most POWER_MAX_DIGITS of them.
 
-DegreeTable and PairCheck are immutable NamedTuples compared by value;
-DegreeTable checks its fields and sorts its degrees in __new__.
+DegreeTable is an immutable NamedTuple compared by value; it checks its
+fields and sorts its degrees in __new__.  The checks return a verdict:
+check_extendible_pair gives True, False or None (nothing to check), and its
+caller reads the name, pair and order from the table itself.
 """
 
 from pathlib import Path
@@ -30,7 +32,6 @@ __all__ = [
     "load_dir",
     "rat",
     "check_extendible_pair",
-    "PairCheck",
     "check_exponent_bound",
 ]
 
@@ -160,29 +161,19 @@ def rat(table: DegreeTable) -> tuple[int, int]:
     return table.degrees[-1], next((d for d in table.degrees if d > 1), 1)
 
 
-class PairCheck(NamedTuple):
-    name: str
-    status: str  # "checked" or "unchecked"
-    passed: bool | None
-    alpha: int | None
-    beta: int | None
-    order: int | None
-
-
-def check_extendible_pair(table: DegreeTable) -> PairCheck:
+def check_extendible_pair(table: DegreeTable) -> bool | None:
     """Certify alpha**14 > beta**14 * |G| for the asserted pair (strict).
 
-    Tables without an order or a pair come back "unchecked" rather than
-    failed.  A pair whose beta is 1 is rejected: the inequality concerns two
+    A table without an order or a pair gives None (unchecked) rather than a
+    failure.  A pair whose beta is 1 is rejected: the inequality concerns two
     nonlinear degrees.
     """
     if table.order is None or table.extendible_pair is None:
-        return PairCheck(table.name, "unchecked", None, None, None, table.order)
+        return None
     alpha, beta = table.extendible_pair
     if beta < 2 or alpha < 2:
         raise TableError(f"{table.name}: pair degrees must be nonlinear (>= 2)")
-    passed = cmp_power(((alpha, 14),), ((beta, 14), (table.order, 1))) > 0
-    return PairCheck(table.name, "checked", passed, alpha, beta, table.order)
+    return cmp_power(((alpha, 14),), ((beta, 14), (table.order, 1))) > 0
 
 
 def check_exponent_bound(x: int, y: int, num: int, den: int) -> bool:

@@ -6,13 +6,14 @@ lengths of the bases, when their bounds on the two products do not overlap;
 then the leading 64 bits of the bases, raised and multiplied with directed
 rounding into integer bounds a * 2**x <= P <= b * 2**y, when those separate
 the two products; and otherwise the two products, built and compared
-exactly.  Integer k-th roots by Newton from a half-precision root; primes,
-the package's one sieve; is_prime, trial division by the primes below 256
-and then Miller-Rabin with the first 13 primes as bases, exact below psi_13;
-prime_power, (p, e) for q = p**e, by one gcd and one modular power when q
-has a prime factor below 256 and otherwise by exact roots and is_prime;
-cyclotomic, the coefficient tuple of a cyclotomic polynomial by its Moebius
-product, and eval_poly, Horner evaluation of such a tuple; const_interval,
+exactly.  Integer k-th roots by Newton from a half-precision root, or by
+bisection when short; primes, the package's one sieve; is_prime, trial
+division by the primes below 256 and then Miller-Rabin with the first 13
+primes as bases, exact below psi_13; prime_power, (p, e) for q = p**e, by
+one gcd and one modular power when q has a prime factor below 256 and
+otherwise by residue tests, exact roots and is_prime; cyclotomic, the
+coefficient tuple of a cyclotomic polynomial by its Moebius product, and
+eval_poly, Horner evaluation of such a tuple; const_interval,
 integer bounds lo <= c * 2**b <= hi for the constants e and 2*pi, at most 3
 apart, from exact series sums rounded outward; and POWER_MAX_BITS with
 check_power_bits, the size cap callers apply before building a large power
@@ -209,15 +210,19 @@ def nth_root_floor(x: int, k: int) -> int:
 
 
 def _root(x: int, k: int) -> int:
-    # The root is below 2**bits.  With s half of those bits, the root r0 of
-    # x >> (k*s) gives the overestimate (r0 + 1) << s with relative error at
-    # most 1/r0, so Newton needs a few steps, where from a power of two it
-    # needed up to about k.  From any overestimate integer Newton decreases
-    # strictly and stops exactly at the floor of the root.
+    # The root is below 2**bits.  With s at most half of those bits and
+    # r0 >= 2k for r0 the root of x >> (k*s), Newton from the overestimate
+    # (r0 + 1) << s needs a few steps, decreases strictly and stops exactly
+    # at the floor of the root (from an error above 1/k it falls by about
+    # r/k a step).  A shorter root is bisected, by cmp_power's leading bits.
     bits = -(-x.bit_length() // k)
-    if bits == 1:
-        return 1
-    s = bits // 2
+    s = min(bits // 2, bits - k.bit_length() - 2)
+    if s < 1:
+        lo, hi = 1 << (bits - 1), 1 << bits
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            lo, hi = (mid, hi) if cmp_power(((mid, k),), ((x, 1),)) <= 0 else (lo, mid)
+        return lo
     r = (_root(x >> (k * s), k) + 1) << s
     while True:
         nr = ((k - 1) * r + x // r ** (k - 1)) // k
@@ -226,16 +231,19 @@ def _root(x: int, k: int) -> int:
         r = nr
 
 
-def primes(limit: int) -> list[int]:
-    """The primes p <= limit, ascending, by the sieve of Eratosthenes."""
-    if limit < 2:
-        return []
+def _sieve(limit: int) -> bytearray:
+    # sieve[i] is 1 exactly when i is a prime, for 0 <= i <= limit (>= 1).
     sieve = bytearray([1]) * (limit + 1)
     sieve[:2] = b"\x00\x00"
     for i in range(2, math.isqrt(limit) + 1):
         if sieve[i]:
             sieve[i * i :: i] = bytes(len(range(i * i, limit + 1, i)))
-    return list(compress(range(limit + 1), sieve))
+    return sieve
+
+
+def primes(limit: int) -> list[int]:
+    """The primes p <= limit, ascending, by the sieve of Eratosthenes."""
+    return list(compress(range(limit + 1), _sieve(limit))) if limit > 1 else []
 
 
 # The primes below 256.  Trial division by all of them is one gcd with their
@@ -285,10 +293,12 @@ def prime_power(q: int) -> tuple[int, int] | None:
     ValueError where is_prime cannot decide the root.  A q with a factor p
     below 256 is a power of p when p is its gcd with their product and q
     divides p**bitlen(q), and e is bisected by cmp_power.  Any other q is
-    reduced by exact ell-th roots, ell prime, ascending and below an eighth
-    of its bit length, since each root is above 256.  A root is taken only
-    when r passes the residue test for a prime m = 1 (mod ell): an ell-th
-    power r has r**((m-1)/ell) = 0 or 1 (mod m), and most other r fail it."""
+    p**e with p above 256, so each prime ell below an eighth of its bit
+    length is tried, ascending.  An ell-th power q has q**((m-1)/ell) = 0 or
+    1 (mod m) for each prime m = 1 (mod ell), where another q fails with
+    odds about 1 - 1/ell; q is reduced once modulo the first such m of every
+    ell, and a second m is tried only after the first passes.  An exact
+    ell-th root then makes q a prime power exactly when the root is one."""
     if q < 2:
         return None
     p = math.gcd(q, _SMALL_PRIMES_PRODUCT)
@@ -300,19 +310,29 @@ def prime_power(q: int) -> tuple[int, int] | None:
             mid = (lo + hi) // 2
             lo, hi = (mid + 1, hi) if cmp_power(((p, mid),), ((q, 1),)) < 0 else (lo, mid)
         return p, lo
-    r, e = q, 1
-    for ell in primes(q.bit_length() // 8):
-        if 8 * ell >= r.bit_length():  # an ell-th power of a root above 256 is longer
-            break
-        m = 2 * ell + 1
-        while not is_prime(m):
+    ells = primes((q.bit_length() - 1) // 8)  # 8 * ell below the bit length
+    # The least prime m = 1 (mod 2*ell) is below 80*ell for every ell below
+    # 2**14: the sieve holds most of them, and is_prime decides the rest.
+    sieve = _sieve(32 * ells[-1]) if ells else b""
+
+    def after(m: int, ell: int) -> int:  # the least prime above m that is 1 (mod 2*ell)
+        m += 2 * ell
+        while not (sieve[m] if m < len(sieve) else is_prime(m)):
             m += 2 * ell
-        while pow(r, (m - 1) // ell, m) <= 1:
-            root = nth_root_floor(r, ell)
-            if root ** ell != r:
-                break
-            r, e = root, e * ell
-    return (r, e) if is_prime(r) else None
+        return m
+
+    moduli = [after(1, ell) for ell in ells]
+    # q mod each m: one long division by the product of each run of 64.
+    runs = [moduli[i : i + 64] for i in range(0, len(moduli), 64)]
+    residues = [x % m for run in runs for x in [q % math.prod(run)] for m in run]
+    for ell, m, x in zip(ells, moduli, residues):
+        if pow(x, (m - 1) // ell, m) > 1:
+            continue
+        m = after(m, ell)
+        if pow(q, (m - 1) // ell, m) <= 1 and (root := nth_root_floor(q, ell)) ** ell == q:
+            pe = prime_power(root)  # q is a prime power exactly when its root is
+            return None if pe is None else (pe[0], pe[1] * ell)
+    return (q, 1) if is_prime(q) else None
 
 
 # cyclotomic(k) takes about k * 2**omega(k) steps and the CLI prints its phi(k) + 1

@@ -1,14 +1,13 @@
 """Integer partitions, Young-diagram hook lengths, and exact degrees.
 
-The hook product H of a partition, and the exact degree n!/H of the
-corresponding irreducible character of the symmetric group, come by two
-routes.  hook_product evaluates H as a product of falling factorials, one
-per (row, corner) pair, without listing a single hook; degree and the
-witness search use it.  hooks lists the whole grid of hook lengths, row by
-row, with its product; only the `hook` subcommand, which prints the grid,
-needs it.  Both are the Frame-Robinson-Thrall hook-length formula.
-Partition and HookData are immutable NamedTuples compared by value;
-Partition checks its parts in __new__, so every instance is a partition.
+The hook product H of a partition gives the exact degree n!/H of the
+corresponding irreducible character of the symmetric group (the
+Frame-Robinson-Thrall hook-length formula).  hook_product, the package's
+one route to H, evaluates it as a product of falling factorials, one per
+(row, corner) pair, without listing a single hook.  hooks lists the grid of
+hook lengths, row by row; only the `hook` subcommand, which prints the
+grid, needs it.  Partition is an immutable NamedTuple compared by value; it
+checks its parts in __new__, so every instance is a partition.
 """
 
 import math
@@ -17,7 +16,6 @@ from typing import Iterator, NamedTuple
 
 __all__ = [
     "Partition",
-    "HookData",
     "parse_partition",
     "hooks",
     "hook_product",
@@ -106,22 +104,15 @@ def parse_partition(text: str) -> Partition:
     return Partition(tuple(parts))
 
 
-class HookData(NamedTuple):
-    """Hook lengths per node, row by row, and their product."""
-
-    rows: tuple[tuple[int, ...], ...]
-    product: int
-
-
-def hooks(lam: Partition) -> HookData:
-    """Hook grid via column counts of the conjugate: for the node (i, j),
-    h = (arm) + (leg) + 1 = (lam_i - j) + (lam'_j - i) - 1 in 0-based terms."""
+def hooks(lam: Partition) -> tuple[tuple[int, ...], ...]:
+    """The hook length of each node, row by row, via column counts of the
+    conjugate: for the node (i, j), h = (arm) + (leg) + 1 =
+    (lam_i - j) + (lam'_j - i) - 1 in 0-based terms."""
     conj = lam.conjugate().parts
-    rows = tuple(
+    return tuple(
         tuple((part - j) + (conj[j] - i) - 1 for j in range(part))
         for i, part in enumerate(lam.parts)
     )
-    return HookData(rows, math.prod(map(math.prod, rows)))
 
 
 def hook_product(lam: Partition) -> int:

@@ -1,4 +1,5 @@
 import importlib.util
+import math
 import re
 import shlex
 import sys
@@ -29,6 +30,14 @@ def readme_command_lines() -> list[list[str]]:
         for line in block.splitlines()
         if line.startswith("chardeg ")
     ]
+
+
+def grid_product(lam) -> int:
+    """H as the product of the hook grid that partitions.hooks lists: the
+    reference for hook_product."""
+    from chardeg.partitions import hooks
+
+    return math.prod(map(math.prod, hooks(lam)))
 
 
 def poly_mul(a, b):

@@ -25,7 +25,7 @@ from chardeg.lie_type import (
     SweepRecord,
     sweep,
 )
-from chardeg.partitions import Partition, degree, hooks, partitions_of
+from chardeg.partitions import Partition, degree, partitions_of
 from chardeg.structure_bounds import (
     extraspecial_example,
     frobenius_example,
@@ -33,7 +33,7 @@ from chardeg.structure_bounds import (
     quotient_power_check,
     solvable_index_bound,
 )
-from conftest import poly_mul
+from conftest import grid_product, poly_mul
 
 
 def _report(label: str, ok: bool) -> None:
@@ -87,7 +87,7 @@ def test_criterion_03_witness_range_exact():
     ok = ok and reports[1].witness == Partition((4, 2, 2))
     # the named witnesses pass the inequality themselves
     for n, lam in ((7, Partition((3, 2, 2))), (8, Partition((4, 2, 2)))):
-        ok = ok and math.factorial(n) ** 13 > (hooks(lam).product * (n - 1)) ** 14
+        ok = ok and math.factorial(n) ** 13 > (grid_product(lam) * (n - 1)) ** 14
     _report(
         f"3 witness certification n=7..2000 exact ({elapsed:.1f}s)",
         ok and elapsed < 300,
@@ -99,7 +99,7 @@ def test_criterion_04_oracle_equivalence():
     for n in range(7, 41):
         fact13 = math.factorial(n) ** 13
         exists = any(
-            fact13 > (hooks(lam).product * (n - 1)) ** 14
+            fact13 > (grid_product(lam) * (n - 1)) ** 14
             for lam in partitions_of(n)
             if not lam.is_self_conjugate()
         )
@@ -191,6 +191,5 @@ def test_criterion_12_sporadic_dataset(data_dir):
         pytest.skip("skipped: data not provided")
     tables = [t for t in load_dir(data_dir) if t.name != "PSL3(4)"]
     ok = len(tables) == 27  # 26 sporadic groups + the Tits group
-    results = [check_extendible_pair(t) for t in tables]
-    ok = ok and all(r.status == "checked" and r.passed for r in results)
+    ok = ok and all(check_extendible_pair(t) is True for t in tables)
     _report("12 sporadic dataset pair inequality (26 + Tits)", ok)

@@ -19,8 +19,8 @@ from chardeg.alternating import (
     witness_range,
 )
 from chardeg.exact_arith import const_interval
-from chardeg.partitions import Partition, degree, enumerate_gamma, hook_product, hooks
-from conftest import load_workloads
+from chardeg.partitions import Partition, degree, enumerate_gamma, hook_product
+from conftest import grid_product, load_workloads
 
 WORKLOADS = load_workloads()
 
@@ -74,7 +74,7 @@ def _closed_form_witness(n: int) -> Partition:
 
 def _passes_directly(n: int, lam: Partition) -> bool:
     # independent route: direct integer powers, no cmp_power
-    return math.factorial(n) ** 13 > (hooks(lam).product * (n - 1)) ** 14
+    return math.factorial(n) ** 13 > (grid_product(lam) * (n - 1)) ** 14
 
 
 class TestCheckWitness:
@@ -101,9 +101,9 @@ class TestCheckWitness:
             assert r.passed
             assert not r.witness.is_self_conjugate()
             assert r.witness.n == n
-            assert hooks(r.witness).product == r.hook_product
+            assert grid_product(r.witness) == r.hook_product
             assert _passes_directly(n, r.witness)
-            assert r.margin.lhs_bits > r.margin.rhs_bits
+            assert r.lhs_bits > r.rhs_bits
 
     def test_best_above_48_is_least_in_the_window_family_only(self, capsys):
         # At n = 49 the window family of index 7 holds only (7^7), which is
@@ -176,8 +176,8 @@ class TestCheckWitness:
         for n, r in zip(range(lo, hi + 1), reports):
             lhs = math.factorial(n) ** 13
             rhs = (hook_product(r.witness) * (n - 1)) ** 14
-            assert (r.margin.lhs_bits, r.margin.lhs_sha256) == (lhs.bit_length(), _sha256(lhs))
-            assert (r.margin.rhs_bits, r.margin.rhs_sha256) == (rhs.bit_length(), _sha256(rhs))
+            assert (r.lhs_bits, r.lhs_sha256) == (lhs.bit_length(), _sha256(lhs))
+            assert (r.rhs_bits, r.rhs_sha256) == (rhs.bit_length(), _sha256(rhs))
 
     def test_inconsistent_carry_raises(self):
         # The carried power is divided exactly or not at all: a carried x
@@ -207,8 +207,8 @@ class TestCheckWitness:
         assert time.perf_counter() - start < 1.0
         members = list(alternating._candidates(101))
         assert not passed and calls == len(members) + 1
-        assert lam == min(members, key=lambda lam: hooks(lam).product)
-        assert h == hooks(lam).product
+        assert lam == min(members, key=lambda lam: grid_product(lam))
+        assert h == grid_product(lam)
 
     @pytest.mark.parametrize("lo, hi, best", [(7, 60, False), (49, 60, True)])
     def test_search_decides_by_cmp_power_alone(self, monkeypatch, lo, hi, best):
@@ -405,7 +405,7 @@ class TestIntervalChecks:
     def test_hook_upper_matches_grid_products(self):
         for m in range(1, 13):
             bound = (m + 1) ** ((m + 1) ** 2)
-            expected = all(hooks(lam).product < bound for lam in enumerate_gamma(m))
+            expected = all(grid_product(lam) < bound for lam in enumerate_gamma(m))
             assert check_hook_upper(m) is expected
 
     def test_hook_upper_max_member_bound(self):
@@ -413,7 +413,7 @@ class TestIntervalChecks:
         for m in (2, 5):
             bound = (m + 1) ** ((m + 1) ** 2)
             for lam in enumerate_gamma(m):
-                assert hooks(lam).product < bound
+                assert grid_product(lam) < bound
 
     def test_growth_examples(self):
         assert check_growth(55) is True

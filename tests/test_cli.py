@@ -56,6 +56,9 @@ class TestBasicCommands:
         assert code == 0
         assert doc["coefficients"] == [1, 0, -1, 0, 1]
         assert doc["value"] == "13"
+        # An integer flag keeps its minus sign.
+        code, doc = _run_json(capsys, ["cyclotomic", "--k", "3", "--q", "-2"])
+        assert code == 0 and doc["value"] == "3"
 
     def test_rat(self, capsys):
         code, doc = _run_json(capsys, ["rat", "--degrees", "1,20,35,45,63,64"])
@@ -267,6 +270,26 @@ class TestContract:
         # int() reads the Arabic-Indic digits 3 and 2.
         code, doc = _run_json(capsys, ["hook", "--partition", "\u0663,\u0662"])
         assert code == 2 and doc["error"] == "bad partition term '\u0663'"
+
+    @pytest.mark.parametrize(
+        "argv, value",
+        [
+            (["lemma46", "--n", "٥٥"], "٥٥"),
+            (["thm21", "--family", "linear", "--rank", "3", "--q", "1_1"], "1_1"),
+            (["maroti", "--n", "+12", "--d", "5"], "+12"),
+            (["prop42", "--n", " 7"], " 7"),
+        ],
+        ids=["arabic-indic", "underscore", "plus", "space"],
+    )
+    def test_integer_flags_take_ascii_digits(self, argv, value, capsys):
+        # int() reads these as 55, 11, 12 and 7; an integer flag takes an
+        # optional "-" and the digits 0-9, as every other integer input does,
+        # in the plain form and through argparse alike.
+        code, doc = _run_json(capsys, argv)
+        assert code == 2
+        assert doc["error"].endswith(f"invalid integer value: {value!r}")
+        row = next(row for row in cli.command_table() if row[0] == argv[0])
+        assert cli._plain(row, argv[1:]) is None
 
     @pytest.mark.parametrize(
         "argv",
@@ -575,6 +598,21 @@ class TestContract:
         code, doc = _run_json(capsys, ["chiefseries-bound", "--file", str(path)])
         assert time.perf_counter() - start < 1.0
         assert (code, doc["rat14_lower_bound"]) == (0, "1")
+
+    def test_large_abelian_orders_without_small_factors_are_decided_quickly(
+        self, capsys, tmp_path
+    ):
+        # 257**16369 has 131,045 bits and no prime factor below 256, so each
+        # prime ell below 16,381 is tried as its exponent, and residue tests
+        # rule out all but 16369.  0.6-0.8 s in-process (2-CPU x86-64 box),
+        # where testing residues of the whole order took about 3 s.
+        path = tmp_path / "series.json"
+        factor = {"order": str(257 ** 16369), "abelian": True}
+        path.write_text(json.dumps({"factors": [factor] * 20 + [{"order": "20160"}]}))
+        start = time.perf_counter()
+        code, doc = _run_json(capsys, ["chiefseries-bound", "--file", str(path)])
+        assert time.perf_counter() - start < 1.0
+        assert (code, doc["rat14_lower_bound"]) == (0, "20160")
 
     def test_truncated_chief_series_file_names_the_path(self, capsys, tmp_path):
         path = tmp_path / "series.json"

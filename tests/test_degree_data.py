@@ -172,12 +172,10 @@ class TestPairCheck:
     def test_boundary_equality_fails(self):
         # alpha**14 == beta**14 * order exactly: strict inequality required
         table = DegreeTable("edge", (1, 2, 4), order=2 ** 14, extendible_pair=(4, 2))
-        result = check_extendible_pair(table)
-        assert result.status == "checked"
-        assert result.passed is False
+        assert check_extendible_pair(table) is False
         # the largest order below the boundary that every degree divides
         table = DegreeTable("edge", (1, 2, 4), order=2 ** 14 - 4, extendible_pair=(4, 2))
-        assert check_extendible_pair(table).passed is True
+        assert check_extendible_pair(table) is True
 
     def test_degenerate_beta_rejected(self):
         table = DegreeTable("bad", (1, 50), order=2550, extendible_pair=(50, 1))
@@ -185,17 +183,38 @@ class TestPairCheck:
             check_extendible_pair(table)
 
     def test_missing_fields_unchecked(self):
-        table = DegreeTable("partial", (1, 5, 9))
-        result = check_extendible_pair(table)
-        assert result.status == "unchecked"
-        assert result.passed is None
+        # No order, or no pair: nothing to check, which is not a failure.
+        assert check_extendible_pair(DegreeTable("partial", (1, 5, 9))) is None
+        assert check_extendible_pair(DegreeTable("partial", (1, 5, 9), order=450)) is None
+        assert check_extendible_pair(
+            DegreeTable("partial", (1, 5, 9), extendible_pair=(9, 5))
+        ) is None
 
     def test_extendibility_labelled_as_asserted(self, capsys, tmp_path):
-        # The label is part of the CLI record, not of PairCheck.
+        # The label is part of the CLI record, not of the verdict.
         (tmp_path / "m11.tsv").write_text(M11_LINE + "\n")
         assert main(["sporadic-check", "--data", str(tmp_path)]) == 0
         (record,) = json.loads(capsys.readouterr().out)["records"]
         assert record["name"] == "M11" and record["extendibility"] == "asserted by data"
+
+    def test_unchecked_records_keep_their_shape(self, capsys, tmp_path):
+        # sporadic-check builds each record from the table and its verdict:
+        # an unchecked table shows no pair, and its order when it has one.
+        (tmp_path / "x.tsv").write_text(
+            M11_LINE + "\nP\t\t1,5,9\t\t9,5\nQ\t450\t1,5,9\n"
+        )
+        assert main(["sporadic-check", "--data", str(tmp_path)]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert (doc["checked"], doc["unchecked"], doc["failures"]) == (1, ["P", "Q"], [])
+        assert [
+            {k: r[k] for k in ("name", "status", "passed", "alpha", "beta", "order")}
+            for r in doc["records"][1:]
+        ] == [
+            {"name": "P", "status": "unchecked", "passed": None, "alpha": None, "beta": None,
+             "order": None},
+            {"name": "Q", "status": "unchecked", "passed": None, "alpha": None, "beta": None,
+             "order": "450"},
+        ]
 
 
 class TestShippedData:
@@ -205,9 +224,7 @@ class TestShippedData:
         assert len(tables) == 28  # 26 sporadic + Tits + PSL3(4)
         assert "M" in names and "2F4(2)'" in names and "PSL3(4)" in names
         for t in tables:
-            result = check_extendible_pair(t)
-            assert result.status == "checked", t.name
-            assert result.passed, t.name
+            assert check_extendible_pair(t) is True, t.name
 
     def test_degrees_divide_order(self, data_dir):
         # character degrees divide the group order

@@ -1,5 +1,6 @@
 import math
 import time
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -714,3 +715,92 @@ class TestExclusionData:
         assert _raw_order(Family.SUZUKI_2B2, None, 2) == 20
         assert _raw_order(Family.REE_2G2, None, 3) == 3 * _psl2_order(8) == 1512
         assert _raw_order(Family.REE_2F4, None, 2) == 2 * tits.order == 2 * 17971200
+
+
+def _phi_indices(d: int, eps: int) -> list[int]:
+    # The k with Phi_k dividing q**d - eps: q**d - 1 is the product over
+    # k | d, and q**d + 1 the product over k | 2d with k not dividing d.
+    assert eps in (1, -1)
+    return [k for k in range(1, 2 * d + 1) if (2 * d) % k == 0 and (d % k == 0) == (eps == 1)]
+
+
+def _phi_multiplicities(v: _Value) -> Counter:
+    """Phi_k multiplicities of the row's numerator over its denominator and,
+    where the row has a centre gcd(k, q**j - eps'), over q**j - eps' too,
+    which that gcd divides."""
+    mult = Counter()
+    for d, eps in v.num:
+        mult.update(_phi_indices(d, eps))
+    for d, eps in v.den:
+        mult.subtract(_phi_indices(d, eps))
+    k, j, eps = v.centre
+    if k != 1:
+        mult.subtract(_phi_indices(j, eps))
+    return mult
+
+
+def _every_row():
+    """(family, rank, row) for the order and beta rows of every family at
+    every rank from its minimum to MAX_RANK."""
+    for fam, row in _FAMILIES.items():
+        for rank in (None,) if row.rank_min is None else range(row.rank_min, MAX_RANK + 1):
+            for v in _rows(fam, rank):
+                yield fam, rank, v
+
+
+class TestIntegralForEveryQ:
+    """Each row is an integer polynomial in q (times (q/p)**(h/2)) over c, at
+    every q, not only on the grid _evaluate has run: its Phi_k multiplicities
+    are nonnegative, and the polynomial is 0 mod c at every residue mod c of
+    a prime power."""
+
+    def test_every_multiplicity_is_nonnegative(self):
+        rows = list(_every_row())
+        assert len(rows) == 1196
+        negative = [(fam, rank, k, m) for fam, rank, v in rows
+                    for k, m in _phi_multiplicities(v).items() if m < 0]
+        assert negative == []
+
+    def test_multiplicities_give_the_evaluated_rows(self):
+        # The product of the Phi_k(q) is the row before its centre gcd: a
+        # check on _phi_indices itself.
+        for fam, rank, v in _every_row():
+            if rank is not None and rank > 20:
+                continue
+            for q, p in ((8, 2), (27, 3), (5, 5)):
+                if _FAMILIES[fam].twisted_p not in (None, p):
+                    continue
+                value = q ** v.a * math.isqrt(q // p) ** v.h * math.prod(
+                    eval_poly(cyclotomic(k), q) ** m for k, m in _phi_multiplicities(v).items()
+                )
+                k, j, eps = v.centre
+                if k != 1:
+                    value = value * (q ** j - eps) // math.gcd(k, q ** j - eps)
+                assert value == v.c * _evaluate(v, q, p, q ** v.a), (fam, rank, q)
+
+    def test_constant_divides_at_every_prime_power_residue(self):
+        residues = {c: sorted({q % c for q, _, _ in prime_powers(1000)}) for c in (2, 6)}
+        assert residues == {2: [0, 1], 6: [1, 2, 3, 4, 5]}
+        rows, checks = Counter(), 0
+        for fam, rank, v in _every_row():
+            if v.c == 1:
+                continue
+            assert v.h == 0 and v.centre == (1, 1, 1), fam
+            rows[v.c] += 1
+            mult = _phi_multiplicities(v)
+            for r in residues[v.c]:
+                value = pow(r, v.a, v.c) * math.prod(
+                    pow(eval_poly(cyclotomic(k), r), m, v.c) for k, m in mult.items()
+                )
+                assert value % v.c == 0, (fam, rank, r)
+                checks += 1
+        assert rows == {2: 199, 6: 1} and checks == 403
+
+    def test_a_flipped_sign_fails_the_proof(self):
+        # q**6 + 1 in the E7 beta row carries the Phi_4 that q**4 - 1 divides
+        # out; as q**6 - 1 it does not.
+        beta = _FAMILIES[Family.E7].rows[1]
+        assert beta.num == ((14, 1), (6, -1)) and beta.den == ((4, 1),)
+        assert _phi_multiplicities(beta)[4] == 0
+        flipped = _phi_multiplicities(beta._replace(num=((14, 1), (6, 1))))
+        assert {k: m for k, m in flipped.items() if m < 0} == {4: -1}

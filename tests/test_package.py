@@ -148,15 +148,12 @@ def _records():
     report = alternating.check_witness(7)
     return [
         (partitions.parse_partition("3,2,2"), "parts"),
-        (partitions.hooks(partitions.parse_partition("2,1")), "product"),
         (report, "passed"),
-        (report.margin, "lhs_bits"),
         (spec, "q"),
         (lie_type.check_point(spec).gap_pair, "beta_degree"),
         (lie_type.Exclusion(spec.family, 2, 4, "PSL_2"), "reason"),
         (lie_type.check_point(spec), "order"),
         (table, "degrees"),
-        (degree_data.check_extendible_pair(table), "passed"),
         (factor, "factor_order"),
         (cli.run(["conjugate", "--partition", "2,1"]), "status"),
     ]

@@ -16,6 +16,7 @@ from chardeg.partitions import (
     parse_partition,
     partitions_of,
 )
+from conftest import grid_product
 
 
 @st.composite
@@ -42,7 +43,8 @@ class TestPartitionBasics:
     def test_empty_is_legal(self):
         empty = Partition(())
         assert empty.n == 0
-        assert hooks(empty).product == 1
+        assert hooks(empty) == ()
+        assert grid_product(empty) == 1
         assert degree(empty) == 1
         assert empty.is_self_conjugate()
 
@@ -95,28 +97,28 @@ class TestConjugate:
 
     @given(partitions())
     def test_conjugate_preserves_hooks_and_degree(self, lam):
-        assert hooks(lam).product == hooks(lam.conjugate()).product
+        assert grid_product(lam) == grid_product(lam.conjugate())
         assert degree(lam) == degree(lam.conjugate())
 
 
 class TestHooks:
     def test_examples(self):
-        assert hooks(Partition((1,))).rows == ((1,),)
-        data = hooks(Partition((2, 1)))
-        assert data.rows == ((3, 1), (1,))
-        assert data.product == 3
-        data = hooks(Partition((3, 2, 2)))
-        assert data.rows == ((5, 4, 1), (3, 2), (2, 1))
-        assert data.product == 240
+        assert hooks(Partition((1,))) == ((1,),)
+        assert hooks(Partition((2, 1))) == ((3, 1), (1,))
+        assert grid_product(Partition((2, 1))) == 3
+        assert hooks(Partition((3, 2, 2))) == ((5, 4, 1), (3, 2), (2, 1))
+        assert grid_product(Partition((3, 2, 2))) == 240
 
     def test_product_matches_grid(self):
+        # The grid has one hook per node, and its product is hook_product.
         for lam in partitions_of(9):
-            data = hooks(lam)
+            grid = hooks(lam)
+            assert tuple(map(len, grid)) == lam.parts
             prod = 1
-            for row in data.rows:
+            for row in grid:
                 for h in row:
                     prod *= h
-            assert prod == data.product
+            assert prod == hook_product(lam)
 
 
 def _first_column_product(lam: Partition) -> int:
@@ -147,19 +149,19 @@ class TestHookProduct:
     def test_matches_grid_for_every_partition_up_to_20(self):
         for n in range(21):
             for lam in partitions_of(n):
-                assert hook_product(lam) == hooks(lam).product, lam
+                assert hook_product(lam) == grid_product(lam), lam
 
     @pytest.mark.parametrize("m", _WINDOW_INDICES)
     def test_window_family_matches_grid_and_first_column(self, m):
         for lam in enumerate_gamma(m):
             h = hook_product(lam)
-            assert h == hooks(lam).product, lam
+            assert h == grid_product(lam), lam
             assert h == _first_column_product(lam), lam
 
     def test_square_fix_matches_grid_and_first_column(self):
         for m in range(2, GAMMA_MAX_M + 1):
             lam = square_fix(m)
-            assert hook_product(lam) == hooks(lam).product == _first_column_product(lam)
+            assert hook_product(lam) == grid_product(lam) == _first_column_product(lam)
 
 
 class TestDegree:

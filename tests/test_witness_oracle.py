@@ -7,7 +7,8 @@ import math
 import pytest
 
 from chardeg.alternating import witness_range
-from chardeg.partitions import Partition, enumerate_gamma, hooks, partitions_of
+from chardeg.partitions import Partition, enumerate_gamma, partitions_of
+from conftest import grid_product
 
 NAMED = {7: Partition((3, 2, 2)), 8: Partition((4, 2, 2))}
 
@@ -31,7 +32,7 @@ def _ranked(n: int, best: bool) -> tuple[bool, Partition, int]:
     lhs = math.factorial(n) ** 13
     found = None
     for lam in _candidates(n):
-        h = hooks(lam).product
+        h = grid_product(lam)
         passed = lhs > (h * (n - 1)) ** 14
         if found is None or (passed, -h) > (found[0], -found[2]):
             found = (passed, lam, h)
